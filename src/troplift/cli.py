@@ -201,6 +201,7 @@ def dispatch(argv=None) -> int:
 
     if cmd == "lift":
         a = _read_matrix(args.infile)
+        _check_size(a, cfg)
         cert = _run_lift(a, args.variety, args.mode, cfg)
         _emit(jsonio.dumps(jsonio.encode_certificate(cert)), args.outfile)
         return 0 if cert.valid else 1
@@ -208,6 +209,7 @@ def dispatch(argv=None) -> int:
     if cmd == "verify":
         with open(args.infile) as fh:
             cert = jsonio.decode_certificate(json.load(fh))
+        _check_size(cert.target, cfg)
         lifts.verify_lift(cert)
         _emit(jsonio.dumps(jsonio.encode_certificate(cert)), args.outfile)
         return 0 if cert.valid else 1
@@ -247,6 +249,15 @@ def dispatch(argv=None) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {cmd}")
+
+
+def _check_size(a, cfg: Config):
+    """Refuse a lift or certificate larger than the enumeration bound: the
+    singular constructions and checks expand n! permutations."""
+    if max(a.rows, a.cols) > cfg.enumeration_bound:
+        raise SizeLimit(
+            f"{a.rows}x{a.cols} matrix exceeds enumeration bound {cfg.enumeration_bound}"
+        )
 
 
 def _run_lift(a, variety, mode, cfg: Config):

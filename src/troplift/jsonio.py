@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .lifts import LiftCertificate
+from .lifts import CLAIMS, POSITIVITIES, LiftCertificate
 from .monomials import SignedMonomialClass
 from .newton import NewtonEdge
 from .puiseux import PuiseuxSeries
@@ -108,6 +108,12 @@ def encode_certificate(cert: LiftCertificate) -> dict:
 
 
 def decode_certificate(obj: dict) -> LiftCertificate:
+    if obj["claimed"] not in CLAIMS:
+        raise ValueError(f"unknown claim {obj['claimed']!r}; expected one of {CLAIMS}")
+    if obj["positivity"] not in POSITIVITIES:
+        raise ValueError(
+            f"unknown positivity {obj['positivity']!r}; expected one of {POSITIVITIES}"
+        )
     return LiftCertificate(
         target=decode_matrix(obj["target"]),
         lift=tuple(tuple(decode_series(e) for e in row) for row in obj["lift"]),

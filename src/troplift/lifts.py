@@ -8,6 +8,13 @@ determinant for singularity claims.  Constructions that only multiply and
 add finite series verify exactly; a square-root branch leaves a truncated
 tail and the transcript records the order checked.
 
+An exact rank claim is checked on the 3x3 minors that border the first
+nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
+whose bordering (k+1) x (k+1) minors all vanish fixes the rank at k, so
+every 3x3 minor vanishes.  Truncated entries are known only to an order,
+and bordering would divide by the 2x2 pivot and lose precision by its
+valuation, so they scan every 3x3 minor.
+
 Randomized choices draw from per-input seeded streams, so certificates
 are reproducible byte for byte.
 """
@@ -40,6 +47,8 @@ from .tropical import sym_trop_rank, trop_det, trop_rank
 from . import trees as trees_mod
 
 MAX_RETRIES = 32
+CLAIMS = ("rank<=2", "symmetric rank<=2", "singular", "symmetric singular")
+POSITIVITIES = ("none", "all-positive")
 
 ONE = Fraction(1)
 
@@ -82,9 +91,58 @@ def _series_is_zero(s: PuiseuxSeries) -> tuple[bool, str]:
     return True, f"zero up to order {s.trunc}"
 
 
+def _minor(lift, rows, cols) -> PuiseuxSeries:
+    return series_det([[lift[i][j] for j in cols] for i in rows])
+
+
+def _bordered_rank2(lift, d: int, n: int) -> bool:
+    """True when an exact matrix has rank <= 2, checked on the 3x3 minors
+    bordering its lexicographically first nonzero 2x2 minor.
+
+    Bordered-minor theorem: if a k x k minor is nonzero and every
+    (k+1) x (k+1) minor containing it vanishes, the rank is k.  With no
+    nonzero 2x2 minor the rank is at most 1.
+    """
+    for p in combinations(range(d), 2):
+        for q in combinations(range(n), 2):
+            if _minor(lift, p, q).is_known_zero():
+                continue
+            return all(
+                _minor(lift, sorted(p + (r,)), sorted(q + (c,))).is_known_zero()
+                for r in range(d)
+                if r not in p
+                for c in range(n)
+                if c not in q
+            )
+    return True
+
+
+def _scan_3x3(lift, d: int, n: int) -> tuple[bool, str]:
+    """Every 3x3 minor in lexicographic order; names the first nonzero one."""
+    for ri in combinations(range(d), 3):
+        for cj in combinations(range(n), 3):
+            z, why = _series_is_zero(_minor(lift, ri, cj))
+            if not z:
+                return False, f"minor {ri}x{cj} {why}"
+    return True, "all 3x3 minors vanish"
+
+
 def verify_lift(cert: LiftCertificate) -> list:
-    """Independent re-check of a certificate; returns the transcript."""
+    """Independent re-check of a certificate; returns the transcript.
+
+    An unknown claim or positivity value adds a failing step.  Rank claims
+    with exact entries are checked by bordering one nonzero 2x2 minor
+    (every 3x3 minor then vanishes exactly); a truncated entry, or a
+    nonzero bordered minor, falls back to scanning every 3x3 minor, so a
+    rejection names the first failing minor.
+    """
     steps = []
+    if cert.claimed not in CLAIMS:
+        steps.append({"check": "claim", "ok": False, "detail": f"unknown claim {cert.claimed!r}"})
+    if cert.positivity not in POSITIVITIES:
+        steps.append(
+            {"check": "positivity", "ok": False, "detail": f"unknown positivity {cert.positivity!r}"}
+        )
     lift = cert.lift
     target = cert.target
     d, n = target.rows, target.cols
@@ -126,7 +184,7 @@ def verify_lift(cert: LiftCertificate) -> list:
             }
         )
 
-    if cert.claimed.startswith("symmetric"):
+    if cert.claimed in ("symmetric rank<=2", "symmetric singular"):
         asym = [
             (i, j)
             for i in range(d)
@@ -141,25 +199,17 @@ def verify_lift(cert: LiftCertificate) -> list:
             }
         )
 
-    if cert.claimed.endswith("rank<=2"):
-        ok = True
-        detail = "all 3x3 minors vanish"
+    if cert.claimed in ("rank<=2", "symmetric rank<=2"):
         exact = all(lift[i][j].trunc is None for i in range(d) for j in range(n))
-        for ri in combinations(range(d), 3):
-            for cj in combinations(range(n), 3):
-                minor = [[lift[i][j] for j in cj] for i in ri]
-                z, why = _series_is_zero(series_det(minor))
-                if not z:
-                    ok = False
-                    detail = f"minor {ri}x{cj} {why}"
-                    break
-            if not ok:
-                break
+        if exact and _bordered_rank2(lift, d, n):
+            ok, detail = True, "all 3x3 minors vanish"
+        else:
+            ok, detail = _scan_3x3(lift, d, n)
         if ok:
             detail += " (exact)" if exact else " (to truncation)"
         steps.append({"check": "minors_3x3_vanish", "ok": ok, "detail": detail})
 
-    if cert.claimed.endswith("singular"):
+    if cert.claimed in ("singular", "symmetric singular"):
         det = series_det([list(row) for row in lift])
         z, why = _series_is_zero(det)
         steps.append({"check": "determinant_vanishes", "ok": z, "detail": why})

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InversionOfZero, NegativeLeading, NestedRadical, ValuationUnknown
 from .quadext import QuadExt, coeff_is_zero, coeff_radicand, coeff_sign, sqrt_exact
@@ -24,6 +25,8 @@ DEFAULT_DEPTH = Fraction(20)
 
 def _fold(c):
     """Collapse rational QuadExt values to plain Fractions."""
+    if type(c) is Fraction:
+        return c
     if isinstance(c, QuadExt):
         if c.b == 0:
             return c.a
@@ -38,20 +41,37 @@ class PuiseuxSeries:
 
     @staticmethod
     def make(pairs, trunc=None) -> "PuiseuxSeries":
-        """Normalize: merge exponents, drop zeros and terms at/above trunc."""
-        if trunc is not None:
+        """Normalize: merge exponents, drop zeros and terms at/above trunc.
+
+        Terms merge on the exponent's (numerator, denominator) and sort on
+        integer keys over a common denominator, so no Fraction is hashed,
+        compared or rebuilt; sums of folded coefficients stay folded.
+        """
+        if trunc is not None and type(trunc) is not Fraction:
             trunc = Fraction(trunc)
-        acc: dict[Fraction, object] = {}
+        acc: dict[tuple, list] = {}
         for exp, coeff in pairs:
-            exp = Fraction(exp)
-            acc[exp] = _fold(acc[exp] + coeff) if exp in acc else _fold(coeff)
-        out = []
-        for exp in sorted(acc):
-            if trunc is not None and exp >= trunc:
-                continue
-            if not coeff_is_zero(acc[exp]):
-                out.append((exp, acc[exp]))
-        return PuiseuxSeries(tuple(out), trunc)
+            key = exp.as_integer_ratio()
+            hit = acc.get(key)
+            if hit is None:
+                acc[key] = [exp, _fold(coeff)]
+            else:
+                hit[1] = hit[1] + _fold(coeff)
+        if trunc is not None:
+            tn, td = trunc.as_integer_ratio()
+        kept = [
+            (num, den, exp, coeff)
+            for (num, den), (exp, coeff) in acc.items()
+            if not coeff_is_zero(coeff) and (trunc is None or num * td < tn * den)
+        ]
+        if len(kept) > 1:
+            common = lcm(*{den for _, den, _, _ in kept})
+            kept.sort(key=lambda k: k[0] * (common // k[1]))
+        out = tuple(
+            (exp if type(exp) is Fraction else Fraction(exp), coeff)
+            for _, _, exp, coeff in kept
+        )
+        return PuiseuxSeries(out, trunc)
 
     @staticmethod
     def monomial(coeff, exp, trunc=None) -> "PuiseuxSeries":

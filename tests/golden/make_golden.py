@@ -62,7 +62,9 @@ def _mirror(rng, n) -> TropMatrix:
 
 
 def _has_radicand(cert: dict) -> bool:
-    return any(isinstance(term["coef"], dict) for row in cert["lift"] for e in row for term in e["terms"])
+    return any(
+        isinstance(term["coef"], dict) for row in cert["lift"] for e in row for term in e["terms"]
+    )
 
 
 def _method(name):
@@ -71,11 +73,15 @@ def _method(name):
 
 # (variety, mode, draw(rng), count, extra filter on the certificate)
 SAMPLE_KINDS = (
-    ("rank2", "R", lambda r: samples.random_rank2_matrix(r, r.randint(3, 5), r.randint(4, 5)), 4,
-     _method("frame_completion")),
-    ("rank2", "R+", lambda r: samples.random_barvinok2_matrix(r, r.randint(3, 4), r.randint(3, 5)), 3, None),
-    ("sym_rank2", "R", lambda r: samples.random_sym_rank2_matrix(r, r.randint(4, 5)), 4,
-     _method("mirrored_generators")),
+    ("rank2", "R",
+     lambda r: samples.random_rank2_matrix(r, r.randint(3, 5), r.randint(4, 5)),
+     4, _method("frame_completion")),
+    ("rank2", "R+",
+     lambda r: samples.random_barvinok2_matrix(r, r.randint(3, 4), r.randint(3, 5)),
+     3, None),
+    ("sym_rank2", "R",
+     lambda r: samples.random_sym_rank2_matrix(r, r.randint(4, 5)),
+     4, _method("mirrored_generators")),
     ("sym_rank2", "R", lambda r: samples.random_sym_rank2_matrix(r, r.randint(3, 5)), 2, None),
     ("sym_rank2", "R+", lambda r: _mirror(r, r.randint(3, 5)), 3, None),
     ("corank1", "R+", lambda r: samples.random_matrix(r, 4, 4, 0, 3), 2, None),

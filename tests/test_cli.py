@@ -55,6 +55,32 @@ class TestExitCodes:
         )
         assert main(["trop-det", "--in", str(big)]) == 3
 
+    def test_lift_and_verify_honour_max_n(self, fixture_dir, tmp_path, monkeypatch):
+        ex52 = str(fixture_dir / "ex52.json")
+        cert = str(tmp_path / "cert.json")
+        lift = ["lift", "--variety", "sym_corank1", "--mode", "R", "--in", ex52]
+        assert main(lift + ["--max-n", "2"]) == 3
+        assert main(lift + ["--out", cert]) == 0
+        assert main(["verify", "--in", cert, "--max-n", "3"]) == 3
+        monkeypatch.setenv("TROPLIFT_MAX_N", "3")
+        assert main(["verify", "--in", cert]) == 3
+        assert main(["verify", "--in", cert, "--max-n", "4"]) == 0
+
+    def test_verify_rejects_unknown_claim_and_positivity(self, fixture_dir, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        fig2a = str(fixture_dir / "fig2a.json")
+        lift = ["lift", "--variety", "sym_rank2", "--mode", "R+", "--in", fig2a]
+        assert main(lift + ["--out", str(cert_file)]) == 0
+        good = json.loads(cert_file.read_text())
+        for key, value in (
+            ("claimed", "bogus"),
+            ("claimed", "rank<=1"),
+            ("claimed", "nonsingular"),
+            ("positivity", "mostly"),
+        ):
+            cert_file.write_text(json.dumps(dict(good, **{key: value})))
+            assert main(["verify", "--in", str(cert_file)]) == 2
+
     def test_impossible_lift_is_negative(self, fixture_dir):
         eq1 = str(fixture_dir / "eq1.json")
         assert main(["lift", "--variety", "rank2", "--mode", "R+", "--in", eq1]) == 1

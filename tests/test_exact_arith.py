@@ -151,6 +151,75 @@ class TestSerialization:
         assert jsonio.encode_series(z)["trunc"] == "inf"
 
 
+def _reference_fold(c):
+    if isinstance(c, QuadExt):
+        return c.a if c.b == 0 else c
+    return Fraction(c)
+
+
+def _reference_make(pairs, trunc=None):
+    """PuiseuxSeries.make as first written: a dict keyed by Fraction exponents,
+    every exponent and coefficient rebuilt, the sum folded after each term."""
+    if trunc is not None:
+        trunc = Fraction(trunc)
+    acc = {}
+    for exp, coeff in pairs:
+        exp = Fraction(exp)
+        acc[exp] = _reference_fold(acc[exp] + coeff) if exp in acc else _reference_fold(coeff)
+    out = []
+    for exp in sorted(acc):
+        if trunc is not None and exp >= trunc:
+            continue
+        c = acc[exp]
+        if not (c.a == 0 and c.b == 0 if isinstance(c, QuadExt) else c == 0):
+            out.append((exp, c))
+    return PuiseuxSeries(tuple(out), trunc)
+
+
+def _typed(s):
+    return [(type(e), e, type(c), c) for e, c in s.terms], type(s.trunc), s.trunc
+
+
+class TestMakeAgainstReference:
+    """make merges, folds and drops exactly as the reference body does."""
+
+    @staticmethod
+    def _coeff(rng):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.randint(-3, 3)
+        if kind == 1:
+            return F(rng.randint(-3, 3), rng.randint(1, 4))
+        if kind == 2:
+            return QuadExt.make(F(rng.randint(-2, 2)), F(rng.randint(-2, 2), 2), F(2))
+        if kind == 3:
+            return QuadExt(F(rng.randint(-2, 2)), F(0), F(2))  # unfolded, as decoded from JSON
+        return QuadExt(F(rng.randint(-2, 2), 3), F(1), F(2))
+
+    def test_random_mixed_pairs(self):
+        rng = random.Random(4401)
+        for _ in range(600):
+            pairs = []
+            for _ in range(rng.randint(0, 12)):
+                exp = rng.choice((rng.randint(-3, 3), F(rng.randint(-6, 6), rng.randint(1, 3))))
+                pairs.append((exp, self._coeff(rng)))
+            trunc = rng.choice((None, None, rng.randint(-2, 3), F(rng.randint(-5, 5), 2)))
+            assert _typed(PuiseuxSeries.make(pairs, trunc)) == _typed(_reference_make(pairs, trunc))
+
+    def test_cancelling_terms_and_rational_quadext_sums(self):
+        r2 = QuadExt(F(1), F(1), F(2))
+        pairs = [
+            (0, F(1)), (F(0), -1),  # cancels to zero: dropped
+            (1, r2), (F(2, 2), r2.conjugate()),  # folds to the rational 2
+            (F(1, 2), 3), (F(1, 2), F(-1, 2)),
+            (F(5, 2), r2), (3, 7),  # at or above trunc: dropped
+        ]
+        got = PuiseuxSeries.make(pairs, trunc=F(5, 2))
+        assert _typed(got) == _typed(_reference_make(pairs, F(5, 2)))
+        assert got.terms == ((F(1, 2), F(5, 2)), (F(1), F(2)))
+        assert type(got.terms[1][1]) is Fraction
+
+
 class TestQuadExt:
     def test_field_operations(self):
         x = QuadExt(F(1), F(2), F(3))  # 1 + 2*sqrt(3)

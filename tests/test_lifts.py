@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -317,6 +318,119 @@ class TestVerifier:
         assert back.target.entries == cert.target.entries
         verify_lift(back)
         assert back.valid
+
+    def test_unknown_claim_and_positivity_fail_closed(self):
+        good = lift_rank2_positive(fixture("fig4a"))
+        for claimed, positivity in (
+            ("bogus", "all-positive"),
+            ("rank<=1", "all-positive"),
+            ("nonsingular", "all-positive"),
+            ("rank<=2", "maybe"),
+        ):
+            cert = LiftCertificate(good.target, good.lift, claimed, positivity)
+            verify_lift(cert)
+            assert not cert.valid
+            failing = [s["check"] for s in cert.transcript if not s["ok"]]
+            assert failing == ["claim" if claimed != "rank<=2" else "positivity"]
+            obj = jsonio.encode_certificate(cert)
+            with pytest.raises(ValueError):
+                jsonio.decode_certificate(obj)
+        again = LiftCertificate(good.target, good.lift, good.claimed, good.positivity)
+        assert verify_lift(again) == good.transcript
+
+
+def _random_entry(rng):
+    return PuiseuxSeries.monomial(
+        F(rng.choice((-3, -2, -1, 1, 2, 3))), F(rng.randint(0, 6), rng.choice((1, 2)))
+    )
+
+
+def _product(u, v):
+    zero = PuiseuxSeries.zero()
+    return [
+        [sum((u[i][k] * v[k][j] for k in range(len(v))), zero) for j in range(len(v[0]))]
+        for i in range(len(u))
+    ]
+
+
+def _rank_k(rng, d, n, k):
+    u = [[_random_entry(rng) for _ in range(k)] for _ in range(d)]
+    v = [[_random_entry(rng) for _ in range(n)] for _ in range(k)]
+    return _product(u, v)
+
+
+def _full_3x3_scan(rows):
+    """Reference: every 3x3 minor through series_det, in lexicographic order."""
+    d, n = len(rows), len(rows[0])
+    for ri in combinations(range(d), 3):
+        for cj in combinations(range(n), 3):
+            det = series_det([[rows[i][j] for j in cj] for i in ri])
+            if not det.is_known_zero():
+                return False, f"minor {ri}x{cj} nonzero at order {det.val()}"
+    exact = all(e.trunc is None for row in rows for e in row)
+    return True, "all 3x3 minors vanish" + (" (exact)" if exact else " (to truncation)")
+
+
+def _minors_step(rows):
+    target = [[e.val() if e.terms else 0 for e in row] for row in rows]
+    cert = LiftCertificate(
+        TropMatrix.make(target), tuple(tuple(r) for r in rows), "rank<=2", "none"
+    )
+    verify_lift(cert)
+    (step,) = [s for s in cert.transcript if s["check"] == "minors_3x3_vanish"]
+    return step["ok"], step["detail"]
+
+
+class TestBorderedRankCheck:
+    """verify_lift's minors_3x3_vanish step equals a full 3x3 scan."""
+
+    def _cases(self):
+        rng = random.Random(3301)
+        for d, n in ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6)):
+            for k in (1, 2, 3):
+                rows = _rank_k(rng, d, n, k)
+                yield rows
+                bumped = [r[:] for r in rows]  # one perturbed entry
+                i, j = rng.randrange(d), rng.randrange(n)
+                bumped[i][j] = bumped[i][j] + PuiseuxSeries.monomial(F(1), F(rng.randint(0, 4)))
+                yield bumped
+                zero_row = [r[:] for r in rows]
+                zero_row[rng.randrange(d)] = [PuiseuxSeries.zero()] * n
+                yield zero_row
+            # first nonzero 2x2 minor off the top-left corner: rows 0 and 1
+            # proportional, column 0 zero
+            rows = _rank_k(rng, d, n, 2)
+            rows[1] = [e.scale(F(-2)) for e in rows[0]]
+            for r in rows:
+                r[0] = PuiseuxSeries.zero()
+            yield rows
+            rows = [r[:] for r in rows]
+            rows[d - 1][n - 1] = rows[d - 1][n - 1] + PuiseuxSeries.monomial(F(1), F(7))
+            yield rows
+
+    def test_matches_full_scan(self):
+        for rows in self._cases():
+            assert _minors_step(rows) == _full_3x3_scan(rows)
+
+    def test_truncated_entry_scans_every_minor(self):
+        rows = _rank_k(random.Random(12), 4, 4, 2)
+        rows[2][3] = rows[2][3].truncate(F(30))
+        got = _minors_step(rows)
+        assert got == _full_3x3_scan(rows) == (True, "all 3x3 minors vanish (to truncation)")
+
+    def test_exact_rank2_needs_only_bordered_minors(self, monkeypatch):
+        import troplift.lifts as lifts_mod
+
+        calls = []
+
+        def counting(mat):
+            calls.append(len(mat))
+            return series_det(mat)
+
+        monkeypatch.setattr(lifts_mod, "series_det", counting)
+        rows = _rank_k(random.Random(5), 4, 5, 2)
+        assert _minors_step(rows) == (True, "all 3x3 minors vanish (exact)")
+        assert calls.count(3) == (4 - 2) * (5 - 2)
 
 
 class TestCornerCompletion:
