@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio, lifts, membership, newton, oracle, trees
-from .config import Config, default_truncation
+from .config import MAX_ENUMERATION_BOUND, Config, default_truncation
 from .errors import (
     MinorSignsOpposed,
     NotBarvinok2,
@@ -52,11 +52,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed for randomized constructions")
     common.add_argument("--trunc", type=str, default=None, help="series truncation order (p/q)")
-    common.add_argument("--max-n", type=int, default=None, help="enumeration bound (max 8)")
+    common.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        help=f"enumeration bound (max {MAX_ENUMERATION_BOUND})",
+    )
     common.add_argument(
         "--acknowledge-large",
         action="store_true",
-        help="accept an enumeration bound above 8 (uniqueness verdicts get slow)",
+        help=f"accept an enumeration bound above {MAX_ENUMERATION_BOUND} "
+        "(uniqueness verdicts get slow)",
     )
     common.add_argument("--format", choices=("json", "dot", "text"), default=None)
     p = argparse.ArgumentParser(
@@ -96,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(args) -> Config:
     seed = args.seed if args.seed is not None else _env("TROPLIFT_SEED", int, 1)
     trunc = args.trunc if args.trunc is not None else os.environ.get("TROPLIFT_TRUNC")
-    bound = args.max_n if args.max_n is not None else _env("TROPLIFT_MAX_N", int, 8)
+    bound = (
+        args.max_n if args.max_n is not None else _env("TROPLIFT_MAX_N", int, MAX_ENUMERATION_BOUND)
+    )
     fmt = args.format if args.format is not None else _env("TROPLIFT_FORMAT", str, "json")
     return Config(
         truncation_order=None if trunc is None else Fraction(trunc),
@@ -253,7 +261,8 @@ def dispatch(argv=None) -> int:
 
 def _check_size(a, cfg: Config):
     """Refuse a lift or certificate larger than the enumeration bound: the
-    singular constructions and checks expand n! permutations."""
+    singular constructions enumerate permutations of the tropical matrix,
+    and the series determinant costs n 2^(n-1) products."""
     if max(a.rows, a.cols) > cfg.enumeration_bound:
         raise SizeLimit(
             f"{a.rows}x{a.cols} matrix exceeds enumeration bound {cfg.enumeration_bound}"

@@ -46,9 +46,10 @@ def decode_series(obj: dict) -> PuiseuxSeries:
     for term in obj["terms"]:
         coef = term["coef"]
         if isinstance(coef, dict):
-            coef = QuadExt(
-                frac_from_str(coef["a"]), frac_from_str(coef["b"]), frac_from_str(coef["d"])
-            )
+            d = frac_from_str(coef["d"])
+            if d <= 0:
+                raise ValueError(f"radicand {d} is not positive")
+            coef = QuadExt.make(frac_from_str(coef["a"]), frac_from_str(coef["b"]), d)
         else:
             coef = frac_from_str(coef)
         pairs.append((frac_from_str(term["exp"]), coef))

@@ -6,7 +6,19 @@ entrywise valuations against the target, positivity of leading terms,
 vanishing of all 3x3 minors for rank claims, and vanishing of the
 determinant for singularity claims.  Constructions that only multiply and
 add finite series verify exactly; a square-root branch leaves a truncated
-tail and the transcript records the order checked.
+tail and the transcript records the order checked.  A truncated
+determinant or minor that is known only up to its tropical value (the
+least valuation sum over permutations) has proved nothing, and fails.
+
+All determinants go through series_det, a Laplace expansion over column
+subsets (n 2^(n-1) products, not n n!) on an integer grid: exponents
+scaled by one lcm, coefficients by one common denominator, and a single
+radicand sqrt(p/q) written as sqrt(pq)/q, so the expansion multiplies
+Python ints only.  The order to which the determinant is known is fixed
+first by a min-plus pass, and partial terms that cannot land below it are
+dropped as they arise.  The linear and quadratic entry solves read their
+coefficients off determinants of cofactors and of the matrix with the
+unknown set to zero.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
@@ -23,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import inf, lcm
 
 from . import rng as rngmod
 from .config import default_truncation
@@ -37,11 +50,13 @@ from .errors import (
     NotCaterpillar,
     NotRank2,
     NotSingular,
+    RadicandMismatch,
     SameSigns,
     ValuationUnknown,
 )
 from .mpoly import perm_sign
 from .puiseux import PuiseuxSeries, ps_inv, quad_roots
+from .quadext import QuadExt
 from .tropmat import TropMatrix, trop_mat_mul
 from .tropical import sym_trop_rank, trop_det, trop_rank
 from . import trees as trees_mod
@@ -51,6 +66,7 @@ CLAIMS = ("rank<=2", "symmetric rank<=2", "singular", "symmetric singular")
 POSITIVITIES = ("none", "all-positive")
 
 ONE = Fraction(1)
+ZERO = PuiseuxSeries.zero()
 
 
 @dataclass
@@ -71,24 +87,178 @@ class LiftCertificate:
         return self.lift[i][j]
 
 
+def _min_plus(vals, truncs):
+    """Least valuation sum and least known order, over column subsets.
+
+    vals[i][j] is an entry's valuation (its truncation when it has no known
+    term; None for an exact zero, which no permutation may use) and
+    truncs[i][j] its truncation (None when exact).  For the bottom |C| rows
+    assigned to the columns C, least[C] is the least sum of valuations and
+    order[C] the least order to which such a product is known: one
+    truncated factor's truncation plus the other factors' valuations.
+    Subsets that no assignment reaches hold inf.
+    """
+    n = len(vals)
+    size = 1 << n
+    least = [inf] * size
+    order = [inf] * size
+    least[0] = 0
+    for mask in range(size - 1):
+        low, known = least[mask], order[mask]
+        if low == inf:
+            continue
+        i = n - 1 - mask.bit_count()
+        for j in range(n):
+            bit = 1 << j
+            v = vals[i][j]
+            if mask & bit or v is None:
+                continue
+            wider = mask | bit
+            least[wider] = min(least[wider], low + v)
+            t = truncs[i][j]
+            cand = known + v if t is None else min(known + v, low + t)
+            order[wider] = min(order[wider], cand)
+    return least, order
+
+
 def series_det(mat) -> PuiseuxSeries:
-    """Determinant of a small matrix of series, by permutation expansion."""
+    """Determinant of a square matrix of series, exact below the order to
+    which the permutation expansion knows it.
+
+    Order: the least, over permutations that meet no exact zero and over
+    their truncated factors, of that factor's truncation plus the other
+    factors' valuations (an entry with no known term counts with its
+    truncation); None when no such permutation has a truncated factor.
+    A min-plus pass over column subsets gives it without expanding.
+
+    Integer grid: exponent e becomes the integer e L, with L the lcm of
+    every exponent and truncation denominator; coefficients are scaled by
+    one common denominator D, and a + b sqrt(p/q) becomes the integer
+    pair (a D, b D / q) over sqrt(pq).  A term is stored under the key
+    2 e L + (1 if it carries sqrt(pq) else 0), so one dict of ints holds
+    both parts.  Mixing two radicands raises RadicandMismatch.
+
+    Expansion: row k moves the partial determinants of the column subsets
+    of size k to those of size k + 1, D[S + j] += (-1)^s D[S] m[k][j], with
+    s the number of columns of S above j.  A partial term is dropped when
+    its exponent plus the least valuation sum of the remaining rows on the
+    remaining columns reaches the order, so every dropped term would land
+    at or above it.  The result is divided by D^n once per term.
+    """
     n = len(mat)
-    total = PuiseuxSeries.zero()
-    for sigma in permutations(range(n)):
-        prod = PuiseuxSeries.constant(Fraction(perm_sign(sigma)))
-        for i in range(n):
-            prod = prod * mat[i][sigma[i]]
-        total = total + prod
-    return total
+    exp_den, coef_den, radicand = 1, 1, None
+    for row in mat:
+        for s in row:
+            if s.trunc is not None:
+                exp_den = lcm(exp_den, s.trunc.denominator)
+            for e, c in s.terms:
+                exp_den = lcm(exp_den, e.denominator)
+                if isinstance(c, QuadExt):
+                    if c.b and radicand is None:
+                        radicand = c.d
+                    elif c.b and c.d != radicand:
+                        raise RadicandMismatch(f"cannot mix sqrt({c.d}) with sqrt({radicand})")
+                    coef_den = lcm(coef_den, c.a.denominator, c.b.denominator * c.d.denominator)
+                else:
+                    coef_den = lcm(coef_den, c.denominator)
+    root_den = 1 if radicand is None else radicand.denominator
+    root_sq = 0 if radicand is None else radicand.numerator * root_den
+
+    def grid_terms(s):
+        out = []
+        for e, c in s.terms:
+            key = 2 * e.numerator * (exp_den // e.denominator)
+            if isinstance(c, QuadExt):
+                if c.a:
+                    out.append((key, c.a.numerator * (coef_den // c.a.denominator)))
+                if c.b:
+                    out.append(
+                        (key + 1, c.b.numerator * (coef_den // (c.b.denominator * root_den)))
+                    )
+            else:
+                out.append((key, c.numerator * (coef_den // c.denominator)))
+        out.sort()
+        return out
+
+    def grid_exp(x):
+        return None if x is None else x.numerator * (exp_den // x.denominator)
+
+    terms = [[grid_terms(s) for s in row] for row in mat]
+    truncs = [[grid_exp(s.trunc) for s in row] for row in mat]
+    vals = [
+        [ts[0][0] >> 1 if ts else t for ts, t in zip(trow, tcol)]
+        for trow, tcol in zip(terms, truncs)
+    ]
+    least, order = _min_plus(vals, truncs)
+    full = (1 << n) - 1
+    known = order[full]
+
+    partial = [None] * (full + 1)
+    partial[0] = {0: 1}
+    for mask in range(full):
+        src = partial[mask]
+        partial[mask] = None
+        if not src:
+            continue
+        k = mask.bit_count()
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            ent = terms[k][j]
+            rest = least[full ^ mask ^ bit]
+            if not ent or rest == inf:
+                continue
+            cap = 2 * (known - rest)  # keys at or above cap land at or above the order
+            if (mask >> j).bit_count() & 1:
+                ent = [(key, -c) for key, c in ent]
+            dst = partial[mask | bit]
+            if dst is None:
+                dst = partial[mask | bit] = {}
+            for k1, c1 in src.items():
+                if not c1:
+                    continue
+                for k2, c2 in ent:
+                    key = k1 + k2
+                    if k1 & k2 & 1:  # sqrt(pq) * sqrt(pq) = pq
+                        key -= 2
+                        c2 *= root_sq
+                    if key >= cap:
+                        break  # ent is sorted, and the exponent key >> 1 only grows
+                    dst[key] = dst.get(key, 0) + c1 * c2
+
+    scale = coef_den**n
+    parts: dict = {}
+    for key, c in (partial[full] or {}).items():
+        if c:
+            parts.setdefault(key >> 1, [0, 0])[key & 1] = c
+    pairs = [
+        (
+            Fraction(e, exp_den),
+            Fraction(a, scale)
+            if not b
+            else QuadExt.make(Fraction(a, scale), Fraction(b * root_den, scale), radicand),
+        )
+        for e, (a, b) in parts.items()
+    ]
+    return PuiseuxSeries.make(pairs, None if known == inf else Fraction(known, exp_den))
 
 
-def _series_is_zero(s: PuiseuxSeries) -> tuple[bool, str]:
-    if not s.is_known_zero():
-        return False, f"nonzero at order {s.val()}"
-    if s.trunc is None:
+def _det_vanishes(mat) -> tuple[bool, str]:
+    """Whether a determinant is zero as far as it is known.  A truncated
+    determinant known only up to its tropical value (the least valuation
+    sum over permutations) has no term that could have shown, so it proves
+    nothing and fails."""
+    det = series_det(mat)
+    if not det.is_known_zero():
+        return False, f"nonzero at order {det.val()}"
+    if det.trunc is None:
         return True, "exactly zero"
-    return True, f"zero up to order {s.trunc}"
+    vals = [[s.terms[0][0] if s.terms else s.trunc for s in row] for row in mat]
+    value = _min_plus(vals, [[s.trunc for s in row] for row in mat])[0][-1]
+    if det.trunc <= value:
+        return False, f"known only to order {det.trunc}, not above its tropical value {value}"
+    return True, f"zero up to order {det.trunc}"
 
 
 def _minor(lift, rows, cols) -> PuiseuxSeries:
@@ -121,7 +291,7 @@ def _scan_3x3(lift, d: int, n: int) -> tuple[bool, str]:
     """Every 3x3 minor in lexicographic order; names the first nonzero one."""
     for ri in combinations(range(d), 3):
         for cj in combinations(range(n), 3):
-            z, why = _series_is_zero(_minor(lift, ri, cj))
+            z, why = _det_vanishes([[lift[i][j] for j in cj] for i in ri])
             if not z:
                 return False, f"minor {ri}x{cj} {why}"
     return True, "all 3x3 minors vanish"
@@ -210,8 +380,7 @@ def verify_lift(cert: LiftCertificate) -> list:
         steps.append({"check": "minors_3x3_vanish", "ok": ok, "detail": detail})
 
     if cert.claimed in ("singular", "symmetric singular"):
-        det = series_det([list(row) for row in lift])
-        z, why = _series_is_zero(det)
+        z, why = _det_vanishes([list(row) for row in lift])
         steps.append({"check": "determinant_vanishes", "ok": z, "detail": why})
 
     cert.transcript = steps
@@ -621,23 +790,24 @@ def _lift_sym_rank1(asym: TropMatrix, seed: int) -> LiftCertificate:
 # singular lifts: one linear or quadratic unknown
 
 
+def _without(m, rows=(), cols=(), zeros=()):
+    """m without the given rows and columns; the entries in zeros read as
+    exact zeros."""
+    n = len(m)
+    return [
+        [ZERO if (r, c) in zeros else m[r][c] for c in range(n) if c not in cols]
+        for r in range(n)
+        if r not in rows
+    ]
+
+
 def _split_det_linear(lift_rows, istar, jstar):
-    """A, B with det = A x + B for the matrix whose (istar, jstar) entry is x."""
-    n = len(lift_rows)
-    acoef = PuiseuxSeries.zero()
-    bcoef = PuiseuxSeries.zero()
-    for sigma in permutations(range(n)):
-        prod = PuiseuxSeries.constant(Fraction(perm_sign(sigma)))
-        uses = sigma[istar] == jstar
-        for i in range(n):
-            if i == istar and uses:
-                continue
-            prod = prod * lift_rows[i][sigma[i]]
-        if uses:
-            acoef = acoef + prod
-        else:
-            bcoef = bcoef + prod
-    return acoef, bcoef
+    """A, B with det = A x + B for the matrix whose (istar, jstar) entry is
+    x: A is the signed cofactor of x and B the determinant at x = 0."""
+    acoef = series_det(_without(lift_rows, (istar,), (jstar,)))
+    if (istar + jstar) % 2:
+        acoef = -acoef
+    return acoef, series_det(_without(lift_rows, zeros={(istar, jstar)}))
 
 
 def lift_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> LiftCertificate:
@@ -720,7 +890,7 @@ def lift_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> 
             ]
             for i in range(n)
         ]
-        z, why = _series_is_zero(series_det(exact_rows))
+        z, why = _det_vanishes(exact_rows)
         cert.transcript.append(
             {"check": "determinant_exact_zero", "ok": z, "detail": why}
         )
@@ -730,19 +900,24 @@ def lift_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> 
 
 
 def _split_det_quadratic(lift_rows, i, j):
-    """A, B, C with det = A x^2 + B x + C when entries (i,j) and (j,i) are x."""
-    n = len(lift_rows)
-    parts = [PuiseuxSeries.zero(), PuiseuxSeries.zero(), PuiseuxSeries.zero()]
-    special = {(i, j), (j, i)}
-    for sigma in permutations(range(n)):
-        uses = sum(1 for r in range(n) if (r, sigma[r]) in special)
-        prod = PuiseuxSeries.constant(Fraction(perm_sign(sigma)))
-        for r in range(n):
-            if (r, sigma[r]) in special:
-                continue
-            prod = prod * lift_rows[r][sigma[r]]
-        parts[uses] = parts[uses] + prod
-    return parts[2], parts[1], parts[0]
+    """A, B, C with det = A x^2 + B x + C when entries (i,j) and (j,i),
+    i != j, are x.
+
+    C is the determinant at x = 0.  The permutations through both x pair
+    them as a transposition, so A is minus the minor without rows and
+    columns i and j.  B sums the two signed cofactors of x, each with the
+    other x set to 0.  Each coefficient is a determinant over exactly its
+    own permutations, so each keeps its own order when entries are
+    truncated.
+    """
+    ccoef = series_det(_without(lift_rows, zeros={(i, j), (j, i)}))
+    acoef = -series_det(_without(lift_rows, (i, j), (i, j)))
+    bcoef = series_det(_without(lift_rows, (i,), (j,), {(j, i)})) + series_det(
+        _without(lift_rows, (j,), (i,), {(i, j)})
+    )
+    if (i + j) % 2:
+        bcoef = -bcoef
+    return acoef, bcoef, ccoef
 
 
 def lift_sym_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> LiftCertificate:

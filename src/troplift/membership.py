@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .config import MAX_ENUMERATION_BOUND
 from .mpoly import perm_sign
 from .newton import (
     birkhoff_edge,
@@ -44,7 +45,7 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def member_rank2(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVerdict:
+def member_rank2(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:
     """Rank <= 2 matrices: tropical rank decides C and R; the positive
     parts coincide with Barvinok rank <= 2 (caterpillar trees)."""
     _check_mode(mode)
@@ -58,7 +59,7 @@ def member_rank2(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVerdict:
     return MembershipVerdict("rank2", mode, ok, payload)
 
 
-def member_sym_rank2(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVerdict:
+def member_sym_rank2(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:
     """Symmetric rank <= 2: symmetric tropical rank decides C and R; the
     positive parts need ordinary Barvinok rank <= 2 of the symmetric
     matrix (caterpillar symbic tree)."""
@@ -76,7 +77,7 @@ def member_sym_rank2(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVerd
     return MembershipVerdict("sym_rank2", mode, ok, payload)
 
 
-def member_corank1(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVerdict:
+def member_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:
     """Singular matrices: a tropical determinant tie decides C and R; the
     positive parts need an adjacent (one-cycle quotient) pair of opposite
     signs among the minimizing permutations."""
@@ -99,7 +100,7 @@ def member_corank1(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVerdic
     return MembershipVerdict("corank1", mode, pair is not None, payload)
 
 
-def sym_corank1_edges(a: TropMatrix, bound: int = 8) -> list[dict]:
+def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list[dict]:
     """Edges of the Newton polytope spanned by the minimizing classes,
     with the positive-part and really-positive-part qualifications.
 
@@ -167,7 +168,7 @@ def _minor_signs(asym: TropMatrix, k: int, bound: int) -> set:
     return {cls.sign for cls in res.argmin}
 
 
-def member_sym_corank1(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVerdict:
+def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:
     """Symmetric singular matrices.
 
     C and R coincide and need a class tie in the symmetric determinant.
@@ -209,7 +210,7 @@ def member_sym_corank1(a: TropMatrix, mode: str, bound: int = 8) -> MembershipVe
     return MembershipVerdict("sym_corank1", mode, ok, payload)
 
 
-def positive_generators_check(a: TropMatrix, bound: int = 8) -> bool:
+def positive_generators_check(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> bool:
     """Every 3x3 tropical minor attains its minimum on two monomials of
     opposite signs (the positive-generator property of the 3x3 minors)."""
     d, n = a.rows, a.cols

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import MAX_ENUMERATION_BOUND
 from .errors import InvalidTree, RankTooHigh
 from .tropmat import TropMatrix
 
@@ -262,7 +263,7 @@ def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
     return b, node_of
 
 
-def tree_from_rank2(a: TropMatrix, bound: int = 8) -> BicoloredTree:
+def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BicoloredTree:
     """Bicolored tree of a tropical rank <= 2 matrix (star for rank <= 1)."""
     from .tropical import trop_rank
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
 from .monomials import SignedMonomialClass, _classes
 from .tropmat import TropMatrix, trop_mat_mul  # noqa: F401  (re-exported)
-
-ENUMERATION_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ def _check_square(a: TropMatrix, bound: int):
         raise SizeLimit(f"enumeration bound {bound} exceeded (n = {a.rows})")
 
 
-def trop_det(a: TropMatrix, bound: int = ENUMERATION_BOUND) -> TropDetResult:
+def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over all permutation monomials, with the full argmin set."""
     _check_square(a, bound)
     n = a.rows
@@ -53,7 +52,7 @@ def trop_det(a: TropMatrix, bound: int = ENUMERATION_BOUND) -> TropDetResult:
     return TropDetResult(Fraction(best, scale), classes, len(arg) >= 2)
 
 
-def sym_trop_det(a: TropMatrix, bound: int = ENUMERATION_BOUND) -> TropDetResult:
+def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over monomial classes of the symmetric determinant."""
     _check_square(a, bound)
     if not a.symmetric:
@@ -112,7 +111,7 @@ def _grid_sym_nonsingular(a: TropMatrix, idx) -> bool:
     return hits == 1
 
 
-def trop_rank(a: TropMatrix, bound: int = ENUMERATION_BOUND) -> int:
+def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest size of a tropically nonsingular square submatrix.
 
     Tropically nonsingular matrices contain nonsingular submatrices of
@@ -139,7 +138,7 @@ def trop_rank(a: TropMatrix, bound: int = ENUMERATION_BOUND) -> int:
     return rank
 
 
-def sym_trop_rank(a: TropMatrix, bound: int = ENUMERATION_BOUND) -> int:
+def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest nonsingular submatrix size, using the symmetric determinant
     (class ties) on principal submatrices and the plain one elsewhere."""
     if not a.symmetric:
@@ -168,7 +167,7 @@ def sym_trop_rank(a: TropMatrix, bound: int = ENUMERATION_BOUND) -> int:
     return rank
 
 
-def barvinok_rank2(a: TropMatrix, bound: int = ENUMERATION_BOUND):
+def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
     """Decide Barvinok rank <= 2 and build a factorization witness.
 
     Returns (flag, witness, reason); witness is a pair (B, C) of TropMatrix
@@ -222,7 +221,7 @@ def _caterpillar_witness(a: TropMatrix, tree):
     return b, cmat
 
 
-def sym_barvinok_rank2(a: TropMatrix, bound: int = ENUMERATION_BOUND):
+def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
     """Decide symmetric Barvinok rank <= 2 with a witness B, A = B ⊙ B^T.
 
     Holds exactly when the symbic tree is a caterpillar whose color-swap

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, wire formats, fixtures."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from troplift import jsonio
 from troplift.cli import dispatch, main
 from troplift.fixtures import FIXTURE_NAMES, fixture
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -80,6 +84,34 @@ class TestExitCodes:
         ):
             cert_file.write_text(json.dumps(dict(good, **{key: value})))
             assert main(["verify", "--in", str(cert_file)]) == 2
+
+    def test_verify_rejects_vacuous_truncated_determinant(self, tmp_path):
+        # the solved entry becomes O(t^0), no known term at its target
+        # valuation: the determinant is then "zero" only up to its tropical
+        # value, which proves nothing
+        cert = json.loads((GOLDEN / "ex52-corank1-Rplus.json").read_text())
+        cert["lift"][1][0] = {"terms": [], "trunc": "0"}
+        src, out = tmp_path / "cert.json", tmp_path / "out.json"
+        src.write_text(json.dumps(cert))
+        assert main(["verify", "--in", str(src), "--out", str(out)]) == 1
+        steps = {s["check"]: s for s in json.loads(out.read_text())["transcript"]}
+        step = steps["determinant_vanishes"]
+        assert not step["ok"]
+        assert step["detail"] == "known only to order 0, not above its tropical value 0"
+
+    def test_decoded_radicands_are_normalised(self, tmp_path):
+        four = {"terms": [{"exp": "1", "coef": {"a": "1", "b": "1", "d": "4"}}], "trunc": "inf"}
+        (coef,) = [c for _, c in jsonio.decode_series(four).terms]
+        assert coef == 3 and type(coef) is Fraction
+        cert = json.loads((GOLDEN / "fig2a-sym_corank1-R.json").read_text())
+        term = next(
+            t for row in cert["lift"] for e in row for t in e["terms"] if isinstance(t["coef"], dict)
+        )
+        src = tmp_path / "cert.json"
+        for d in ("-2", "0"):
+            term["coef"]["d"] = d
+            src.write_text(json.dumps(cert))
+            assert main(["verify", "--in", str(src)]) == 2
 
     def test_impossible_lift_is_negative(self, fixture_dir):
         eq1 = str(fixture_dir / "eq1.json")

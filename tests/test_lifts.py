@@ -418,6 +418,19 @@ class TestBorderedRankCheck:
         got = _minors_step(rows)
         assert got == _full_3x3_scan(rows) == (True, "all 3x3 minors vanish (to truncation)")
 
+    def test_vacuous_truncated_minor_fails(self):
+        # rank 1, with entry (0, 0) replaced by O(t^0): every permutation of
+        # the 3x3 minor has valuation sum 6, so the minor is "zero" only up
+        # to its tropical value
+        rows = [[mono(1, i + j) for j in range(3)] for i in range(3)]
+        rows[0][0] = PuiseuxSeries((), F(0))
+        assert _minors_step(rows) == (
+            False,
+            "minor (0, 1, 2)x(0, 1, 2) known only to order 6, not above its tropical value 6",
+        )
+        rows[0][0] = PuiseuxSeries.monomial(F(1), F(0), F(1))
+        assert _minors_step(rows) == (True, "all 3x3 minors vanish (to truncation)")
+
     def test_exact_rank2_needs_only_bordered_minors(self, monkeypatch):
         import troplift.lifts as lifts_mod
 

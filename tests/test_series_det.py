@@ -1,0 +1,214 @@
+"""The series determinant against the permutation expansion it replaces.
+
+The references below are the Leibniz-expansion `series_det` and the two
+split loops that `troplift.lifts` used before the Laplace kernel; terms and
+truncation orders must agree exactly, truncated entries included.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from troplift.errors import RadicandMismatch
+from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
+from troplift.mpoly import perm_sign
+from troplift.puiseux import PuiseuxSeries
+from troplift.quadext import QuadExt
+
+F = Fraction
+
+
+def ref_series_det(mat):
+    n = len(mat)
+    total = PuiseuxSeries.zero()
+    for sigma in permutations(range(n)):
+        prod = PuiseuxSeries.constant(F(perm_sign(sigma)))
+        for i in range(n):
+            prod = prod * mat[i][sigma[i]]
+        total = total + prod
+    return total
+
+
+def ref_split_linear(rows, istar, jstar):
+    n = len(rows)
+    acoef = PuiseuxSeries.zero()
+    bcoef = PuiseuxSeries.zero()
+    for sigma in permutations(range(n)):
+        prod = PuiseuxSeries.constant(F(perm_sign(sigma)))
+        uses = sigma[istar] == jstar
+        for i in range(n):
+            if i == istar and uses:
+                continue
+            prod = prod * rows[i][sigma[i]]
+        if uses:
+            acoef = acoef + prod
+        else:
+            bcoef = bcoef + prod
+    return acoef, bcoef
+
+
+def ref_split_quadratic(rows, i, j):
+    n = len(rows)
+    parts = [PuiseuxSeries.zero(), PuiseuxSeries.zero(), PuiseuxSeries.zero()]
+    special = {(i, j), (j, i)}
+    for sigma in permutations(range(n)):
+        uses = sum(1 for r in range(n) if (r, sigma[r]) in special)
+        prod = PuiseuxSeries.constant(F(perm_sign(sigma)))
+        for r in range(n):
+            if (r, sigma[r]) in special:
+                continue
+            prod = prod * rows[r][sigma[r]]
+        parts[uses] = parts[uses] + prod
+    return parts[2], parts[1], parts[0]
+
+
+def same(got, want):
+    assert (got.terms, got.trunc) == (want.terms, want.trunc)
+
+
+# --- inputs ---------------------------------------------------------------
+
+EXPONENTS = st.sampled_from([F(k, 2) for k in range(-2, 9)] + [F(1, 3), F(4, 3)])
+RATIONALS = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(-5, 3), F(7, 4)])
+
+
+@st.composite
+def coefficients(draw, radicand):
+    a = draw(RATIONALS)
+    if radicand is None or draw(st.booleans()):
+        return a
+    b = draw(RATIONALS)
+    return QuadExt.make(draw(st.sampled_from([F(0), a])), b, radicand)
+
+
+@st.composite
+def entries(draw, radicand, truncated):
+    kind = draw(st.sampled_from(["zero", "exact", "exact", "exact", "truncated", "unknown"]))
+    if kind == "zero":
+        return PuiseuxSeries.zero()
+    if kind == "unknown" and truncated:  # no known term: O(t^k)
+        return PuiseuxSeries((), draw(EXPONENTS) + 2)
+    pairs = [
+        (draw(EXPONENTS), draw(coefficients(radicand)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    trunc = None
+    if kind != "exact" and truncated:
+        trunc = max(e for e, _ in pairs) + draw(st.sampled_from([F(1, 2), F(1), F(3)]))
+    return PuiseuxSeries.make(pairs, trunc)
+
+
+@st.composite
+def matrices(draw, min_n=0, max_n=5):
+    n = draw(st.integers(min_n, max_n))
+    radicand = draw(st.sampled_from([None, F(2), F(3, 5)]))
+    truncated = draw(st.booleans())
+    rows = [[draw(entries(radicand, truncated)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # rank-deficient: one row a multiple, or the sum, of others
+        i, k = draw(st.permutations(range(n)))[:2]
+        if n >= 3 and draw(st.booleans()):
+            l = next(r for r in range(n) if r not in (i, k))
+            rows[i] = [x + y for x, y in zip(rows[k], rows[l])]
+        else:
+            c = PuiseuxSeries.monomial(draw(coefficients(radicand)), draw(EXPONENTS))
+            rows[i] = [x * c for x in rows[k]]
+    return rows
+
+
+SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+# --- the determinant ------------------------------------------------------
+
+
+@SETTINGS
+@given(matrices())
+def test_series_det_matches_permutation_expansion(rows):
+    same(series_det(rows), ref_series_det(rows))
+
+
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices(min_n=6, max_n=6))
+def test_series_det_matches_at_six(rows):
+    same(series_det(rows), ref_series_det(rows))
+
+
+def mono(c, e, trunc=None):
+    return PuiseuxSeries.monomial(F(c), F(e), trunc)
+
+
+def test_empty_matrix_is_one():
+    same(series_det([]), PuiseuxSeries.constant(F(1)))
+
+
+def test_term_one_step_below_the_order_is_kept():
+    # det = (1 + t + O(t^2)) - 1 = t + O(t^2): the known term sits one grid
+    # step below the order, so pruning one step early would lose it
+    one = mono(1, 0)
+    corner = PuiseuxSeries.make([(F(0), F(1)), (F(1), F(1))], F(2))
+    got = series_det([[one, one], [one, corner]])
+    assert (got.terms, got.trunc) == (((F(1), F(1)),), F(2))
+    # the same one step below the order on a finer grid, with a radicand
+    r = QuadExt.make(0, 1, F(3, 5))
+    corner = PuiseuxSeries.make([(F(0), F(1)), (F(1, 3), r)], F(2, 3))
+    rows = [[one, one, mono(1, 5)], [one, corner, mono(2, 1)], [mono(1, 4), mono(1, 4), one]]
+    got = series_det(rows)
+    same(got, ref_series_det(rows))
+    assert got.terms[0] == (F(1, 3), r)
+
+
+def test_exact_zero_entries_skip_permutations():
+    z = PuiseuxSeries.zero()
+    vague = PuiseuxSeries((), F(1))
+    # the only permutation through the vague entry meets an exact zero
+    got = series_det([[mono(2, 0), vague], [z, mono(3, 1)]])
+    assert (got.terms, got.trunc) == (((F(1), F(6)),), None)
+
+
+def test_mixed_radicands_raise():
+    s2 = PuiseuxSeries.constant(QuadExt.make(0, 1, 2))
+    s3 = PuiseuxSeries.constant(QuadExt.make(0, 1, 3))
+    one = mono(1, 0)
+    for rows in ([[s2, one], [one, s3]], [[s2, s3], [one, one]]):
+        with pytest.raises(RadicandMismatch):
+            ref_series_det(rows)
+        with pytest.raises(RadicandMismatch):
+            series_det(rows)
+
+
+def test_radicand_products_fold_to_rationals():
+    r = QuadExt.make(1, 1, F(3, 5))
+    rows = [
+        [PuiseuxSeries.constant(r), mono(1, 1)],
+        [mono(1, 1), PuiseuxSeries.constant(r.conjugate())],
+    ]
+    got = series_det(rows)
+    same(got, ref_series_det(rows))
+    assert got.terms[0][1] == F(2, 5) and type(got.terms[0][1]) is Fraction
+
+
+# --- the splits -----------------------------------------------------------
+
+
+@SETTINGS
+@given(matrices(min_n=1), st.data())
+def test_linear_split_matches(rows, data):
+    n = len(rows)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    for got, want in zip(_split_det_linear(rows, i, j), ref_split_linear(rows, i, j)):
+        same(got, want)
+
+
+@SETTINGS
+@given(matrices(min_n=2), st.data())
+def test_quadratic_split_matches(rows, data):
+    n = len(rows)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    for got, want in zip(_split_det_quadratic(rows, i, j), ref_split_quadratic(rows, i, j)):
+        same(got, want)
