@@ -945,7 +945,8 @@ def lift_sym_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None)
                 "both deleted minors are sign-forced with opposite signs"
             )
         raise SameSigns("no edge of the minimizing set admits a positive solution")
-    edges = sym_corank1_edges(asym)
+    # an R+ verdict carries its edges; an R verdict decides on the tie alone
+    edges = verdict.reason["edges"] if mode == "R+" else sym_corank1_edges(asym)
     usable = [e for e in edges if e["qualifies_" + ("r_plus" if mode == "R+" else "r")]]
     assert usable, "true verdict must come with a usable edge"
     # prefer edges that span the tie exactly: there the constructive

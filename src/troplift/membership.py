@@ -10,6 +10,7 @@ satisfies the relevant cone criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .config import MAX_ENUMERATION_BOUND
@@ -110,8 +111,15 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     adjacent pair decides, and all pairs are reported.
     """
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    res = sym_trop_det(asym, bound)
+    return _sym_corank1_edges(asym, sym_trop_det(asym, bound), bound)
+
+
+def _sym_corank1_edges(asym: TropMatrix, res, bound: int) -> list[dict]:
+    """sym_corank1_edges on a symmetric matrix whose symmetric tropical
+    determinant `res` is already known."""
     argmin = set(res.argmin)
+    signs = cache(lambda k: _minor_signs(asym, k, bound))  # once per deleted index
+
     vertices = [
         cls
         for cls in res.argmin
@@ -145,8 +153,7 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
             reports = []
             for k in range(len(cycle)):
                 i, j = cycle[k], cycle[(k + 1) % len(cycle)]
-                si = _minor_signs(asym, i, bound)
-                sj = _minor_signs(asym, j, bound)
+                si, sj = signs(i), signs(j)
                 reports.append(
                     {"pair": (i, j), "signs": (sorted(si), sorted(sj)), "same_sign_choice": bool(si & sj)}
                 )
@@ -192,7 +199,7 @@ def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BO
     if not res.tie:
         payload["failure"] = "no_tie"
         return MembershipVerdict("sym_corank1", mode, False, payload)
-    edges = sym_corank1_edges(asym, bound)
+    edges = _sym_corank1_edges(asym, res, bound)
     payload["edges"] = edges
     key = "qualifies_c_plus" if mode == "C+" else "qualifies_r_plus"
     ok = any(e[key] for e in edges)

@@ -7,6 +7,14 @@ entries 0, 1, 2 (diagonal 0 or 1), the common sign, and the coefficient
 2^(number of cycles of length >= 3).  Classes double as vertices of the
 Newton polytope via their semisimple graphs: components are loops (fixed
 points), isolated edges (transpositions), and cycles.
+
+The tropical minima read classes through tables built once per n with
+the lazy class cache: each symmetric class's support ((i, j, e), ...)
+over its nonzero exponents, so a class value is an int sum e * grid[i][j]
+on a matrix rescaled to integers, and an exponent -> class dict for
+midpoint lookups.  Plain classes are memoised per permutation, so a
+determinant's argmin costs a dict lookup per minimiser without building
+all n! classes up front.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import SizeLimit
 from .mpoly import perm_sign
@@ -142,6 +151,28 @@ def _classes(n: int, symmetric: bool) -> tuple:
     return tuple(sorted(by_exp.values(), key=lambda c: c.exponent))
 
 
+class SymmetricTables(NamedTuple):
+    classes: tuple  # _classes(n, True), in its order
+    supports: tuple  # per class: ((i, j, e), ...) over nonzero exponents, i <= j
+    by_exponent: dict  # exponent matrix -> class
+
+
+@lru_cache(maxsize=None)
+def symmetric_tables(n: int) -> SymmetricTables:
+    classes = _classes(n, True)
+    supports = tuple(
+        tuple((i, j, e) for i, row in enumerate(cls.exponent) for j, e in enumerate(row) if e)
+        for cls in classes
+    )
+    return SymmetricTables(classes, supports, {cls.exponent: cls for cls in classes})
+
+
+@lru_cache(maxsize=None)
+def plain_class(sigma: tuple) -> SignedMonomialClass:
+    """The class of the plain determinant monomial of one permutation."""
+    return SignedMonomialClass.from_permutation(sigma, False)
+
+
 def sym_det_monomials(n: int) -> tuple:
     """All monomial classes of the n x n symmetric determinant."""
     if n > PUBLIC_CLASS_LIMIT:
@@ -150,7 +181,4 @@ def sym_det_monomials(n: int) -> tuple:
 
 
 def class_by_exponent(n: int, exponent: tuple) -> SignedMonomialClass | None:
-    for cls in _classes(n, True):
-        if cls.exponent == exponent:
-            return cls
-    return None
+    return symmetric_tables(n).by_exponent.get(exponent)

@@ -76,15 +76,23 @@ def _even_big_cycles(nverts: int, edges: set) -> int:
     return count
 
 
+_EDGE_CRITERION: dict = {}  # (exponent of u, exponent of v) -> is_polytope_edge
+
+
 def is_polytope_edge(u: SignedMonomialClass, v: SignedMonomialClass) -> bool:
-    """Edge criterion: |E_u ∪ E_v| <= n + 1 and at most one even cycle >= 4."""
+    """Edge criterion: |E_u ∪ E_v| <= n + 1 and at most one even cycle >= 4.
+
+    The criterion reads only the two exponent matrices, so it is memoised
+    on them."""
     if u == v:
         return False
-    n = u.n
-    loops, edges = _union_graph(u, v)
-    if len(loops) + len(edges) > n + 1:
-        return False
-    return _even_big_cycles(n, edges) <= 1
+    key = (u.exponent, v.exponent)
+    hit = _EDGE_CRITERION.get(key)
+    if hit is None:
+        loops, edges = _union_graph(u, v)
+        hit = len(loops) + len(edges) <= u.n + 1 and _even_big_cycles(u.n, edges) <= 1
+        _EDGE_CRITERION[key] = hit
+    return hit
 
 
 @dataclass(frozen=True)

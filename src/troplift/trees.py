@@ -35,6 +35,24 @@ class Leaf:
     node: int
 
 
+def _bfs_path(adj: dict, u: int, v: int) -> list[int]:
+    """Nodes on the path from u to v in a tree given by its adjacency map."""
+    parent = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == v:
+            break
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    out = [v]
+    while out[-1] != u:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
 class BicoloredTree:
     def __init__(self, nodes: int, adj: dict, leaves: tuple):
         self.nodes = nodes
@@ -83,20 +101,7 @@ class BicoloredTree:
         return self.node_distance(a.node, b.node)
 
     def path(self, u: int, v: int) -> list[int]:
-        parent = {u: None}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y in self.adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        out = [v]
-        while out[-1] != u:
-            out.append(parent[out[-1]])
-        return out[::-1]
+        return _bfs_path(self.adj, u, v)
 
     def contract_zero_edges(self) -> "BicoloredTree":
         """Merge endpoints of zero-length edges; returns a new tree."""
@@ -208,22 +213,6 @@ class _Builder:
         self.add_edge(s, v, w - offset)
         return s
 
-    def path(self, u, v):
-        parent = {u: None}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y in self.adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        out = [v]
-        while out[-1] != u:
-            out.append(parent[out[-1]])
-        return out[::-1]
-
 
 def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
     """Grow a tree containing marked points with the given exact metric."""
@@ -241,7 +230,7 @@ def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
         attach = node_of[a]
         if best_x is not None and best_g > 0:
             remaining = best_g
-            walk = b.path(node_of[a], node_of[best_x])
+            walk = _bfs_path(b.adj, node_of[a], node_of[best_x])
             for u, v in zip(walk, walk[1:]):
                 w = b.adj[u][v]
                 if remaining < w:
@@ -267,8 +256,9 @@ def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> Bicolo
     """Bicolored tree of a tropical rank <= 2 matrix (star for rank <= 1)."""
     from .tropical import trop_rank
 
-    if trop_rank(a, bound) > 2:
-        raise RankTooHigh("matrix has tropical rank above 2")
+    rank = trop_rank(a, bound)
+    if rank > 2:
+        raise RankTooHigh("matrix has tropical rank above 2", rank)
     d, n = a.rows, a.cols
     blue_pos = [_normalize(a.col(j)) for j in range(n)]
     red_pos = [

@@ -1,8 +1,10 @@
 """Tropical determinants, rank notions, and Barvinok factorizations.
 
 All minima are exhaustive enumerations over permutations (or monomial
-classes for the symmetric determinant), with an integer fast path: entries
-are rescaled by their denominator lcm so the hot loops run on ints.
+classes for the symmetric determinant) on an integer grid: entries are
+rescaled by their denominator lcm, so the hot loops add ints.  A symmetric
+class value is the int sum of e * grid[i][j] over the class's precomputed
+support, and a minimum goes back to a Fraction only once, as best / scale.
 Enumeration refuses inputs above the configured bound rather than risking
 a wrong uniqueness verdict; a Hungarian-method value without tie data is
 available separately for larger matrices.
@@ -15,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .config import MAX_ENUMERATION_BOUND
-from .errors import SizeLimit
-from .monomials import SignedMonomialClass, _classes
+from .errors import DimensionMismatch, RankTooHigh, SizeLimit
+from .monomials import plain_class, symmetric_tables
 from .tropmat import TropMatrix, trop_mat_mul  # noqa: F401  (re-exported)
 
 
@@ -29,7 +31,7 @@ class TropDetResult:
 
 def _check_square(a: TropMatrix, bound: int):
     if not a.is_square():
-        raise SizeLimit(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
+        raise DimensionMismatch(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     if a.rows > bound:
         raise SizeLimit(f"enumeration bound {bound} exceeded (n = {a.rows})")
 
@@ -42,14 +44,32 @@ def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult
     best = None
     arg: list = []
     for sigma in permutations(range(n)):
-        v = sum(grid[i][sigma[i]] for i in range(n))
+        v = sum(map(list.__getitem__, grid, sigma))
         if best is None or v < best:
             best = v
             arg = [sigma]
         elif v == best:
             arg.append(sigma)
-    classes = tuple(SignedMonomialClass.from_permutation(s, False) for s in arg)
+    classes = tuple(plain_class(s) for s in arg)
     return TropDetResult(Fraction(best, scale), classes, len(arg) >= 2)
+
+
+def _sym_argmin(grid, n: int) -> tuple[int, list]:
+    """Least class value of the n x n symmetric determinant on an int grid
+    (upper triangle read) and the classes attaining it."""
+    tables = symmetric_tables(n)
+    best = None
+    arg: list = []
+    for cls, support in zip(tables.classes, tables.supports):
+        v = 0
+        for i, j, e in support:
+            v += e * grid[i][j]
+        if best is None or v < best:
+            best = v
+            arg = [cls]
+        elif v == best:
+            arg.append(cls)
+    return best, arg
 
 
 def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
@@ -57,17 +77,9 @@ def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetRe
     _check_square(a, bound)
     if not a.symmetric:
         a = TropMatrix.make(a.entries, symmetric=True)
-    n = a.rows
-    best = None
-    arg: list = []
-    for cls in _classes(n, True):
-        v = cls.value(a)
-        if best is None or v < best:
-            best = v
-            arg = [cls]
-        elif v == best:
-            arg.append(cls)
-    return TropDetResult(best, tuple(arg), len(arg) >= 2)
+    scale, grid = a.as_int_grid()
+    best, arg = _sym_argmin(grid, a.rows)
+    return TropDetResult(Fraction(best, scale), tuple(arg), len(arg) >= 2)
 
 
 def assignment_min(a: TropMatrix) -> Fraction:
@@ -91,24 +103,14 @@ def _grid_nonsingular(grid, rows, cols) -> bool:
             best = v
             hits = 1
         elif v == best:
-            hits += 1
-            # not unique; keep scanning only if a lower value may exist
+            hits += 1  # a tie so far; a later, lower value still resets it
     return hits == 1
 
 
-def _grid_sym_nonsingular(a: TropMatrix, idx) -> bool:
-    sub = TropMatrix.make(
-        [[a[i, j] for j in idx] for i in idx], symmetric=True
-    )
-    best = None
-    hits = 0
-    for cls in _classes(len(idx), True):
-        v = cls.value(sub)
-        if best is None or v < best:
-            best, hits = v, 1
-        elif v == best:
-            hits += 1
-    return hits == 1
+def _grid_sym_nonsingular(grid, idx) -> bool:
+    """Unique-minimum test for the symmetric determinant of a principal subgrid."""
+    _, arg = _sym_argmin([[grid[i][j] for j in idx] for i in idx], len(idx))
+    return len(arg) == 1
 
 
 def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
@@ -153,7 +155,7 @@ def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
         for rows in combinations(range(n), k):
             for cols in combinations(range(n), k):
                 if rows == cols:
-                    ok = _grid_sym_nonsingular(a, rows)
+                    ok = _grid_sym_nonsingular(grid, rows)
                 else:
                     ok = _grid_nonsingular(grid, rows, cols)
                 if ok:
@@ -177,10 +179,10 @@ def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
     """
     from . import trees
 
-    rank = trop_rank(a, bound)
-    if rank > 2:
-        return False, None, {"kind": "rank_too_high", "tropical_rank": rank}
-    tree = trees.tree_from_rank2(a, bound=bound)
+    try:
+        tree = trees.tree_from_rank2(a, bound=bound)
+    except RankTooHigh as exc:
+        return False, None, {"kind": "rank_too_high", "tropical_rank": exc.rank}
     if not trees.is_caterpillar(tree):
         return False, None, {"kind": "tree_not_caterpillar"}
     b, c = _caterpillar_witness(a, tree)
@@ -232,10 +234,10 @@ def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
 
     if not a.symmetric:
         a = TropMatrix.make(a.entries, symmetric=True)
-    rank = trop_rank(a, bound)
-    if rank > 2:
-        return False, None, {"kind": "rank_too_high", "tropical_rank": rank}
-    tree = trees.tree_from_rank2(a, bound=bound)
+    try:
+        tree = trees.tree_from_rank2(a, bound=bound)
+    except RankTooHigh as exc:
+        return False, None, {"kind": "rank_too_high", "tropical_rank": exc.rank}
     report = trees.symbic_classify(tree)
     if report.kind != "symbic":
         return False, None, {"kind": report.kind}

@@ -82,7 +82,7 @@ class TropMatrix:
         for row in self.entries:
             for x in row:
                 scale = lcm(scale, x.denominator)
-        grid = [[int(x * scale) for x in row] for row in self.entries]
+        grid = [[x.numerator * (scale // x.denominator) for x in row] for row in self.entries]
         return scale, grid
 
     def max_abs(self) -> Fraction:

@@ -59,6 +59,26 @@ class TestExitCodes:
         )
         assert main(["trop-det", "--in", str(big)]) == 3
 
+    def test_determinant_of_a_non_square_matrix_is_an_input_error(self, tmp_path, capsys):
+        wide = tmp_path / "wide.json"
+        wide.write_text(
+            json.dumps({"symmetric": False, "entries": [[str(i * j) for j in range(5)] for i in range(4)]})
+        )
+        member = ["member", "--in", str(wide), "--mode", "C", "--variety"]
+        assert main(member + ["corank1"]) == 2
+        assert main(member + ["sym_corank1"]) == 2
+        assert main(["trop-det", "--in", str(wide)]) == 2
+        assert main(["lift", "--in", str(wide), "--mode", "R", "--variety", "corank1"]) == 2
+        assert "DimensionMismatch: determinant needs a square matrix, got 4x5" in capsys.readouterr().err
+
+    def test_determinant_above_the_bound_is_a_size_limit(self, fixture_dir, capsys):
+        ex52 = str(fixture_dir / "ex52.json")
+        for variety in ("corank1", "sym_corank1"):
+            argv = ["member", "--in", ex52, "--mode", "C", "--variety", variety, "--max-n", "3"]
+            assert main(argv) == 3
+        assert main(["trop-det", "--in", ex52, "--max-n", "3"]) == 3
+        assert "size limit: enumeration bound 3 exceeded (n = 4)" in capsys.readouterr().err
+
     def test_lift_and_verify_honour_max_n(self, fixture_dir, tmp_path, monkeypatch):
         ex52 = str(fixture_dir / "ex52.json")
         cert = str(tmp_path / "cert.json")

@@ -1,0 +1,295 @@
+"""Tropical minima on the integer grid against the Fraction loops they replace.
+
+The references below are the code that troplift used before class values
+became int sums over precomputed supports: a class value summed as
+Fractions entry by entry, argmin classes built with `from_permutation`,
+`class_by_exponent` as a linear scan, principal submatrices rebuilt as
+TropMatrix objects, and `sym_corank1_edges` recomputing the deleted-minor
+signs for every cycle vertex of every edge.  Values, argmin tuples (order
+included), ranks and edge reports must agree exactly.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from troplift import samples
+from troplift.membership import sym_corank1_edges
+from troplift.monomials import SignedMonomialClass, _classes, class_by_exponent, plain_class
+from troplift.newton import (
+    _even_big_cycles,
+    _union_graph,
+    edge_lattice_data,
+    edge_positive_ok,
+    is_polytope_edge,
+)
+from troplift.tropical import sym_trop_det, sym_trop_rank, trop_det, trop_rank
+from troplift.tropmat import TropMatrix
+
+F = Fraction
+
+
+# --- references -----------------------------------------------------------
+
+
+def ref_value(cls, a):
+    total = F(0)
+    for i in range(cls.n):
+        for j in range(cls.n):
+            if cls.exponent[i][j]:
+                total += cls.exponent[i][j] * a[i, j]
+    return total
+
+
+def ref_trop_det(a):
+    n = a.rows
+    best, arg = None, []
+    for sigma in permutations(range(n)):
+        v = sum((a[i, sigma[i]] for i in range(n)), F(0))
+        if best is None or v < best:
+            best, arg = v, [sigma]
+        elif v == best:
+            arg.append(sigma)
+    return best, tuple(SignedMonomialClass.from_permutation(s, False) for s in arg)
+
+
+def ref_sym_trop_det(a):
+    a = TropMatrix.make(a.entries, symmetric=True)
+    best, arg = None, []
+    for cls in _classes(a.rows, True):
+        v = ref_value(cls, a)
+        if best is None or v < best:
+            best, arg = v, [cls]
+        elif v == best:
+            arg.append(cls)
+    return best, tuple(arg)
+
+
+def ref_class_by_exponent(n, exponent):
+    for cls in _classes(n, True):
+        if cls.exponent == exponent:
+            return cls
+    return None
+
+
+def ref_nonsingular(sub, symmetric):
+    if symmetric:
+        return len(ref_sym_trop_det(sub)[1]) == 1
+    return len(ref_trop_det(sub)[1]) == 1
+
+
+def ref_rank(a, symmetric=False):
+    rank = 0
+    for k in range(1, min(a.rows, a.cols) + 1):
+        if not any(
+            ref_nonsingular(a.submatrix(rows, cols), symmetric and rows == cols)
+            for rows in combinations(range(a.rows), k)
+            for cols in combinations(range(a.cols), k)
+        ):
+            return rank
+        rank = k
+    return rank
+
+
+def ref_is_polytope_edge(u, v):
+    if u == v:
+        return False
+    loops, edges = _union_graph(u, v)
+    return len(loops) + len(edges) <= u.n + 1 and _even_big_cycles(u.n, edges) <= 1
+
+
+def ref_sym_corank1_edges(a):
+    a = TropMatrix.make(a.entries, symmetric=True)
+    _, tie = ref_sym_trop_det(a)
+    argmin = set(tie)
+    vertices = [
+        cls for cls in tie
+        if all(k != "cycle" or len(v) % 2 == 1 for k, v in cls.graph_components())
+    ]
+
+    def minor_signs(k):
+        idx = [r for r in range(a.rows) if r != k]
+        return {cls.sign for cls in ref_trop_det(a.submatrix(idx, idx))[1]}
+
+    out = []
+    for u, v in combinations(vertices, 2):
+        if not ref_is_polytope_edge(u, v):
+            continue
+        edge = edge_lattice_data(u, v)
+        if edge.lattice_length == 2 and edge.midpoint not in argmin:
+            continue
+        span = {u, v} if edge.lattice_length == 1 else {u, v, edge.midpoint}
+        entry = {
+            "edge": edge,
+            "exact_span": argmin == span,
+            "qualifies_c_plus": edge_positive_ok(edge),
+            "qualifies_r": True,
+            "minor_pair": None,
+            "minor_reports": None,
+        }
+        if edge.lattice_length == 2:
+            cycle = next(vs for kind, vs in edge.midpoint.graph_components() if kind == "cycle")
+            reports = []
+            for k in range(len(cycle)):
+                i, j = cycle[k], cycle[(k + 1) % len(cycle)]
+                si, sj = minor_signs(i), minor_signs(j)
+                reports.append(
+                    {"pair": (i, j), "signs": (sorted(si), sorted(sj)), "same_sign_choice": bool(si & sj)}
+                )
+            entry["minor_pair"] = reports[0]["pair"]
+            entry["minor_reports"] = reports
+            entry["qualifies_r_plus"] = entry["qualifies_c_plus"] and reports[0]["same_sign_choice"]
+        else:
+            entry["qualifies_r_plus"] = entry["qualifies_c_plus"]
+        out.append(entry)
+    return out
+
+
+# --- inputs ---------------------------------------------------------------
+
+DENOMINATORS = st.sampled_from([1, 1, 2, 3, 6])
+
+
+@st.composite
+def entries(draw, lo, hi):
+    """An entry in [lo, hi], often with denominator 2, 3 or 6."""
+    den = draw(DENOMINATORS)
+    return F(draw(st.integers(lo * den, hi * den)), den)
+
+
+@st.composite
+def sym_matrices(draw, max_n=5):
+    """Symmetric matrices: plain draws with negative entries, narrow draws
+    that tie often, and u_i + u_j plus a few bumps, where every class of
+    the symmetric determinant ties before the bumps."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["wide", "narrow", "forced"]))
+    ent = [[F(0)] * n for _ in range(n)]
+    u = [draw(entries(-3, 3)) for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "wide":
+                x = draw(entries(-4, 4))
+            elif kind == "narrow":
+                x = draw(entries(-1, 0))
+            else:
+                x = u[i] + u[j] + (draw(entries(0, 1)) if draw(st.integers(0, 4)) == 0 else 0)
+            ent[i][j] = ent[j][i] = x
+    return TropMatrix.make(ent, symmetric=True)
+
+
+@st.composite
+def matrices(draw, max_n=5):
+    """Rectangular matrices; the forced kind is u_i + w_j with a few bumps."""
+    d, n = draw(st.integers(1, max_n)), draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        return TropMatrix.make([[draw(entries(-4, 4)) for _ in range(n)] for _ in range(d)])
+    u = [draw(entries(-3, 3)) for _ in range(d)]
+    w = [draw(entries(-3, 3)) for _ in range(n)]
+    return TropMatrix.make(
+        [
+            [u[i] + w[j] + (draw(entries(0, 1)) if draw(st.integers(0, 3)) == 0 else 0) for j in range(n)]
+            for i in range(d)
+        ]
+    )
+
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# --- the determinants -----------------------------------------------------
+
+
+@SETTINGS
+@given(sym_matrices())
+def test_sym_trop_det_matches_fraction_class_values(a):
+    res = sym_trop_det(a)
+    best, arg = ref_sym_trop_det(a)
+    assert (res.min_value, res.argmin, res.tie) == (best, arg, len(arg) >= 2)
+    assert type(res.min_value) is Fraction
+
+
+@SETTINGS
+@given(st.one_of(sym_matrices(), matrices()))
+def test_trop_det_matches_from_permutation_argmin(a):
+    if not a.is_square():
+        a = a.submatrix(range(min(a.rows, a.cols)), range(min(a.rows, a.cols)))
+    res = trop_det(a)
+    best, arg = ref_trop_det(a)
+    assert (res.min_value, res.argmin, res.tie) == (best, arg, len(arg) >= 2)
+
+
+def test_forced_tie_keeps_every_class_and_the_scale():
+    u = [F(1, 2), F(-1, 3), F(5, 6), F(-2)]
+    a = TropMatrix.make([[ui + uj for uj in u] for ui in u], symmetric=True)
+    res = sym_trop_det(a)
+    assert res.argmin == _classes(4, True)
+    assert res.min_value == 2 * sum(u) == F(-2)
+
+
+# --- the ranks ------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices())
+def test_trop_rank_matches_fraction_reference(a):
+    assert trop_rank(a) == ref_rank(a)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sym_matrices())
+def test_sym_trop_rank_matches_fraction_reference(a):
+    assert sym_trop_rank(a) == ref_rank(a, symmetric=True)
+
+
+# --- the class tables and the Newton edges ----------------------------------
+
+
+def test_class_tables_match_linear_scans():
+    for n in range(1, 6):
+        for cls in _classes(n, True):
+            assert class_by_exponent(n, cls.exponent) is ref_class_by_exponent(n, cls.exponent)
+        assert class_by_exponent(n, ((3,) * n,) * n) is None
+        for sigma in permutations(range(n)):
+            assert plain_class(sigma) == SignedMonomialClass.from_permutation(sigma, False)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sym_matrices())
+def test_sym_corank1_edges_match_per_vertex_minor_signs(a):
+    assert sym_corank1_edges(a) == ref_sym_corank1_edges(a)
+
+
+def _wide_tie_5x5(seed):
+    """Seeded symmetric 5x5 matrices whose tie spans dozens of classes:
+    symmetric tropical rank 2, or u_i + u_j with one entry pair bumped."""
+    rng = random.Random(seed)
+    if seed % 2:
+        return samples.random_sym_rank2_matrix(rng, 5)
+    u = [F(rng.randint(-6, 6), rng.choice([1, 2, 3, 6])) for _ in range(5)]
+    ent = [[ui + uj for uj in u] for ui in u]
+    i, j = rng.sample(range(5), 2)
+    ent[i][j] = ent[j][i] = ent[i][j] + F(rng.randint(0, 2), 2)
+    return TropMatrix.make(ent, symmetric=True)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_wide_5x5_ties_match_references(seed):
+    a = _wide_tie_5x5(seed)
+    best, arg = ref_sym_trop_det(a)
+    assert len(arg) >= 11
+    res = sym_trop_det(a)
+    assert (res.min_value, res.argmin) == (best, arg)
+    assert sym_trop_rank(a) == ref_rank(a, symmetric=True)
+    assert sym_corank1_edges(a) == ref_sym_corank1_edges(a)
+
+
+def test_edge_criterion_memo_agrees_with_direct_test():
+    classes = _classes(5, True)
+    for u, v in combinations(classes[::3], 2):
+        assert is_polytope_edge(u, v) == ref_is_polytope_edge(u, v)
+        assert is_polytope_edge(v, u) == ref_is_polytope_edge(u, v)
