@@ -42,17 +42,7 @@ from .oracle import (
     brute_sym_barvinok2,
     cocircuit_fixture,
 )
-from .puiseux import (
-    PuiseuxSeries,
-    ps_add,
-    ps_inv,
-    ps_lead_sign,
-    ps_mul,
-    ps_neg,
-    ps_sqrt,
-    ps_val,
-    quad_roots,
-)
+from .puiseux import PuiseuxSeries, ps_inv, ps_sqrt, quad_roots
 from .quadext import QuadExt
 from .trees import (
     BicoloredTree,

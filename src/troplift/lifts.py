@@ -55,7 +55,7 @@ from .errors import (
     ValuationUnknown,
 )
 from .mpoly import perm_sign
-from .puiseux import PuiseuxSeries, ps_inv, quad_roots
+from .puiseux import PuiseuxSeries, ps_div, quad_roots
 from .quadext import QuadExt
 from .tropmat import TropMatrix, trop_mat_mul
 from .tropical import sym_trop_rank, trop_det, trop_rank
@@ -861,7 +861,7 @@ def lift_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> 
             continue
         if acoef.val() != 0 or bcoef.val() != 0:
             continue
-        x = (-bcoef) * ps_inv(acoef, trunc=trunc)
+        x = ps_div(-bcoef, acoef, trunc)
         if x.val() != norm[istar, jstar]:
             continue
         if mode == "R+" and x.lead_sign() <= 0:

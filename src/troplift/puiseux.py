@@ -5,22 +5,27 @@ exponents and Fraction or QuadExt coefficients, plus a truncation order:
 the series is exact below that exponent and unknown at or above it.  A
 truncation of None means the series is exact everywhere (a finite sum).
 
-Sums and products of exact series stay exact.  Inversion and square roots
-expand a geometric or binomial tail and therefore always return a truncated
-series; callers choose the order, with a depth of 20 past the valuation as
-the default.
+Sums and products of exact series stay exact.  Quotients, inverses and
+square roots run coefficient recurrences on the lattice t^(1/D) that holds
+the exponents (Knuth, TAOCP vol. 2, 4.7): a quotient divides term by term,
+and a square root s of 1 + u solves 2 s_m = u_m - sum_{0<i<m} s_i s_{m-i}.
+They return a truncated series unless the divisor or radicand is an exact
+monomial; callers choose the order, with a depth of 20 past the valuation
+as the default, and an order beyond what a truncated input determines is
+clamped to that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InversionOfZero, NegativeLeading, NestedRadical, ValuationUnknown
 from .quadext import QuadExt, coeff_is_zero, coeff_radicand, coeff_sign, sqrt_exact
 
 DEFAULT_DEPTH = Fraction(20)
+ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 def _fold(c):
@@ -210,69 +215,94 @@ def _prod_trunc(x: PuiseuxSeries, y: PuiseuxSeries) -> Fraction | None:
     return min(cands) if cands else None
 
 
-def ps_add(x: PuiseuxSeries, y: PuiseuxSeries) -> PuiseuxSeries:
-    return x + y
+def _scaled(e: Fraction, den: int) -> int:
+    """Numerator of e over the denominator den, a multiple of e's own."""
+    return e.numerator * (den // e.denominator)
 
 
-def ps_neg(x: PuiseuxSeries) -> PuiseuxSeries:
-    return -x
+def _grid(*groups):
+    """Put each (base, terms) group on one lattice above its base.
 
-
-def ps_mul(x: PuiseuxSeries, y: PuiseuxSeries) -> PuiseuxSeries:
-    return x * y
-
-
-def ps_val(x: PuiseuxSeries) -> Fraction | None:
-    return x.val()
-
-
-def ps_lead_sign(x: PuiseuxSeries) -> int:
-    return x.lead_sign()
-
-
-def ps_inv(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
-    """Inverse via geometric expansion of the tail.
-
-    The result is exact below `trunc`; when omitted, the order keeps the
-    relative precision of x, or uses -val + DEFAULT_DEPTH for exact inputs.
+    Returns (den, step, indices).  Every exponent e of a group sits at index
+    (e - base) * D for D = den // step, the lcm of the denominators of all
+    e - base, so index m above a base b is the exponent
+    (b*den + m*step) / den.
     """
-    if x.is_known_zero():
-        raise InversionOfZero("no known nonzero term to invert on")
-    v = x.val()
-    c = x.lead_coeff()
-    cinv = c.inverse() if isinstance(c, QuadExt) else Fraction(1) / c
-    # unit = x / (c t^v) = 1 + u with val(u) > 0
-    unit = x.shift(-v).scale(cinv)
-    u = unit - PuiseuxSeries.constant(Fraction(1))
-    if u.is_known_zero() and x.trunc is None:
-        return PuiseuxSeries.monomial(cinv, -v)
-    if trunc is None:
-        trunc = (x.trunc - 2 * v) if x.trunc is not None else (-v + DEFAULT_DEPTH)
-    trunc = Fraction(trunc)
-    rel = trunc + v  # required order for the inverse of the unit part
-    acc = PuiseuxSeries.make([(Fraction(0), Fraction(1))], rel)
-    if not u.is_known_zero():
-        power = PuiseuxSeries.make(u.terms, rel)
-        uval = power.val()
-        k = 1
-        while k * uval < rel and not power.is_known_zero():
-            acc = acc + power.scale(Fraction((-1) ** k))
-            power = PuiseuxSeries.make((power * u).terms, rel)
-            k += 1
-    return acc.scale(cinv).shift(-v)
+    den = lcm(*(e.denominator for b, ts in groups for e in (b, *(e for e, _ in ts))))
+    offsets = [[_scaled(e, den) - _scaled(b, den) for e, _ in ts] for b, ts in groups]
+    step = gcd(den, *(d for offs in offsets for d in offs))
+    return den, step, [[d // step for d in offs] for offs in offsets]
+
+
+def _count_below(order: Fraction, low: int, den: int, step: int) -> int:
+    """How many lattice points (low + m*step) / den with m >= 0 lie below order."""
+    p, q = order.as_integer_ratio()
+    return max(0, -((low * q - p * den) // (step * q)))
+
+
+def _inverse_order(x: PuiseuxSeries, v: Fraction, trunc) -> Fraction | None:
+    """Order below which 1/x is known, or None when it is exact (x a monomial).
+
+    Without `trunc` the order keeps the relative precision of x, or sits
+    DEFAULT_DEPTH past -v for an exact x.  An explicit `trunc` is clamped to
+    x.trunc - 2v, the most a truncated x determines.
+    """
+    if x.trunc is not None:
+        bound = x.trunc - 2 * v
+        return bound if trunc is None else min(Fraction(trunc), bound)
+    if len(x.terms) == 1:
+        return None
+    return -v + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
 
 
 def ps_div(x: PuiseuxSeries, y: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
-    return x * ps_inv(y, trunc=trunc)
+    """Quotient x / y, with the order of the product of x and 1/y known below
+    `trunc` (see ps_inv for the default and the clamp).
+
+    On the lattice t^(1/D) above the lowest exponents of x and y, the
+    quotient q of the numerator n by the divisor w follows
+    q_m = (n_m - sum_{i>=1} w_i q_{m-i}) / w_0, so M quotient terms cost
+    M * len(y.terms) coefficient products.
+    """
+    if y.is_known_zero():
+        raise InversionOfZero("no known nonzero term to invert on")
+    v, lead = y.terms[0]
+    inv_order = _inverse_order(y, v, trunc)
+    # the lead term and order of ps_inv(y) are all _prod_trunc reads of it
+    inv_lead = ((-v, ONE),) if inv_order is None or -v < inv_order else ()
+    order = _prod_trunc(x, PuiseuxSeries(inv_lead, inv_order))
+    if not x.terms:
+        return PuiseuxSeries((), order)
+    den, step, (nidx, widx) = _grid((x.terms[0][0], x.terms), (v, y.terms))
+    low = _scaled(x.terms[0][0], den) - _scaled(v, den)
+    count = nidx[-1] + 1 if order is None else _count_below(order, low, den, step)
+    winv = lead.inverse() if isinstance(lead, QuadExt) else ONE / lead
+    num = dict(zip(nidx, (c for _, c in x.terms)))
+    divisor = [(i, c) for i, (_, c) in zip(widx[1:], y.terms[1:]) if i < count]
+    q = []
+    for m in range(count):
+        acc = num.get(m, ZERO)
+        for i, w in divisor:
+            if i > m:
+                break
+            prev = q[m - i]
+            if prev:
+                acc = acc - w * prev
+        q.append(acc * winv if acc else ZERO)
+    terms = tuple((Fraction(low + m * step, den), _fold(c)) for m, c in enumerate(q) if c)
+    return PuiseuxSeries(terms, order)
 
 
-def _binomial_half(k: int) -> Fraction:
-    """Binomial coefficient C(1/2, k)."""
-    out = Fraction(1)
-    top = Fraction(1, 2)
-    for i in range(k):
-        out *= (top - i) / (i + 1)
-    return out
+def ps_inv(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
+    """Inverse, the quotient 1 / x of ps_div.
+
+    The result is exact below `trunc`; when omitted, the order keeps the
+    relative precision of x, or uses -val + DEFAULT_DEPTH for exact inputs.
+    A truncated x determines its inverse only below x.trunc - 2 val, and a
+    larger `trunc` is clamped to that.  The inverse of an exact monomial is
+    exact.
+    """
+    return ps_div(PuiseuxSeries.constant(ONE), x, trunc)
 
 
 def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
@@ -282,13 +312,19 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     rational square and otherwise a QuadExt with radicand lead(x); in the
     latter case the input must be rational throughout, since two
     independent radicands are unsupported.
+
+    With x = c t^v (1 + u), the root is sqrt(c) t^(v/2) s, and on the
+    lattice t^(1/D) that holds u, s_0 = 1 and
+    s_m = (u_m - sum_{0<i<m} s_i s_{m-i}) / 2.  The result is exact below
+    `trunc`, by default x.trunc - v/2 for a truncated x and v/2 +
+    DEFAULT_DEPTH for an exact one; a larger `trunc` than x.trunc - v/2 is
+    clamped to it.  The root of an exact monomial is exact.
     """
     if x.is_known_zero():
         if x.trunc is None:
             return PuiseuxSeries.zero()
         raise ValuationUnknown("square root of a series with unknown valuation")
-    v = x.val()
-    c = x.lead_coeff()
+    v, c = x.terms[0]
     if coeff_sign(c) < 0:
         raise NegativeLeading(f"leading coefficient {c} is negative")
     if isinstance(c, QuadExt):
@@ -298,29 +334,38 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
         if x.radicand() is not None:
             raise NestedRadical("series coefficients already carry a radicand")
         root = QuadExt(Fraction(0), Fraction(1), c)
-    unit = x.shift(-v).scale(Fraction(1) / c)
-    u = unit - PuiseuxSeries.constant(Fraction(1))
-    if u.is_known_zero() and u.trunc is None:
+    if x.trunc is not None:
+        bound = x.trunc - v / 2
+        trunc = bound if trunc is None else min(Fraction(trunc), bound)
+    elif len(x.terms) == 1:
         return PuiseuxSeries.monomial(root, v / 2)
-    if trunc is None:
-        trunc = (x.trunc - v / 2) if x.trunc is not None else (v / 2 + DEFAULT_DEPTH)
-    trunc = Fraction(trunc)
-    rel = trunc - v / 2  # order needed for sqrt(1 + u)
-    acc = PuiseuxSeries.make([(Fraction(0), Fraction(1))], rel)
-    if not u.is_known_zero():
-        power = PuiseuxSeries.make(u.terms, rel)
-        uval = power.val()
-        k = 1
-        while k * uval < rel and not power.is_known_zero():
-            acc = acc + power.scale(_binomial_half(k))
-            power = PuiseuxSeries.make((power * u).terms, rel)
-            k += 1
-    return acc.scale(root).shift(v / 2)
-
-
-def ps_eq_to_trunc(x: PuiseuxSeries, y: PuiseuxSeries) -> bool:
-    """True when x - y has no known nonzero term."""
-    return (x - y).is_known_zero()
+    else:
+        trunc = v / 2 + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
+    den, step, (idx,) = _grid((v, x.terms))
+    # root exponents v/2 + m*step/den, over the denominator 2*den
+    low = _scaled(v, den)
+    count = _count_below(trunc, low, 2 * den, 2 * step)
+    cinv = ONE / c
+    u = [ZERO] * count
+    for m, (_, coeff) in zip(idx[1:], x.terms[1:]):
+        if m < count:
+            u[m] = coeff * cinv
+    s = [ONE]
+    for m in range(1, count):
+        acc = ZERO
+        for i in range(1, (m + 1) // 2):
+            if s[i] and s[m - i]:
+                acc = acc + s[i] * s[m - i]
+        acc = acc + acc
+        if m % 2 == 0 and s[m // 2]:
+            acc = acc + s[m // 2] * s[m // 2]
+        s.append((u[m] - acc) * HALF)
+    terms = tuple(
+        (Fraction(low + 2 * m * step, 2 * den), _fold(sm * root))
+        for m, sm in enumerate(s[:count])
+        if sm
+    )
+    return PuiseuxSeries(terms, trunc)
 
 
 def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):
@@ -330,16 +375,18 @@ def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None)
     leading term matches the sign of -B, so no leading-term cancellation
     occurs in its numerator; x2 takes the other branch, where any
     cancellation resolves exactly.  disc_sign < 0 means no real roots and
-    both root slots are None.
+    both root slots are None.  `trunc` goes to ps_sqrt for the root of the
+    discriminant and to ps_div, which divides each numerator by 2A.
     """
     if A.is_known_zero():
         if A.trunc is None:
             raise InversionOfZero("leading coefficient is exactly zero")
         raise ValuationUnknown("leading coefficient has unknown valuation")
     disc = B * B - 4 * A * C
+    two_a = A.scale(Fraction(2))
     if disc.is_known_zero():
         if disc.trunc is None:
-            x = (-B) * ps_inv(A.scale(Fraction(2)), trunc=trunc)
+            x = ps_div(-B, two_a, trunc)
             return x, x, 0
         raise ValuationUnknown("discriminant vanishes below its truncation order")
     sign = disc.lead_sign()
@@ -350,7 +397,6 @@ def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None)
         eps = 1
     else:
         eps = (-B).lead_sign() * sq.lead_sign()
-    inv2a = ps_inv(A.scale(Fraction(2)), trunc=trunc)
-    x1 = ((-B) + sq.scale(Fraction(eps))) * inv2a
-    x2 = ((-B) - sq.scale(Fraction(eps))) * inv2a
+    x1 = ps_div((-B) + sq.scale(Fraction(eps)), two_a, trunc)
+    x2 = ps_div((-B) - sq.scale(Fraction(eps)), two_a, trunc)
     return x1, x2, 1

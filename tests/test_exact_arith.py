@@ -17,17 +17,7 @@ from troplift.mpoly import (
     mpoly_exact_div,
     sym_matrix_polys,
 )
-from troplift.puiseux import (
-    PuiseuxSeries,
-    ps_add,
-    ps_eq_to_trunc,
-    ps_inv,
-    ps_lead_sign,
-    ps_mul,
-    ps_sqrt,
-    ps_val,
-    quad_roots,
-)
+from troplift.puiseux import PuiseuxSeries, ps_inv, ps_sqrt, quad_roots
 from troplift.quadext import QuadExt
 
 F = Fraction
@@ -44,27 +34,40 @@ class TestSeriesBasics:
     def test_add_cancels_leading_term(self):
         x = series((0, 1), (1, 1))
         y = series((0, -1), (2, 1))
-        assert ps_add(x, y) == series((1, 1), (2, 1))
+        assert x + y == series((1, 1), (2, 1))
 
     def test_add_fractional_exponents(self):
         half = series((F(1, 2), 1))
-        assert ps_add(half, half) == series((F(1, 2), 2))
+        assert half + half == series((F(1, 2), 2))
 
     def test_add_zero_identity(self):
         x = series((-1, 3), (F(3, 2), F(2, 7)))
-        assert ps_add(x, PuiseuxSeries.zero()) == x
+        assert x + PuiseuxSeries.zero() == x
 
     def test_mul(self):
-        assert ps_mul(series((0, 1), (1, 1)), series((0, 1), (1, -1))) == series(
+        assert series((0, 1), (1, 1)) * series((0, 1), (1, -1)) == series(
             (0, 1), (2, -1)
         )
 
     def test_mul_fractional(self):
-        assert ps_mul(series((F(1, 3), 1)), series((F(2, 3), 1))) == series((1, 1))
+        assert series((F(1, 3), 1)) * series((F(2, 3), 1)) == series((1, 1))
 
     def test_inv_geometric(self):
         inv = ps_inv(series((0, 1), (1, 1)), trunc=4)
         assert inv == series((0, 1), (1, -1), (2, 1), (3, -1), trunc=4)
+
+    def test_inv_clamps_trunc_to_what_a_truncated_input_supports(self):
+        # 1/(1 + t + 7t^2) has -6 t^2, so 1 + t + O(t^2) fixes only 1 - t
+        inv = ps_inv(series((0, 1), (1, 1), trunc=2), trunc=5)
+        assert inv == series((0, 1), (1, -1), trunc=2)
+        # at val 1 the supported order is x.trunc - 2 val
+        inv = ps_inv(series((1, 2), (2, 2), trunc=4), trunc=9)
+        assert inv == series((-1, F(1, 2)), (0, F(-1, 2)), (1, F(1, 2)), trunc=2)
+
+    def test_inv_tail_past_trunc(self):
+        # every term of the tail lies at or above the order asked for
+        assert ps_inv(series((0, 1), (6, 1)), trunc=4) == series((0, 1), trunc=4)
+        assert ps_inv(series((0, 3), (6, 1)), trunc=0) == series(trunc=0)
 
     def test_inv_times_self_is_one(self):
         rng = random.Random(20240901)
@@ -75,25 +78,25 @@ class TestSeriesBasics:
             exps[0] = val
             coeffs = [F(rng.randint(1, 30), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in exps]
             x = series(*zip(exps, coeffs))
-            assert ps_eq_to_trunc(ps_mul(ps_inv(x), x), ONE)
+            assert (ps_inv(x) * x - ONE).is_known_zero()
 
     def test_val_and_sign(self):
         x = series((2, 3), (5, 1))
-        assert ps_val(x) == 2
-        assert ps_lead_sign(x) == 1
+        assert x.val() == 2
+        assert x.lead_sign() == 1
 
     def test_negative_leading_sign(self):
         x = series((2, -8), (3, 5))
-        assert ps_val(x) == 2
-        assert ps_lead_sign(x) == -1
+        assert x.val() == 2
+        assert x.lead_sign() == -1
 
     def test_unknown_valuation(self):
         x = series(trunc=10)
         with pytest.raises(ValuationUnknown):
-            ps_val(x)
+            x.val()
 
     def test_exact_zero_valuation_is_infinite(self):
-        assert ps_val(PuiseuxSeries.zero()) is None
+        assert PuiseuxSeries.zero().val() is None
 
 
 class TestSqrt:
@@ -103,7 +106,17 @@ class TestSqrt:
     def test_sqrt_binomial_series(self):
         got = ps_sqrt(series((0, 4), (1, 4)), trunc=3)
         want = series((0, 2), (1, 1), (2, F(-1, 4)), (3, F(1, 8)), trunc=3)
-        assert ps_eq_to_trunc(got, want)
+        assert (got - want).is_known_zero()
+
+    def test_sqrt_clamps_trunc_to_what_a_truncated_input_supports(self):
+        got = ps_sqrt(series((0, 1), (1, 2), trunc=2), trunc=5)
+        assert got == series((0, 1), (1, 1), trunc=2)
+        got = ps_sqrt(series((2, 4), (3, 4), trunc=4), trunc=9)
+        assert got == series((1, 2), (2, 1), trunc=3)
+
+    def test_sqrt_tail_past_trunc(self):
+        assert ps_sqrt(series((0, 1), (6, 1)), trunc=4) == series((0, 1), trunc=4)
+        assert ps_sqrt(series((0, 2), (6, 1)), trunc=0) == series(trunc=0)
 
     def test_sqrt_irrational_leading(self):
         got = ps_sqrt(series((4, 2)))
@@ -121,7 +134,7 @@ class TestSqrt:
             coeffs = [F(rng.randint(1, 20), rng.randint(1, 4)) for _ in exps]
             x = series(*zip(exps, coeffs))
             y = ps_sqrt(x)
-            assert ps_eq_to_trunc(ps_mul(y, y), x)
+            assert (y * y - x).is_known_zero()
 
     def test_sqrt_negative_leading(self):
         with pytest.raises(NegativeLeading):
@@ -261,8 +274,8 @@ class TestQuadRoots:
             x1, x2, sign = quad_roots(a, b, c)
             if sign < 0:
                 continue
-            assert ps_eq_to_trunc(a * x1 * x2, c)
-            assert ps_eq_to_trunc(a * (x1 + x2), -b)
+            assert (a * x1 * x2 - c).is_known_zero()
+            assert (a * (x1 + x2) + b).is_known_zero()
 
     def test_glued_block_quadratic_valuations(self):
         # Bordered 3x3 completion: x^2 + b x + c with val(b) = 0 and
