@@ -228,7 +228,10 @@ def _grid(*groups):
     e - base, so index m above a base b is the exponent
     (b*den + m*step) / den.
     """
-    den = lcm(*(e.denominator for b, ts in groups for e in (b, *(e for e, _ in ts))))
+    den = lcm(
+        *(b.denominator for b, _ in groups),
+        *(e.denominator for _, ts in groups for e, _ in ts),
+    )
     offsets = [[_scaled(e, den) - _scaled(b, den) for e, _ in ts] for b, ts in groups]
     step = gcd(den, *(d for offs in offsets for d in offs))
     return den, step, [[d // step for d in offs] for offs in offsets]
@@ -240,19 +243,17 @@ def _count_below(order: Fraction, low: int, den: int, step: int) -> int:
     return max(0, -((low * q - p * den) // (step * q)))
 
 
-def _inverse_order(x: PuiseuxSeries, v: Fraction, trunc) -> Fraction | None:
-    """Order below which 1/x is known, or None when it is exact (x a monomial).
+def _result_order(x: PuiseuxSeries, trunc, shift: Fraction, lead: Fraction) -> Fraction:
+    """Order of an inverse or root of x whose lead exponent is `lead`.
 
-    Without `trunc` the order keeps the relative precision of x, or sits
-    DEFAULT_DEPTH past -v for an exact x.  An explicit `trunc` is clamped to
-    x.trunc - 2v, the most a truncated x determines.
+    A truncated x determines the result below x.trunc - shift: that is the
+    default, and an explicit `trunc` is clamped to it.  For an exact x the
+    default sits DEFAULT_DEPTH past the lead.
     """
     if x.trunc is not None:
-        bound = x.trunc - 2 * v
+        bound = x.trunc - shift
         return bound if trunc is None else min(Fraction(trunc), bound)
-    if len(x.terms) == 1:
-        return None
-    return -v + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
+    return lead + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
 
 
 def ps_div(x: PuiseuxSeries, y: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
@@ -267,7 +268,8 @@ def ps_div(x: PuiseuxSeries, y: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     if y.is_known_zero():
         raise InversionOfZero("no known nonzero term to invert on")
     v, lead = y.terms[0]
-    inv_order = _inverse_order(y, v, trunc)
+    exact = y.trunc is None and len(y.terms) == 1
+    inv_order = None if exact else _result_order(y, trunc, 2 * v, -v)
     # the lead term and order of ps_inv(y) are all _prod_trunc reads of it
     inv_lead = ((-v, ONE),) if inv_order is None or -v < inv_order else ()
     order = _prod_trunc(x, PuiseuxSeries(inv_lead, inv_order))
@@ -334,13 +336,9 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
         if x.radicand() is not None:
             raise NestedRadical("series coefficients already carry a radicand")
         root = QuadExt(Fraction(0), Fraction(1), c)
-    if x.trunc is not None:
-        bound = x.trunc - v / 2
-        trunc = bound if trunc is None else min(Fraction(trunc), bound)
-    elif len(x.terms) == 1:
+    if x.trunc is None and len(x.terms) == 1:
         return PuiseuxSeries.monomial(root, v / 2)
-    else:
-        trunc = v / 2 + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
+    trunc = _result_order(x, trunc, v / 2, v / 2)
     den, step, (idx,) = _grid((v, x.terms))
     # root exponents v/2 + m*step/den, over the denominator 2*den
     low = _scaled(v, den)

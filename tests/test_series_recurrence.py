@@ -4,7 +4,8 @@ they replace.
 The references below are the geometric and binomial power-sum `ps_inv` and
 `ps_sqrt` and the product-form `quad_roots` that `troplift.puiseux` used
 before the coefficient recurrences; terms and truncation orders must agree
-exactly on inputs whose requested order the input supports.  One line of
+exactly, with a requested order beyond what a truncated input supports
+clamped to that order before it reaches a reference.  One line of
 each power sum is tagged: where today's code asks a tail with no term below
 the order for its valuation, the reference raises `TailPastOrder`, a
 `ValuationUnknown`, where the recurrence answers.
@@ -183,13 +184,18 @@ def series_or_zero(radicand):
     return st.one_of(nonzero, nonzero, nonzero, st.just(PuiseuxSeries.zero()))
 
 
+def supported(trunc, x, shift):
+    """The order the references get: trunc, clamped to x.trunc - shift for a
+    truncated x (shift is 2 val(x) for an inverse and val(x)/2 for a root)."""
+    return trunc if x.trunc is None or trunc is None else min(trunc, x.trunc - shift)
+
+
 def inverse_order(draw, x):
-    """None (the default) for a truncated x, else an order it supports."""
-    v = x.val()
+    """None (the default) for a truncated x, else an order up to 5 past the
+    lead, which may exceed what a truncated x supports."""
     if x.trunc is not None and draw(st.booleans()):
         return None
-    trunc = -v + draw(ORDERS)
-    return trunc if x.trunc is None else min(trunc, x.trunc - 2 * v)
+    return -x.val() + draw(ORDERS)
 
 
 @st.composite
@@ -203,11 +209,9 @@ def sqrt_cases(draw):
     lead = draw(st.sampled_from([F(1), F(4), F(9, 4), F(2), F(3), F(5, 7), F(-1)]))
     radicand = None if sqrt_exact(lead) is None and draw(st.booleans()) else draw(RADICANDS)
     x = draw(series(radicand, lead=lead))
-    v = x.val()
     if x.trunc is not None and draw(st.booleans()):
         return x, None
-    trunc = v / 2 + draw(ORDERS)
-    return x, trunc if x.trunc is None else min(trunc, x.trunc - v / 2)
+    return x, x.val() / 2 + draw(ORDERS)
 
 
 @st.composite
@@ -252,11 +256,12 @@ SETTINGS = settings(
 @SETTINGS
 @given(inverse_cases())
 def test_inverse_matches_power_sum(case):
-    x, trunc = case
+    x, asked = case
+    v, c = x.terms[0]
+    trunc = supported(asked, x, 2 * v)
     want = outcome(ref_ps_inv, x, trunc)
-    got = outcome(ps_inv, x, trunc)
+    got = outcome(ps_inv, x, asked)
     if want is TailPastOrder:
-        v, c = x.terms[0]
         order = x.trunc - 2 * v if trunc is None else trunc
         want = lead_only(-v, 1 / c if type(c) is F else c.inverse(), order)
     assert got == want
@@ -265,11 +270,12 @@ def test_inverse_matches_power_sum(case):
 @SETTINGS
 @given(sqrt_cases())
 def test_square_root_matches_power_sum(case):
-    x, trunc = case
+    x, asked = case
+    v, c = x.terms[0]
+    trunc = supported(asked, x, v / 2)
     want = outcome(ref_ps_sqrt, x, trunc)
-    got = outcome(ps_sqrt, x, trunc)
+    got = outcome(ps_sqrt, x, asked)
     if want is TailPastOrder:
-        v, c = x.terms[0]
         order = x.trunc - v / 2 if trunc is None else trunc
         root = sqrt_exact(c) or QuadExt(F(0), F(1), c)
         want = lead_only(v / 2, root, order)
@@ -281,7 +287,7 @@ def test_square_root_matches_power_sum(case):
 def test_quotient_matches_product_with_inverse(case):
     num, den, trunc = case
     try:
-        inv = ref_ps_inv(den, trunc)
+        inv = ref_ps_inv(den, supported(trunc, den, 2 * den.val()))
     except TailPastOrder:
         assume(False)
     assert outcome(ps_div, num, den, trunc) == outcome(lambda: num * inv)
