@@ -73,10 +73,6 @@ class MinorSignsOpposed(TropliftError):
     """The two row/column-deleted minors certify a negative discriminant."""
 
 
-class NotOnEdge(TropliftError):
-    """Tied monomials do not span an edge of the relevant Newton polytope."""
-
-
 class DegenerateGeneric(TropliftError):
     """Random coefficient draw hit an unexpected cancellation; retry budget left."""
 

@@ -42,6 +42,7 @@ from . import rng as rngmod
 from .config import default_truncation
 from .errors import (
     DegenerateGeneric,
+    DimensionMismatch,
     GenericRetryExhausted,
     InversionOfZero,
     MinorSignsOpposed,
@@ -54,11 +55,10 @@ from .errors import (
     SameSigns,
     ValuationUnknown,
 )
-from .mpoly import perm_sign
 from .puiseux import PuiseuxSeries, ps_div, quad_roots
 from .quadext import QuadExt
 from .tropmat import TropMatrix, trop_mat_mul
-from .tropical import sym_trop_rank, trop_det, trop_rank
+from .tropical import sym_trop_rank, trop_det
 from . import trees as trees_mod
 
 MAX_RETRIES = 32
@@ -146,6 +146,8 @@ def series_det(mat) -> PuiseuxSeries:
     at or above it.  The result is divided by D^n once per term.
     """
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
     exp_den, coef_den, radicand = 1, 1, None
     for row in mat:
         for s in row:
@@ -304,7 +306,8 @@ def verify_lift(cert: LiftCertificate) -> list:
     with exact entries are checked by bordering one nonzero 2x2 minor
     (every 3x3 minor then vanishes exactly); a truncated entry, or a
     nonzero bordered minor, falls back to scanning every 3x3 minor, so a
-    rejection names the first failing minor.
+    rejection names the first failing minor.  A singular or symmetric claim
+    on a non-square target adds a failing step and ends the check.
     """
     steps = []
     if cert.claimed not in CLAIMS:
@@ -353,6 +356,13 @@ def verify_lift(cert: LiftCertificate) -> list:
                 "detail": "all entries positive" if not neg else f"nonpositive at {neg[:4]}",
             }
         )
+
+    if cert.claimed in ("singular", "symmetric rank<=2", "symmetric singular") and d != n:
+        steps.append(
+            {"check": "square", "ok": False, "detail": f"{cert.claimed} needs a square matrix, got {d}x{n}"}
+        )
+        cert.transcript = steps
+        return steps
 
     if cert.claimed in ("symmetric rank<=2", "symmetric singular"):
         asym = [
@@ -458,19 +468,23 @@ def lift_sym_caterpillar(a: TropMatrix, seed: int = 1) -> LiftCertificate:
 
     Two shapes occur: a fully fixed spine (pairs sit on the path, lifted by
     the spine recursion) and a single fixed point (mirror symmetry, lifted
-    by exponentiating the symmetric factorization and squaring).
+    by exponentiating the symmetric factorization and squaring).  The tree
+    is built once: the symmetric Barvinok test that picks the shape, and
+    the shape's construction, both read it.
     """
-    from .tropical import _spine_coordinates, sym_barvinok_rank2
-
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    n = asym.rows
     tree = trees_mod.tree_from_rank2(asym)
-    rep = trees_mod.symbic_classify(tree)
-    if rep.kind != "symbic" or not trees_mod.is_caterpillar(tree):
-        raise NotCaterpillar("matrix is not of caterpillar symbic type")
-    if rep.one_fixed_point:
-        ok, b, _ = sym_barvinok_rank2(asym)
-        assert ok, "one fixed point caterpillar must factor symmetrically"
+    return _lift_sym_caterpillar(asym, tree, trees_mod.symbic_classify(tree), seed)
+
+
+def _lift_sym_caterpillar(asym: TropMatrix, tree, rep, seed: int) -> LiftCertificate:
+    """lift_sym_caterpillar on a symmetric matrix whose tree and symbic
+    report are already built."""
+    from .tropical import _spine_coordinates, _sym_barvinok_of_tree
+
+    n = asym.rows
+    ok, b, reason = _sym_barvinok_of_tree(asym, tree, rep)
+    if ok:
         m1 = tuple(
             (PuiseuxSeries.monomial(ONE, b[i, 0]), PuiseuxSeries.monomial(ONE, b[i, 1]))
             for i in range(n)
@@ -480,6 +494,8 @@ def lift_sym_caterpillar(a: TropMatrix, seed: int = 1) -> LiftCertificate:
             for i in range(n)
         )
         method = "mirror_factor_product"
+    elif reason["kind"] != "fixed_path_not_point":
+        raise NotCaterpillar("matrix is not of caterpillar symbic type")
     else:
         assert len(rep.fixed_nodes) == tree.nodes, "caterpillar fixed path spans the spine"
         coord = _spine_coordinates(tree)
@@ -548,16 +564,14 @@ def lift_rank2_real(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     cross, every other entry determined by the rank condition through the
     frame's adjugate, scaled so valuations land on the target.
     """
-    d, n = a.rows, a.cols
-    if trop_rank(a) > 2:
-        raise NotRank2("tropical rank above 2")
     from .tropical import barvinok_rank2
 
-    ok, witness, _ = barvinok_rank2(a)
+    d, n = a.rows, a.cols
+    ok, witness, reason = barvinok_rank2(a)
     if ok:
-        cert = lift_rank2_positive(a, seed=seed, witness=witness)
-        cert.claimed = "rank<=2"
-        return cert
+        return lift_rank2_positive(a, seed=seed, witness=witness)
+    if reason["kind"] == "rank_too_high":
+        raise NotRank2("tropical rank above 2")
 
     frame = next(
         (
@@ -716,8 +730,7 @@ def lift_sym_rank2_real(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     rep = trees_mod.symbic_classify(tree)
     assert rep.kind == "symbic", "symmetric rank <= 2 matrices have symbic trees"
     if trees_mod.is_caterpillar(tree):
-        cert = lift_sym_caterpillar(asym, seed=seed)
-        return cert
+        return _lift_sym_caterpillar(asym, tree, rep, seed)
     length, info = _branch_paths(tree, rep)
 
     # transversal value of a pair: path offset plus both branch depths;
@@ -823,18 +836,9 @@ def lift_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> 
     res = trop_det(a)
     if not res.tie:
         raise NotSingular("tropical determinant has a unique minimizing monomial")
-    from .newton import birkhoff_edge
+    from .membership import adjacent_pair
 
-    perms = [cls.representative for cls in res.argmin]
-    signs = {p: perm_sign(p) for p in perms}
-    pair = None
-    for s1, s2 in combinations(perms, 2):
-        if not birkhoff_edge(s1, s2):
-            continue
-        if mode == "R+" and signs[s1] == signs[s2]:
-            continue
-        pair = (s1, s2)
-        break
+    pair = adjacent_pair([cls.representative for cls in res.argmin], opposite_signs=mode == "R+")
     if pair is None:
         if mode == "R+":
             raise SameSigns("no opposite-sign adjacent pair attains the minimum")
@@ -929,25 +933,27 @@ def lift_sym_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None)
     row/column-deleted minors, whose leading signs must agree in R+ mode
     (raising MinorSignsOpposed otherwise) and are made to agree in R mode
     by flipping the sign of one lifted entry of the shared row.
+
+    Both modes read the R+ membership verdict, which lists every edge of
+    a tie, so the symmetric determinant runs once.  Only R+ mode refuses a
+    negative verdict, and only R+ mode reports a boundary tie.
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
-    from .membership import member_sym_corank1, sym_corank1_edges
+    from .membership import member_sym_corank1
 
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    verdict = member_sym_corank1(asym, mode)
-    if not verdict.verdict:
-        kind = verdict.reason.get("failure")
-        if kind == "no_tie":
-            raise NotSingular("symmetric tropical determinant has a unique minimizer")
-        if mode == "R+" and kind == "minor_signs":
+    verdict = member_sym_corank1(asym, "R+")
+    reason = verdict.reason
+    if not reason["tie"]:
+        raise NotSingular("symmetric tropical determinant has a unique minimizer")
+    if mode == "R+" and not verdict.verdict:
+        if reason["failure"] == "minor_signs":
             raise MinorSignsOpposed(
                 "both deleted minors are sign-forced with opposite signs"
             )
         raise SameSigns("no edge of the minimizing set admits a positive solution")
-    # an R+ verdict carries its edges; an R verdict decides on the tie alone
-    edges = verdict.reason["edges"] if mode == "R+" else sym_corank1_edges(asym)
-    usable = [e for e in edges if e["qualifies_" + ("r_plus" if mode == "R+" else "r")]]
+    usable = [e for e in reason["edges"] if e["qualifies_" + ("r_plus" if mode == "R+" else "r")]]
     assert usable, "true verdict must come with a usable edge"
     # prefer edges that span the tie exactly: there the constructive
     # statements apply; on a pure boundary tie the verdict is a closure
@@ -955,7 +961,7 @@ def lift_sym_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None)
     usable.sort(
         key=lambda e: (not e["exact_span"], e["edge"].lattice_length, e["edge"].u.exponent)
     )
-    boundary = verdict.reason.get("boundary", False)
+    boundary = mode == "R+" and reason["boundary"]
     chosen = usable[0]
     edge = chosen["edge"]
     if edge.lattice_length == 1:
@@ -1020,12 +1026,10 @@ def _lattice1_entry(edge) -> tuple[int, int]:
 
 
 def _solve_symmetric_quadratic(
-    asym: TropMatrix, i: int, j: int, mode: str, seed: int, flip_candidates, trunc=None
+    asym: TropMatrix, i: int, j: int, mode: str, seed: int, flip_candidates, trunc
 ) -> LiftCertificate:
     n = asym.rows
     token = repr(asym.entries) + mode + f"{i},{j}"
-    if trunc is None:
-        trunc = default_truncation(asym)
     target = asym[i, j]
     flips = [None] + list(flip_candidates)
     for attempt in range(MAX_RETRIES):

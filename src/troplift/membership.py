@@ -92,13 +92,22 @@ def member_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND)
     }
     if mode in ("C", "R"):
         return MembershipVerdict("corank1", mode, res.tie, payload)
-    pair = None
-    for s1, s2 in combinations(perms, 2):
-        if perm_sign(s1) != perm_sign(s2) and birkhoff_edge(s1, s2):
-            pair = (s1, s2)
-            break
+    pair = adjacent_pair(perms, opposite_signs=True)
     payload["opposite_sign_edge_pair"] = pair
     return MembershipVerdict("corank1", mode, pair is not None, payload)
+
+
+def adjacent_pair(perms, opposite_signs: bool):
+    """First pair of permutations, in combinations order, that spans a
+    Birkhoff-polytope edge (a one-cycle quotient), or None.  With
+    opposite_signs only pairs of opposite signs count, as in the positive
+    parts."""
+    for s1, s2 in combinations(perms, 2):
+        if opposite_signs and perm_sign(s1) == perm_sign(s2):
+            continue
+        if birkhoff_edge(s1, s2):
+            return s1, s2
+    return None
 
 
 def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list[dict]:

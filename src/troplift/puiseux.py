@@ -94,9 +94,6 @@ class PuiseuxSeries:
         """No known terms (exactly zero when also untruncated)."""
         return not self.terms
 
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
     def _low(self) -> Fraction | None:
         """Lowest known exponent, or None when no terms are known."""
         return self.terms[0][0] if self.terms else None
@@ -171,14 +168,6 @@ class PuiseuxSeries:
 
     def scale(self, coeff) -> "PuiseuxSeries":
         return PuiseuxSeries.make(((e, c * coeff) for e, c in self.terms), self.trunc)
-
-    def __pow__(self, n: int) -> "PuiseuxSeries":
-        if n < 0:
-            raise ValueError("negative powers go through ps_inv")
-        out = PuiseuxSeries.constant(Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
 
     def truncate(self, trunc) -> "PuiseuxSeries":
         return PuiseuxSeries.make(self.terms, _min_trunc(self.trunc, Fraction(trunc)))

@@ -15,8 +15,6 @@ from math import isqrt
 
 from .errors import RadicandMismatch
 
-Coeff = "Fraction | QuadExt"
-
 
 def sqrt_exact(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""

@@ -113,13 +113,10 @@ def _grid_sym_nonsingular(grid, idx) -> bool:
     return len(arg) == 1
 
 
-def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
-    """Largest size of a tropically nonsingular square submatrix.
-
-    Tropically nonsingular matrices contain nonsingular submatrices of
-    every smaller size, so the search ascends and stops at the first size
-    with no nonsingular submatrix.
-    """
+def _rank(a: TropMatrix, bound: int, principal) -> int:
+    """Largest size of a nonsingular square submatrix, by an ascending scan
+    that stops at the first size with none.  `principal`, when given, tests
+    the principal subgrids in place of the plain test."""
     _, grid = a.as_int_grid()
     d, n = a.rows, a.cols
     rank = 0
@@ -129,8 +126,11 @@ def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
         found = False
         for rows in combinations(range(d), k):
             for cols in combinations(range(n), k):
-                if _grid_nonsingular(grid, rows, cols):
-                    found = True
+                if principal is not None and rows == cols:
+                    found = principal(grid, rows)
+                else:
+                    found = _grid_nonsingular(grid, rows, cols)
+                if found:
                     break
             if found:
                 break
@@ -138,35 +138,25 @@ def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
             return rank
         rank = k
     return rank
+
+
+def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
+    """Largest size of a tropically nonsingular square submatrix.
+
+    Tropically nonsingular matrices contain nonsingular submatrices of
+    every smaller size, so the search ascends and stops at the first size
+    with no nonsingular submatrix; sym_trop_rank shares the scan.
+    """
+    return _rank(a, bound, None)
 
 
 def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest nonsingular submatrix size, using the symmetric determinant
-    (class ties) on principal submatrices and the plain one elsewhere."""
+    (class ties) on principal submatrices and the plain one elsewhere; the
+    ascending scan is trop_rank's."""
     if not a.symmetric:
         a = TropMatrix.make(a.entries, symmetric=True)
-    _, grid = a.as_int_grid()
-    n = a.rows
-    rank = 0
-    for k in range(1, n + 1):
-        if k > bound:
-            raise SizeLimit(f"rank certification needs {k} <= bound {bound}")
-        found = False
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                if rows == cols:
-                    ok = _grid_sym_nonsingular(grid, rows)
-                else:
-                    ok = _grid_nonsingular(grid, rows, cols)
-                if ok:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return rank
-        rank = k
-    return rank
+    return _rank(a, bound, _grid_sym_nonsingular)
 
 
 def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
@@ -238,7 +228,14 @@ def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
         tree = trees.tree_from_rank2(a, bound=bound)
     except RankTooHigh as exc:
         return False, None, {"kind": "rank_too_high", "tropical_rank": exc.rank}
-    report = trees.symbic_classify(tree)
+    return _sym_barvinok_of_tree(a, tree, trees.symbic_classify(tree))
+
+
+def _sym_barvinok_of_tree(a: TropMatrix, tree, report):
+    """sym_barvinok_rank2 on a symmetric matrix whose tree and symbic
+    report are already built."""
+    from . import trees
+
     if report.kind != "symbic":
         return False, None, {"kind": report.kind}
     if not trees.is_caterpillar(tree):

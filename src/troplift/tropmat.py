@@ -46,9 +46,6 @@ class TropMatrix:
         i, j = rc
         return self.entries[i][j]
 
-    def row(self, i) -> tuple:
-        return self.entries[i]
-
     def col(self, j) -> tuple:
         return tuple(r[j] for r in self.entries)
 

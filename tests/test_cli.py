@@ -119,6 +119,37 @@ class TestExitCodes:
         assert not step["ok"]
         assert step["detail"] == "known only to order 0, not above its tropical value 0"
 
+    def test_verify_rejects_non_square_singular_and_symmetric_claims(self, tmp_path, capsys):
+        def const(c):
+            return {"terms": [{"exp": "0", "coef": str(c)}], "trunc": "inf"}
+
+        cases = (
+            # the first two columns alone would make a vanishing 2x2 determinant
+            ("singular", [[1, 1, 5], [1, 1, 7]]),
+            ("singular", [[1, 1], [1, 1], [1, 2]]),
+            ("symmetric singular", [[1, 1, 1], [1, 1, 1]]),
+            ("symmetric rank<=2", [[1, 1], [1, 1], [1, 1]]),
+        )
+        src, out = tmp_path / "cert.json", tmp_path / "out.json"
+        for claimed, rows in cases:
+            d, n = len(rows), len(rows[0])
+            cert = {
+                "target": {"symmetric": False, "entries": [["0"] * n for _ in range(d)]},
+                "lift": [[const(c) for c in row] for row in rows],
+                "claimed": claimed,
+                "positivity": "none",
+            }
+            src.write_text(json.dumps(cert))
+            assert main(["verify", "--in", str(src), "--out", str(out)]) == 1
+            back = jsonio.decode_certificate(json.loads(out.read_text()))
+            assert not back.valid
+            assert back.transcript[-1] == {
+                "check": "square",
+                "ok": False,
+                "detail": f"{claimed} needs a square matrix, got {d}x{n}",
+            }
+            assert capsys.readouterr().err == ""
+
     def test_decoded_radicands_are_normalised(self, tmp_path):
         four = {"terms": [{"exp": "1", "coef": {"a": "1", "b": "1", "d": "4"}}], "trunc": "inf"}
         (coef,) = [c for _, c in jsonio.decode_series(four).terms]

@@ -1,12 +1,13 @@
 """Lift constructions and the independent verifier."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from troplift import jsonio
+from troplift import jsonio, trees, tropical
 from troplift.errors import (
     MinorSignsOpposed,
     NotBarvinok2,
@@ -444,6 +445,46 @@ class TestBorderedRankCheck:
         rows = _rank_k(random.Random(5), 4, 5, 2)
         assert _minors_step(rows) == (True, "all 3x3 minors vanish (exact)")
         assert calls.count(3) == (4 - 2) * (5 - 2)
+
+
+def _count_calls(monkeypatch, home, name) -> list:
+    """Wrap home.name under every troplift module attribute bound to it;
+    the returned list grows by one per call."""
+    orig = getattr(home, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "troplift":
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+class TestOneAnalysisPerLift:
+    def test_sym_rank2_real_builds_one_tree(self, monkeypatch):
+        builds = _count_calls(monkeypatch, trees, "tree_from_rank2")
+        assert lift_sym_rank2_real(fixture("fig2a")).method == "mirror_factor_product"
+        assert len(builds) == 1
+
+    def test_sym_caterpillar_builds_one_tree(self, monkeypatch):
+        builds = _count_calls(monkeypatch, trees, "tree_from_rank2")
+        assert lift_sym_caterpillar(fixture("fig2a")).valid
+        assert len(builds) == 1
+
+    def test_rank2_real_runs_one_rank_scan(self, monkeypatch):
+        ranks = _count_calls(monkeypatch, tropical, "trop_rank")
+        assert lift_rank2_real(fixture("eq1")).method == "frame_completion"
+        assert len(ranks) == 1
+
+    def test_sym_corank1_real_mode_runs_one_symmetric_determinant(self, monkeypatch):
+        dets = _count_calls(monkeypatch, tropical, "sym_trop_det")
+        assert lift_sym_corank1(fixture("ex52"), "R").valid
+        assert len(dets) == 1
 
 
 class TestCornerCompletion:

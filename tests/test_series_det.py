@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from troplift.errors import RadicandMismatch
+from troplift.errors import DimensionMismatch, RadicandMismatch
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
 from troplift.mpoly import perm_sign
 from troplift.puiseux import PuiseuxSeries
@@ -179,6 +179,13 @@ def test_mixed_radicands_raise():
         with pytest.raises(RadicandMismatch):
             ref_series_det(rows)
         with pytest.raises(RadicandMismatch):
+            series_det(rows)
+
+
+def test_non_square_input_is_refused():
+    one = mono(1, 0)
+    for rows in ([[one, one, one], [one, one, one]], [[one, one], [one, one], [one, one]]):
+        with pytest.raises(DimensionMismatch):
             series_det(rows)
 
 
