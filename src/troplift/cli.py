@@ -174,7 +174,7 @@ def dispatch(argv=None) -> int:
 
     if cmd == "tree":
         a = _read_matrix(args.infile)
-        tree = trees.tree_from_rank2(a, bound=cfg.enumeration_bound)
+        tree = trees.tree_from_rank2(a, cfg.enumeration_bound)
         if cfg.output_format == "dot":
             _emit(trees.tree_to_dot(tree), args.outfile)
         else:
@@ -338,7 +338,9 @@ def run_verify_suite(seed: int, max_n: int):
     )
     cc = oracle.cocircuit_fixture()
     reports.append(
-        oracle.OracleReport("cocircuit_rank", "ternary affine plane", trop_rank(cc), 3)
+        oracle.OracleReport(
+            "cocircuit_rank", "ternary affine plane", trop_rank(cc, MAX_ENUMERATION_BOUND), 3
+        )
     )
     return reports
 

@@ -40,10 +40,6 @@ class RadicandMismatch(TropliftError):
 class RankTooHigh(TropliftError):
     """Matrix has tropical rank above the level the operation supports."""
 
-    def __init__(self, message: str, rank: int | None = None):
-        super().__init__(message)
-        self.rank = rank  # the tropical rank found, when the raiser computed it
-
 
 class InvalidTree(TropliftError):
     """Leaf-colored tree violates the two-colors-on-each-side condition."""

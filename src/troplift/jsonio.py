@@ -65,9 +65,11 @@ def encode_matrix(a: TropMatrix) -> dict:
 
 
 def decode_matrix(obj: dict) -> TropMatrix:
+    symmetric = obj.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise ValueError(f"symmetric must be a JSON boolean, got {symmetric!r}")
     return TropMatrix.make(
-        [[frac_from_str(x) for x in row] for row in obj["entries"]],
-        symmetric=bool(obj.get("symmetric", False)),
+        [[frac_from_str(x) for x in row] for row in obj["entries"]], symmetric=symmetric
     )
 
 

@@ -39,7 +39,7 @@ from itertools import combinations
 from math import inf, lcm
 
 from . import rng as rngmod
-from .config import default_truncation
+from .config import MAX_ENUMERATION_BOUND, default_truncation
 from .errors import (
     DegenerateGeneric,
     DimensionMismatch,
@@ -469,21 +469,15 @@ def lift_sym_caterpillar(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     Two shapes occur: a fully fixed spine (pairs sit on the path, lifted by
     the spine recursion) and a single fixed point (mirror symmetry, lifted
     by exponentiating the symmetric factorization and squaring).  The tree
-    is built once: the symmetric Barvinok test that picks the shape, and
-    the shape's construction, both read it.
+    comes first, so a rank above 2 raises RankTooHigh; the symmetric
+    Barvinok test that picks the shape reads the same memoised tree.
     """
+    from .tropical import _spine_coordinates, sym_barvinok_rank2
+
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    tree = trees_mod.tree_from_rank2(asym)
-    return _lift_sym_caterpillar(asym, tree, trees_mod.symbic_classify(tree), seed)
-
-
-def _lift_sym_caterpillar(asym: TropMatrix, tree, rep, seed: int) -> LiftCertificate:
-    """lift_sym_caterpillar on a symmetric matrix whose tree and symbic
-    report are already built."""
-    from .tropical import _spine_coordinates, _sym_barvinok_of_tree
-
     n = asym.rows
-    ok, b, reason = _sym_barvinok_of_tree(asym, tree, rep)
+    tree = trees_mod.tree_from_rank2(asym, MAX_ENUMERATION_BOUND)
+    ok, b, reason = sym_barvinok_rank2(asym, MAX_ENUMERATION_BOUND)
     if ok:
         m1 = tuple(
             (PuiseuxSeries.monomial(ONE, b[i, 0]), PuiseuxSeries.monomial(ONE, b[i, 1]))
@@ -497,6 +491,7 @@ def _lift_sym_caterpillar(asym: TropMatrix, tree, rep, seed: int) -> LiftCertifi
     elif reason["kind"] != "fixed_path_not_point":
         raise NotCaterpillar("matrix is not of caterpillar symbic type")
     else:
+        rep = trees_mod.symbic_classify(tree)
         assert len(rep.fixed_nodes) == tree.nodes, "caterpillar fixed path spans the spine"
         coord = _spine_coordinates(tree)
         pos = [coord[tree.leaf_node("blue", i + 1)] for i in range(n)]
@@ -720,17 +715,17 @@ def lift_sym_rank2_real(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     """
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
     n = asym.rows
-    if sym_trop_rank(asym) > 2:
+    if sym_trop_rank(asym, MAX_ENUMERATION_BOUND) > 2:
         raise NotRank2("symmetric tropical rank above 2")
     if all(
         asym[i, j] == (asym[i, i] + asym[j, j]) / 2 for i in range(n) for j in range(n)
     ):
         return _lift_sym_rank1(asym, seed)
-    tree = trees_mod.tree_from_rank2(asym)
+    tree = trees_mod.tree_from_rank2(asym, MAX_ENUMERATION_BOUND)
+    if trees_mod.is_caterpillar(tree):
+        return lift_sym_caterpillar(asym, seed)
     rep = trees_mod.symbic_classify(tree)
     assert rep.kind == "symbic", "symmetric rank <= 2 matrices have symbic trees"
-    if trees_mod.is_caterpillar(tree):
-        return _lift_sym_caterpillar(asym, tree, rep, seed)
     length, info = _branch_paths(tree, rep)
 
     # transversal value of a pair: path offset plus both branch depths;
@@ -833,7 +828,7 @@ def lift_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> 
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
     n = a.rows
-    res = trop_det(a)
+    res = trop_det(a, MAX_ENUMERATION_BOUND)
     if not res.tie:
         raise NotSingular("tropical determinant has a unique minimizing monomial")
     from .membership import adjacent_pair

@@ -120,14 +120,11 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     adjacent pair decides, and all pairs are reported.
     """
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    return _sym_corank1_edges(asym, sym_trop_det(asym, bound), bound)
-
-
-def _sym_corank1_edges(asym: TropMatrix, res, bound: int) -> list[dict]:
-    """sym_corank1_edges on a symmetric matrix whose symmetric tropical
-    determinant `res` is already known."""
+    res = sym_trop_det(asym, bound)
     argmin = set(res.argmin)
-    signs = cache(lambda k: _minor_signs(asym, k, bound))  # once per deleted index
+    # once per deleted index; through the trop_det memo alone, every cycle
+    # vertex of every edge would rebuild and hash its minor
+    signs = cache(lambda k: _minor_signs(asym, k, bound))
 
     vertices = [
         cls
@@ -208,7 +205,7 @@ def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BO
     if not res.tie:
         payload["failure"] = "no_tie"
         return MembershipVerdict("sym_corank1", mode, False, payload)
-    edges = _sym_corank1_edges(asym, res, bound)
+    edges = sym_corank1_edges(asym, bound)
     payload["edges"] = edges
     key = "qualifies_c_plus" if mode == "C+" else "qualifies_r_plus"
     ok = any(e[key] for e in edges)

@@ -19,9 +19,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import InvalidTree, RankTooHigh
+from .tropical import _MEMO_SIZE, trop_rank
 from .tropmat import TropMatrix
 
 RED = "red"
@@ -252,13 +254,15 @@ def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
     return b, node_of
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BicoloredTree:
-    """Bicolored tree of a tropical rank <= 2 matrix (star for rank <= 1)."""
-    from .tropical import trop_rank
+    """Bicolored tree of a tropical rank <= 2 matrix (star for rank <= 1).
 
-    rank = trop_rank(a, bound)
-    if rank > 2:
-        raise RankTooHigh("matrix has tropical rank above 2", rank)
+    Memoised like the analyses in tropical, so every caller shares one
+    tree per matrix: read it, never write its adjacency or leaves.
+    """
+    if trop_rank(a, bound) > 2:
+        raise RankTooHigh("matrix has tropical rank above 2")
     d, n = a.rows, a.cols
     blue_pos = [_normalize(a.col(j)) for j in range(n)]
     red_pos = [

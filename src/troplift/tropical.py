@@ -6,20 +6,28 @@ rescaled by their denominator lcm, so the hot loops add ints.  A symmetric
 class value is the int sum of e * grid[i][j] over the class's precomputed
 support, and a minimum goes back to a Fraction only once, as best / scale.
 Enumeration refuses inputs above the configured bound rather than risking
-a wrong uniqueness verdict; a Hungarian-method value without tie data is
-available separately for larger matrices.
+a wrong uniqueness verdict.
+
+The determinants and ranks, like trees.tree_from_rank2, are memoised on
+the frozen TropMatrix and the bound, so the sixteen membership questions
+asked of one matrix compute each once.  Callers pass the bound
+positionally: f(a), f(a, 8) and f(a, bound=8) are three memo keys.
+Raised errors are not remembered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, RankTooHigh, SizeLimit
 from .monomials import plain_class, symmetric_tables
 from .tropmat import TropMatrix, trop_mat_mul  # noqa: F401  (re-exported)
+
+_MEMO_SIZE = 32  # matrices remembered per analysis
 
 
 @dataclass(frozen=True)
@@ -36,6 +44,7 @@ def _check_square(a: TropMatrix, bound: int):
         raise SizeLimit(f"enumeration bound {bound} exceeded (n = {a.rows})")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over all permutation monomials, with the full argmin set."""
     _check_square(a, bound)
@@ -72,6 +81,7 @@ def _sym_argmin(grid, n: int) -> tuple[int, list]:
     return best, arg
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over monomial classes of the symmetric determinant."""
     _check_square(a, bound)
@@ -80,15 +90,6 @@ def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetRe
     scale, grid = a.as_int_grid()
     best, arg = _sym_argmin(grid, a.rows)
     return TropDetResult(Fraction(best, scale), tuple(arg), len(arg) >= 2)
-
-
-def assignment_min(a: TropMatrix) -> Fraction:
-    """Optimal-assignment value by the Hungarian method (no tie data)."""
-    from scipy.optimize import linear_sum_assignment
-
-    scale, grid = a.as_int_grid()
-    rows, cols = linear_sum_assignment(grid)
-    return Fraction(sum(grid[i][j] for i, j in zip(rows, cols)), scale)
 
 
 def _grid_nonsingular(grid, rows, cols) -> bool:
@@ -140,6 +141,7 @@ def _rank(a: TropMatrix, bound: int, principal) -> int:
     return rank
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest size of a tropically nonsingular square submatrix.
 
@@ -150,6 +152,7 @@ def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     return _rank(a, bound, None)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest nonsingular submatrix size, using the symmetric determinant
     (class ties) on principal submatrices and the plain one elsewhere; the
@@ -170,9 +173,9 @@ def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
     from . import trees
 
     try:
-        tree = trees.tree_from_rank2(a, bound=bound)
-    except RankTooHigh as exc:
-        return False, None, {"kind": "rank_too_high", "tropical_rank": exc.rank}
+        tree = trees.tree_from_rank2(a, bound)
+    except RankTooHigh:
+        return False, None, {"kind": "rank_too_high", "tropical_rank": trop_rank(a, bound)}
     if not trees.is_caterpillar(tree):
         return False, None, {"kind": "tree_not_caterpillar"}
     b, c = _caterpillar_witness(a, tree)
@@ -225,17 +228,10 @@ def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
     if not a.symmetric:
         a = TropMatrix.make(a.entries, symmetric=True)
     try:
-        tree = trees.tree_from_rank2(a, bound=bound)
-    except RankTooHigh as exc:
-        return False, None, {"kind": "rank_too_high", "tropical_rank": exc.rank}
-    return _sym_barvinok_of_tree(a, tree, trees.symbic_classify(tree))
-
-
-def _sym_barvinok_of_tree(a: TropMatrix, tree, report):
-    """sym_barvinok_rank2 on a symmetric matrix whose tree and symbic
-    report are already built."""
-    from . import trees
-
+        tree = trees.tree_from_rank2(a, bound)
+    except RankTooHigh:
+        return False, None, {"kind": "rank_too_high", "tropical_rank": trop_rank(a, bound)}
+    report = trees.symbic_classify(tree)
     if report.kind != "symbic":
         return False, None, {"kind": report.kind}
     if not trees.is_caterpillar(tree):

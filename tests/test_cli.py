@@ -52,6 +52,22 @@ class TestExitCodes:
         bad.write_text(json.dumps({"symmetric": False, "entries": [["0", "inf"], ["1", "2"]]}))
         assert main(["rank", "--in", str(bad)]) == 2
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_symmetric_flag_must_be_a_json_boolean(self, tmp_path, flag):
+        bad = tmp_path / "flag.json"
+        bad.write_text(json.dumps({"symmetric": flag, "entries": [["0", "1"], ["1", "0"]]}))
+        assert main(["trop-det", "--in", str(bad)]) == 2
+        cert = json.loads((GOLDEN / "fig2a-sym_rank2-Rplus.json").read_text())
+        cert["target"]["symmetric"] = flag
+        bad.write_text(json.dumps(cert))
+        assert main(["verify", "--in", str(bad)]) == 2
+
+    def test_missing_symmetric_flag_means_plain(self, tmp_path, capsys):
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"entries": [["0", "1"], ["1", "0"]]}))
+        assert main(["trop-det", "--in", str(plain)]) == 0
+        assert json.loads(capsys.readouterr().out)["symmetric"] is None
+
     def test_size_limit(self, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(

@@ -1,7 +1,6 @@
 """Lift constructions and the independent verifier."""
 
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -447,44 +446,26 @@ class TestBorderedRankCheck:
         assert calls.count(3) == (4 - 2) * (5 - 2)
 
 
-def _count_calls(monkeypatch, home, name) -> list:
-    """Wrap home.name under every troplift module attribute bound to it;
-    the returned list grows by one per call."""
-    orig = getattr(home, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.split(".")[0] == "troplift":
-            for key, val in list(vars(mod).items()):
-                if val is orig:
-                    monkeypatch.setattr(mod, key, counting)
-    return calls
-
-
 class TestOneAnalysisPerLift:
-    def test_sym_rank2_real_builds_one_tree(self, monkeypatch):
-        builds = _count_calls(monkeypatch, trees, "tree_from_rank2")
+    """Each lift computes its deciding analysis once.  Every test starts
+    with empty memos (tests/conftest.py), so a memo's misses count the
+    computations the lift ran."""
+
+    def test_sym_rank2_real_builds_one_tree(self):
         assert lift_sym_rank2_real(fixture("fig2a")).method == "mirror_factor_product"
-        assert len(builds) == 1
+        assert trees.tree_from_rank2.cache_info().misses == 1
 
-    def test_sym_caterpillar_builds_one_tree(self, monkeypatch):
-        builds = _count_calls(monkeypatch, trees, "tree_from_rank2")
+    def test_sym_caterpillar_builds_one_tree(self):
         assert lift_sym_caterpillar(fixture("fig2a")).valid
-        assert len(builds) == 1
+        assert trees.tree_from_rank2.cache_info().misses == 1
 
-    def test_rank2_real_runs_one_rank_scan(self, monkeypatch):
-        ranks = _count_calls(monkeypatch, tropical, "trop_rank")
+    def test_rank2_real_runs_one_rank_scan(self):
         assert lift_rank2_real(fixture("eq1")).method == "frame_completion"
-        assert len(ranks) == 1
+        assert tropical.trop_rank.cache_info().misses == 1
 
-    def test_sym_corank1_real_mode_runs_one_symmetric_determinant(self, monkeypatch):
-        dets = _count_calls(monkeypatch, tropical, "sym_trop_det")
+    def test_sym_corank1_real_mode_runs_one_symmetric_determinant(self):
         assert lift_sym_corank1(fixture("ex52"), "R").valid
-        assert len(dets) == 1
+        assert tropical.sym_trop_det.cache_info().misses == 1
 
 
 class TestCornerCompletion:
