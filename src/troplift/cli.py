@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio, lifts, membership, newton, oracle, trees
-from .config import MAX_ENUMERATION_BOUND, Config, default_truncation
+from .config import MAX_ENUMERATION_BOUND, Config
 from .errors import (
     MinorSignsOpposed,
     NotBarvinok2,

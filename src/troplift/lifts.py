@@ -52,6 +52,7 @@ from .errors import (
     NotRank2,
     NotSingular,
     RadicandMismatch,
+    RankTooHigh,
     SameSigns,
     ValuationUnknown,
 )
@@ -469,14 +470,17 @@ def lift_sym_caterpillar(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     Two shapes occur: a fully fixed spine (pairs sit on the path, lifted by
     the spine recursion) and a single fixed point (mirror symmetry, lifted
     by exponentiating the symmetric factorization and squaring).  The tree
-    comes first, so a rank above 2 raises RankTooHigh; the symmetric
+    comes first, so a rank above 2 raises NotRank2; the symmetric
     Barvinok test that picks the shape reads the same memoised tree.
     """
-    from .tropical import _spine_coordinates, sym_barvinok_rank2
+    from .tropical import sym_barvinok_rank2
 
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
     n = asym.rows
-    tree = trees_mod.tree_from_rank2(asym, MAX_ENUMERATION_BOUND)
+    try:
+        tree = trees_mod.tree_from_rank2(asym, MAX_ENUMERATION_BOUND)
+    except RankTooHigh:
+        raise NotRank2("tropical rank above 2") from None
     ok, b, reason = sym_barvinok_rank2(asym, MAX_ENUMERATION_BOUND)
     if ok:
         m1 = tuple(
@@ -493,7 +497,7 @@ def lift_sym_caterpillar(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     else:
         rep = trees_mod.symbic_classify(tree)
         assert len(rep.fixed_nodes) == tree.nodes, "caterpillar fixed path spans the spine"
-        coord = _spine_coordinates(tree)
+        coord = tree.spine_coordinates()
         pos = [coord[tree.leaf_node("blue", i + 1)] for i in range(n)]
         order = sorted(range(n), key=lambda i: (pos[i], i))
         # labels along the spine run 1, n, n-1, ..., 2

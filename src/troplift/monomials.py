@@ -25,11 +25,11 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
+from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
 from .mpoly import perm_sign
 from .tropmat import TropMatrix
 
-INTERNAL_CLASS_LIMIT = 8
 PUBLIC_CLASS_LIMIT = 7
 
 
@@ -136,8 +136,8 @@ class SignedMonomialClass:
 
 @lru_cache(maxsize=None)
 def _classes(n: int, symmetric: bool) -> tuple:
-    if n > INTERNAL_CLASS_LIMIT:
-        raise SizeLimit(f"monomial enumeration capped at n = {INTERNAL_CLASS_LIMIT}")
+    if n > MAX_ENUMERATION_BOUND:
+        raise SizeLimit(f"monomial enumeration capped at n = {MAX_ENUMERATION_BOUND}")
     if not symmetric:
         return tuple(
             SignedMonomialClass.from_permutation(s, False) for s in permutations(range(n))

@@ -89,12 +89,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        out = MPoly.const(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def degree_in(self, v: int) -> int:
         return max((e[v] for e in self.terms), default=0)
 

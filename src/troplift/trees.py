@@ -11,7 +11,10 @@ locate each projection), which is the same data as the tie pattern and
 slack of the 2x2 tropical minors.
 
 Trees are stored as an adjacency map with positive rational edge lengths
-plus leaf markings; several leaves may share a node.
+plus leaf markings; several leaves may share a node.  Every traversal is
+one breadth-first walk (`_walk`): paths, cut sides, connectivity and the
+node distances, which a tree computes once, at construction, and then
+only reads.
 """
 
 from __future__ import annotations
@@ -37,22 +40,21 @@ class Leaf:
     node: int
 
 
-def _bfs_path(adj: dict, u: int, v: int) -> list[int]:
-    """Nodes on the path from u to v in a tree given by its adjacency map."""
-    parent = {u: None}
-    queue = deque([u])
+def _walk(adj: dict, start: int, without: int | None = None) -> dict:
+    """Breadth-first search from start that never enters without.
+
+    Returns node -> (parent, distance from start) for every node reached.
+    """
+    out = {start: (None, Fraction(0))}
+    queue = deque([start])
     while queue:
         x = queue.popleft()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
+        dx = out[x][1]
+        for y, w in adj[x].items():
+            if y != without and y not in out:
+                out[y] = (x, dx + w)
                 queue.append(y)
-    out = [v]
-    while out[-1] != u:
-        out.append(parent[out[-1]])
-    return out[::-1]
+    return out
 
 
 class BicoloredTree:
@@ -60,7 +62,9 @@ class BicoloredTree:
         self.nodes = nodes
         self.adj = adj
         self.leaves = tuple(leaves)
-        self._dist: dict | None = None
+        self._dist = {
+            s: {x: d for x, (_, d) in _walk(adj, s).items()} for s in range(nodes)
+        }
 
     @property
     def red_count(self) -> int:
@@ -85,25 +89,21 @@ class BicoloredTree:
         return out
 
     def node_distance(self, u: int, v: int) -> Fraction:
-        if self._dist is None:
-            self._dist = {}
-            for s in range(self.nodes):
-                seen = {s: Fraction(0)}
-                queue = deque([s])
-                while queue:
-                    x = queue.popleft()
-                    for y, w in self.adj[x].items():
-                        if y not in seen:
-                            seen[y] = seen[x] + w
-                            queue.append(y)
-                self._dist[s] = seen
         return self._dist[u][v]
 
-    def leaf_distance(self, a: Leaf, b: Leaf) -> Fraction:
-        return self.node_distance(a.node, b.node)
+    def spine_coordinates(self) -> dict:
+        """Arc-length coordinate of every node of a caterpillar spine,
+        measured from its lowest-numbered end (a fresh dict)."""
+        start = min(u for u in range(self.nodes) if len(self.adj[u]) <= 1)
+        return dict(self._dist[start])
 
     def path(self, u: int, v: int) -> list[int]:
-        return _bfs_path(self.adj, u, v)
+        """Nodes on the path from u to v."""
+        reached = _walk(self.adj, u)
+        out = [v]
+        while out[-1] != u:
+            out.append(reached[out[-1]][0])
+        return out[::-1]
 
     def contract_zero_edges(self) -> "BicoloredTree":
         """Merge endpoints of zero-length edges; returns a new tree."""
@@ -137,21 +137,12 @@ class BicoloredTree:
         """Connectivity plus the two-colors-on-each-side cut condition."""
         if self.nodes == 0:
             raise InvalidTree("empty tree")
-        seen = {0}
-        queue = deque([0])
-        edge_count = 0
-        while queue:
-            x = queue.popleft()
-            edge_count += len(self.adj[x])
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != self.nodes or edge_count != 2 * (self.nodes - 1):
+        edge_count = sum(map(len, self.adj.values()))
+        if len(_walk(self.adj, 0)) != self.nodes or edge_count != 2 * (self.nodes - 1):
             raise InvalidTree("not a connected acyclic graph")
         t = self.contract_zero_edges()
         for u, v, _ in t.edge_list():
-            side = t._component_nodes(u, without=v)
+            side = set(_walk(t.adj, u, without=v))
             for part in (side, set(range(t.nodes)) - side):
                 colors = {l.color for l in t.leaves if l.node in part}
                 if colors != {RED, BLUE}:
@@ -162,23 +153,12 @@ class BicoloredTree:
             if len(t.adj[x]) < 3 and not any(l.node == x for l in t.leaves):
                 raise InvalidTree(f"node {x} is neither branching nor marked")
 
-    def _component_nodes(self, start: int, without: int) -> set:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if y != without and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
     def leaf_distance_table(self) -> dict:
         """All pairwise leaf distances, keyed by (color, index) pairs."""
         out = {}
         for a in self.leaves:
             for b in self.leaves:
-                out[((a.color, a.index), (b.color, b.index))] = self.leaf_distance(a, b)
+                out[((a.color, a.index), (b.color, b.index))] = self._dist[a.node][b.node]
         return out
 
 
@@ -219,31 +199,29 @@ class _Builder:
 def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
     """Grow a tree containing marked points with the given exact metric."""
     b = _Builder()
-    node_of = {keys[0]: b.new_node()}
-    for z in keys[1:]:
-        placed = [k for k in keys if k in node_of]
-        a = placed[0]
+    a = keys[0]
+    node_of = {a: b.new_node()}
+    for idx, z in enumerate(keys[1:], start=1):
         dza = dist(z, a)
         best_g, best_x = Fraction(0), None
-        for x in placed[1:]:
+        for x in keys[1:idx]:
             g = (dza + dist(a, x) - dist(z, x)) / 2
             if g > best_g:
                 best_g, best_x = g, x
         attach = node_of[a]
         if best_x is not None and best_g > 0:
-            remaining = best_g
-            walk = _bfs_path(b.adj, node_of[a], node_of[best_x])
-            for u, v in zip(walk, walk[1:]):
-                w = b.adj[u][v]
-                if remaining < w:
-                    attach = b.split_edge(u, v, remaining)
-                    remaining = Fraction(0)
-                    break
-                remaining -= w
+            # the first node v on the path from a to best_x at distance
+            # >= best_g from a, and u the node before it
+            reached = _walk(b.adj, attach)
+            v = node_of[best_x]
+            assert reached[v][1] >= best_g, "Gromov product exceeded the path length"
+            u = reached[v][0]
+            while reached[u][1] >= best_g:
+                v, u = u, reached[u][0]
+            if reached[v][1] == best_g:
                 attach = v
-                if remaining == 0:
-                    break
-            assert remaining == 0, "Gromov product exceeded the path length"
+            else:
+                attach = b.split_edge(u, v, best_g - reached[u][1])
         r = dza - best_g
         if r == 0:
             node_of[z] = attach
@@ -269,11 +247,8 @@ def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> Bicolo
         _normalize(tuple(min(a[k, j] - a[i, j] for j in range(n)) for k in range(d)))
         for i in range(d)
     ]
-    keys: list = []
-    for vec in blue_pos + red_pos:
-        if vec not in keys:
-            keys.append(vec)
-    b, node_of = _embed_points(keys, lambda u, v: hilbert_distance(u, v))
+    keys = list(dict.fromkeys(blue_pos + red_pos))
+    b, node_of = _embed_points(keys, hilbert_distance)
     leaves = [Leaf(BLUE, j + 1, node_of[blue_pos[j]]) for j in range(n)]
     leaves += [Leaf(RED, i + 1, node_of[red_pos[i]]) for i in range(d)]
     tree = BicoloredTree(b.count, b.adj, tuple(leaves))

@@ -183,27 +183,8 @@ def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
     return True, (b, c), {"kind": "caterpillar"}
 
 
-def _spine_coordinates(tree):
-    """Arc-length coordinate of every node along a caterpillar spine."""
-    adj = tree.adj
-    if tree.nodes == 1:
-        return {0: Fraction(0)}
-    ends = sorted(u for u in range(tree.nodes) if len(adj[u]) == 1)
-    start = ends[0]
-    coord = {start: Fraction(0)}
-    prev, cur = None, start
-    while True:
-        nxt = [v for v in adj[cur] if v != prev]
-        if not nxt:
-            break
-        (v,) = nxt
-        coord[v] = coord[cur] + adj[cur][v]
-        prev, cur = cur, v
-    return coord
-
-
 def _caterpillar_witness(a: TropMatrix, tree):
-    coord = _spine_coordinates(tree)
+    coord = tree.spine_coordinates()
     d, n = a.rows, a.cols
     p = [coord[tree.leaf_node("red", i + 1)] for i in range(d)]
     q = [coord[tree.leaf_node("blue", j + 1)] for j in range(n)]
@@ -244,7 +225,7 @@ def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
 
 
 def _sym_caterpillar_witness(a: TropMatrix, tree, report):
-    coord = _spine_coordinates(tree)
+    coord = tree.spine_coordinates()
     n = a.rows
     if report.fixed_nodes:
         center = coord[report.fixed_nodes[0]]

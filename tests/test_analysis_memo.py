@@ -1,6 +1,7 @@
 """The memoised analyses: one computation per matrix, and nothing shared
 that a caller could change or that an error should have stopped."""
 
+import copy
 import json
 import random
 
@@ -84,6 +85,7 @@ class TestMemoSafety:
         a = fixture(name)
         tree = trees.tree_from_rank2(a, 8)
         before = jsonio.encode_tree(tree)
+        state = copy.deepcopy(vars(tree))
         tropical.barvinok_rank2(a)
         tropical.sym_barvinok_rank2(a)
         for lift in (lift_sym_caterpillar, lift_sym_rank2_real):
@@ -99,6 +101,7 @@ class TestMemoSafety:
         assert trees.tree_from_rank2(a, 8) is tree
         assert trees.tree_from_rank2.cache_info().misses == 1
         assert jsonio.encode_tree(tree) == before
+        assert vars(tree) == state
 
     @pytest.mark.parametrize("seed", range(6))
     def test_symmetric_twin_gives_equal_verdicts(self, seed):

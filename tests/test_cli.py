@@ -186,6 +186,15 @@ class TestExitCodes:
         ex52 = str(fixture_dir / "ex52.json")
         assert main(["lift", "--variety", "sym_corank1", "--mode", "R+", "--in", ex52]) == 1
 
+    @pytest.mark.parametrize("mode", ["C+", "R+"])
+    def test_positive_symmetric_rank2_lift_above_rank_2_is_negative(
+        self, fixture_dir, capsys, mode
+    ):
+        ex52 = str(fixture_dir / "ex52.json")  # tropical rank 3
+        capsys.readouterr()
+        assert main(["lift", "--variety", "sym_rank2", "--mode", mode, "--in", ex52]) == 1
+        assert "NotRank2" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_trop_det_output(self, fixture_dir, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from troplift import jsonio
 from troplift.errors import InvalidTree, RankTooHigh
+from troplift.fixtures import fixture
 from troplift.samples import (
     random_bicolored_tree,
     random_rank2_matrix,
@@ -100,6 +101,22 @@ class TestToMatrix:
         with pytest.raises(InvalidTree):
             tree_to_matrix(t, 2, 2)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1), (2, 3)], [(0, 1), (1, 2), (2, 0)]],
+        ids=["disconnected", "three_cycle"],
+    )
+    def test_graph_that_is_not_a_tree_rejected(self, edges):
+        nodes = 1 + max(max(e) for e in edges)
+        adj = {u: {} for u in range(nodes)}
+        for u, v in edges:
+            adj[u][v] = adj[v][u] = F(1)
+        leaves = tuple(
+            Leaf(color, u + 1, u) for u in range(nodes) for color in ("red", "blue")
+        )
+        with pytest.raises(InvalidTree, match="not a connected acyclic graph"):
+            BicoloredTree(nodes, adj, leaves).validate()
+
     def test_roundtrip_300_random_trees(self):
         rng = random.Random(20240811)
         for k in range(300):
@@ -123,6 +140,17 @@ class TestClassification:
         assert rep.kind == "symbic" and not rep.one_fixed_point
         assert len(rep.fixed_nodes) == t.nodes
         assert is_caterpillar(t)
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig4a"])
+    def test_spine_coordinates_measure_the_spine(self, name):
+        t = tree_from_rank2(fixture(name))
+        assert is_caterpillar(t)
+        coord = t.spine_coordinates()
+        assert sorted(coord) == list(range(t.nodes))
+        start = min(u for u in range(t.nodes) if len(t.adj[u]) == 1)
+        assert coord[start] == 0
+        for u, v, w in t.edge_list():
+            assert abs(coord[u] - coord[v]) == w
 
     def test_fig2a_one_fixed_point(self):
         assert one_fixed_point(tree_from_rank2(FIG2A))
