@@ -209,7 +209,6 @@ def dispatch(argv=None) -> int:
 
     if cmd == "lift":
         a = _read_matrix(args.infile)
-        _check_size(a, cfg)
         cert = _run_lift(a, args.variety, args.mode, cfg)
         _emit(jsonio.dumps(jsonio.encode_certificate(cert)), args.outfile)
         return 0 if cert.valid else 1
@@ -223,6 +222,8 @@ def dispatch(argv=None) -> int:
         return 0 if cert.valid else 1
 
     if cmd == "polytope":
+        if args.n < 0:
+            raise ValueError(f"--n must not be negative, got {args.n}")
         if args.table2:
             _emit(jsonio.dumps(fixture_json("table2")), args.outfile)
             return 0
@@ -260,9 +261,9 @@ def dispatch(argv=None) -> int:
 
 
 def _check_size(a, cfg: Config):
-    """Refuse a lift or certificate larger than the enumeration bound: the
-    singular constructions enumerate permutations of the tropical matrix,
-    and the series determinant costs n 2^(n-1) products."""
+    """Refuse a certificate with more rows or columns than the bound: it is
+    outside input, verify_lift takes no bound, and its series determinant
+    costs n 2^(n-1) products.  A lift's analyses guard their own sizes."""
     if max(a.rows, a.cols) > cfg.enumeration_bound:
         raise SizeLimit(
             f"{a.rows}x{a.cols} matrix exceeds enumeration bound {cfg.enumeration_bound}"
@@ -270,19 +271,20 @@ def _check_size(a, cfg: Config):
 
 
 def _run_lift(a, variety, mode, cfg: Config):
+    seed, bound, trunc = cfg.seed, cfg.enumeration_bound, cfg.truncation_order
     if variety == "rank2":
         if mode in ("C+", "R+"):
-            return lifts.lift_rank2_positive(a, seed=cfg.seed)
-        return lifts.lift_rank2_real(a, seed=cfg.seed)
+            return lifts.lift_rank2_positive(a, seed=seed, bound=bound)
+        return lifts.lift_rank2_real(a, seed=seed, bound=bound)
     if variety == "sym_rank2":
         if mode in ("C+", "R+"):
-            return lifts.lift_sym_caterpillar(a, seed=cfg.seed)
-        return lifts.lift_sym_rank2_real(a, seed=cfg.seed)
+            return lifts.lift_sym_caterpillar(a, seed=seed, bound=bound)
+        return lifts.lift_sym_rank2_real(a, seed=seed, bound=bound)
     real_mode = "R+" if mode.endswith("+") else "R"
     if variety == "corank1":
-        return lifts.lift_corank1(a, real_mode, seed=cfg.seed, trunc=cfg.truncation_order)
+        return lifts.lift_corank1(a, real_mode, seed=seed, trunc=trunc, bound=bound)
     if variety == "sym_corank1":
-        return lifts.lift_sym_corank1(a, real_mode, seed=cfg.seed, trunc=cfg.truncation_order)
+        return lifts.lift_sym_corank1(a, real_mode, seed=seed, trunc=trunc, bound=bound)
     raise ValueError(variety)
 
 

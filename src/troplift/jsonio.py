@@ -5,7 +5,7 @@ Rationals travel as exact "p/q" strings.  A Puiseux series is
 a matrix is {"symmetric": bool, "entries": [["p/q", ...], ...]}; a tree is
 {"nodes": k, "leaves": [{"color", "index", "node"}], "edges": [{"u","v","len"}]}.
 Decoding is the exact inverse of encoding for matrices, series, trees, and
-certificates.
+certificates.  A wrong JSON type raises ValueError, like any malformed input.
 """
 
 from __future__ import annotations
@@ -27,7 +27,20 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    return Fraction(s)
+    if type(s) not in (str, int):
+        raise ValueError(f'a rational must be a "p/q" string, got {s!r}')
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def _expect(value, kind, what: str):
+    """value itself, when it is a JSON object (kind dict) or array (list)."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
 
 
 def encode_series(s: PuiseuxSeries) -> dict:
@@ -43,8 +56,8 @@ def encode_series(s: PuiseuxSeries) -> dict:
 
 def decode_series(obj: dict) -> PuiseuxSeries:
     pairs = []
-    for term in obj["terms"]:
-        coef = term["coef"]
+    for term in _expect(_expect(obj, dict, "a series")["terms"], list, "terms"):
+        coef = _expect(term, dict, "a term")["coef"]
         if isinstance(coef, dict):
             d = frac_from_str(coef["d"])
             if d <= 0:
@@ -65,12 +78,11 @@ def encode_matrix(a: TropMatrix) -> dict:
 
 
 def decode_matrix(obj: dict) -> TropMatrix:
-    symmetric = obj.get("symmetric", False)
+    symmetric = _expect(obj, dict, "a matrix").get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise ValueError(f"symmetric must be a JSON boolean, got {symmetric!r}")
-    return TropMatrix.make(
-        [[frac_from_str(x) for x in row] for row in obj["entries"]], symmetric=symmetric
-    )
+    rows = [_expect(r, list, "a matrix row") for r in _expect(obj["entries"], list, "entries")]
+    return TropMatrix.make([[frac_from_str(x) for x in row] for row in rows], symmetric=symmetric)
 
 
 def encode_tree(t: BicoloredTree) -> dict:
@@ -111,18 +123,19 @@ def encode_certificate(cert: LiftCertificate) -> dict:
 
 
 def decode_certificate(obj: dict) -> LiftCertificate:
-    if obj["claimed"] not in CLAIMS:
+    if _expect(obj, dict, "a certificate")["claimed"] not in CLAIMS:
         raise ValueError(f"unknown claim {obj['claimed']!r}; expected one of {CLAIMS}")
     if obj["positivity"] not in POSITIVITIES:
         raise ValueError(
             f"unknown positivity {obj['positivity']!r}; expected one of {POSITIVITIES}"
         )
+    rows = [_expect(r, list, "a lift row") for r in _expect(obj["lift"], list, "lift")]
     return LiftCertificate(
         target=decode_matrix(obj["target"]),
-        lift=tuple(tuple(decode_series(e) for e in row) for row in obj["lift"]),
+        lift=tuple(tuple(decode_series(e) for e in row) for row in rows),
         claimed=obj["claimed"],
         positivity=obj["positivity"],
-        transcript=list(obj.get("transcript", [])),
+        transcript=list(_expect(obj.get("transcript", []), list, "transcript")),
         seed=obj.get("seed"),
         method=obj.get("method", ""),
     )
@@ -144,15 +157,11 @@ def encode_class(cls: SignedMonomialClass) -> dict:
 
 
 def encode_value(v):
-    """Best-effort JSON encoding for report payloads."""
+    """JSON encoding of a command's payload; an unknown type raises TypeError."""
     if isinstance(v, Fraction):
         return frac_to_str(v)
     if isinstance(v, TropMatrix):
         return encode_matrix(v)
-    if isinstance(v, PuiseuxSeries):
-        return encode_series(v)
-    if isinstance(v, SignedMonomialClass):
-        return encode_class(v)
     if isinstance(v, NewtonEdge):
         return {
             "u": v.u.monomial_str(),
@@ -165,11 +174,9 @@ def encode_value(v):
         return {str(k): encode_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [encode_value(x) for x in v]
-    if isinstance(v, frozenset):
-        return sorted(encode_value(x) for x in v)
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    return str(v)
+    raise TypeError(f"no JSON encoding for {type(v).__name__}")
 
 
 def dumps(obj) -> str:

@@ -406,16 +406,19 @@ def _monomial_lift(rng, value) -> PuiseuxSeries:
 # rank 2, positive: exponentiate any min-plus factorization
 
 
-def lift_rank2_positive(a: TropMatrix, seed: int = 1, witness=None) -> LiftCertificate:
+def lift_rank2_positive(
+    a: TropMatrix, seed: int = 1, witness=None, bound: int = MAX_ENUMERATION_BOUND
+) -> LiftCertificate:
     """Positive rank <= 2 lift from a min-plus factorization A = B ⊙ C.
 
     Each entry becomes the subtraction-free sum of t**(B_ik + C_kj), so no
-    cancellation occurs and valuations match by construction.
+    cancellation occurs and valuations match by construction.  `bound`
+    caps the rank scan of the witness search, as in member_rank2.
     """
     from .tropical import barvinok_rank2
 
     if witness is None:
-        ok, witness, reason = barvinok_rank2(a)
+        ok, witness, reason = barvinok_rank2(a, bound)
         if not ok:
             raise NotBarvinok2(f"no two-term factorization: {reason['kind']}")
     b, c = witness
@@ -464,7 +467,9 @@ def _spine_recursion_lift(dstd: list) -> list:
     return m
 
 
-def lift_sym_caterpillar(a: TropMatrix, seed: int = 1) -> LiftCertificate:
+def lift_sym_caterpillar(
+    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+) -> LiftCertificate:
     """Positive symmetric rank <= 2 lift for caterpillar symbic matrices.
 
     Two shapes occur: a fully fixed spine (pairs sit on the path, lifted by
@@ -472,16 +477,17 @@ def lift_sym_caterpillar(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     by exponentiating the symmetric factorization and squaring).  The tree
     comes first, so a rank above 2 raises NotRank2; the symmetric
     Barvinok test that picks the shape reads the same memoised tree.
+    `bound` caps the tree's rank scan, as in member_sym_rank2.
     """
     from .tropical import sym_barvinok_rank2
 
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
     n = asym.rows
     try:
-        tree = trees_mod.tree_from_rank2(asym, MAX_ENUMERATION_BOUND)
+        tree = trees_mod.tree_from_rank2(asym, bound)
     except RankTooHigh:
         raise NotRank2("tropical rank above 2") from None
-    ok, b, reason = sym_barvinok_rank2(asym, MAX_ENUMERATION_BOUND)
+    ok, b, reason = sym_barvinok_rank2(asym, bound)
     if ok:
         m1 = tuple(
             (PuiseuxSeries.monomial(ONE, b[i, 0]), PuiseuxSeries.monomial(ONE, b[i, 1]))
@@ -555,18 +561,21 @@ def _plain_frame_ok(a: TropMatrix, p1, p2, q1, q2) -> bool:
     return True
 
 
-def lift_rank2_real(a: TropMatrix, seed: int = 1) -> LiftCertificate:
+def lift_rank2_real(
+    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+) -> LiftCertificate:
     """Real rank <= 2 lift of any tropical rank <= 2 matrix.
 
     Caterpillar inputs reuse the positive factorization.  Otherwise the
     lift is completed from a 2x2 frame: generic monomials on the frame
     cross, every other entry determined by the rank condition through the
-    frame's adjugate, scaled so valuations land on the target.
+    frame's adjugate, scaled so valuations land on the target.  `bound`
+    caps the minor size of the rank scan, as in member_rank2.
     """
     from .tropical import barvinok_rank2
 
     d, n = a.rows, a.cols
-    ok, witness, reason = barvinok_rank2(a)
+    ok, witness, reason = barvinok_rank2(a, bound)
     if ok:
         return lift_rank2_positive(a, seed=seed, witness=witness)
     if reason["kind"] == "rank_too_high":
@@ -708,7 +717,9 @@ def _root_path_series(edges, dep, mark_key, coeff_of) -> PuiseuxSeries:
     return PuiseuxSeries.make(pairs)
 
 
-def lift_sym_rank2_real(a: TropMatrix, seed: int = 1) -> LiftCertificate:
+def lift_sym_rank2_real(
+    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+) -> LiftCertificate:
     """Real symmetric rank <= 2 lift of a symmetric tropical rank <= 2 matrix.
 
     Rank <= 1 inputs lift as an outer square; caterpillar symbic inputs
@@ -716,18 +727,19 @@ def lift_sym_rank2_real(a: TropMatrix, seed: int = 1) -> LiftCertificate:
     x y^T + y x^T where the color swap exchanges the generators x and y:
     exponents come from distances to the two ends of the fixed path, and
     branch-internal cancellations are driven by rooted-path unit series.
+    `bound` caps the rank scans, as in member_sym_rank2.
     """
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
     n = asym.rows
-    if sym_trop_rank(asym, MAX_ENUMERATION_BOUND) > 2:
+    if sym_trop_rank(asym, bound) > 2:
         raise NotRank2("symmetric tropical rank above 2")
     if all(
         asym[i, j] == (asym[i, i] + asym[j, j]) / 2 for i in range(n) for j in range(n)
     ):
         return _lift_sym_rank1(asym, seed)
-    tree = trees_mod.tree_from_rank2(asym, MAX_ENUMERATION_BOUND)
+    tree = trees_mod.tree_from_rank2(asym, bound)
     if trees_mod.is_caterpillar(tree):
-        return lift_sym_caterpillar(asym, seed)
+        return lift_sym_caterpillar(asym, seed, bound)
     rep = trees_mod.symbic_classify(tree)
     assert rep.kind == "symbic", "symmetric rank <= 2 matrices have symbic trees"
     length, info = _branch_paths(tree, rep)
@@ -822,17 +834,20 @@ def _split_det_linear(lift_rows, istar, jstar):
     return acoef, series_det(_without(lift_rows, zeros={(istar, jstar)}))
 
 
-def lift_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> LiftCertificate:
+def lift_corank1(
+    a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None, bound: int = MAX_ENUMERATION_BOUND
+) -> LiftCertificate:
     """Singular lift with one entry solved from a linear determinant equation.
 
     Requires a tied tropical determinant; in R+ mode the tie must contain a
     Birkhoff-edge pair of opposite signs, and the solved entry comes out
     positive because the two dominating monomials have opposite signs.
+    `bound` caps n for the determinant's scan, as in member_corank1.
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
     n = a.rows
-    res = trop_det(a, MAX_ENUMERATION_BOUND)
+    res = trop_det(a, bound)
     if not res.tie:
         raise NotSingular("tropical determinant has a unique minimizing monomial")
     from .membership import adjacent_pair
@@ -923,7 +938,9 @@ def _split_det_quadratic(lift_rows, i, j):
     return acoef, bcoef, ccoef
 
 
-def lift_sym_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None) -> LiftCertificate:
+def lift_sym_corank1(
+    a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None, bound: int = MAX_ENUMERATION_BOUND
+) -> LiftCertificate:
     """Symmetric singular lift; one symmetric entry solves a quadratic.
 
     The tied minimum must sit on a Newton-polytope edge.  Lattice length 1
@@ -935,14 +952,15 @@ def lift_sym_corank1(a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None)
 
     Both modes read the R+ membership verdict, which lists every edge of
     a tie, so the symmetric determinant runs once.  Only R+ mode refuses a
-    negative verdict, and only R+ mode reports a boundary tie.
+    negative verdict, and only R+ mode reports a boundary tie.  `bound`
+    caps n for the determinants, as in member_sym_corank1.
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
     from .membership import member_sym_corank1
 
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    verdict = member_sym_corank1(asym, "R+")
+    verdict = member_sym_corank1(asym, "R+", bound)
     reason = verdict.reason
     if not reason["tie"]:
         raise NotSingular("symmetric tropical determinant has a unique minimizer")

@@ -65,7 +65,7 @@ def random_bicolored_tree(rng, d, n, max_tries=400) -> BicoloredTree:
             tree.validate()
         except InvalidTree:
             continue
-        return tree.contract_zero_edges()
+        return tree
     raise RuntimeError("failed to sample a valid bicolored tree")
 
 
@@ -131,7 +131,7 @@ def random_symbic_tree(rng, n, max_tries=400) -> BicoloredTree:
             tree.validate()
         except InvalidTree:
             continue
-        return tree.contract_zero_edges()
+        return tree
     raise RuntimeError("failed to sample a symbic tree")
 
 

@@ -59,6 +59,8 @@ def _walk(adj: dict, start: int, without: int | None = None) -> dict:
 
 class BicoloredTree:
     def __init__(self, nodes: int, adj: dict, leaves: tuple):
+        if any(w <= 0 for nbrs in adj.values() for w in nbrs.values()):
+            raise InvalidTree("edge lengths must be positive")
         self.nodes = nodes
         self.adj = adj
         self.leaves = tuple(leaves)
@@ -105,34 +107,6 @@ class BicoloredTree:
             out.append(reached[out[-1]][0])
         return out[::-1]
 
-    def contract_zero_edges(self) -> "BicoloredTree":
-        """Merge endpoints of zero-length edges; returns a new tree."""
-        if all(w > 0 for _, _, w in self.edge_list()):
-            return self
-        group = list(range(self.nodes))
-
-        def find(x):
-            while group[x] != x:
-                group[x] = group[group[x]]
-                x = group[x]
-            return x
-
-        for u, v, w in self.edge_list():
-            if w == 0:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    group[max(ru, rv)] = min(ru, rv)
-        roots = sorted({find(x) for x in range(self.nodes)})
-        renum = {r: i for i, r in enumerate(roots)}
-        adj: dict = {i: {} for i in range(len(roots))}
-        for u, v, w in self.edge_list():
-            if w > 0:
-                a, b = renum[find(u)], renum[find(v)]
-                adj[a][b] = w
-                adj[b][a] = w
-        leaves = tuple(Leaf(l.color, l.index, renum[find(l.node)]) for l in self.leaves)
-        return BicoloredTree(len(roots), adj, leaves)
-
     def validate(self):
         """Connectivity plus the two-colors-on-each-side cut condition."""
         if self.nodes == 0:
@@ -140,17 +114,16 @@ class BicoloredTree:
         edge_count = sum(map(len, self.adj.values()))
         if len(_walk(self.adj, 0)) != self.nodes or edge_count != 2 * (self.nodes - 1):
             raise InvalidTree("not a connected acyclic graph")
-        t = self.contract_zero_edges()
-        for u, v, _ in t.edge_list():
-            side = set(_walk(t.adj, u, without=v))
-            for part in (side, set(range(t.nodes)) - side):
-                colors = {l.color for l in t.leaves if l.node in part}
+        for u, v, _ in self.edge_list():
+            side = set(_walk(self.adj, u, without=v))
+            for part in (side, set(range(self.nodes)) - side):
+                colors = {l.color for l in self.leaves if l.node in part}
                 if colors != {RED, BLUE}:
                     raise InvalidTree(
                         f"cutting edge ({u},{v}) leaves a side without both colors"
                     )
-        for x in range(t.nodes):
-            if len(t.adj[x]) < 3 and not any(l.node == x for l in t.leaves):
+        for x in range(self.nodes):
+            if len(self.adj[x]) < 3 and not any(l.node == x for l in self.leaves):
                 raise InvalidTree(f"node {x} is neither branching nor marked")
 
     def leaf_distance_table(self) -> dict:
@@ -260,7 +233,6 @@ def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> Bicolo
 
 def tree_to_matrix(tree: BicoloredTree, d: int | None = None, n: int | None = None) -> TropMatrix:
     """Canonical matrix of a valid bicolored tree (first row and column zero)."""
-    tree = tree.contract_zero_edges()
     tree.validate()
     if d is None:
         d = tree.red_count
@@ -283,8 +255,7 @@ def tree_to_matrix(tree: BicoloredTree, d: int | None = None, n: int | None = No
 
 def is_caterpillar(tree: BicoloredTree) -> bool:
     """True when all internal vertices lie along one path."""
-    t = tree.contract_zero_edges()
-    return all(len(t.adj[u]) <= 2 for u in range(t.nodes))
+    return all(len(tree.adj[u]) <= 2 for u in range(tree.nodes))
 
 
 @dataclass(frozen=True)
@@ -298,13 +269,12 @@ class SymbicReport:
 
 def symbic_classify(tree: BicoloredTree) -> SymbicReport:
     """Classify the color-swap involution red i <-> blue i on a tree."""
-    t = tree.contract_zero_edges()
-    n = t.red_count
-    if t.blue_count != n:
+    n = tree.red_count
+    if tree.blue_count != n:
         raise ValueError("need equal red and blue leaf counts")
-    reds = [t.leaf_node(RED, i + 1) for i in range(n)]
-    blues = [t.leaf_node(BLUE, i + 1) for i in range(n)]
-    dist = t.node_distance
+    reds = [tree.leaf_node(RED, i + 1) for i in range(n)]
+    blues = [tree.leaf_node(BLUE, i + 1) for i in range(n)]
+    dist = tree.node_distance
     # The swap red i <-> blue i must preserve all marked-point distances;
     # a leaf isometry of an exact tree metric extends to the spanned tree.
     for i in range(n):
@@ -318,19 +288,19 @@ def symbic_classify(tree: BicoloredTree) -> SymbicReport:
     marked = reds + blues
     swapped = blues + reds
     phi = {}
-    for u in range(t.nodes):
+    for u in range(tree.nodes):
         profile = [dist(u, m) for m in marked]
         image = None
-        for v in range(t.nodes):
+        for v in range(tree.nodes):
             if all(dist(v, s) == p for s, p in zip(swapped, profile)):
                 image = v
                 break
         if image is None:
             return SymbicReport("swap_not_automorphism")
         phi[u] = image
-    fixed = tuple(sorted(u for u in range(t.nodes) if phi[u] == u))
+    fixed = tuple(sorted(u for u in range(tree.nodes) if phi[u] == u))
     swapped_edge = None
-    for u, v, _ in t.edge_list():
+    for u, v, _ in tree.edge_list():
         if phi[u] == v and phi[v] == u:
             swapped_edge = (u, v)
     if not fixed:
@@ -341,7 +311,7 @@ def symbic_classify(tree: BicoloredTree) -> SymbicReport:
     # Fixed set is the subtree induced on the fixed nodes; a path has no
     # node with three fixed neighbours.
     for u in fixed:
-        if sum(1 for v in t.adj[u] if phi.get(v) == v) > 2:
+        if sum(1 for v in tree.adj[u] if phi.get(v) == v) > 2:
             return SymbicReport("fixed_set_not_path", fixed, None, tuple(sorted(phi.items())))
     return SymbicReport(
         "symbic", fixed, None, tuple(sorted(phi.items())), len(fixed) == 1

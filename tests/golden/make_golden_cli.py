@@ -35,18 +35,14 @@ MODES = ("C", "R", "C+", "R+")
 CASES = tuple(name for name in FIXTURE_NAMES if name != "table2")
 
 
-def _run(args: list, files: dict) -> dict:
+def _run(args: list, files: dict) -> tuple[dict, str]:
+    """The table row of one invocation, and its stdout."""
     argv = [files.get(a, a) for a in args]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return {
-        "args": args,
-        "exit": code,
-        "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": err.getvalue(),
-        "_out": out.getvalue(),
-    }
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return {"args": args, "exit": code, "stdout": digest, "stderr": err.getvalue()}, out.getvalue()
 
 
 def cli_rows(workdir: str, name: str) -> list:
@@ -55,7 +51,7 @@ def cli_rows(workdir: str, name: str) -> list:
     with open(files["IN"], "w") as fh:
         json.dump(fixture_json(name), fh)
     rows = [
-        _run(args, files)
+        _run(args, files)[0]
         for args in (
             ["trop-det", "--in", "IN"],
             ["rank", "--in", "IN"],
@@ -66,18 +62,16 @@ def cli_rows(workdir: str, name: str) -> list:
     for cmd in ("member", "lift"):
         for variety in VARIETIES:
             for mode in MODES:
-                row = _run([cmd, "--in", "IN", "--variety", variety, "--mode", mode], files)
+                row, out = _run([cmd, "--in", "IN", "--variety", variety, "--mode", mode], files)
                 rows.append(row)
-                if cmd == "lift" and row["_out"]:
+                if cmd == "lift" and out:
                     with open(files["CERT"], "w") as fh:
-                        fh.write(row["_out"])
-                    rows.append(_run(["verify", "--in", "CERT"], files))
+                        fh.write(out)
+                    rows.append(_run(["verify", "--in", "CERT"], files)[0])
     for variety in VARIETIES:
         for mode in MODES:
             args = ["lift", "--in", "IN", "--variety", variety, "--mode", mode, "--max-n", "3"]
-            rows.append(_run(args, files))
-    for row in rows:
-        del row["_out"]
+            rows.append(_run(args, files)[0])
     return rows
 
 

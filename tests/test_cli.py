@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, wire formats, fixtures."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,44 @@ class TestFixtures:
             assert jsonio.decode_matrix(obj).entries == fixture(name).entries
 
 
+def _golden_cert(edit):
+    """A maker of a golden certificate changed by edit."""
+
+    def make():
+        cert = json.loads((GOLDEN / "ex52-corank1-R.json").read_text())
+        edit(cert)
+        return cert
+
+    return make
+
+
+def _first_term(cert):
+    return cert["lift"][0][0]["terms"][0]
+
+
+# a value of a wrong JSON type, or a zero denominator: (command, file content or its maker)
+MALFORMED = {
+    "entries_not_an_array": ("rank", {"symmetric": False, "entries": 5}),
+    "null_entry": ("rank", {"symmetric": False, "entries": [["0", None], ["1", "2"]]}),
+    "zero_denominator": ("rank", {"symmetric": False, "entries": [["1/0", "1"], ["1", "2"]]}),
+    "matrix_not_an_object": ("rank", [["0", "1"], ["1", "0"]]),
+    "null_trunc": ("verify", _golden_cert(lambda c: c["lift"][0][0].update(trunc=None))),
+    "null_exp": ("verify", _golden_cert(lambda c: _first_term(c).update(exp=None))),
+    "terms_not_an_array": ("verify", _golden_cert(lambda c: c["lift"][0][0].update(terms="xx"))),
+    "lift_not_an_array": ("verify", _golden_cert(lambda c: c.update(lift=3))),
+    "coef_not_a_rational": ("verify", _golden_cert(lambda c: _first_term(c).update(coef=[1]))),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_file_is_an_input_error(self, tmp_path, capsys, case):
+        cmd, content = MALFORMED[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content() if callable(content) else content))
+        assert main([cmd, "--in", str(bad)]) == 2
+        assert "input error: ValueError" in capsys.readouterr().err
+
     def test_member_positive_and_negative(self, fixture_dir):
         ex52 = str(fixture_dir / "ex52.json")
         assert main(["member", "--variety", "sym_corank1", "--mode", "C+", "--in", ex52]) == 0
@@ -67,6 +105,10 @@ class TestExitCodes:
         plain.write_text(json.dumps({"entries": [["0", "1"], ["1", "0"]]}))
         assert main(["trop-det", "--in", str(plain)]) == 0
         assert json.loads(capsys.readouterr().out)["symmetric"] is None
+
+    def test_negative_polytope_size_is_an_input_error(self, capsys):
+        assert main(["polytope", "--n", "-1"]) == 2
+        assert "--n must not be negative, got -1" in capsys.readouterr().err
 
     def test_size_limit(self, tmp_path):
         big = tmp_path / "big.json"
@@ -105,6 +147,37 @@ class TestExitCodes:
         monkeypatch.setenv("TROPLIFT_MAX_N", "3")
         assert main(["verify", "--in", cert]) == 3
         assert main(["verify", "--in", cert, "--max-n", "4"]) == 0
+        # a rank <= 2 lift scans 3x3 minors only; verify still counts rows
+        fig4a = str(fixture_dir / "fig4a.json")
+        assert main(["lift", "--variety", "rank2", "--mode", "R", "--in", fig4a, "--out", cert]) == 0
+        assert main(["verify", "--in", cert]) == 3
+
+    @pytest.mark.parametrize(
+        "mode, reason",
+        [
+            ("C", "NotRank2: tropical rank above 2"),
+            ("R", "NotRank2: tropical rank above 2"),
+            ("C+", "NotBarvinok2: no two-term factorization: rank_too_high"),
+            ("R+", "NotBarvinok2: no two-term factorization: rank_too_high"),
+        ],
+    )
+    def test_rank2_lift_of_a_wide_rank3_matrix_is_negative(self, fixture_dir, capsys, mode, reason):
+        # 9x12, but the rank scan stops at 4x4 minors, within the bound
+        cocircuit = str(fixture_dir / "cocircuit-ag23.json")
+        capsys.readouterr()
+        assert main(["lift", "--variety", "rank2", "--mode", mode, "--in", cocircuit]) == 1
+        assert reason in capsys.readouterr().err
+
+    def test_acknowledged_bound_above_8_reaches_the_lift(self, tmp_path):
+        rng = random.Random(5)  # a 9x9 whose determinant has 4 minimizers
+        entries = [[str(rng.randint(0, 3)) for _ in range(9)] for _ in range(9)]
+        src, cert = tmp_path / "nine.json", str(tmp_path / "cert.json")
+        src.write_text(json.dumps({"symmetric": False, "entries": entries}))
+        large = ["--max-n", "9", "--acknowledge-large"]
+        lift = ["lift", "--variety", "corank1", "--mode", "R", "--in", str(src), "--out", cert]
+        assert main(lift + large) == 0
+        assert main(["verify", "--in", cert, "--out", cert] + large) == 0
+        assert main(["verify", "--in", cert]) == 3
 
     def test_verify_rejects_unknown_claim_and_positivity(self, fixture_dir, tmp_path):
         cert_file = tmp_path / "cert.json"
@@ -209,6 +282,21 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"tropical_rank": 2, "symmetric_tropical_rank": 3}
 
+    def test_text_format(self, fixture_dir, capsys):
+        eq1, ex52 = str(fixture_dir / "eq1.json"), str(fixture_dir / "ex52.json")
+        assert main(["rank", "--in", eq1, "--format", "text"]) == 0
+        assert capsys.readouterr().out == "tropical rank 2, symmetric tropical rank 3\n"
+        member = ["member", "--in", ex52, "--variety", "sym_corank1", "--format", "text"]
+        assert main(member + ["--mode", "C+"]) == 0
+        assert main(member + ["--mode", "R+"]) == 1
+        out = capsys.readouterr().out
+        assert out == "sym_corank1 over C+: member\nsym_corank1 over R+: not a member\n"
+
+    def test_verify_suite_agrees_with_the_oracles(self, capsys):
+        assert main(["verify-suite", "--seed", "1"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert len(reports) == 33 and all(r["agree"] for r in reports)
+
     def test_cocircuit_rank(self, fixture_dir, capsys):
         assert main(["rank", "--in", str(fixture_dir / "cocircuit-ag23.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -246,6 +334,10 @@ class TestCommands:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 5
         assert rows[0]["monomial"] == "2*x12*x13*x23*x44"
+
+    def test_payload_of_an_unknown_type_is_a_program_fault(self):
+        with pytest.raises(TypeError, match="no JSON encoding for set"):
+            jsonio.dumps({"signs": {1, -1}})
 
     def test_polytope_counts(self, capsys):
         assert main(["polytope", "--n", "4", "--what", "vertices"]) == 0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from troplift.errors import (
     NotCaterpillar,
     NotSingular,
     SameSigns,
+    SizeLimit,
 )
 from troplift.fixtures import fixture
 from troplift.lifts import (
@@ -30,6 +32,7 @@ from troplift.lifts import (
 from troplift.membership import member_corank1, positive_generators_check
 from troplift.puiseux import PuiseuxSeries
 from troplift.samples import (
+    positive_length,
     random_barvinok2_matrix,
     random_matrix,
     random_rank2_matrix,
@@ -143,6 +146,33 @@ class TestSymCaterpillar:
         assert checked >= 10
 
 
+def _inverted_edge_tree(rng) -> trees.BicoloredTree:
+    """Symbic tree whose color swap fixes no node: it inverts the edge
+    0-1 and maps node 2m to its mirror 2m+1.  Each end of the edge has two
+    internal branches with two leaf nodes each; a leaf node holds blue k
+    and red k+1, its mirror red k and blue k+1 (8 pairs)."""
+    adj = {x: {} for x in range(14)}
+
+    def mirrored(x, y, w):
+        for p, q in ((x, y), (x + 1, y + 1)):
+            adj[p][q] = adj[q][p] = w
+
+    adj[0][1] = adj[1][0] = positive_length(rng)
+    for branch in (2, 4):
+        mirrored(0, branch, positive_length(rng))
+        for end in (2 * branch + 2, 2 * branch + 4):
+            mirrored(branch, end, positive_length(rng))
+    leaves = []
+    for k, end in enumerate((6, 8, 10, 12)):
+        leaves += [
+            trees.Leaf("blue", 2 * k + 1, end),
+            trees.Leaf("red", 2 * k + 2, end),
+            trees.Leaf("red", 2 * k + 1, end + 1),
+            trees.Leaf("blue", 2 * k + 2, end + 1),
+        ]
+    return trees.BicoloredTree(14, adj, tuple(leaves))
+
+
 class TestSymRank2Real:
     def test_caterpillar_inputs_delegate(self):
         cert = lift_sym_rank2_real(fixture("fig2a"))
@@ -164,6 +194,18 @@ class TestSymRank2Real:
             a = TropMatrix.make(a.entries, symmetric=True)
             cert = lift_sym_rank2_real(a, seed=k)
             assert cert.valid
+
+    def test_inverted_edge_without_fixed_node(self):
+        rng = random.Random(77)
+        for k in range(6):
+            tree = _inverted_edge_tree(rng)
+            a = TropMatrix.make(trees.tree_to_matrix(tree, 8, 8).entries, symmetric=True)
+            rebuilt = trees.tree_from_rank2(a)
+            rep = trees.symbic_classify(rebuilt)
+            assert rep.kind == "symbic" and not rep.fixed_nodes and rep.swapped_edge
+            assert not trees.is_caterpillar(rebuilt)
+            cert = lift_sym_rank2_real(a, seed=k)
+            assert cert.valid and cert.method == "mirrored_generators"
 
     def test_glued_blocks_matrix(self):
         # positive diagonal block, a zero row, and a nonnegative block
@@ -466,6 +508,28 @@ class TestOneAnalysisPerLift:
     def test_sym_corank1_real_mode_runs_one_symmetric_determinant(self):
         assert lift_sym_corank1(fixture("ex52"), "R").valid
         assert tropical.sym_trop_det.cache_info().misses == 1
+
+
+class TestLiftBound:
+    """`bound` caps each enumeration a lift runs, as in the member_*
+    functions: the rank scan of a rank <= 2 input reaches 3x3 minors, and
+    a determinant enumerates the permutations of all n = 4 rows."""
+
+    @pytest.mark.parametrize(
+        "lift, name",
+        [
+            (lift_rank2_positive, "fig3b"),
+            (lift_rank2_real, "fig3b"),
+            (lift_sym_caterpillar, "fig3b"),
+            (lift_sym_rank2_real, "fig3b"),
+            (partial(lift_corank1, mode="R"), "ex52"),
+            (partial(lift_sym_corank1, mode="R"), "ex52"),
+        ],
+        ids=["rank2_positive", "rank2_real", "sym_caterpillar", "sym_rank2_real", "corank1", "sym_corank1"],
+    )
+    def test_enumeration_above_the_bound_is_refused(self, lift, name):
+        with pytest.raises(SizeLimit):
+            lift(fixture(name), bound=2)
 
 
 class TestCornerCompletion:

@@ -117,6 +117,13 @@ class TestToMatrix:
         with pytest.raises(InvalidTree, match="not a connected acyclic graph"):
             BicoloredTree(nodes, adj, leaves).validate()
 
+    @pytest.mark.parametrize("length", [F(0), F(-1)], ids=["zero", "negative"])
+    def test_edge_without_positive_length_rejected(self, length):
+        adj = {0: {1: length}, 1: {0: length}}
+        leaves = tuple(Leaf(color, u + 1, u) for u in range(2) for color in ("red", "blue"))
+        with pytest.raises(InvalidTree, match="edge lengths must be positive"):
+            BicoloredTree(2, adj, leaves)
+
     def test_roundtrip_300_random_trees(self):
         rng = random.Random(20240811)
         for k in range(300):
