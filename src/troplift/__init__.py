@@ -8,7 +8,6 @@ certificates checked by an independent symbolic verifier.
 
 from .config import Config, default_truncation
 from .lifts import (
-    LiftCertificate,
     corner_completion_quadratic,
     lift_corank1,
     lift_rank2_positive,
@@ -16,7 +15,6 @@ from .lifts import (
     lift_sym_caterpillar,
     lift_sym_corank1,
     lift_sym_rank2_real,
-    verify_lift,
 )
 from .membership import (
     MembershipVerdict,
@@ -63,5 +61,6 @@ from .tropical import (
     trop_rank,
 )
 from .tropmat import TropMatrix
+from .verify import CLAIMS, POSITIVITIES, LiftCertificate, verify_lift
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import jsonio, lifts, membership, newton, oracle, trees
+from . import jsonio, lifts, membership, newton, oracle, trees, verify
 from .config import MAX_ENUMERATION_BOUND, Config
 from .errors import (
     MinorSignsOpposed,
@@ -216,8 +216,7 @@ def dispatch(argv=None) -> int:
     if cmd == "verify":
         with open(args.infile) as fh:
             cert = jsonio.decode_certificate(json.load(fh))
-        _check_size(cert.target, cfg)
-        lifts.verify_lift(cert)
+        verify.verify_lift(cert, cfg.enumeration_bound)
         _emit(jsonio.dumps(jsonio.encode_certificate(cert)), args.outfile)
         return 0 if cert.valid else 1
 
@@ -258,16 +257,6 @@ def dispatch(argv=None) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {cmd}")
-
-
-def _check_size(a, cfg: Config):
-    """Refuse a certificate with more rows or columns than the bound: it is
-    outside input, verify_lift takes no bound, and its series determinant
-    costs n 2^(n-1) products.  A lift's analyses guard their own sizes."""
-    if max(a.rows, a.cols) > cfg.enumeration_bound:
-        raise SizeLimit(
-            f"{a.rows}x{a.cols} matrix exceeds enumeration bound {cfg.enumeration_bound}"
-        )
 
 
 def _run_lift(a, variety, mode, cfg: Config):

@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .lifts import CLAIMS, POSITIVITIES, LiftCertificate
 from .monomials import SignedMonomialClass
 from .newton import NewtonEdge
 from .puiseux import PuiseuxSeries
 from .quadext import QuadExt
 from .trees import BicoloredTree, Leaf
 from .tropmat import TropMatrix
+from .verify import CLAIMS, POSITIVITIES, LiftCertificate
 
 
 def frac_to_str(x: Fraction) -> str:

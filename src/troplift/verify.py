@@ -1,0 +1,403 @@
+"""The independent verifier of Puiseux lift certificates.
+
+verify_lift recomputes everything from scratch: entrywise valuations
+against the target, realness of every coefficient, positivity of leading
+terms, vanishing of all 3x3 minors for rank claims, and vanishing of the
+determinant for singularity claims.  Constructions that only multiply and
+add finite series verify exactly; a square-root branch leaves a truncated
+tail and the transcript records the order checked.  A truncated
+determinant or minor that is known only up to its tropical value (the
+least valuation sum over permutations) has proved nothing, and fails.
+
+All determinants go through series_det, a Laplace expansion over column
+subsets (n 2^(n-1) products, not n n!) on an integer grid: exponents
+scaled by one lcm, coefficients by one common denominator, and a single
+radicand sqrt(p/q) written as sqrt(pq)/q, so the expansion multiplies
+Python ints only.  The order to which the determinant is known is fixed
+first by a min-plus pass, and partial terms that cannot land below it are
+dropped as they arise.
+
+An exact rank claim is checked on the 3x3 minors that border the first
+nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
+whose bordering (k+1) x (k+1) minors all vanish fixes the rank at k, so
+every 3x3 minor vanishes.  Truncated entries are known only to an order,
+and bordering would divide by the 2x2 pivot and lose precision by its
+valuation, so they scan every 3x3 minor.
+
+A check is refused by its cost, like every enumeration in the package:
+verify_lift raises SizeLimit just before it would expand a minor with
+more rows than the bound, n x n for a singular claim and min(3, d, n) on
+a side for a rank claim.
+
+This module is the trusted base: it imports no construction, analysis
+or membership module, only exact arithmetic, series and matrices.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
+from math import inf, lcm
+
+from .config import MAX_ENUMERATION_BOUND
+from .errors import DimensionMismatch, RadicandMismatch, SizeLimit, ValuationUnknown
+from .puiseux import PuiseuxSeries
+from .quadext import QuadExt
+from .tropmat import TropMatrix
+
+CLAIMS = ("rank<=2", "symmetric rank<=2", "singular", "symmetric singular")
+POSITIVITIES = ("none", "all-positive")
+
+
+@dataclass
+class LiftCertificate:
+    target: TropMatrix
+    lift: tuple  # tuple of row tuples of PuiseuxSeries
+    claimed: str  # rank<=2 | symmetric rank<=2 | singular | symmetric singular
+    positivity: str  # none | all-positive
+    transcript: list = field(default_factory=list)
+    seed: int | None = None
+    method: str = ""
+
+    @property
+    def valid(self) -> bool:
+        return bool(self.transcript) and all(step["ok"] for step in self.transcript)
+
+
+def _min_plus(vals, truncs):
+    """Least valuation sum and least known order, over column subsets.
+
+    vals[i][j] is an entry's valuation (its truncation when it has no known
+    term; None for an exact zero, which no permutation may use) and
+    truncs[i][j] its truncation (None when exact).  For the bottom |C| rows
+    assigned to the columns C, least[C] is the least sum of valuations and
+    order[C] the least order to which such a product is known: one
+    truncated factor's truncation plus the other factors' valuations.
+    Subsets that no assignment reaches hold inf.
+    """
+    n = len(vals)
+    size = 1 << n
+    least = [inf] * size
+    order = [inf] * size
+    least[0] = 0
+    for mask in range(size - 1):
+        low, known = least[mask], order[mask]
+        if low == inf:
+            continue
+        i = n - 1 - mask.bit_count()
+        for j in range(n):
+            bit = 1 << j
+            v = vals[i][j]
+            if mask & bit or v is None:
+                continue
+            wider = mask | bit
+            least[wider] = min(least[wider], low + v)
+            t = truncs[i][j]
+            cand = known + v if t is None else min(known + v, low + t)
+            order[wider] = min(order[wider], cand)
+    return least, order
+
+
+def series_det(mat) -> PuiseuxSeries:
+    """Determinant of a square matrix of series, exact below the order to
+    which the permutation expansion knows it.
+
+    Order: the least, over permutations that meet no exact zero and over
+    their truncated factors, of that factor's truncation plus the other
+    factors' valuations (an entry with no known term counts with its
+    truncation); None when no such permutation has a truncated factor.
+    A min-plus pass over column subsets gives it without expanding.
+
+    Integer grid: exponent e becomes the integer e L, with L the lcm of
+    every exponent and truncation denominator; coefficients are scaled by
+    one common denominator D, and a + b sqrt(p/q) becomes the integer
+    pair (a D, b D / q) over sqrt(pq).  A term is stored under the key
+    2 e L + (1 if it carries sqrt(pq) else 0), so one dict of ints holds
+    both parts.  Mixing two radicands raises RadicandMismatch.
+
+    Expansion: row k moves the partial determinants of the column subsets
+    of size k to those of size k + 1, D[S + j] += (-1)^s D[S] m[k][j], with
+    s the number of columns of S above j.  A partial term is dropped when
+    its exponent plus the least valuation sum of the remaining rows on the
+    remaining columns reaches the order, so every dropped term would land
+    at or above it.  The result is divided by D^n once per term.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
+    exp_den, coef_den, radicand = 1, 1, None
+    for row in mat:
+        for s in row:
+            if s.trunc is not None:
+                exp_den = lcm(exp_den, s.trunc.denominator)
+            for e, c in s.terms:
+                exp_den = lcm(exp_den, e.denominator)
+                if isinstance(c, QuadExt):
+                    if c.b and radicand is None:
+                        radicand = c.d
+                    elif c.b and c.d != radicand:
+                        raise RadicandMismatch(f"cannot mix sqrt({c.d}) with sqrt({radicand})")
+                    coef_den = lcm(coef_den, c.a.denominator, c.b.denominator * c.d.denominator)
+                else:
+                    coef_den = lcm(coef_den, c.denominator)
+    root_den = 1 if radicand is None else radicand.denominator
+    root_sq = 0 if radicand is None else radicand.numerator * root_den
+
+    def grid_terms(s):
+        out = []
+        for e, c in s.terms:
+            key = 2 * e.numerator * (exp_den // e.denominator)
+            if isinstance(c, QuadExt):
+                if c.a:
+                    out.append((key, c.a.numerator * (coef_den // c.a.denominator)))
+                if c.b:
+                    out.append(
+                        (key + 1, c.b.numerator * (coef_den // (c.b.denominator * root_den)))
+                    )
+            else:
+                out.append((key, c.numerator * (coef_den // c.denominator)))
+        out.sort()
+        return out
+
+    def grid_exp(x):
+        return None if x is None else x.numerator * (exp_den // x.denominator)
+
+    terms = [[grid_terms(s) for s in row] for row in mat]
+    truncs = [[grid_exp(s.trunc) for s in row] for row in mat]
+    vals = [
+        [ts[0][0] >> 1 if ts else t for ts, t in zip(trow, tcol)]
+        for trow, tcol in zip(terms, truncs)
+    ]
+    least, order = _min_plus(vals, truncs)
+    full = (1 << n) - 1
+    known = order[full]
+
+    partial = [None] * (full + 1)
+    partial[0] = {0: 1}
+    for mask in range(full):
+        src = partial[mask]
+        partial[mask] = None
+        if not src:
+            continue
+        k = mask.bit_count()
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            ent = terms[k][j]
+            rest = least[full ^ mask ^ bit]
+            if not ent or rest == inf:
+                continue
+            cap = 2 * (known - rest)  # keys at or above cap land at or above the order
+            if (mask >> j).bit_count() & 1:
+                ent = [(key, -c) for key, c in ent]
+            dst = partial[mask | bit]
+            if dst is None:
+                dst = partial[mask | bit] = {}
+            for k1, c1 in src.items():
+                if not c1:
+                    continue
+                for k2, c2 in ent:
+                    key = k1 + k2
+                    if k1 & k2 & 1:  # sqrt(pq) * sqrt(pq) = pq
+                        key -= 2
+                        c2 *= root_sq
+                    if key >= cap:
+                        break  # ent is sorted, and the exponent key >> 1 only grows
+                    dst[key] = dst.get(key, 0) + c1 * c2
+
+    scale = coef_den**n
+    parts: dict = {}
+    for key, c in (partial[full] or {}).items():
+        if c:
+            parts.setdefault(key >> 1, [0, 0])[key & 1] = c
+    pairs = [
+        (
+            Fraction(e, exp_den),
+            Fraction(a, scale)
+            if not b
+            else QuadExt.make(Fraction(a, scale), Fraction(b * root_den, scale), radicand),
+        )
+        for e, (a, b) in parts.items()
+    ]
+    return PuiseuxSeries.make(pairs, None if known == inf else Fraction(known, exp_den))
+
+
+def _det_vanishes(mat) -> tuple[bool, str]:
+    """Whether a determinant is zero as far as it is known.  A truncated
+    determinant known only up to its tropical value (the least valuation
+    sum over permutations) has no term that could have shown, so it proves
+    nothing and fails."""
+    det = series_det(mat)
+    if not det.is_known_zero():
+        return False, f"nonzero at order {det.val()}"
+    if det.trunc is None:
+        return True, "exactly zero"
+    vals = [[s.terms[0][0] if s.terms else s.trunc for s in row] for row in mat]
+    value = _min_plus(vals, [[s.trunc for s in row] for row in mat])[0][-1]
+    if det.trunc <= value:
+        return False, f"known only to order {det.trunc}, not above its tropical value {value}"
+    return True, f"zero up to order {det.trunc}"
+
+
+def _minor(lift, rows, cols) -> PuiseuxSeries:
+    return series_det([[lift[i][j] for j in cols] for i in rows])
+
+
+def _bordered_rank2(lift, d: int, n: int) -> bool:
+    """True when an exact matrix has rank <= 2, checked on the 3x3 minors
+    bordering its lexicographically first nonzero 2x2 minor.
+
+    Bordered-minor theorem: if a k x k minor is nonzero and every
+    (k+1) x (k+1) minor containing it vanishes, the rank is k.  With no
+    nonzero 2x2 minor the rank is at most 1.
+    """
+    for p in combinations(range(d), 2):
+        for q in combinations(range(n), 2):
+            if _minor(lift, p, q).is_known_zero():
+                continue
+            return all(
+                _minor(lift, sorted(p + (r,)), sorted(q + (c,))).is_known_zero()
+                for r in range(d)
+                if r not in p
+                for c in range(n)
+                if c not in q
+            )
+    return True
+
+
+def _scan_3x3(lift, d: int, n: int) -> tuple[bool, str]:
+    """Every 3x3 minor in lexicographic order; names the first nonzero one."""
+    for ri in combinations(range(d), 3):
+        for cj in combinations(range(n), 3):
+            z, why = _det_vanishes([[lift[i][j] for j in cj] for i in ri])
+            if not z:
+                return False, f"minor {ri}x{cj} {why}"
+    return True, "all 3x3 minors vanish"
+
+
+def _nonreal(c) -> bool:
+    """A coefficient a + b sqrt(d) with b != 0 and radicand d <= 0: no real
+    number in normal form (QuadExt.make folds d = 0 and square d)."""
+    return isinstance(c, QuadExt) and c.b != 0 and c.d <= 0
+
+
+def _positive(s: PuiseuxSeries) -> bool:
+    """A known, real and positive leading coefficient."""
+    return bool(s.terms) and not _nonreal(s.terms[0][1]) and s.lead_sign() > 0
+
+
+def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> list:
+    """Independent re-check of a certificate; returns the transcript.
+
+    An unknown claim or positivity value adds a failing step, and so does
+    a coefficient with a radicand d <= 0 (that step appears only on
+    failure).  Rank claims with exact entries are checked by bordering one
+    nonzero 2x2 minor (every 3x3 minor then vanishes exactly); a truncated
+    entry, or a nonzero bordered minor, falls back to scanning every 3x3
+    minor, so a rejection names the first failing minor.  A singular or
+    symmetric claim on a non-square target adds a failing step and ends
+    the check.  SizeLimit is raised just before a minor with more rows
+    than `bound` would be expanded.
+    """
+    steps = []
+    if cert.claimed not in CLAIMS:
+        steps.append({"check": "claim", "ok": False, "detail": f"unknown claim {cert.claimed!r}"})
+    if cert.positivity not in POSITIVITIES:
+        steps.append(
+            {"check": "positivity", "ok": False, "detail": f"unknown positivity {cert.positivity!r}"}
+        )
+    lift = cert.lift
+    target = cert.target
+    d, n = target.rows, target.cols
+    shape_ok = len(lift) == d and all(len(row) == n for row in lift)
+    steps.append({"check": "shape", "ok": shape_ok, "detail": f"{d}x{n}"})
+    if not shape_ok:
+        cert.transcript = steps
+        return steps
+
+    bad, nonreal = [], []
+    for i in range(d):
+        for j in range(n):
+            try:
+                v = lift[i][j].val()
+            except ValuationUnknown:
+                v = None
+            if v != target[i, j]:
+                bad.append((i, j, str(v), str(target[i, j])))
+            if any(_nonreal(c) for _, c in lift[i][j].terms):
+                nonreal.append((i, j))
+    steps.append(
+        {
+            "check": "valuations",
+            "ok": not bad,
+            "detail": "entrywise val equals target" if not bad else f"mismatches: {bad[:4]}",
+        }
+    )
+    if nonreal:
+        steps.append(
+            {
+                "check": "real_coefficients",
+                "ok": False,
+                "detail": f"radicand <= 0 at {nonreal[:4]}",
+            }
+        )
+
+    if cert.positivity == "all-positive":
+        neg = [(i, j) for i in range(d) for j in range(n) if not _positive(lift[i][j])]
+        steps.append(
+            {
+                "check": "positive_leading_terms",
+                "ok": not neg,
+                "detail": "all entries positive" if not neg else f"nonpositive at {neg[:4]}",
+            }
+        )
+
+    if cert.claimed in ("singular", "symmetric rank<=2", "symmetric singular") and d != n:
+        steps.append(
+            {"check": "square", "ok": False, "detail": f"{cert.claimed} needs a square matrix, got {d}x{n}"}
+        )
+        cert.transcript = steps
+        return steps
+
+    if cert.claimed in ("symmetric rank<=2", "symmetric singular"):
+        asym = [
+            (i, j)
+            for i in range(d)
+            for j in range(n)
+            if not (lift[i][j] - lift[j][i]).is_known_zero()
+        ]
+        steps.append(
+            {
+                "check": "symmetry",
+                "ok": not asym,
+                "detail": "lift is symmetric" if not asym else f"asymmetric at {asym[:4]}",
+            }
+        )
+
+    if cert.claimed in ("rank<=2", "symmetric rank<=2"):
+        side = min(3, d, n)
+        if side > bound:
+            raise SizeLimit(
+                f"checking {cert.claimed} expands {side}x{side} minors, above bound {bound}"
+            )
+        exact = all(lift[i][j].trunc is None for i in range(d) for j in range(n))
+        if exact and _bordered_rank2(lift, d, n):
+            ok, detail = True, "all 3x3 minors vanish"
+        else:
+            ok, detail = _scan_3x3(lift, d, n)
+        if ok:
+            detail += " (exact)" if exact else " (to truncation)"
+        steps.append({"check": "minors_3x3_vanish", "ok": ok, "detail": detail})
+
+    if cert.claimed in ("singular", "symmetric singular"):
+        if n > bound:
+            raise SizeLimit(
+                f"checking {cert.claimed} expands the {n}x{n} determinant, above bound {bound}"
+            )
+        z, why = _det_vanishes([list(row) for row in lift])
+        steps.append({"check": "determinant_vanishes", "ok": z, "detail": why})
+
+    cert.transcript = steps
+    return steps

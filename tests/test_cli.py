@@ -147,10 +147,23 @@ class TestExitCodes:
         monkeypatch.setenv("TROPLIFT_MAX_N", "3")
         assert main(["verify", "--in", cert]) == 3
         assert main(["verify", "--in", cert, "--max-n", "4"]) == 0
-        # a rank <= 2 lift scans 3x3 minors only; verify still counts rows
+        # a rank <= 2 certificate expands 3x3 minors only, so the 4x4
+        # fig4a certificate verifies at a bound of 3
         fig4a = str(fixture_dir / "fig4a.json")
         assert main(["lift", "--variety", "rank2", "--mode", "R", "--in", fig4a, "--out", cert]) == 0
-        assert main(["verify", "--in", cert]) == 3
+        assert main(["verify", "--in", cert]) == 0
+
+    @pytest.mark.parametrize("variety", ["rank2", "sym_rank2"])
+    @pytest.mark.parametrize("mode", ["R", "R+"])
+    def test_rank_certificate_verifies_at_the_bound_it_was_lifted_at(
+        self, fixture_dir, tmp_path, variety, mode
+    ):
+        # a rank claim expands 3x3 minors only, in lift and verify alike
+        fig4a, cert = str(fixture_dir / "fig4a.json"), str(tmp_path / "cert.json")
+        lift = ["lift", "--variety", variety, "--mode", mode, "--in", fig4a, "--out", cert]
+        assert main(lift + ["--max-n", "3"]) == 0
+        assert main(["verify", "--in", cert, "--max-n", "3"]) == 0
+        assert main(["verify", "--in", cert, "--max-n", "2"]) == 3
 
     @pytest.mark.parametrize(
         "mode, reason",

@@ -474,7 +474,7 @@ class TestBorderedRankCheck:
         assert _minors_step(rows) == (True, "all 3x3 minors vanish (to truncation)")
 
     def test_exact_rank2_needs_only_bordered_minors(self, monkeypatch):
-        import troplift.lifts as lifts_mod
+        import troplift.verify as verify_mod
 
         calls = []
 
@@ -482,7 +482,7 @@ class TestBorderedRankCheck:
             calls.append(len(mat))
             return series_det(mat)
 
-        monkeypatch.setattr(lifts_mod, "series_det", counting)
+        monkeypatch.setattr(verify_mod, "series_det", counting)
         rows = _rank_k(random.Random(5), 4, 5, 2)
         assert _minors_step(rows) == (True, "all 3x3 minors vanish (exact)")
         assert calls.count(3) == (4 - 2) * (5 - 2)
