@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success (and positive verdicts), 1 negative verdict or
-impossible lift, 2 input or usage error, 3 enumeration size limit.
+Exit codes: 0 success (and positive verdicts), 1 negative verdict,
+failed certificate or impossible lift (errors.NegativeResult), 2 input or
+usage error, 3 enumeration size limit.
 Configuration precedence is flags, then TROPLIFT_* environment variables,
 then defaults.
 """
@@ -11,34 +12,25 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import jsonio, lifts, membership, newton, oracle, trees, verify
+from . import jsonio, lifts, membership, newton, oracle, samples, trees, verify
 from .config import MAX_ENUMERATION_BOUND, Config
-from .errors import (
-    MinorSignsOpposed,
-    NotBarvinok2,
-    NotCaterpillar,
-    NotRank2,
-    NotSingular,
-    SameSigns,
-    SizeLimit,
-    TropliftError,
-)
-from .fixtures import FIXTURE_NAMES, fixture, fixture_json
+from .errors import NegativeResult, SizeLimit, TropliftError
+from .fixtures import FIXTURE_NAMES, fixture_json
 from .monomials import sym_det_monomials
-from .tropical import sym_trop_det, sym_trop_rank, trop_det, trop_rank
-
-NEGATIVE_ERRORS = (
-    NotBarvinok2,
-    NotCaterpillar,
-    NotRank2,
-    NotSingular,
-    SameSigns,
-    MinorSignsOpposed,
+from .tropical import (
+    barvinok_rank2,
+    sym_barvinok_rank2,
+    sym_trop_det,
+    sym_trop_rank,
+    trop_det,
+    trop_rank,
 )
+from .tropmat import TropMatrix
 
 
 def _env(name, cast, fallback):
@@ -226,6 +218,8 @@ def dispatch(argv=None) -> int:
         if args.table2:
             _emit(jsonio.dumps(fixture_json("table2")), args.outfile)
             return 0
+        if args.n > cfg.enumeration_bound:
+            raise SizeLimit(f"enumeration bound {cfg.enumeration_bound} exceeded (n = {args.n})")
         if args.what == "monomials":
             payload = [jsonio.encode_class(c) for c in sym_det_monomials(args.n)]
         elif args.what == "vertices":
@@ -279,12 +273,6 @@ def _run_lift(a, variety, mode, cfg: Config):
 
 def run_verify_suite(seed: int, max_n: int):
     """Cross-check fast paths against the brute oracles on seeded samples."""
-    import random
-
-    from . import samples
-    from .tropical import barvinok_rank2, sym_barvinok_rank2
-    from .tropmat import TropMatrix
-
     rng = random.Random(seed)
     reports = []
     for k in range(20):
@@ -342,7 +330,7 @@ def main(argv=None) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 3
-    except NEGATIVE_ERRORS as exc:
+    except NegativeResult as exc:
         print(f"negative result: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (TropliftError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:

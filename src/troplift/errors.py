@@ -45,32 +45,37 @@ class InvalidTree(TropliftError):
     """Leaf-colored tree violates the two-colors-on-each-side condition."""
 
 
-class NotBarvinok2(TropliftError):
+class NegativeResult(TropliftError):
+    """The input provably has no lift of the requested kind (CLI exit 1)."""
+
+
+class NotBarvinok2(NegativeResult):
     """Matrix has no min-plus factorization through two inner dimensions."""
 
 
-class NotCaterpillar(TropliftError):
+class NotCaterpillar(NegativeResult):
     """Tree's internal vertices do not lie on a single path."""
 
 
-class NotRank2(TropliftError):
+class NotRank2(NegativeResult):
     """Matrix does not have (symmetric) tropical rank at most two."""
 
 
-class NotSingular(TropliftError):
+class NotSingular(NegativeResult):
     """Tropical determinant has a unique minimizing monomial."""
 
 
-class SameSigns(TropliftError):
+class SameSigns(NegativeResult):
     """Tied minimizing monomials all share one sign, so no positive lift exists."""
 
 
-class MinorSignsOpposed(TropliftError):
+class MinorSignsOpposed(NegativeResult):
     """The two row/column-deleted minors certify a negative discriminant."""
 
 
 class DegenerateGeneric(TropliftError):
-    """Random coefficient draw hit an unexpected cancellation; retry budget left."""
+    """Every seeded attempt of a generic solve hit a cancellation or failed
+    verification: the retry budget is spent."""
 
 
 class GenericRetryExhausted(TropliftError):

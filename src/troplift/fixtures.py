@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import jsonio
 from .errors import UnknownFixture
 from .newton import table2_rows

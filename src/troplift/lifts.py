@@ -6,8 +6,13 @@ and is given the lift's own bound.  The linear and quadratic entry solves
 read their coefficients off determinants (verify.series_det) of cofactors
 and of the matrix with the unknown set to zero.
 
-Randomized choices draw from per-input seeded streams, so certificates
-are reproducible byte for byte.
+Every certificate is built and verified by _issue.  The seeded
+constructions run under one driver, _first_valid: attempt k draws from
+the stream (seed, kind, token, k) and yields candidate certificates, the
+first valid one is returned, and after MAX_RETRIES attempts without one
+the construction's own exhaustion error is raised.  Streams depend only
+on the seed and the input, so certificates are reproducible byte for
+byte.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from .errors import (
     NotCaterpillar,
     NotRank2,
     NotSingular,
-    RankTooHigh,
     SameSigns,
     ValuationUnknown,
 )
+from .membership import adjacent_pair, member_sym_corank1
 from .puiseux import PuiseuxSeries, ps_div, quad_roots
 from .tropmat import TropMatrix, trop_mat_mul
-from .tropical import sym_trop_rank, trop_det
+from .tropical import barvinok_rank2, sym_barvinok_rank2, sym_trop_rank, trop_det
 from . import trees as trees_mod
 from .verify import LiftCertificate, _det_vanishes, series_det, verify_lift
 
@@ -43,10 +48,37 @@ ONE = Fraction(1)
 ZERO = PuiseuxSeries.zero()
 
 
+def _issue(target, lift, claimed, positivity, method, seed, bound) -> LiftCertificate:
+    """The certificate for `lift`, verified at the lift's bound."""
+    cert = LiftCertificate(target, lift, claimed, positivity, seed=seed, method=method)
+    verify_lift(cert, bound)
+    return cert
+
+
+def _first_valid(attempt, seed, kind, token, exhausted) -> LiftCertificate:
+    """The first valid certificate that attempt(rng) yields, for the
+    streams of attempts 0 .. MAX_RETRIES - 1; raises `exhausted` when
+    none is."""
+    for k in range(MAX_RETRIES):
+        for cert in attempt(rngmod.stream(seed, kind, token, str(k))):
+            if cert.valid:
+                return cert
+    raise exhausted
 
 
 def _monomial_lift(rng, value) -> PuiseuxSeries:
     return PuiseuxSeries.monomial(rngmod.positive_coeff(rng), value)
+
+
+def _factor_product(b: TropMatrix, c: TropMatrix) -> tuple:
+    """Entries sum_k t**(B_ik + C_kj), each with coefficient 1."""
+    return tuple(
+        tuple(
+            PuiseuxSeries.make([(b[i, k] + c[k, j], ONE) for k in range(b.cols)])
+            for j in range(c.cols)
+        )
+        for i in range(b.rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +94,6 @@ def lift_rank2_positive(
     cancellation occurs and valuations match by construction.  `bound`
     caps the rank scan of the witness search, as in member_rank2.
     """
-    from .tropical import barvinok_rank2
-
     if witness is None:
         ok, witness, reason = barvinok_rank2(a, bound)
         if not ok:
@@ -71,16 +101,9 @@ def lift_rank2_positive(
     b, c = witness
     if trop_mat_mul(b, c).entries != a.entries:
         raise NotBarvinok2("witness does not factor the target")
-    lift = tuple(
-        tuple(
-            PuiseuxSeries.make([(b[i, k] + c[k, j], ONE) for k in range(b.cols)])
-            for j in range(a.cols)
-        )
-        for i in range(a.rows)
+    return _issue(
+        a, _factor_product(b, c), "rank<=2", "all-positive", "factorization_product", seed, bound
     )
-    cert = LiftCertificate(a, lift, "rank<=2", "all-positive", seed=seed, method="factorization_product")
-    verify_lift(cert, bound)
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -121,33 +144,23 @@ def lift_sym_caterpillar(
 
     Two shapes occur: a fully fixed spine (pairs sit on the path, lifted by
     the spine recursion) and a single fixed point (mirror symmetry, lifted
-    by exponentiating the symmetric factorization and squaring).  The tree
-    comes first, so a rank above 2 raises NotRank2; the symmetric
-    Barvinok test that picks the shape reads the same memoised tree.
+    by the factor product of the symmetric factorization B ⊙ B^T).  The
+    symmetric Barvinok test picks the shape, and its rank_too_high reason
+    raises NotRank2; the spine branch reads the test's memoised tree.
     `bound` caps the tree's rank scan, as in member_sym_rank2.
     """
-    from .tropical import sym_barvinok_rank2
-
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
     n = asym.rows
-    try:
-        tree = trees_mod.tree_from_rank2(asym, bound)
-    except RankTooHigh:
-        raise NotRank2("tropical rank above 2") from None
     ok, b, reason = sym_barvinok_rank2(asym, bound)
     if ok:
-        m1 = tuple(
-            (PuiseuxSeries.monomial(ONE, b[i, 0]), PuiseuxSeries.monomial(ONE, b[i, 1]))
-            for i in range(n)
-        )
-        lift = tuple(
-            tuple(m1[i][0] * m1[j][0] + m1[i][1] * m1[j][1] for j in range(n))
-            for i in range(n)
-        )
+        lift = _factor_product(b, b.transpose())
         method = "mirror_factor_product"
+    elif reason["kind"] == "rank_too_high":
+        raise NotRank2("tropical rank above 2")
     elif reason["kind"] != "fixed_path_not_point":
         raise NotCaterpillar("matrix is not of caterpillar symbic type")
     else:
+        tree = trees_mod.tree_from_rank2(asym, bound)
         rep = trees_mod.symbic_classify(tree)
         assert len(rep.fixed_nodes) == tree.nodes, "caterpillar fixed path spans the spine"
         coord = tree.spine_coordinates()
@@ -175,11 +188,7 @@ def lift_sym_caterpillar(
             for i in range(n)
         )
         method = "spine_recursion"
-    cert = LiftCertificate(
-        asym, lift, "symmetric rank<=2", "all-positive", seed=seed, method=method
-    )
-    verify_lift(cert, bound)
-    return cert
+    return _issue(asym, lift, "symmetric rank<=2", "all-positive", method, seed, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +228,6 @@ def lift_rank2_real(
     frame's adjugate, scaled so valuations land on the target.  `bound`
     caps the minor size of the rank scan, as in member_rank2.
     """
-    from .tropical import barvinok_rank2
-
     d, n = a.rows, a.cols
     ok, witness, reason = barvinok_rank2(a, bound)
     if ok:
@@ -241,9 +248,8 @@ def lift_rank2_real(
         raise GenericRetryExhausted("no completion frame matches the valuation pattern")
     p1, p2, q1, q2 = frame
     delta = min(a[p1, q1] + a[p2, q2], a[p1, q2] + a[p2, q1])
-    token = repr(a.entries)
-    for attempt in range(MAX_RETRIES):
-        rng = rngmod.stream(seed, "rank2_real", token, str(attempt))
+
+    def attempt(rng):
         u = [(_monomial_lift(rng, a[i, q1]), _monomial_lift(rng, a[i, q2])) for i in range(d)]
         v = [(_monomial_lift(rng, a[p1, j]), _monomial_lift(rng, a[p2, j])) for j in range(n)]
         g11, g12 = u[p1]
@@ -252,7 +258,7 @@ def lift_rank2_real(
         v[q2] = (g12, g22)
         det_g = g11 * g22 - g12 * g21
         if det_g.is_known_zero() or det_g.val() != delta:
-            continue
+            return
         lift = tuple(
             tuple(
                 (
@@ -265,11 +271,10 @@ def lift_rank2_real(
             )
             for i in range(d)
         )
-        cert = LiftCertificate(a, lift, "rank<=2", "none", seed=seed, method="frame_completion")
-        verify_lift(cert, bound)
-        if cert.valid:
-            return cert
-    raise GenericRetryExhausted("frame completion kept cancelling after retries")
+        yield _issue(a, lift, "rank<=2", "none", "frame_completion", seed, bound)
+
+    exhausted = GenericRetryExhausted("frame completion kept cancelling after retries")
+    return _first_valid(attempt, seed, "rank2_real", repr(a.entries), exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +408,13 @@ def lift_sym_rank2_real(
             depth = asym[i, j] - base[i][j] - shift[i] - shift[j]
             assert depth >= 0, "target below the transversal valuation"
 
-    token = repr(asym.entries)
-    for attempt in range(MAX_RETRIES):
-        rng = rngmod.stream(seed, "sym_rank2_real", token, str(attempt))
+    def attempt(rng):
         coeffs: dict = {}
 
-        def coeff_of(key, _rng=rng, _coeffs=coeffs):
-            if key not in _coeffs:
-                _coeffs[key] = rngmod.positive_coeff(_rng)
-            return _coeffs[key]
+        def coeff_of(key):
+            if key not in coeffs:
+                coeffs[key] = rngmod.positive_coeff(rng)
+            return coeffs[key]
 
         xs, ys = [], []
         for i in range(n):
@@ -436,13 +439,10 @@ def lift_sym_rank2_real(
             )
             for i in range(n)
         )
-        cert = LiftCertificate(
-            asym, lift, "symmetric rank<=2", "none", seed=seed, method="mirrored_generators"
-        )
-        verify_lift(cert, bound)
-        if cert.valid:
-            return cert
-    raise GenericRetryExhausted("generator construction kept cancelling after retries")
+        yield _issue(asym, lift, "symmetric rank<=2", "none", "mirrored_generators", seed, bound)
+
+    exhausted = GenericRetryExhausted("generator construction kept cancelling after retries")
+    return _first_valid(attempt, seed, "sym_rank2_real", repr(asym.entries), exhausted)
 
 
 def _lift_sym_rank1(asym: TropMatrix, seed: int, bound: int) -> LiftCertificate:
@@ -450,11 +450,7 @@ def _lift_sym_rank1(asym: TropMatrix, seed: int, bound: int) -> LiftCertificate:
     rng = rngmod.stream(seed, "sym_rank1", repr(asym.entries))
     x = [PuiseuxSeries.monomial(rngmod.positive_coeff(rng), asym[i, i] / 2) for i in range(n)]
     lift = tuple(tuple(x[i] * x[j] for j in range(n)) for i in range(n))
-    cert = LiftCertificate(
-        asym, lift, "symmetric rank<=2", "all-positive", seed=seed, method="outer_square"
-    )
-    verify_lift(cert, bound)
-    return cert
+    return _issue(asym, lift, "symmetric rank<=2", "all-positive", "outer_square", seed, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +493,12 @@ def lift_corank1(
     res = trop_det(a, bound)
     if not res.tie:
         raise NotSingular("tropical determinant has a unique minimizing monomial")
-    from .membership import adjacent_pair
-
     pair = adjacent_pair([cls.representative for cls in res.argmin], opposite_signs=mode == "R+")
-    if pair is None:
-        if mode == "R+":
-            raise SameSigns("no opposite-sign adjacent pair attains the minimum")
-        raise DegenerateGeneric("no adjacent pair attains the minimum")
+    if pair is None and mode == "R+":
+        raise SameSigns("no opposite-sign adjacent pair attains the minimum")
+    # the tied permutations are the vertices of a face of the Birkhoff
+    # polytope, and a face's graph is connected
+    assert pair is not None, "two tied permutations span a Birkhoff edge"
     sigma1, sigma2 = pair
     col_shift = [None] * n
     for i in range(n):
@@ -513,37 +508,29 @@ def lift_corank1(
     )
     istar = next(i for i in range(n) if sigma1[i] != sigma2[i])
     jstar = sigma1[istar]
-    token = repr(a.entries) + mode
     if trunc is None:
         trunc = default_truncation(norm)
-    for attempt in range(MAX_RETRIES):
-        rng = rngmod.stream(seed, "corank1", token, str(attempt))
+    positivity = "all-positive" if mode == "R+" else "none"
+
+    def attempt(rng):
         rows = [
             [_monomial_lift(rng, norm[i, j]) for j in range(n)] for i in range(n)
         ]
         acoef, bcoef = _split_det_linear(rows, istar, jstar)
         if acoef.is_known_zero() or bcoef.is_known_zero():
-            continue
+            return
         if acoef.val() != 0 or bcoef.val() != 0:
-            continue
+            return
         x = ps_div(-bcoef, acoef, trunc)
         if x.val() != norm[istar, jstar]:
-            continue
+            return
         if mode == "R+" and x.lead_sign() <= 0:
-            continue
+            return
         rows[istar][jstar] = x
         lift = tuple(
             tuple(rows[i][j].shift(col_shift[j]) for j in range(n)) for i in range(n)
         )
-        cert = LiftCertificate(
-            a,
-            lift,
-            "singular",
-            "all-positive" if mode == "R+" else "none",
-            seed=seed,
-            method="linear_entry_solve",
-        )
-        verify_lift(cert, bound)
+        cert = _issue(a, lift, "singular", positivity, "linear_entry_solve", seed, bound)
         # exact zero check: replace the solved entry by -B and scale the
         # rest of its row by A; the determinant then vanishes identically
         exact_rows = [
@@ -559,9 +546,10 @@ def lift_corank1(
         cert.transcript.append(
             {"check": "determinant_exact_zero", "ok": z, "detail": why}
         )
-        if cert.valid:
-            return cert
-    raise DegenerateGeneric("generic draws kept failing the linear solve")
+        yield cert
+
+    exhausted = DegenerateGeneric("generic draws kept failing the linear solve")
+    return _first_valid(attempt, seed, "corank1", repr(a.entries) + mode, exhausted)
 
 
 def _split_det_quadratic(lift_rows, i, j):
@@ -604,8 +592,6 @@ def lift_sym_corank1(
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
-    from .membership import member_sym_corank1
-
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
     verdict = member_sym_corank1(asym, "R+", bound)
     reason = verdict.reason
@@ -625,7 +611,14 @@ def lift_sym_corank1(
     usable.sort(
         key=lambda e: (not e["exact_span"], e["edge"].lattice_length, e["edge"].u.exponent)
     )
-    boundary = mode == "R+" and reason["boundary"]
+    if mode == "R+" and reason["boundary"]:
+        exhausted = DegenerateGeneric(
+            "the tie strictly contains the qualifying edge; membership is a "
+            "closure statement and an exact lift with these valuations may "
+            "not exist"
+        )
+    else:
+        exhausted = DegenerateGeneric("quadratic solve kept failing after retries")
     chosen = usable[0]
     edge = chosen["edge"]
     if edge.lattice_length == 1:
@@ -634,18 +627,8 @@ def lift_sym_corank1(
         i, j = chosen["minor_pair"]
     if trunc is None:
         trunc = default_truncation(asym)
-    try:
-        return _solve_symmetric_quadratic(
-            asym, i, j, mode, seed, _flip_candidates(asym, edge, i, j, mode), trunc, bound
-        )
-    except DegenerateGeneric:
-        if boundary:
-            raise DegenerateGeneric(
-                "the tie strictly contains the qualifying edge; membership is a "
-                "closure statement and an exact lift with these valuations may "
-                "not exist"
-            ) from None
-        raise
+    flips = _flip_candidates(asym, edge, i, j, mode)
+    return _solve_symmetric_quadratic(asym, i, j, mode, seed, flips, trunc, bound, exhausted)
 
 
 def _flip_candidates(asym: TropMatrix, edge, i, j, mode) -> list:
@@ -690,14 +673,16 @@ def _lattice1_entry(edge) -> tuple[int, int]:
 
 
 def _solve_symmetric_quadratic(
-    asym: TropMatrix, i: int, j: int, mode: str, seed: int, flip_candidates, trunc, bound: int
+    asym: TropMatrix, i, j, mode, seed, flip_candidates, trunc, bound, exhausted
 ) -> LiftCertificate:
+    """Each attempt draws the symmetric monomials once, then tries no flip
+    and each flip in turn, and for each the roots x1 and x2."""
     n = asym.rows
-    token = repr(asym.entries) + mode + f"{i},{j}"
     target = asym[i, j]
     flips = [None] + list(flip_candidates)
-    for attempt in range(MAX_RETRIES):
-        rng = rngmod.stream(seed, "sym_corank1", token, str(attempt))
+    positivity = "all-positive" if mode == "R+" else "none"
+
+    def attempt(rng):
         rows = [[None] * n for _ in range(n)]
         for r in range(n):
             for c in range(r, n):
@@ -727,18 +712,12 @@ def _solve_symmetric_quadratic(
                     continue
                 cur[i][j] = cur[j][i] = x
                 lift = tuple(tuple(row) for row in cur)
-                cert = LiftCertificate(
-                    asym,
-                    lift,
-                    "symmetric singular",
-                    "all-positive" if mode == "R+" else "none",
-                    seed=seed,
-                    method="quadratic_entry_solve",
+                yield _issue(
+                    asym, lift, "symmetric singular", positivity, "quadratic_entry_solve", seed, bound
                 )
-                verify_lift(cert, bound)
-                if cert.valid:
-                    return cert
-    raise DegenerateGeneric("quadratic solve kept failing after retries")
+
+    token = repr(asym.entries) + mode + f"{i},{j}"
+    return _first_valid(attempt, seed, "sym_corank1", token, exhausted)
 
 
 # ---------------------------------------------------------------------------

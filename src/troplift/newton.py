@@ -12,7 +12,6 @@ a lattice length 2 edge arises from trading k >= 2 transpositions for a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeLimit
@@ -23,7 +22,6 @@ from .monomials import (
     cycles_of,
     sym_det_monomials,
 )
-from .mpoly import perm_sign
 from .tropmat import TropMatrix
 
 

@@ -293,10 +293,13 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
 
     An unknown claim or positivity value adds a failing step, and so does
     a coefficient with a radicand d <= 0 (that step appears only on
-    failure).  Rank claims with exact entries are checked by bordering one
-    nonzero 2x2 minor (every 3x3 minor then vanishes exactly); a truncated
-    entry, or a nonzero bordered minor, falls back to scanning every 3x3
-    minor, so a rejection names the first failing minor.  A singular or
+    failure).  Coefficients over two radicands add a failing one_radicand
+    step, which also appears only on failure, and end the check before
+    any series arithmetic could mix them.  Rank claims with exact entries
+    are checked by bordering one nonzero 2x2 minor (every 3x3 minor then
+    vanishes exactly); a truncated entry, or a nonzero bordered minor,
+    falls back to scanning every 3x3 minor, so a rejection names the
+    first failing minor.  A singular or
     symmetric claim on a non-square target adds a failing step and ends
     the check.  SizeLimit is raised just before a minor with more rows
     than `bound` would be expanded.
@@ -317,7 +320,7 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
         cert.transcript = steps
         return steps
 
-    bad, nonreal = [], []
+    bad, nonreal, radicands = [], [], {}
     for i in range(d):
         for j in range(n):
             try:
@@ -328,6 +331,9 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
                 bad.append((i, j, str(v), str(target[i, j])))
             if any(_nonreal(c) for _, c in lift[i][j].terms):
                 nonreal.append((i, j))
+            for _, c in lift[i][j].terms:
+                if isinstance(c, QuadExt) and c.b:
+                    radicands.setdefault(c.d, (i, j))
     steps.append(
         {
             "check": "valuations",
@@ -353,6 +359,12 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
                 "detail": "all entries positive" if not neg else f"nonpositive at {neg[:4]}",
             }
         )
+
+    if len(radicands) > 1:
+        first = ", ".join(f"sqrt({r}) at {pos}" for r, pos in list(radicands.items())[:4])
+        steps.append({"check": "one_radicand", "ok": False, "detail": f"radicands {first}"})
+        cert.transcript = steps
+        return steps
 
     if cert.claimed in ("singular", "symmetric rank<=2", "symmetric singular") and d != n:
         steps.append(

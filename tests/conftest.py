@@ -1,4 +1,5 @@
-"""Shared test setup: every test starts with empty analysis memos."""
+"""Shared test setup: every test starts with empty analysis memos and
+without TROPLIFT_* configuration from the environment."""
 
 import pytest
 
@@ -19,3 +20,11 @@ def _empty_analysis_memos():
     class tables are inputs, not results, and stay warm."""
     for fn in MEMOISED:
         fn.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_env_config(monkeypatch):
+    """Seed, truncation, bound and format come from flags or defaults, so
+    golden bytes do not depend on the shell a test runs in."""
+    for key in ("TROPLIFT_SEED", "TROPLIFT_TRUNC", "TROPLIFT_MAX_N", "TROPLIFT_FORMAT"):
+        monkeypatch.delenv(key, raising=False)

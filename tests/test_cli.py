@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from troplift import jsonio
+from troplift import cli, errors, jsonio
 from troplift.cli import dispatch, main
 from troplift.fixtures import FIXTURE_NAMES, fixture
 
@@ -74,6 +74,33 @@ class TestExitCodes:
         assert main([cmd, "--in", str(bad)]) == 2
         assert "input error: ValueError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,code",
+        [
+            ("NotBarvinok2", 1),
+            ("NotCaterpillar", 1),
+            ("NotRank2", 1),
+            ("NotSingular", 1),
+            ("SameSigns", 1),
+            ("MinorSignsOpposed", 1),
+            ("RankTooHigh", 2),
+            ("DegenerateGeneric", 2),
+            ("GenericRetryExhausted", 2),
+            ("SizeLimit", 3),
+        ],
+    )
+    def test_error_class_decides_the_exit_code(self, name, code, monkeypatch, capsys):
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.NegativeResult) == (code == 1)
+
+        def raising(argv=None):
+            raise cls("raised")
+
+        monkeypatch.setattr(cli, "dispatch", raising)
+        assert main([]) == code
+        if code == 1:
+            assert capsys.readouterr().err == f"negative result: {name}: raised\n"
+
     def test_member_positive_and_negative(self, fixture_dir):
         ex52 = str(fixture_dir / "ex52.json")
         assert main(["member", "--variety", "sym_corank1", "--mode", "C+", "--in", ex52]) == 0
@@ -109,6 +136,12 @@ class TestExitCodes:
     def test_negative_polytope_size_is_an_input_error(self, capsys):
         assert main(["polytope", "--n", "-1"]) == 2
         assert "--n must not be negative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["monomials", "vertices", "edges"])
+    def test_polytope_above_max_n_is_a_size_limit(self, what, capsys):
+        assert main(["polytope", "--n", "4", "--max-n", "3", "--what", what]) == 3
+        assert "size limit: enumeration bound 3 exceeded (n = 4)" in capsys.readouterr().err
+        assert main(["polytope", "--n", "3", "--max-n", "3", "--what", what]) == 0
 
     def test_size_limit(self, tmp_path):
         big = tmp_path / "big.json"

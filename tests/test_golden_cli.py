@@ -12,12 +12,6 @@ from golden.make_golden_cli import CASES, cli_rows
 TABLE = json.loads((Path(__file__).parent / "golden" / "cli" / "table.json").read_text())
 
 
-@pytest.fixture(autouse=True)
-def _no_env_config(monkeypatch):
-    for key in ("TROPLIFT_SEED", "TROPLIFT_TRUNC", "TROPLIFT_MAX_N", "TROPLIFT_FORMAT"):
-        monkeypatch.delenv(key, raising=False)
-
-
 def test_table_covers_every_matrix_fixture():
     assert sorted(TABLE) == sorted(CASES)
 

@@ -13,12 +13,6 @@ GOLDEN = Path(__file__).parent / "golden" / "member"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
-@pytest.fixture(autouse=True)
-def _no_env_config(monkeypatch):
-    for key in ("TROPLIFT_SEED", "TROPLIFT_TRUNC", "TROPLIFT_MAX_N", "TROPLIFT_FORMAT"):
-        monkeypatch.delenv(key, raising=False)
-
-
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_member_reproduces_golden_bytes(case, tmp_path):
     want = (GOLDEN / f"{case['name']}.txt").read_bytes()

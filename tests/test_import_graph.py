@@ -1,0 +1,68 @@
+"""The package's import graph is read off module tops: no function imports
+a troplift module, except where a cycle forces it."""
+
+import ast
+from pathlib import Path
+
+from troplift import verify
+
+PACKAGE = Path(verify.__file__).parent
+# trees imports tropical, so tropical's two Barvinok tests read trees at
+# call time; they stay in tropical because the benchmark spans them there
+ALLOWED = {
+    ("tropical.py", "barvinok_rank2", "trees"),
+    ("tropical.py", "sym_barvinok_rank2", "trees"),
+}
+
+
+def _local_imports(source: str) -> set:
+    """(function, troplift module) for every import inside a function."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module.startswith("troplift"):
+                names = node.module.split(".")[1:2] or [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name.split(".")[1] for a in node.names if a.name.startswith("troplift.")]
+            else:
+                continue
+            found.update((fn.name, name.split(".")[0]) for name in names)
+    return found
+
+
+def test_no_function_imports_a_troplift_module():
+    found = {
+        (path.name, fn, module)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn, module in _local_imports(path.read_text())
+    }
+    assert found == ALLOWED
+
+
+def test_scanner_sees_every_import_form():
+    source = (
+        "import random\n"
+        "from . import lifts\n"
+        "def f():\n"
+        "    import random\n"
+        "    from . import trees\n"
+        "    from .membership import adjacent_pair\n"
+        "    def g():\n"
+        "        import troplift.puiseux\n"
+        "        from troplift import rng\n"
+        "        from troplift.verify import verify_lift\n"
+    )
+    assert _local_imports(source) == {
+        ("f", "trees"),
+        ("f", "membership"),
+        ("f", "puiseux"),
+        ("f", "rng"),
+        ("f", "verify"),
+        ("g", "puiseux"),
+        ("g", "rng"),
+        ("g", "verify"),
+    }

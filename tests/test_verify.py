@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from troplift import jsonio, lifts, verify
+from troplift.cli import main
 from troplift.errors import SizeLimit
 from troplift.fixtures import fixture
 from troplift.puiseux import PuiseuxSeries
@@ -158,3 +159,38 @@ class TestTrustedBase:
         assert lifts.verify_lift is verify.verify_lift
         assert lifts.series_det is verify.series_det
         assert lifts.LiftCertificate is verify.LiftCertificate
+
+
+class TestOneRadicand:
+    """Coefficients over two radicands fail a named step before any series
+    arithmetic could mix them; a certificate over one radicand has no
+    such step."""
+
+    def _two_radicands(self, tmp_path):
+        obj = json.loads((GOLDEN / "fig2a-sym_corank1-R.json").read_text())
+        for term in obj["lift"][1][2]["terms"]:
+            if isinstance(term["coef"], dict):
+                assert term["coef"]["d"] == "75069342/5"
+                term["coef"]["d"] = "2"
+        path = tmp_path / "two-radicands.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_two_radicands_fail_one_radicand(self, tmp_path):
+        cert = jsonio.decode_certificate(json.loads(self._two_radicands(tmp_path).read_text()))
+        verify_lift(cert)
+        assert _failing(cert) == ["one_radicand"]
+        assert cert.transcript[-1]["detail"] == (
+            "radicands sqrt(2) at (1, 2), sqrt(75069342/5) at (2, 1)"
+        )
+
+    def test_cli_verify_exits_1(self, tmp_path, capsys):
+        assert main(["verify", "--in", str(self._two_radicands(tmp_path))]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_one_radicand_carries_no_step(self):
+        for name in ("fig2a-sym_corank1-R", "fig2a-sym_corank1-Rplus"):
+            cert = _golden(name)
+            verify_lift(cert)
+            assert cert.valid
+            assert "one_radicand" not in [s["check"] for s in cert.transcript]

@@ -4,7 +4,8 @@ stated reason says why it still verifies.
 Hypothesis draws one mutation of one of the golden certificates in
 tests/golden (all eight claim x positivity pairs occur) and applies it in
 memory: a coefficient, an exponent, two swapped entries, the claim, the
-positivity, a truncation order, or the radicand made negative.  SPACE
+positivity, a truncation order, or one coefficient's radicand made
+negative or changed to another positive number.  SPACE
 lists every such mutation, so the draws come from a finite set.  The
 reasons a mutant may keep verifying are computed without the verifier:
 an entry change whose 2x2 cofactors vanish, a swap of equal entries, a
@@ -38,9 +39,6 @@ CERTS = {
     if path.name != "cases.json"
 }
 NAMES = sorted(CERTS)
-WITH_RADICAND = [
-    name for name in NAMES if any(e.radicand() is not None for row in CERTS[name].lift for e in row)
-]
 # every check name verify_lift can emit, read off its source
 CHECKS = set(re.findall(r'"check": "(\w+)"', VERIFY_SOURCE.read_text()))
 SETTINGS = settings(
@@ -164,19 +162,29 @@ def truncation(cert, i, j, trunc):
     return mutant, None, None
 
 
-def radicand(cert):
-    """Every coefficient a + b sqrt(d) becomes a + b sqrt(-d), built
-    directly, since jsonio refuses d <= 0 in a file.  All of them change,
-    because two radicands cannot meet in one computation."""
+def _radicand_terms(cert):
+    """(i, j, k) of every coefficient a + b sqrt(d) with b != 0."""
+    return [
+        (i, j, k)
+        for i, j in _positions(cert)
+        for k, (_, c) in enumerate(cert.lift[i][j].terms)
+        if isinstance(c, QuadExt) and c.b
+    ]
 
-    def negated(s):
-        terms = tuple(
-            (e, QuadExt(c.a, c.b, -c.d) if isinstance(c, QuadExt) else c) for e, c in s.terms
-        )
-        return PuiseuxSeries(terms, s.trunc)
 
-    lift = tuple(tuple(negated(s) for s in row) for row in cert.lift)
-    return replace(cert, lift=lift), None, "real_coefficients"
+def radicand(cert, i, j, k, d):
+    """Coefficient k of entry (i, j), a + b sqrt(d0), becomes a + b sqrt(d),
+    built directly, since jsonio refuses d <= 0 in a file.  A negative d
+    is no real number; otherwise the other coefficients over sqrt(d0), if
+    any, mix two radicands in one lift."""
+    s = cert.lift[i][j]
+    terms = list(s.terms)
+    e, c = terms[k]
+    terms[k] = (e, QuadExt(c.a, c.b, d))
+    mutant = _with_entries(cert, {(i, j): PuiseuxSeries(tuple(terms), s.trunc)})
+    if d <= 0:
+        return mutant, None, "real_coefficients"
+    return mutant, None, "one_radicand" if len(_radicand_terms(cert)) > 1 else None
 
 
 def _truncations(cert, i, j):
@@ -202,8 +210,9 @@ def _space():
         space["swap"] += [(name, p, q) for p, q in combinations(_positions(cert), 2)]
         space["claim"] += [(name, c) for c in CLAIMS if c != cert.claimed]
         space["positivity"] += [(name, p) for p in POSITIVITIES if p != cert.positivity]
-        if name in WITH_RADICAND:
-            space["radicand"].append((name,))
+        for i, j, k in _radicand_terms(cert):
+            d = cert.lift[i][j].terms[k][1].d
+            space["radicand"] += [(name, i, j, k, r) for r in (-d, d + 1)]
     return space
 
 
@@ -226,7 +235,8 @@ MAY_FAIL = {
     "claim": ALGEBRA | {"square", "symmetry"},
     "positivity": {"positive_leading_terms"},
     "truncation": ALGEBRA | {"valuations", "positive_leading_terms"},
-    "radicand": ALGEBRA | {"real_coefficients", "positive_leading_terms", "symmetry"},
+    "radicand": ALGEBRA
+    | {"real_coefficients", "one_radicand", "positive_leading_terms", "symmetry"},
 }
 # classes whose reasons are exact: the mutant verifies exactly when it has one
 EXACT = {"claim", "positivity"}
@@ -253,7 +263,8 @@ FAILS = {
     "positivity": lambda: replace(CERTS["fig4a-rank2-R"], positivity="mostly"),
     "shape": lambda: replace(CERTS["fig4a-rank2-R"], lift=CERTS["fig4a-rank2-R"].lift[:-1]),
     "valuations": lambda: truncation(CERTS["eq1-rank2-R"], 0, 0, F(-20))[0],
-    "real_coefficients": lambda: radicand(CERTS["fig2a-sym_corank1-R"])[0],
+    "real_coefficients": lambda: radicand(CERTS["fig2a-sym_corank1-R"], 1, 2, 0, F(-2))[0],
+    "one_radicand": lambda: radicand(CERTS["fig2a-sym_corank1-R"], 1, 2, 0, F(2))[0],
     "positive_leading_terms": lambda: positivity(CERTS["eq1-rank2-R"], "all-positive")[0],
     "square": lambda: claim(CERTS["sample00-rank2-R"], "singular")[0],
     "symmetry": lambda: claim(CERTS["eq1-rank2-R"], "symmetric rank<=2")[0],
