@@ -10,6 +10,7 @@ then defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -40,7 +41,16 @@ def _env(name, cast, fallback):
     return cast(raw)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built on the first call.
+
+    The parser is built once per process and shared by every later
+    dispatch, so no code path may call set_defaults on it or change its
+    actions after the build: such a change would leak into every later
+    call of main.  Help text is formatted when it is printed, so the
+    terminal width (COLUMNS) is read at each --help, not at the build.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed for randomized constructions")
     common.add_argument("--trunc", type=str, default=None, help="series truncation order (p/q)")
@@ -117,6 +127,12 @@ def _emit(text: str, outfile):
         Path(outfile).write_text(text + "\n")
     else:
         print(text)
+
+
+def _check_enumeration(n: int, bound: int):
+    """Refuse an n x n polytope enumeration above the bound."""
+    if n > bound:
+        raise SizeLimit(f"enumeration bound {bound} exceeded (n = {n})")
 
 
 def _det_payload(res):
@@ -218,8 +234,7 @@ def dispatch(argv=None) -> int:
         if args.table2:
             _emit(jsonio.dumps(fixture_json("table2")), args.outfile)
             return 0
-        if args.n > cfg.enumeration_bound:
-            raise SizeLimit(f"enumeration bound {cfg.enumeration_bound} exceeded (n = {args.n})")
+        _check_enumeration(args.n, cfg.enumeration_bound)
         if args.what == "monomials":
             payload = [jsonio.encode_class(c) for c in sym_det_monomials(args.n)]
         elif args.what == "vertices":
@@ -230,7 +245,7 @@ def dispatch(argv=None) -> int:
         return 0
 
     if cmd == "verify-suite":
-        reports = run_verify_suite(cfg.seed, min(cfg.enumeration_bound, 4))
+        reports = run_verify_suite(cfg.seed, cfg.enumeration_bound)
         payload = [
             {
                 "subject": r.subject,
@@ -271,15 +286,21 @@ def _run_lift(a, variety, mode, cfg: Config):
     raise ValueError(variety)
 
 
-def run_verify_suite(seed: int, max_n: int):
-    """Cross-check fast paths against the brute oracles on seeded samples."""
+def run_verify_suite(seed: int, bound: int):
+    """Cross-check fast paths against the brute oracles on seeded samples.
+
+    Samples have at most 4 rows and columns; every enumeration runs under
+    `bound`, so a bound below 4 raises SizeLimit (the polytope checks are
+    4x4 and the cocircuit rank scan reaches 4x4 minors).
+    """
     rng = random.Random(seed)
+    max_n = max(2, min(bound, 4))
     reports = []
     for k in range(20):
         d = rng.randint(2, max_n)
         n = rng.randint(2, max_n)
         a = samples.random_rank2_matrix(rng, d, n)
-        fast, _, _ = barvinok_rank2(a)
+        fast, _, _ = barvinok_rank2(a, bound)
         reports.append(
             oracle.OracleReport(
                 "barvinok_rank2", repr(a.entries), fast, oracle.brute_barvinok2(a)
@@ -289,12 +310,13 @@ def run_verify_suite(seed: int, max_n: int):
         n = rng.randint(2, max_n)
         a = samples.random_sym_rank2_matrix(rng, n)
         a = TropMatrix.make(a.entries, symmetric=True)
-        fast, _, _ = sym_barvinok_rank2(a)
+        fast, _, _ = sym_barvinok_rank2(a, bound)
         reports.append(
             oracle.OracleReport(
                 "sym_barvinok_rank2", repr(a.entries), fast, oracle.brute_sym_barvinok2(a)
             )
         )
+    _check_enumeration(4, bound)
     classes = sym_det_monomials(4)
     pts = [
         tuple(c.exponent[i][j] for i in range(4) for j in range(i, 4)) for c in classes
@@ -318,7 +340,7 @@ def run_verify_suite(seed: int, max_n: int):
     cc = oracle.cocircuit_fixture()
     reports.append(
         oracle.OracleReport(
-            "cocircuit_rank", "ternary affine plane", trop_rank(cc, MAX_ENUMERATION_BOUND), 3
+            "cocircuit_rank", "ternary affine plane", trop_rank(cc, bound), 3
         )
     )
     return reports

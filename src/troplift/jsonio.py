@@ -23,7 +23,7 @@ from .verify import CLAIMS, POSITIVITIES, LiftCertificate
 
 
 def frac_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def frac_from_str(s) -> Fraction:
@@ -157,7 +157,19 @@ def encode_class(cls: SignedMonomialClass) -> dict:
 
 
 def encode_value(v):
-    """JSON encoding of a command's payload; an unknown type raises TypeError."""
+    """JSON encoding of a command's payload; an unknown type raises TypeError.
+
+    Most leaves are already plain JSON (encode_certificate has turned every
+    rational into a string), so the exact plain types are tested first;
+    subclasses and the troplift types fall through to the isinstance tests.
+    """
+    t = type(v)
+    if t is str or t is int or t is bool or v is None:
+        return v
+    if t is dict:
+        return {str(k): encode_value(x) for k, x in v.items()}
+    if t is list or t is tuple:
+        return [encode_value(x) for x in v]
     if isinstance(v, Fraction):
         return frac_to_str(v)
     if isinstance(v, TropMatrix):

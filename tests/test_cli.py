@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, wire formats, fixtures."""
 
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,6 +146,14 @@ class TestExitCodes:
         assert main(["polytope", "--n", "4", "--max-n", "3", "--what", what]) == 3
         assert "size limit: enumeration bound 3 exceeded (n = 4)" in capsys.readouterr().err
         assert main(["polytope", "--n", "3", "--max-n", "3", "--what", what]) == 0
+
+    @pytest.mark.parametrize("bound", ["1", "2", "3"])
+    def test_verify_suite_above_max_n_is_a_size_limit(self, bound, capsys, monkeypatch):
+        assert main(["verify-suite", "--max-n", bound]) == 3
+        assert capsys.readouterr().err.startswith("size limit: ")
+        monkeypatch.setenv("TROPLIFT_MAX_N", bound)
+        assert main(["verify-suite"]) == 3
+        assert main(["verify-suite", "--max-n", "4"]) == 0
 
     def test_size_limit(self, tmp_path):
         big = tmp_path / "big.json"
@@ -384,6 +396,8 @@ class TestCommands:
     def test_payload_of_an_unknown_type_is_a_program_fault(self):
         with pytest.raises(TypeError, match="no JSON encoding for set"):
             jsonio.dumps({"signs": {1, -1}})
+        with pytest.raises(TypeError, match="no JSON encoding for object"):
+            jsonio.dumps([(1, "a", [object()])])
 
     def test_polytope_counts(self, capsys):
         assert main(["polytope", "--n", "4", "--what", "vertices"]) == 0
@@ -405,3 +419,65 @@ class TestCommands:
         assert main(["lift", "--variety", "sym_corank1", "--mode", "R", "--in", ex52, "--seed", "7"]) == 0
         via_flag = json.loads(capsys.readouterr().out)
         assert via_flag == via_env
+
+
+class TestSharedParser:
+    """main builds the parser once per process and shares it between calls."""
+
+    LIFT = ["lift", "--variety", "sym_corank1", "--mode", "R"]
+
+    def test_no_state_leaks_between_calls(self, fixture_dir, capsys):
+        args = self.LIFT + ["--in", str(fixture_dir / "fig2a.json")]
+        flags = ["--seed", "5", "--max-n", "3", "--format", "text", "--trunc", "7"]
+        assert main(args + flags) == 0
+        flagged = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["lift", "--variety", "rank9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(args) == 0
+        again = capsys.readouterr().out
+        env = {k: v for k, v in os.environ.items() if not k.startswith("TROPLIFT_")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-m", "troplift.cli"] + args,
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert again == fresh
+        assert flagged != fresh and json.loads(flagged)["seed"] == 5
+
+    def test_parser_is_built_once(self, monkeypatch, tmp_path, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        cli.build_parser.__wrapped__()
+        one_build = len(built)
+        assert one_build > 1
+        built.clear()
+        cli.build_parser.cache_clear()
+        out = str(tmp_path / "table2.json")
+        for _ in range(20):
+            assert main(["polytope", "--table2", "--out", out]) == 0
+        assert len(built) == one_build
+
+    @pytest.mark.parametrize("command", [[], ["lift"], ["verify"]])
+    @pytest.mark.parametrize("columns", ["40", "80", "132"])
+    def test_help_matches_a_fresh_parser(self, command, columns, fixture_dir, monkeypatch, capsys):
+        assert main(["rank", "--in", str(fixture_dir / "eq1.json"), "--format", "text"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        shared = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(command + ["--help"])
+        fresh = capsys.readouterr().out
+        assert shared == fresh
+        assert shared.startswith("usage: " + " ".join(["troplift"] + command))
