@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (and positive verdicts), 1 negative verdict,
 failed certificate or impossible lift (errors.NegativeResult), 2 input or
-usage error, 3 enumeration size limit.
+usage error, or a seeded construction that spent its retries
+(errors.ConstructionExhausted, under its own label), 3 enumeration size
+limit.
 Configuration precedence is flags, then TROPLIFT_* environment variables,
 then defaults.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from . import jsonio, lifts, membership, newton, oracle, samples, trees, verify
 from .config import MAX_ENUMERATION_BOUND, Config
-from .errors import NegativeResult, SizeLimit, TropliftError
+from .errors import ConstructionExhausted, NegativeResult, SizeLimit, TropliftError
 from .fixtures import FIXTURE_NAMES, fixture_json
 from .monomials import sym_det_monomials
 from .tropical import (
@@ -355,6 +357,9 @@ def main(argv=None) -> int:
     except NegativeResult as exc:
         print(f"negative result: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ConstructionExhausted as exc:
+        print(f"construction exhausted: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (TropliftError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -73,12 +73,17 @@ class MinorSignsOpposed(NegativeResult):
     """The two row/column-deleted minors certify a negative discriminant."""
 
 
-class DegenerateGeneric(TropliftError):
+class ConstructionExhausted(TropliftError):
+    """A seeded construction spent its retries on a well-formed input
+    without a valid certificate (CLI exit 2, under its own label)."""
+
+
+class DegenerateGeneric(ConstructionExhausted):
     """Every seeded attempt of a generic solve hit a cancellation or failed
     verification: the retry budget is spent."""
 
 
-class GenericRetryExhausted(TropliftError):
+class GenericRetryExhausted(ConstructionExhausted):
     """All retries of the seeded generic construction failed verification."""
 
 

@@ -10,8 +10,8 @@ certificates.  A wrong JSON type raises ValueError, like any malformed input.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .monomials import SignedMonomialClass
 from .newton import NewtonEdge
@@ -191,5 +191,38 @@ def encode_value(v):
     raise TypeError(f"no JSON encoding for {type(v).__name__}")
 
 
+def _indented(v, pad: str) -> str:
+    """The bytes of json.dumps(v, indent=2, sort_keys=True) for a tree of
+    str, int, bool, None, dict with str keys and list, nested below `pad`."""
+    if isinstance(v, str):
+        return _quote(v)
+    t = type(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [_quote(k) + ": " + _indented(v[k], inner) for k in sorted(v)]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if t is list:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        body = (",\n" + inner).join([_indented(x, inner) for x in v])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"no JSON encoding for {t.__name__}")
+
+
 def dumps(obj) -> str:
-    return json.dumps(encode_value(obj), indent=2, sort_keys=True)
+    """Indented JSON with sorted keys, as json.dumps(..., indent=2,
+    sort_keys=True) writes it, in one pass over the encode_value tree."""
+    return _indented(encode_value(obj), "")

@@ -36,7 +36,7 @@ from .errors import (
     ValuationUnknown,
 )
 from .membership import adjacent_pair, member_sym_corank1
-from .puiseux import PuiseuxSeries, ps_div, quad_roots
+from .puiseux import PuiseuxSeries, ps_div, quad_numerators, quad_roots
 from .tropmat import TropMatrix, trop_mat_mul
 from .tropical import barvinok_rank2, sym_barvinok_rank2, sym_trop_rank, trop_det
 from . import trees as trees_mod
@@ -676,7 +676,9 @@ def _solve_symmetric_quadratic(
     asym: TropMatrix, i, j, mode, seed, flip_candidates, trunc, bound, exhausted
 ) -> LiftCertificate:
     """Each attempt draws the symmetric monomials once, then tries no flip
-    and each flip in turn, and for each the roots x1 and x2."""
+    and each flip in turn, and for each the roots x1 and x2 of
+    quad_numerators; a root is divided out only when its leading term can
+    have the target valuation and sign."""
     n = asym.rows
     target = asym[i, j]
     flips = [None] + list(flip_candidates)
@@ -694,14 +696,20 @@ def _solve_symmetric_quadratic(
                 cur[r][c] = cur[c][r] = -cur[r][c]
             acoef, bcoef, ccoef = _split_det_quadratic(cur, i, j)
             try:
-                x1, x2, disc_sign = quad_roots(acoef, bcoef, ccoef, trunc=trunc)
+                n1, n2, two_a, disc_sign = quad_numerators(acoef, bcoef, ccoef, trunc)
             except (ValuationUnknown, InversionOfZero, NegativeLeading):
                 continue  # degenerate draw
             if disc_sign < 0:
                 continue
-            if disc_sign == 0:
-                x2 = x1
-            for x in (x1, x2):
+            # the root n / 2A leads with val(n) - val(2A) and sign(n) sign(2A),
+            # so only a numerator whose root can pass the checks is divided
+            shift, sign = two_a.val(), two_a.lead_sign()
+            for num in (n1, n2):
+                if num.is_known_zero() or num.val() - shift != target:
+                    continue
+                if mode == "R+" and num.lead_sign() * sign <= 0:
+                    continue
+                x = ps_div(num, two_a, trunc)
                 try:
                     ok_val = x.val() == target
                 except ValuationUnknown:

@@ -355,15 +355,17 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     return PuiseuxSeries(terms, trunc)
 
 
-def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):
-    """Roots of A x^2 + B x + C over real Puiseux series.
+def quad_numerators(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):
+    """Numerators of the roots of A x^2 + B x + C over real Puiseux series.
 
-    Returns (x1, x2, disc_sign).  x1 uses the square-root branch whose
-    leading term matches the sign of -B, so no leading-term cancellation
-    occurs in its numerator; x2 takes the other branch, where any
+    Returns (n1, n2, 2A, disc_sign): the roots are n1 / 2A and n2 / 2A.
+    n1 = -B + eps sqrt(disc) takes the square-root branch whose leading
+    term matches the sign of -B, so no leading-term cancellation occurs in
+    it; n2 = -B - eps sqrt(disc) takes the other branch, where any
     cancellation resolves exactly.  disc_sign < 0 means no real roots and
-    both root slots are None.  `trunc` goes to ps_sqrt for the root of the
-    discriminant and to ps_div, which divides each numerator by 2A.
+    both numerators are None; disc_sign == 0 (an exactly zero
+    discriminant) gives n1 = n2 = -B.  `trunc` goes to ps_sqrt for the
+    root of the discriminant.
     """
     if A.is_known_zero():
         if A.trunc is None:
@@ -373,17 +375,30 @@ def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None)
     two_a = A.scale(Fraction(2))
     if disc.is_known_zero():
         if disc.trunc is None:
-            x = ps_div(-B, two_a, trunc)
-            return x, x, 0
+            return -B, -B, two_a, 0
         raise ValuationUnknown("discriminant vanishes below its truncation order")
-    sign = disc.lead_sign()
-    if sign < 0:
-        return None, None, -1
+    if disc.lead_sign() < 0:
+        return None, None, two_a, -1
     sq = ps_sqrt(disc, trunc=trunc)
     if B.is_known_zero():
         eps = 1
     else:
         eps = (-B).lead_sign() * sq.lead_sign()
-    x1 = ps_div((-B) + sq.scale(Fraction(eps)), two_a, trunc)
-    x2 = ps_div((-B) - sq.scale(Fraction(eps)), two_a, trunc)
-    return x1, x2, 1
+    neg_b, root = -B, sq.scale(Fraction(eps))
+    return neg_b + root, neg_b - root, two_a, 1
+
+
+def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):
+    """Roots of A x^2 + B x + C over real Puiseux series.
+
+    Returns (x1, x2, disc_sign): the numerators of quad_numerators, each
+    divided by 2A with ps_div at `trunc`.  disc_sign < 0 means no real
+    roots and both root slots are None; for an exactly zero discriminant
+    x1 and x2 are one series.
+    """
+    n1, n2, two_a, sign = quad_numerators(A, B, C, trunc)
+    if sign < 0:
+        return None, None, -1
+    x1 = ps_div(n1, two_a, trunc)
+    x2 = x1 if sign == 0 else ps_div(n2, two_a, trunc)
+    return x1, x2, sign

@@ -15,6 +15,8 @@ from math import isqrt
 
 from .errors import RadicandMismatch
 
+ZERO = Fraction(0)
+
 
 def sqrt_exact(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
@@ -29,16 +31,30 @@ def sqrt_exact(q: Fraction) -> Fraction | None:
 
 def _as_pair(value, d: Fraction) -> tuple[Fraction, Fraction]:
     """View a coefficient as (a, b) over sqrt(d)."""
-    if isinstance(value, QuadExt):
+    t = type(value)
+    if t is Fraction:
+        return value, ZERO
+    if t is QuadExt or isinstance(value, QuadExt):
         if value.b != 0 and value.d != d:
             raise RadicandMismatch(f"cannot mix sqrt({value.d}) with sqrt({d})")
         return value.a, value.b
-    return Fraction(value), Fraction(0)
+    return Fraction(value), ZERO
+
+
+def _known(a: Fraction, b: Fraction, d: Fraction):
+    """a + b*sqrt(d) for a radicand d already known not to be a square."""
+    if b == 0:
+        return a
+    return QuadExt(a, b, d)
 
 
 @dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(d), exact.  Use make() so rational values fold to Fraction."""
+    """a + b*sqrt(d), exact.  Use make() so rational values fold to Fraction.
+
+    Arithmetic on existing values keeps their radicand, which make() has
+    already found not to be a square, so results fold only when b == 0.
+    """
 
     a: Fraction
     b: Fraction
@@ -67,24 +83,27 @@ class QuadExt:
 
     def __add__(self, other):
         oa, ob = _as_pair(other, self.d)
-        return QuadExt.make(self.a + oa, self.b + ob, self.d)
+        return _known(self.a + oa, self.b + ob if ob else self.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _known(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadExt) else -Fraction(other))
+        oa, ob = _as_pair(other, self.d)
+        return _known(self.a - oa, self.b - ob if ob else self.b, self.d)
 
     def __rsub__(self, other):
-        return (-self) + other
+        oa, ob = _as_pair(other, self.d)
+        return _known(oa - self.a, ob - self.b, self.d)
 
     def __mul__(self, other):
         oa, ob = _as_pair(other, self.d)
-        return QuadExt.make(
-            self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa, self.d
-        )
+        a, b = self.a, self.b
+        if not ob:
+            return _known(a * oa, b * oa, self.d)
+        return _known(a * oa + b * ob * self.d, a * ob + b * oa, self.d)
 
     __rmul__ = __mul__
 
@@ -92,12 +111,13 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("quadratic-extension value has zero norm")
-        return QuadExt.make(self.a / n, -self.b / n, self.d)
+        return _known(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, QuadExt):
             return self * other.inverse()
-        return QuadExt.make(self.a / Fraction(other), self.b / Fraction(other), self.d)
+        q = other if type(other) is Fraction else Fraction(other)
+        return _known(self.a / q, self.b / q, self.d)
 
     def __rtruediv__(self, other):
         return self.inverse() * other

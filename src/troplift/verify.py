@@ -277,6 +277,18 @@ def _scan_3x3(lift, d: int, n: int) -> tuple[bool, str]:
     return True, "all 3x3 minors vanish"
 
 
+def _agree(x: PuiseuxSeries, y: PuiseuxSeries) -> bool:
+    """x - y has no known term: the normalised terms of x and y agree below
+    their shared truncation order."""
+    if x.trunc == y.trunc:
+        return x.terms == y.terms
+    if x.trunc is None or (y.trunc is not None and y.trunc < x.trunc):
+        x, y = y, x
+    # x has the lower order; y's terms from that order on are not compared
+    order = x.trunc
+    return x.terms == tuple(t for t in y.terms if t[0] < order)
+
+
 def _nonreal(c) -> bool:
     """A coefficient a + b sqrt(d) with b != 0 and radicand d <= 0: no real
     number in normal form (QuadExt.make folds d = 0 and square d)."""
@@ -378,7 +390,7 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
             (i, j)
             for i in range(d)
             for j in range(n)
-            if not (lift[i][j] - lift[j][i]).is_known_zero()
+            if i != j and not _agree(lift[i][j], lift[j][i])
         ]
         steps.append(
             {

@@ -102,8 +102,26 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "dispatch", raising)
         assert main([]) == code
+        err = capsys.readouterr().err
         if code == 1:
-            assert capsys.readouterr().err == f"negative result: {name}: raised\n"
+            assert err == f"negative result: {name}: raised\n"
+        if issubclass(cls, errors.ConstructionExhausted):
+            assert err == f"construction exhausted: {name}: raised\n"
+
+    def test_exhausted_construction_is_not_an_input_error(self, tmp_path, capsys):
+        # a boundary tie: member says R+ (a closure statement), but no seeded
+        # quadratic solve finds an exact lift with these valuations
+        path = tmp_path / "tie.json"
+        rows = [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+        path.write_text(json.dumps({"symmetric": True, "entries": rows}))
+        member = ["member", "--variety", "sym_corank1", "--mode", "R+", "--in", str(path)]
+        assert main(member) == 0
+        capsys.readouterr()
+        lift = ["lift", "--variety", "sym_corank1", "--mode", "R+", "--in", str(path)]
+        assert main(lift) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("construction exhausted: DegenerateGeneric: the tie strictly contains")
+        assert "input error" not in err
 
     def test_member_positive_and_negative(self, fixture_dir):
         ex52 = str(fixture_dir / "ex52.json")

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from troplift.errors import (
     NegativeLeading,
     NotQuadratic,
+    RadicandMismatch,
     ValuationUnknown,
 )
 from troplift.mpoly import (
@@ -18,7 +21,7 @@ from troplift.mpoly import (
     sym_matrix_polys,
 )
 from troplift.puiseux import PuiseuxSeries, ps_inv, ps_sqrt, quad_roots
-from troplift.quadext import QuadExt
+from troplift.quadext import QuadExt, sqrt_exact
 
 F = Fraction
 
@@ -252,6 +255,142 @@ class TestQuadExt:
         assert QuadExt(F(7), F(-5), F(2)).sign() == -1
         assert QuadExt(F(-7), F(4), F(3)).sign() == -1
         assert QuadExt(F(2), F(-1), F(4)).sign() == 0  # 2 - sqrt(4)
+
+
+# QuadExt arithmetic as first written: every result rebuilt by make(),
+# which re-tests the radicand for a perfect square
+
+
+def _ref_make(a, b, d):
+    a, b, d = Fraction(a), Fraction(b), Fraction(d)
+    if b == 0:
+        return a
+    root = sqrt_exact(d)
+    if root is not None:
+        return a + b * root
+    return QuadExt(a, b, d)
+
+
+def _ref_pair(v, d):
+    if isinstance(v, QuadExt):
+        if v.b != 0 and v.d != d:
+            raise RadicandMismatch(f"cannot mix sqrt({v.d}) with sqrt({d})")
+        return v.a, v.b
+    return Fraction(v), Fraction(0)
+
+
+def _ref_add(x, y):
+    oa, ob = _ref_pair(y, x.d)
+    return _ref_make(x.a + oa, x.b + ob, x.d)
+
+
+def _ref_neg(x):
+    return QuadExt(-x.a, -x.b, x.d)
+
+
+def _ref_sub(x, y):
+    return _ref_add(x, _ref_neg(y) if isinstance(y, QuadExt) else -Fraction(y))
+
+
+def _ref_mul(x, y):
+    oa, ob = _ref_pair(y, x.d)
+    return _ref_make(x.a * oa + x.b * ob * x.d, x.a * ob + x.b * oa, x.d)
+
+
+def _ref_inverse(x):
+    n = x.a * x.a - x.b * x.b * x.d
+    if n == 0:
+        raise ZeroDivisionError("quadratic-extension value has zero norm")
+    return _ref_make(x.a / n, -x.b / n, x.d)
+
+
+def _ref_div(x, y):
+    if isinstance(y, QuadExt):
+        return _ref_mul(x, _ref_inverse(y))
+    return _ref_make(x.a / Fraction(y), x.b / Fraction(y), x.d)
+
+
+# (name, fast path, reference) for x a QuadExt and y any coefficient
+QUAD_OPS = [
+    ("add", lambda x, y: x + y, _ref_add),
+    ("radd", lambda x, y: y + x, _ref_add),
+    ("sub", lambda x, y: x - y, _ref_sub),
+    ("rsub", lambda x, y: y - x, lambda x, y: _ref_add(_ref_neg(x), y)),
+    ("mul", lambda x, y: x * y, _ref_mul),
+    ("rmul", lambda x, y: y * x, _ref_mul),
+    ("div", lambda x, y: x / y, _ref_div),
+    ("rdiv", lambda x, y: y / x, lambda x, y: _ref_mul(_ref_inverse(x), y)),
+    ("neg", lambda x, y: -x, lambda x, y: _ref_neg(x)),
+    ("inverse", lambda x, y: x.inverse(), lambda x, y: _ref_inverse(x)),
+]
+
+
+def _outcome(fn, x, y):
+    """The exact type and value of fn(x, y), or the name of what it raised."""
+    try:
+        v = fn(x, y)
+    except (ZeroDivisionError, RadicandMismatch) as exc:
+        return type(exc).__name__
+    if isinstance(v, QuadExt):
+        return QuadExt, v.a, v.b, v.d
+    return type(v), v
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+NONZERO = RATIONALS.filter(bool)
+RADICANDS = st.fractions(min_value=-30, max_value=30, max_denominator=6).filter(
+    lambda d: sqrt_exact(d) is None
+)
+
+
+@st.composite
+def _known_radicand_pairs(draw):
+    """x = a + b sqrt(d) with b != 0 and d not a square; y over the same d,
+    with the same or opposite b (so sums and products can fold), rational
+    or an int."""
+    d = draw(RADICANDS)
+    x = QuadExt(draw(RATIONALS), draw(NONZERO), d)
+    kind = draw(st.sampled_from(["quad", "cancel", "conjugate", "fraction", "int"]))
+    if kind == "quad":
+        y = QuadExt(draw(RATIONALS), draw(NONZERO), d)
+    elif kind == "cancel":
+        y = QuadExt(draw(RATIONALS), -x.b, d)
+    elif kind == "conjugate":
+        y = x.conjugate()
+    elif kind == "fraction":
+        y = draw(RATIONALS)
+    else:
+        y = draw(st.integers(-5, 5))
+    return x, y
+
+
+class TestKnownRadicand:
+    """Arithmetic on values whose radicand is known not to be a square
+    gives the values, types and errors of the make()-based arithmetic."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_known_radicand_pairs())
+    def test_matches_the_make_based_arithmetic(self, pair):
+        x, y = pair
+        for name, fast, ref in QUAD_OPS:
+            assert _outcome(fast, x, y) == _outcome(ref, x, y), name
+
+    @given(RADICANDS, RATIONALS, NONZERO, RATIONALS)
+    def test_rational_results_are_plain_fractions(self, d, a, b, c):
+        x = QuadExt(a, b, d)
+        for v in (x + QuadExt(c, -b, d), x - QuadExt(c, b, d), x * x.conjugate(), x / x):
+            assert type(v) is Fraction
+        assert x + QuadExt(c, -b, d) == a + c
+        assert x * x.conjugate() == x.norm()
+
+    @given(RADICANDS, RADICANDS, NONZERO, NONZERO)
+    def test_two_radicands_still_raise(self, d1, d2, b1, b2):
+        if d1 == d2:
+            return
+        x, y = QuadExt(F(1), b1, d1), QuadExt(F(2), b2, d2)
+        for name, fast, _ in QUAD_OPS[:8]:
+            with pytest.raises(RadicandMismatch):
+                fast(x, y)
 
 
 class TestQuadRoots:

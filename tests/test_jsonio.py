@@ -1,5 +1,7 @@
 """jsonio.dumps: the exact-type fast path gives the bytes of the plain
-isinstance walk it replaced, on every payload shape a command emits."""
+isinstance walk it replaced, on every payload shape a command emits, and
+the one-pass indented writer gives the bytes of json.dumps(..., indent=2,
+sort_keys=True) on the encoded tree."""
 
 import enum
 import json
@@ -53,6 +55,8 @@ leaves = (
     | st.sampled_from([0, 1])
     | st.integers()
     | st.text(max_size=5)
+    | st.text(st.characters(min_codepoint=0x80), max_size=4)  # non-ASCII only
+    | st.sampled_from([[], {}, (), [[]], [[], [[]]], {"e": []}, {"\u00e9": [{}]}])
     | fractions
     | matrices
     | edges
@@ -71,6 +75,22 @@ payloads = st.recursive(
 @given(payloads)
 def test_dumps_matches_the_isinstance_walk(payload):
     assert jsonio.dumps(payload) == reference_dumps(payload)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payloads)
+def test_dumps_writes_the_bytes_of_the_indented_json_encoder(payload):
+    want = json.dumps(jsonio.encode_value(payload), indent=2, sort_keys=True)
+    assert jsonio.dumps(payload) == want
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], {}, [[]], [[], [[], {}]], {"": [], "\u00e9\u2603": {"\U0001d11e": [[]]}}, "\x00\n\"\\", -0, 10**30],
+)
+def test_dumps_writes_edge_shapes_like_the_indented_json_encoder(payload):
+    want = json.dumps(jsonio.encode_value(payload), indent=2, sort_keys=True)
+    assert jsonio.dumps(payload) == want
 
 
 class Level(enum.IntEnum):

@@ -3,17 +3,21 @@
 verify_lift is patched where lifts.py looks it up.  Rejecting the first
 certificate makes each seeded lift return attempt 1's certificate;
 rejecting every certificate makes it raise its own exhaustion error, and
-makes a one-shot lift return an invalid certificate.
+makes a one-shot lift return an invalid certificate.  The symmetric
+quadratic solve divides out only roots it can keep, so it makes at most
+one division per certificate it issues, and a rejected root leads to the
+certificate the solve that divided both roots returned.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from troplift import jsonio, lifts, rng
+from troplift import jsonio, lifts, puiseux, rng
 from troplift.cli import main
-from troplift.errors import DegenerateGeneric, GenericRetryExhausted
+from troplift.errors import DegenerateGeneric, GenericRetryExhausted, NegativeResult
 from troplift.fixtures import fixture
 from troplift.tropmat import TropMatrix
 from troplift.verify import verify_lift
@@ -132,3 +136,66 @@ def test_rank1_outer_square_returns_the_rejected_certificate(monkeypatch):
     a = TropMatrix.make([[0, 1], [1, 2]], symmetric=True)
     cert = lifts.lift_sym_rank2_real(a)
     assert cert.method == "outer_square" and not cert.valid
+
+
+SYM_CORANK1 = [
+    (name, mode) for name in ("ex52", "fig2a", "fig3b", "fig3c", "fig4a") for mode in ("R", "R+")
+]
+
+
+def _count(monkeypatch, name, *homes):
+    """Calls of `name`, counted under each module that looks it up."""
+    calls = []
+    real = getattr(homes[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in homes:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,mode", SYM_CORANK1)
+def test_sym_corank1_divides_at_most_once_per_issued_certificate(name, mode, monkeypatch):
+    divisions = _count(monkeypatch, "ps_div", puiseux, lifts)
+    issued = _count(monkeypatch, "_issue", lifts)
+    try:
+        lifts.lift_sym_corank1(fixture(name), mode)
+    except NegativeResult:
+        assert (name, mode) == ("ex52", "R+")  # the deleted minors' signs oppose
+    assert len(divisions) <= len(issued)
+
+
+# sha256 of the certificate each lift returns when its first certificate is
+# rejected, as computed when quad_roots divided both numerators; the lift
+# finds it within attempt 0 (another root or flip of the same draw) or, in
+# ATTEMPTS_AFTER_FIRST_REJECTION, in a later attempt
+AFTER_FIRST_REJECTION = {
+    ("ex52", "R"): "a25702fccf26842d6a9ba6dc7ed1ba2dda07466f359278faa47173993df11650",
+    ("fig2a", "R"): "1bcfab78eecf84d5e7c52b332d12a98c67c4da4c78a12fe57cc94f5e39bbc6fc",
+    ("fig2a", "R+"): "7ee5562dc9915ed01fae648d280fe6b1989a0f23567047985aaf4b8dc6e3f43a",
+    ("fig3b", "R"): "7dfe355d42aef0d61a9f663edb596ebe21a3c61c437b73c18a4227de22cd7450",
+    ("fig3b", "R+"): "80812f79c0dd37b26d9fc98c0cf7074714de6b2b3bf220d7b2e3ac6cf81229f7",
+    ("fig3c", "R"): "6f7e50bbf678e5ffa63c1ad5d87b89fd3c59352871f8a4d78b1bce9403c9b0ae",
+    ("fig3c", "R+"): "9f2708155a5957c0b44407923e7c9eb35128d0d6a18dd4c0d99da58be59c9dbe",
+    ("fig4a", "R"): "2614f086496be6fbeababa7f6a4b26b1ddf55aeab7e8fdc3a25125bc33231286",
+    ("fig4a", "R+"): "9f7095e30a4bbeac2c6f78c4a6d1ddbbf0a8f53eb3be84354ac7d83b449032c2",
+}
+ATTEMPTS_AFTER_FIRST_REJECTION = {
+    ("fig2a", "R+"): ["0", "1"],
+    ("fig3c", "R+"): ["0", "1"],
+    ("fig4a", "R+"): ["0", "1", "2"],
+}
+
+
+@pytest.mark.parametrize("name,mode", list(AFTER_FIRST_REJECTION))
+def test_rejected_root_leads_to_the_same_certificate(name, mode, streams, monkeypatch):
+    _reject_first(monkeypatch)
+    cert = lifts.lift_sym_corank1(fixture(name), mode)
+    assert cert.valid
+    text = jsonio.dumps(jsonio.encode_certificate(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == AFTER_FIRST_REJECTION[name, mode]
+    want = ATTEMPTS_AFTER_FIRST_REJECTION.get((name, mode), ["0"])
+    assert _attempts(streams, "sym_corank1") == want

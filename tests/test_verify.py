@@ -1,4 +1,5 @@
-"""The verifier module: its guard by cost, realness, and its trusted base."""
+"""The verifier module: its guard by cost, realness, its trusted base, and
+the term-wise comparison behind its symmetry check."""
 
 import ast
 import json
@@ -7,6 +8,8 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from troplift import jsonio, lifts, verify
 from troplift.cli import main
@@ -194,3 +197,39 @@ class TestOneRadicand:
             verify_lift(cert)
             assert cert.valid
             assert "one_radicand" not in [s["check"] for s in cert.transcript]
+
+
+EXPONENTS = st.fractions(min_value=-2, max_value=4, max_denominator=3)
+RATIONAL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+COEFFS = RATIONAL | st.builds(lambda a, b: QuadExt.make(a, b, F(3)), RATIONAL, RATIONAL)
+TERMS = st.lists(st.tuples(EXPONENTS, COEFFS), max_size=5)
+ORDERS = st.none() | EXPONENTS
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two series over one radicand: the same terms, retruncated, with
+    extra terms, with one term changed, or drawn independently."""
+    pairs = draw(TERMS)
+    x = PuiseuxSeries.make(pairs, draw(ORDERS))
+    kind = draw(st.sampled_from(["same", "retruncated", "extra", "changed", "independent"]))
+    if kind == "same":
+        y = PuiseuxSeries.make(list(reversed(pairs)), x.trunc)
+    elif kind == "retruncated":
+        y = PuiseuxSeries.make(pairs, draw(ORDERS))
+    elif kind == "extra":
+        y = PuiseuxSeries.make(pairs + draw(TERMS), draw(ORDERS))
+    elif kind == "changed":
+        y = PuiseuxSeries.make(pairs + [(draw(EXPONENTS), draw(COEFFS))], x.trunc)
+    else:
+        y = PuiseuxSeries.make(draw(TERMS), draw(ORDERS))
+    return x, y
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_series_pairs())
+def test_termwise_agreement_is_a_known_zero_difference(pair):
+    x, y = pair
+    want = (x - y).is_known_zero()
+    assert verify._agree(x, y) == want
+    assert verify._agree(y, x) == want

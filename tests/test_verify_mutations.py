@@ -280,3 +280,55 @@ def test_every_check_has_a_failing_certificate():
 @pytest.mark.parametrize("check", sorted(FAILS))
 def test_named_check_fails(check):
     assert check in _failing(FAILS[check]())
+
+
+def _subtracted_symmetry_detail(lift):
+    """The symmetry step's detail as computed by subtracting every mirrored
+    pair of entries, the diagonal included."""
+    n = len(lift)
+    asym = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if not (lift[i][j] - lift[j][i]).is_known_zero()
+    ]
+    return "lift is symmetric" if not asym else f"asymmetric at {asym[:4]}"
+
+
+def _claims_symmetry(kind, params):
+    name, *rest = params
+    claimed = rest[0] if kind == "claim" else CERTS[name].claimed
+    return "symmetric" in claimed
+
+
+SYMMETRY_KINDS = ("coefficient", "exponent", "swap", "claim", "radicand")
+SYMMETRIC_SPACE = {
+    kind: [p for p in SPACE[kind] if _claims_symmetry(kind, p)] for kind in SYMMETRY_KINDS
+}
+
+
+@pytest.mark.parametrize("kind", SYMMETRY_KINDS)
+@SETTINGS
+@given(data=st.data())
+def test_symmetry_detail_is_the_one_subtraction_gives(kind, data):
+    name, *rest = data.draw(st.sampled_from(SYMMETRIC_SPACE[kind]))
+    mutant = MUTATE[kind](CERTS[name], *rest)[0]
+    verify_lift(mutant)
+    steps = [step for step in mutant.transcript if step["check"] == "symmetry"]
+    if kind in ("coefficient", "exponent", "swap"):
+        assert len(steps) == 1
+    for step in steps:
+        assert step["detail"] == _subtracted_symmetry_detail(mutant.lift)
+        assert step["ok"] == (step["detail"] == "lift is symmetric")
+
+
+def test_asymmetric_detail_lists_both_mirrored_positions():
+    mutant = coefficient(CERTS["fig2a-sym_corank1-R"], 0, 1, 0, F(2))[0]
+    verify_lift(mutant)
+    assert {"check": "symmetry", "ok": False, "detail": "asymmetric at [(0, 1), (1, 0)]"} in (
+        mutant.transcript
+    )
+    plain = FAILS["symmetry"]()
+    verify_lift(plain)
+    (step,) = [step for step in plain.transcript if step["check"] == "symmetry"]
+    assert step["detail"] == _subtracted_symmetry_detail(plain.lift) != "lift is symmetric"
