@@ -5,23 +5,26 @@ parts C+ and R+ (positive leading coefficients).  Verdicts come with a
 structured reason payload; positive-part verdicts on boundary points are
 decided by closure, accepting whenever some edge of the minimizing set
 satisfies the relevant cone criterion.
+
+The analyses behind the verdicts are memoised (see tropical), and so is
+the symmetric edge table that C+ and R+ share: one tuple of immutable
+records per (matrix, bound), holding the memoised NewtonEdges.  Every
+payload, edge dict and minor report a caller gets is built fresh from
+those records, so changing it changes no later answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .mpoly import perm_sign
-from .newton import (
-    birkhoff_edge,
-    edge_lattice_data,
-    edge_positive_ok,
-    is_polytope_edge,
-)
+from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, newton_edge
 from .tropical import (
+    _MEMO_SIZE,
     barvinok_rank2,
     sym_trop_det,
     sym_trop_rank,
@@ -88,7 +91,7 @@ def member_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND)
     payload = {
         "tie": res.tie,
         "min_value": res.min_value,
-        "argmin": [(p, perm_sign(p)) for p in perms],
+        "argmin": [(cls.representative, cls.sign) for cls in res.argmin],
     }
     if mode in ("C", "R"):
         return MembershipVerdict("corank1", mode, res.tie, payload)
@@ -117,9 +120,49 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     For a lattice length 2 edge the really-positive test deletes the two
     rows/columns of one adjacent pair on the midpoint cycle and asks the
     two minors to admit minimizing permutations of a common sign; a single
-    adjacent pair decides, and all pairs are reported.
+    adjacent pair decides, and all pairs are reported.  The dicts are
+    fresh; the table they are read from is memoised.
     """
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
+    return [_edge_payload(rec) for rec in _edge_table(asym, bound)]
+
+
+class _EdgeRecord(NamedTuple):
+    """One row of a matrix's edge table; it shares the memoised NewtonEdge."""
+
+    edge: NewtonEdge
+    # the tie is exactly this edge, the regime of the constructive
+    # statements; otherwise the verdict is a closure statement and an
+    # exact lift need not exist
+    exact_span: bool
+    qualifies_c_plus: bool
+    qualifies_r_plus: bool
+    # lattice length 2 only: ((i, j), (signs of minor i, of minor j), same sign)
+    # per adjacent pair on the midpoint cycle
+    minor_reports: tuple | None
+
+
+def _edge_payload(rec: _EdgeRecord) -> dict:
+    reports = None
+    if rec.minor_reports is not None:
+        reports = [
+            {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
+            for pair, (si, sj), same in rec.minor_reports
+        ]
+    return {
+        "edge": rec.edge,
+        "exact_span": rec.exact_span,
+        "qualifies_c_plus": rec.qualifies_c_plus,
+        "qualifies_r": True,
+        "minor_pair": None if reports is None else reports[0]["pair"],
+        "minor_reports": reports,
+        "qualifies_r_plus": rec.qualifies_r_plus,
+    }
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _edge_table(asym: TropMatrix, bound: int) -> tuple:
+    """The _EdgeRecords of a symmetric matrix, shared by C+ and R+."""
     res = sym_trop_det(asym, bound)
     argmin = set(res.argmin)
     # once per deleted index; through the trop_det memo alone, every cycle
@@ -133,23 +176,14 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     ]
     out = []
     for u, v in combinations(vertices, 2):
-        if not is_polytope_edge(u, v):
+        edge = newton_edge(u, v)
+        if edge is None:
             continue
-        edge = edge_lattice_data(u, v)
         if edge.lattice_length == 2 and edge.midpoint not in argmin:
             continue  # midpoint of a tied edge is forced into the tie
         span = {u, v} if edge.lattice_length == 1 else {u, v, edge.midpoint}
-        entry = {
-            "edge": edge,
-            # exact_span: the tie is exactly this edge, the regime of the
-            # constructive statements; otherwise the verdict is a closure
-            # statement and an exact lift need not exist
-            "exact_span": argmin == span,
-            "qualifies_c_plus": edge_positive_ok(edge),
-            "qualifies_r": True,
-            "minor_pair": None,
-            "minor_reports": None,
-        }
+        c_plus = edge_positive_ok(edge)
+        r_plus, reports = c_plus, None
         if edge.lattice_length == 2:
             cycle = next(
                 verts
@@ -160,25 +194,19 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
             for k in range(len(cycle)):
                 i, j = cycle[k], cycle[(k + 1) % len(cycle)]
                 si, sj = signs(i), signs(j)
-                reports.append(
-                    {"pair": (i, j), "signs": (sorted(si), sorted(sj)), "same_sign_choice": bool(si & sj)}
-                )
-            entry["minor_pair"] = reports[0]["pair"]
-            entry["minor_reports"] = reports
-            entry["qualifies_r_plus"] = (
-                entry["qualifies_c_plus"] and reports[0]["same_sign_choice"]
-            )
-        else:
-            entry["qualifies_r_plus"] = entry["qualifies_c_plus"]
-        out.append(entry)
-    return out
+                reports.append(((i, j), (si, sj), any(s in sj for s in si)))
+            r_plus = c_plus and reports[0][2]
+            reports = tuple(reports)
+        out.append(_EdgeRecord(edge, argmin == span, c_plus, r_plus, reports))
+    return tuple(out)
 
 
-def _minor_signs(asym: TropMatrix, k: int, bound: int) -> set:
+def _minor_signs(asym: TropMatrix, k: int, bound: int) -> tuple:
+    """Sorted signs of the minimizing permutations with row and column k deleted."""
     idx = [r for r in range(asym.rows) if r != k]
     sub = asym.submatrix(idx, idx)
     res = trop_det(sub, bound)
-    return {cls.sign for cls in res.argmin}
+    return tuple(sorted({cls.sign for cls in res.argmin}))
 
 
 def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:

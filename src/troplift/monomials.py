@@ -14,14 +14,15 @@ over its nonzero exponents, so a class value is an int sum e * grid[i][j]
 on a matrix rescaled to integers, and an exponent -> class dict for
 midpoint lookups.  Plain classes are memoised per permutation, so a
 determinant's argmin costs a dict lookup per minimiser without building
-all n! classes up front.
+all n! classes up front.  A class builds its monomial string once, on
+first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -121,6 +122,12 @@ class SignedMonomialClass:
         return frozenset(items)
 
     def monomial_str(self) -> str:
+        return self._monomial
+
+    @cached_property
+    def _monomial(self) -> str:
+        # once per class: the class tables, and with them every argmin, live
+        # for the whole process
         bits = []
         if self.coefficient != 1:
             bits.append(str(self.coefficient))

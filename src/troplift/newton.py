@@ -7,11 +7,17 @@ form an edge when their graph union has at most n + 1 edges and at most
 one even cycle of length >= 4.  Every edge has lattice length 1 or 2, and
 a lattice length 2 edge arises from trading k >= 2 transpositions for a
 2k-cycle, which sits at the edge midpoint.
+
+Both the edge criterion and the lattice data read only the two exponent
+matrices, so one memo, keyed on the exponent pair, holds each pair's
+NewtonEdge, or None when the pair spans no edge.  `newton_edge` reads
+it; `is_polytope_edge` and `edge_lattice_data` are one-line readers of
+`newton_edge`.  A NewtonEdge is frozen, so callers share it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import SizeLimit
@@ -74,26 +80,7 @@ def _even_big_cycles(nverts: int, edges: set) -> int:
     return count
 
 
-_EDGE_CRITERION: dict = {}  # (exponent of u, exponent of v) -> is_polytope_edge
-
-
-def is_polytope_edge(u: SignedMonomialClass, v: SignedMonomialClass) -> bool:
-    """Edge criterion: |E_u ∪ E_v| <= n + 1 and at most one even cycle >= 4.
-
-    The criterion reads only the two exponent matrices, so it is memoised
-    on them."""
-    if u == v:
-        return False
-    key = (u.exponent, v.exponent)
-    hit = _EDGE_CRITERION.get(key)
-    if hit is None:
-        loops, edges = _union_graph(u, v)
-        hit = len(loops) + len(edges) <= u.n + 1 and _even_big_cycles(u.n, edges) <= 1
-        _EDGE_CRITERION[key] = hit
-    return hit
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewtonEdge:
     u: SignedMonomialClass
     v: SignedMonomialClass
@@ -102,13 +89,37 @@ class NewtonEdge:
     union_cycle_length: int | None  # even length of the midpoint cycle, lattice 2 only
 
 
-def edge_lattice_data(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge:
-    """Lattice length and midpoint of a vertex pair that forms an edge."""
+_EDGES: dict = {}  # (exponent of u, exponent of v) -> NewtonEdge | None
+
+
+def newton_edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
+    """The Newton-polytope edge spanned by two vertex classes, or None.
+
+    Computed once per exponent pair.  Classes with the exponents of the
+    remembered edge but other representatives get a copy naming them."""
+    key = (u.exponent, v.exponent)
+    try:
+        edge = _EDGES[key]
+    except KeyError:
+        edge = _EDGES[key] = _edge(u, v)
+    if edge is not None and (edge.u is not u or edge.v is not v):
+        edge = replace(edge, u=u, v=v)
+    return edge
+
+
+def _edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
+    """Edge criterion: |E_u ∪ E_v| <= n + 1 and at most one even cycle >= 4;
+    then the lattice length, and for length 2 the midpoint class."""
     n = u.n
+    if u.exponent == v.exponent:
+        return None
+    loops, edges = _union_graph(u, v)
+    if len(loops) + len(edges) > n + 1 or _even_big_cycles(n, edges) > 1:
+        return None
     diff = [
         u.exponent[i][j] - v.exponent[i][j] for i in range(n) for j in range(n)
     ]
-    if all(x % 2 == 0 for x in diff) and any(diff):
+    if all(x % 2 == 0 for x in diff):
         mid = tuple(
             tuple((u.exponent[i][j] + v.exponent[i][j]) // 2 for j in range(n))
             for i in range(n)
@@ -123,13 +134,24 @@ def edge_lattice_data(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonE
     return NewtonEdge(u, v, 1, None, None)
 
 
+def is_polytope_edge(u: SignedMonomialClass, v: SignedMonomialClass) -> bool:
+    """Edge criterion: |E_u ∪ E_v| <= n + 1 and at most one even cycle >= 4."""
+    return newton_edge(u, v) is not None
+
+
+def edge_lattice_data(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
+    """Lattice length and midpoint of an edge; None when u, v span none."""
+    return newton_edge(u, v)
+
+
 def polytope_edges(n: int) -> tuple:
     _check_n(n)
     verts = polytope_vertices(n)
     out = []
     for u, v in combinations(verts, 2):
-        if is_polytope_edge(u, v):
-            out.append(edge_lattice_data(u, v))
+        edge = newton_edge(u, v)
+        if edge is not None:
+            out.append(edge)
     return tuple(out)
 
 

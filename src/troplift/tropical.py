@@ -8,11 +8,17 @@ support, and a minimum goes back to a Fraction only once, as best / scale.
 Enumeration refuses inputs above the configured bound rather than risking
 a wrong uniqueness verdict.
 
-The determinants and ranks, like trees.tree_from_rank2, are memoised on
-the frozen TropMatrix and the bound, so the sixteen membership questions
-asked of one matrix compute each once.  Callers pass the bound
-positionally: f(a), f(a, 8) and f(a, bound=8) are three memo keys.
-Raised errors are not remembered.
+The determinants, the ranks and the two Barvinok tests, like
+trees.tree_from_rank2 and membership's edge table, are memoised on the
+frozen TropMatrix (which hashes and builds its grid once) and the bound,
+so the sixteen membership questions asked of one matrix compute each
+once.  Callers pass the bound positionally: f(a), f(a, 8) and
+f(a, bound=8) are three memo keys.  Raised errors are not remembered; a
+Barvinok test's rank_too_high answer is returned, so it is.  Newton
+polytope edges have one memo of their own, per exponent pair (newton).
+Nothing returned aliases memo state: results, trees, witnesses and edges
+are immutable or never written, and a Barvinok reason is a fresh dict
+per call.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult
     best = None
     arg: list = []
     for sigma in permutations(range(n)):
-        v = sum(map(list.__getitem__, grid, sigma))
+        v = sum(map(tuple.__getitem__, grid, sigma))
         if best is None or v < best:
             best = v
             arg = [sigma]
@@ -168,19 +174,27 @@ def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
     Returns (flag, witness, reason); witness is a pair (B, C) of TropMatrix
     factors with A = B ⊙ C through at most two inner dimensions.  A matrix
     has Barvinok rank <= 2 exactly when its bicolored tree is a
-    caterpillar, and the witness reads the factors off the spine.
+    caterpillar, and the witness reads the factors off the spine.  The
+    answer is memoised; the reason is a fresh dict on every call.
     """
+    ok, witness, reason = _barvinok(a, bound)
+    return ok, witness, dict(reason)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _barvinok(a: TropMatrix, bound: int):
+    """barvinok_rank2's answer, with the reason as a tuple of items."""
     from . import trees
 
     try:
         tree = trees.tree_from_rank2(a, bound)
     except RankTooHigh:
-        return False, None, {"kind": "rank_too_high", "tropical_rank": trop_rank(a, bound)}
+        return False, None, (("kind", "rank_too_high"), ("tropical_rank", trop_rank(a, bound)))
     if not trees.is_caterpillar(tree):
-        return False, None, {"kind": "tree_not_caterpillar"}
+        return False, None, (("kind", "tree_not_caterpillar"),)
     b, c = _caterpillar_witness(a, tree)
     assert trop_mat_mul(b, c).entries == a.entries, "witness must reproduce the matrix"
-    return True, (b, c), {"kind": "caterpillar"}
+    return True, (b, c), (("kind", "caterpillar"),)
 
 
 def _caterpillar_witness(a: TropMatrix, tree):
@@ -202,26 +216,34 @@ def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
 
     Holds exactly when the symbic tree is a caterpillar whose color-swap
     automorphism fixes a single point; the two factor columns correspond
-    to the two sides of that fixed point.
+    to the two sides of that fixed point.  Memoised like barvinok_rank2,
+    with a fresh reason dict on every call.
     """
-    from . import trees
-
     if not a.symmetric:
         a = TropMatrix.make(a.entries, symmetric=True)
+    ok, b, reason = _sym_barvinok(a, bound)
+    return ok, b, dict(reason)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _sym_barvinok(a: TropMatrix, bound: int):
+    """sym_barvinok_rank2's answer, with the reason as a tuple of items."""
+    from . import trees
+
     try:
         tree = trees.tree_from_rank2(a, bound)
     except RankTooHigh:
-        return False, None, {"kind": "rank_too_high", "tropical_rank": trop_rank(a, bound)}
+        return False, None, (("kind", "rank_too_high"), ("tropical_rank", trop_rank(a, bound)))
     report = trees.symbic_classify(tree)
     if report.kind != "symbic":
-        return False, None, {"kind": report.kind}
+        return False, None, (("kind", report.kind),)
     if not trees.is_caterpillar(tree):
-        return False, None, {"kind": "tree_not_caterpillar"}
+        return False, None, (("kind", "tree_not_caterpillar"),)
     if not report.one_fixed_point:
-        return False, None, {"kind": "fixed_path_not_point"}
+        return False, None, (("kind", "fixed_path_not_point"),)
     b = _sym_caterpillar_witness(a, tree, report)
     assert trop_mat_mul(b, b.transpose()).entries == a.entries
-    return True, b, {"kind": "one_fixed_point_caterpillar"}
+    return True, b, (("kind", "one_fixed_point_caterpillar"),)
 
 
 def _sym_caterpillar_witness(a: TropMatrix, tree, report):

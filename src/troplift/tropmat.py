@@ -1,18 +1,28 @@
-"""Min-plus matrices with exact rational entries."""
+"""Min-plus matrices with exact rational entries.
+
+A TropMatrix is frozen, and the memoised analyses key on it, so it
+computes two derived values once, on first use, and then only reads
+them: its hash, and its integer grid (the entries rescaled by their
+denominator lcm).  Neither takes part in equality, repr or the wire
+format, which see only the entries and the symmetric flag.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TropMatrix:
     entries: tuple  # tuple of row tuples of Fractions
     symmetric: bool = False
+    # derived values, filled on first use
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(rows, symmetric: bool = False) -> "TropMatrix":
@@ -73,14 +83,20 @@ class TropMatrix:
         )
         return TropMatrix(ent, self.symmetric)
 
-    def as_int_grid(self) -> tuple[int, list[list[int]]]:
-        """Scale all entries by the denominator lcm; returns (scale, int rows)."""
-        scale = 1
-        for row in self.entries:
-            for x in row:
-                scale = lcm(scale, x.denominator)
-        grid = [[x.numerator * (scale // x.denominator) for x in row] for row in self.entries]
-        return scale, grid
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.entries, self.symmetric)))
+        return self._hash
+
+    def as_int_grid(self) -> tuple[int, tuple]:
+        """Entries scaled by their denominator lcm: (scale, int row tuples)."""
+        if self._grid is None:
+            scale = lcm(*(x.denominator for row in self.entries for x in row))
+            grid = tuple(
+                tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.entries
+            )
+            object.__setattr__(self, "_grid", (scale, grid))
+        return self._grid
 
     def max_abs(self) -> Fraction:
         return max(abs(x) for row in self.entries for x in row)

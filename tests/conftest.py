@@ -3,7 +3,7 @@ without TROPLIFT_* configuration from the environment."""
 
 import pytest
 
-from troplift import trees, tropical
+from troplift import membership, trees, tropical
 
 MEMOISED = (
     tropical.trop_det,
@@ -11,6 +11,9 @@ MEMOISED = (
     tropical.trop_rank,
     tropical.sym_trop_rank,
     trees.tree_from_rank2,
+    tropical._barvinok,
+    tropical._sym_barvinok,
+    membership._edge_table,
 )
 
 

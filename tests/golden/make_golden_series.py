@@ -3,10 +3,12 @@
     PYTHONPATH=src python tests/golden/make_golden_series.py
 
 Runs the criterion-5 property suite (tests/test_acceptance.py) with every
-`ps_inv`, `ps_sqrt` and `quad_roots` replaced, under each module attribute
-that holds it, by a recorder; calls those functions make of each other are
-recorded too.  series/calls.json lists each distinct call once, in the
-order first made: the function name, its series arguments encoded with
+function named in RECORDED replaced, under each module attribute that
+holds it, by a recorder; calls those functions make of each other are
+recorded too.  A RECORDED name that no home module binds stops the run
+before anything is written, so a rename cannot shrink the set quietly.
+series/calls.json lists each distinct call once, in the order first made:
+the function name, its series arguments encoded with
 `jsonio.encode_series`, the `trunc` argument, and the sha256 digest of the
 result's encoding (`result_digest`).  tests/test_golden_series.py replays
 every call and compares digests.
@@ -18,6 +20,7 @@ and say so in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -30,17 +33,21 @@ sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "src"))
 from troplift import jsonio, lifts, puiseux  # noqa: E402
 from troplift.errors import TropliftError  # noqa: E402
 
-RECORDED = ("ps_inv", "ps_sqrt", "quad_roots")
+# the lifts call ps_div and quad_numerators; ps_inv and quad_roots are
+# their public wrappers, and ps_sqrt serves quad_numerators
+RECORDED = ("ps_inv", "ps_sqrt", "quad_roots", "ps_div", "quad_numerators")
 HOMES = (puiseux, lifts)
 
 
 def result_digest(result) -> str:
-    """sha256 of a series result, a quad_roots triple, or a raised error."""
+    """sha256 of a series result, of a quad_roots triple or quad_numerators
+    quadruple (series or None, then the discriminant sign), or of a raised
+    error."""
     if isinstance(result, TropliftError):
         obj = {"raises": type(result).__name__}
     elif isinstance(result, tuple):
-        x1, x2, sign = result
-        obj = [None if x is None else jsonio.encode_series(x) for x in (x1, x2)] + [sign]
+        *parts, sign = result
+        obj = [None if x is None else jsonio.encode_series(x) for x in parts] + [sign]
     else:
         obj = jsonio.encode_series(result)
     data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
@@ -57,15 +64,31 @@ def call(name: str, series: list, trunc):
         return exc
 
 
+def bindings(name: str) -> list:
+    """The home modules that bind the function `name`; none is an error."""
+    fn = getattr(puiseux, name, None)
+    mods = [mod for mod in HOMES if fn is not None and getattr(mod, name, None) is fn]
+    if not mods:
+        raise SystemExit(f"{name} is bound in no home module; fix RECORDED before recording")
+    return mods
+
+
 def record(calls: list, seen: set) -> list:
     """Install recorders on every home of the recorded functions.
 
     Returns the replaced (module, name, original) triples.
     """
     replaced = []
+    homes = {name: bindings(name) for name in RECORDED}
 
     def recorder(name, fn):
-        def wrapper(*args, trunc=None):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            # the lifts pass trunc by position, the wrappers by keyword
+            given = signature.bind(*args, **kwargs).arguments
+            trunc = given.pop("trunc", None)
+            args = list(given.values())
             key_series = [jsonio.encode_series(s) for s in args]
             key_trunc = None if trunc is None else jsonio.frac_to_str(trunc)
             try:
@@ -89,13 +112,12 @@ def record(calls: list, seen: set) -> list:
 
         return wrapper
 
-    for name in RECORDED:
+    for name, mods in homes.items():
         fn = getattr(puiseux, name)
         wrapped = recorder(name, fn)
-        for mod in HOMES:
-            if getattr(mod, name, None) is fn:
-                replaced.append((mod, name, fn))
-                setattr(mod, name, wrapped)
+        for mod in mods:
+            replaced.append((mod, name, fn))
+            setattr(mod, name, wrapped)
     return replaced
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from troplift import jsonio, trees, tropical
+from troplift import jsonio, membership, newton, trees, tropical
 from troplift.cli import main
 from troplift.errors import SizeLimit, TropliftError
 from troplift.fixtures import fixture
@@ -40,11 +40,15 @@ class TestOneComputationPerMatrix:
             tropical.trop_rank,
             tropical.sym_trop_rank,
             tropical.sym_trop_det,
-            trees.tree_from_rank2,
+            tropical._barvinok,
+            membership._edge_table,
         ):
             info = fn.cache_info()
             assert (info.misses, info.currsize) == (1, 1), fn.__name__
             assert info.hits >= 1, fn.__name__
+        # only the Barvinok test reads the tree, and it asks once
+        info = trees.tree_from_rank2.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
         # the matrix and the deleted minors of the R+ test, each once
         info = tropical.trop_det.cache_info()
         assert info.misses == info.currsize > 1
@@ -57,10 +61,80 @@ class TestOneComputationPerMatrix:
         _decide(a)
         for fn in (tropical.trop_rank, tropical.sym_trop_rank, tropical.sym_trop_det):
             assert fn.cache_info().misses == 1, fn.__name__
-        # rank above 2: no tree is built, and the refusal is not remembered
+        # rank above 2: no tree is built, and the refusal is not remembered,
+        # but the Barvinok test's rank_too_high answer is
         assert trees.tree_from_rank2.cache_info().currsize == 0
+        info = tropical._barvinok.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
         info = tropical.trop_det.cache_info()
         assert info.misses == info.currsize
+
+    @pytest.mark.parametrize("name", ["ex52", "sym_rank2_seed3"])
+    def test_positive_parts_decide_once(self, name, monkeypatch):
+        a = fixture(name) if name == "ex52" else random_sym_rank2_matrix(random.Random(3), 5)
+        computed = []
+        edge = newton._edge
+
+        def counted(u, v):
+            computed.append((u.exponent, v.exponent))
+            return edge(u, v)
+
+        monkeypatch.setattr(newton, "_EDGES", {})
+        monkeypatch.setattr(newton, "_edge", counted)
+        _decide(a)
+        # bound passed or not, one memo key
+        assert tropical.sym_barvinok_rank2(a) == tropical.sym_barvinok_rank2(a, 8)
+        for fn in (tropical._barvinok, tropical._sym_barvinok, membership._edge_table):
+            info = fn.cache_info()
+            assert info.misses == 1 and info.hits >= 1, fn.__name__
+        # C+ and R+ together computed each exponent pair's edge once
+        assert computed and len(computed) == len(set(computed)) == len(newton._EDGES)
+
+
+def _mutate(v):
+    """Change every mutable part of a payload tree in place."""
+    if isinstance(v, dict):
+        for k in list(v):
+            _mutate(v[k])
+            v[k] = "changed"
+        v["added"] = True
+    elif isinstance(v, list):
+        for x in v:
+            _mutate(x)
+        v[:] = ["changed"]
+    elif isinstance(v, tuple):
+        for x in v:
+            _mutate(x)
+
+
+class TestFreshAnswers:
+    """A caller may change what it gets back without changing what the
+    next caller gets: nothing returned aliases memo state."""
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig3b", "fig4a", "eq1", "ex52"])
+    @pytest.mark.parametrize("member", [member_rank2, member_sym_rank2, member_sym_corank1])
+    @pytest.mark.parametrize("mode", ["C+", "R+"])
+    def test_changed_payload_leaves_the_next_answer(self, name, member, mode):
+        """C+ and R+ share the memos, so every mode's next answer must
+        keep its bytes.  On ex52 the symmetric payload carries a lattice
+        length 2 edge, with minor reports and their sign lists."""
+        a = fixture(name)
+        answers = {m: jsonio.dumps(member(a, m).reason) for m in MODES}
+        _mutate(member(a, mode).reason)
+        for m in MODES:
+            assert jsonio.dumps(member(a, m).reason) == answers[m]
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig3b", "fig4a", "eq1", "ex52"])
+    @pytest.mark.parametrize(
+        "test", [tropical.barvinok_rank2, tropical.sym_barvinok_rank2], ids=lambda f: f.__name__
+    )
+    def test_changed_reason_leaves_the_next_answer(self, name, test):
+        a = fixture(name)
+        ok, witness, reason = test(a)
+        before = jsonio.dumps([ok, witness, reason])
+        reason["kind"] = "changed"
+        reason.clear()
+        assert jsonio.dumps(list(test(a))) == before
 
 
 class TestMemoSafety:

@@ -2,15 +2,16 @@
 criterion-5 property suite makes returns the result whose digest is stored
 in tests/golden/series (regenerated by tests/golden/make_golden_series.py).
 The symmetric quadratic solve calls quad_numerators and divides by 2A
-itself, so each quad_roots case is also replayed that way."""
+itself, so each quad_roots case is also replayed that way.  The generator
+itself must record what the lifts call, and refuse a name it cannot find."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from golden.make_golden_series import call, result_digest
-from troplift import jsonio
+from golden.make_golden_series import RECORDED, bindings, call, record, result_digest
+from troplift import jsonio, lifts
 from troplift.errors import TropliftError
 from troplift.puiseux import ps_div, quad_numerators
 
@@ -47,3 +48,31 @@ def test_numerators_divided_by_2a_reproduce_the_quad_roots_digest(case):
     except TropliftError as exc:
         got = exc
     assert result_digest(got) == case["result_digest"]
+
+
+def test_every_recorded_name_is_bound_in_a_home_module():
+    for name in RECORDED:
+        assert bindings(name), name
+    with pytest.raises(SystemExit, match="ps_gone is bound in no home module"):
+        bindings("ps_gone")
+
+
+def test_recorder_sees_the_calls_the_lifts_make():
+    """The symmetric solve's calls, made as lifts.py makes them (trunc by
+    position), are recorded, and every record replays to its digest."""
+    case = next(c for c in CALLS if c["fn"] in ("quad_roots", "quad_numerators"))
+    A, B, C = (jsonio.decode_series(s) for s in case["series"])
+    trunc = None if case["trunc"] is None else jsonio.frac_from_str(case["trunc"])
+    calls: list = []
+    replaced = record(calls, set())
+    try:
+        n1, n2, two_a, sign = lifts.quad_numerators(A, B, C, trunc)
+        assert sign > 0
+        lifts.ps_div(n1, two_a, trunc)
+    finally:
+        for mod, name, fn in replaced:
+            setattr(mod, name, fn)
+    assert lifts.ps_div is ps_div and lifts.quad_numerators is quad_numerators
+    assert {c["fn"] for c in calls} == {"quad_numerators", "ps_sqrt", "ps_div"}
+    for c in calls:
+        assert result_digest(call(c["fn"], c["series"], c["trunc"])) == c["result_digest"]

@@ -4,7 +4,8 @@ import math
 import random
 from fractions import Fraction
 
-from troplift.monomials import sym_det_monomials
+from troplift import newton
+from troplift.monomials import SignedMonomialClass, class_by_exponent, sym_det_monomials
 from troplift.newton import (
     birkhoff_edge,
     edge_lattice_data,
@@ -89,6 +90,25 @@ class TestTable2:
         for tp in (tp1, tp2):
             e2 = edge_lattice_data(tri_loop, tp)
             assert e2.lattice_length == 1 and not edge_positive_ok(e2)
+
+    def test_edge_names_the_classes_it_was_asked_about(self, monkeypatch):
+        """The memo holds one edge per exponent pair; a class with the
+        same exponents but another representative (the triangle walked
+        the other way) gets an edge naming it, without a second
+        computation."""
+        monkeypatch.setattr(newton, "_EDGES", {})
+        tri_loop, _, tp1, _, _ = table2_rows()
+        reversed_tri = SignedMonomialClass.from_permutation((2, 0, 1, 3), True)
+        assert reversed_tri.exponent == tri_loop.exponent and reversed_tri != tri_loop
+        assert class_by_exponent(4, tri_loop.exponent) == tri_loop
+        first = edge_lattice_data(tri_loop, tp1)
+        second = edge_lattice_data(reversed_tri, tp1)
+        assert (first.u, first.v) == (tri_loop, tp1) and (second.u, second.v) == (reversed_tri, tp1)
+        assert second.lattice_length == first.lattice_length == 1
+        assert edge_lattice_data(tri_loop, tp1) is first
+        assert len(newton._EDGES) == 1
+        # equal exponents are one point of the polytope, not an edge
+        assert not is_polytope_edge(tri_loop, reversed_tri)
 
 
 class TestPolytope:
