@@ -38,7 +38,13 @@ from .errors import (
 from .membership import adjacent_pair, member_sym_corank1
 from .puiseux import PuiseuxSeries, ps_div, quad_numerators, quad_roots
 from .tropmat import TropMatrix, trop_mat_mul
-from .tropical import barvinok_rank2, sym_barvinok_rank2, sym_trop_rank, trop_det
+from .tropical import (
+    _sym_caterpillar_witness,
+    barvinok_rank2,
+    sym_barvinok_rank2,
+    sym_trop_rank,
+    trop_det,
+)
 from . import trees as trees_mod
 from .verify import LiftCertificate, _det_vanishes, series_det, verify_lift
 
@@ -150,17 +156,24 @@ def lift_sym_caterpillar(
     `bound` caps the tree's rank scan, as in member_sym_rank2.
     """
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    n = asym.rows
     ok, b, reason = sym_barvinok_rank2(asym, bound)
-    if ok:
+    if reason["kind"] == "rank_too_high":
+        raise NotRank2("tropical rank above 2")
+    if not ok and reason["kind"] != "fixed_path_not_point":
+        raise NotCaterpillar("matrix is not of caterpillar symbic type")
+    return _caterpillar_lift(asym, b, seed, bound)
+
+
+def _caterpillar_lift(asym: TropMatrix, b, seed: int, bound: int) -> LiftCertificate:
+    """The positive lift of a caterpillar symbic matrix: the factor product
+    of the witness b when the swap fixes one point, else (b None) the spine
+    recursion along the fixed spine of the matrix's tree."""
+    n = asym.rows
+    if b is not None:
         lift = _factor_product(b, b.transpose())
         method = "mirror_factor_product"
-    elif reason["kind"] == "rank_too_high":
-        raise NotRank2("tropical rank above 2")
-    elif reason["kind"] != "fixed_path_not_point":
-        raise NotCaterpillar("matrix is not of caterpillar symbic type")
     else:
-        tree = trees_mod.tree_from_rank2(asym, bound)
+        tree = trees_mod._rank2_tree(asym)
         rep = trees_mod.symbic_classify(tree)
         assert len(rep.fixed_nodes) == tree.nodes, "caterpillar fixed path spans the spine"
         coord = tree.spine_coordinates()
@@ -308,7 +321,7 @@ def _branch_paths(tree, rep):
         on_path = set()
         coord = {}
         length = Fraction(0)
-        mid_edge = (u, v, tree.adj[u][v])
+        mid_edge = (u, v, dist(u, v))
 
     def path_projection(x):
         """(arc coordinate, distance to the fixed path, gate node) of node x."""
@@ -352,7 +365,7 @@ def _branch_paths(tree, rep):
             prev = gate
         for nxt in tree.path(prev, mark)[1:]:
             edges.append((run, ("edge", min(prev, nxt), max(prev, nxt))))
-            run += tree.adj[prev][nxt]
+            run += dist(prev, nxt)
             prev = nxt
         assert run == dep, "rooted path depth must match the projection"
         info.append((h, dep, side, (min(group), max(group)), tuple(edges)))
@@ -389,11 +402,15 @@ def lift_sym_rank2_real(
         asym[i, j] == (asym[i, i] + asym[j, j]) / 2 for i in range(n) for j in range(n)
     ):
         return _lift_sym_rank1(asym, seed, bound)
-    tree = trees_mod.tree_from_rank2(asym, bound)
-    if trees_mod.is_caterpillar(tree):
-        return lift_sym_caterpillar(asym, seed, bound)
+    # sym_trop_rank is never below trop_rank, so the tree exists; read it
+    # without a second rank scan, and answer the symmetric Barvinok test
+    # of a caterpillar from it too
+    tree = trees_mod._rank2_tree(asym)
     rep = trees_mod.symbic_classify(tree)
     assert rep.kind == "symbic", "symmetric rank <= 2 matrices have symbic trees"
+    if trees_mod.is_caterpillar(tree):
+        b = _sym_caterpillar_witness(asym, tree, rep) if rep.one_fixed_point else None
+        return _caterpillar_lift(asym, b, seed, bound)
     length, info = _branch_paths(tree, rep)
 
     # transversal value of a pair: path offset plus both branch depths;

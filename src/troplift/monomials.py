@@ -14,8 +14,8 @@ over its nonzero exponents, so a class value is an int sum e * grid[i][j]
 on a matrix rescaled to integers, and an exponent -> class dict for
 midpoint lookups.  Plain classes are memoised per permutation, so a
 determinant's argmin costs a dict lookup per minimiser without building
-all n! classes up front.  A class builds its monomial string once, on
-first use.
+all n! classes up front.  A class computes its hash once, when it is
+made, and builds its monomial string once, on first use.
 """
 
 from __future__ import annotations
@@ -59,6 +59,18 @@ class SignedMonomialClass:
     representative: tuple
     cycle_type: tuple
     symmetric: bool
+
+    def __post_init__(self):
+        # the value the generated hash gave, stored once: the classes live
+        # for the whole process and every argmin set and edge span hashes them
+        fields = (
+            self.exponent, self.sign, self.coefficient, self.representative,
+            self.cycle_type, self.symmetric,
+        )
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_permutation(sigma, symmetric: bool) -> "SignedMonomialClass":

@@ -10,10 +10,16 @@ points one at a time by their exact pairwise distances (Gromov products
 locate each projection), which is the same data as the tie pattern and
 slack of the 2x2 tropical minors.
 
-Trees are stored as an adjacency map with positive rational edge lengths
-plus leaf markings; several leaves may share a node.  Every traversal is
-one breadth-first walk (`_walk`): paths, cut sides, connectivity and the
-node distances, which a tree computes once, at construction, and then
+Trees are stored as an adjacency map with positive int edge lengths over
+one unit (a length w stands for w / unit) plus leaf markings; several
+leaves may share a node.  The builder places the points on the matrix's
+integer grid doubled, unit = 2 * scale, so every Hilbert distance is even
+and every Gromov product an exact int; a tree given rational lengths is
+put on the lcm of their denominators.  The public readers (adj,
+edge_list, node_distance, spine_coordinates, leaf_distance_table) divide
+by the unit once, on the way out, and return Fractions.  Every traversal
+is one breadth-first walk (`_walk`): paths, cut sides, connectivity and
+the node distances, which a tree computes once, at construction, and then
 only reads.
 """
 
@@ -23,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import InvalidTree, RankTooHigh
@@ -45,7 +52,7 @@ def _walk(adj: dict, start: int, without: int | None = None) -> dict:
 
     Returns node -> (parent, distance from start) for every node reached.
     """
-    out = {start: (None, Fraction(0))}
+    out = {start: (None, 0)}
     queue = deque([start])
     while queue:
         x = queue.popleft()
@@ -58,14 +65,44 @@ def _walk(adj: dict, start: int, without: int | None = None) -> dict:
 
 
 class BicoloredTree:
+    """Leaves on a metric tree: int edge lengths `_len` over `unit`, and
+    the int distance table `_dist` (node -> node -> length), both read
+    inside this module; the public readers return Fractions."""
+
     def __init__(self, nodes: int, adj: dict, leaves: tuple):
-        if any(w <= 0 for nbrs in adj.values() for w in nbrs.values()):
+        """A tree from rational (Fraction or int) edge lengths, put on the
+        lcm of their denominators."""
+        unit = lcm(*(w.denominator for nbrs in adj.values() for w in nbrs.values()))
+        lengths = {
+            u: {v: w.numerator * (unit // w.denominator) for v, w in nbrs.items()}
+            for u, nbrs in adj.items()
+        }
+        self._setup(nodes, lengths, tuple(leaves), unit)
+
+    @classmethod
+    def _on_unit(cls, nodes: int, lengths: dict, leaves: tuple, unit: int) -> "BicoloredTree":
+        """A tree whose int edge lengths are already over `unit`."""
+        tree = cls.__new__(cls)
+        tree._setup(nodes, lengths, leaves, unit)
+        return tree
+
+    def _setup(self, nodes: int, lengths: dict, leaves: tuple, unit: int):
+        if any(w <= 0 for nbrs in lengths.values() for w in nbrs.values()):
             raise InvalidTree("edge lengths must be positive")
         self.nodes = nodes
-        self.adj = adj
-        self.leaves = tuple(leaves)
-        self._dist = {
-            s: {x: d for x, (_, d) in _walk(adj, s).items()} for s in range(nodes)
+        self.unit = unit
+        self.leaves = leaves
+        self._len = lengths
+        self._dist = [
+            {x: d for x, (_, d) in _walk(lengths, s).items()} for s in range(nodes)
+        ]
+
+    @property
+    def adj(self) -> dict:
+        """Adjacency map with Fraction edge lengths (a fresh dict)."""
+        unit = self.unit
+        return {
+            u: {v: Fraction(w, unit) for v, w in nbrs.items()} for u, nbrs in self._len.items()
         }
 
     @property
@@ -82,26 +119,28 @@ class BicoloredTree:
                 return l.node
         raise KeyError(f"no {color} leaf {index}")
 
-    def edge_list(self) -> list[tuple[int, int, Fraction]]:
-        out = []
+    def _edges(self):
+        """(u, v, int length) for every edge, u < v, in node order."""
         for u in range(self.nodes):
-            for v, w in self.adj[u].items():
+            for v, w in self._len[u].items():
                 if u < v:
-                    out.append((u, v, w))
-        return out
+                    yield u, v, w
+
+    def edge_list(self) -> list[tuple[int, int, Fraction]]:
+        return [(u, v, Fraction(w, self.unit)) for u, v, w in self._edges()]
 
     def node_distance(self, u: int, v: int) -> Fraction:
-        return self._dist[u][v]
+        return Fraction(self._dist[u][v], self.unit)
 
     def spine_coordinates(self) -> dict:
         """Arc-length coordinate of every node of a caterpillar spine,
         measured from its lowest-numbered end (a fresh dict)."""
-        start = min(u for u in range(self.nodes) if len(self.adj[u]) <= 1)
-        return dict(self._dist[start])
+        start = min(u for u in range(self.nodes) if len(self._len[u]) <= 1)
+        return {x: Fraction(d, self.unit) for x, d in self._dist[start].items()}
 
     def path(self, u: int, v: int) -> list[int]:
         """Nodes on the path from u to v."""
-        reached = _walk(self.adj, u)
+        reached = _walk(self._len, u)
         out = [v]
         while out[-1] != u:
             out.append(reached[out[-1]][0])
@@ -111,11 +150,11 @@ class BicoloredTree:
         """Connectivity plus the two-colors-on-each-side cut condition."""
         if self.nodes == 0:
             raise InvalidTree("empty tree")
-        edge_count = sum(map(len, self.adj.values()))
-        if len(_walk(self.adj, 0)) != self.nodes or edge_count != 2 * (self.nodes - 1):
+        edge_count = sum(map(len, self._len.values()))
+        if len(_walk(self._len, 0)) != self.nodes or edge_count != 2 * (self.nodes - 1):
             raise InvalidTree("not a connected acyclic graph")
-        for u, v, _ in self.edge_list():
-            side = set(_walk(self.adj, u, without=v))
+        for u, v, _ in self._edges():
+            side = set(_walk(self._len, u, without=v))
             for part in (side, set(range(self.nodes)) - side):
                 colors = {l.color for l in self.leaves if l.node in part}
                 if colors != {RED, BLUE}:
@@ -123,7 +162,7 @@ class BicoloredTree:
                         f"cutting edge ({u},{v}) leaves a side without both colors"
                     )
         for x in range(self.nodes):
-            if len(self.adj[x]) < 3 and not any(l.node == x for l in self.leaves):
+            if len(self._len[x]) < 3 and not any(l.node == x for l in self.leaves):
                 raise InvalidTree(f"node {x} is neither branching nor marked")
 
     def leaf_distance_table(self) -> dict:
@@ -131,18 +170,13 @@ class BicoloredTree:
         out = {}
         for a in self.leaves:
             for b in self.leaves:
-                out[((a.color, a.index), (b.color, b.index))] = self._dist[a.node][b.node]
+                out[((a.color, a.index), (b.color, b.index))] = self.node_distance(a.node, b.node)
         return out
 
 
-def hilbert_distance(u, v) -> Fraction:
+def hilbert_distance(u, v):
     diffs = [a - b for a, b in zip(u, v)]
     return max(diffs) - min(diffs)
-
-
-def _normalize(vec) -> tuple:
-    base = vec[0]
-    return tuple(a - base for a in vec)
 
 
 class _Builder:
@@ -169,22 +203,24 @@ class _Builder:
         return s
 
 
-def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
-    """Grow a tree containing marked points with the given exact metric."""
+def _embed_points(dist: list) -> tuple[_Builder, list]:
+    """Grow a tree containing marked points 0 .. k-1 with the exact int
+    metric dist[z][x], every distance even so every Gromov product is an
+    int.  Returns the builder and each point's node."""
     b = _Builder()
-    a = keys[0]
-    node_of = {a: b.new_node()}
-    for idx, z in enumerate(keys[1:], start=1):
-        dza = dist(z, a)
-        best_g, best_x = Fraction(0), None
-        for x in keys[1:idx]:
-            g = (dza + dist(a, x) - dist(z, x)) / 2
+    node_of = [b.new_node()]
+    for z in range(1, len(dist)):
+        dz = dist[z]
+        dza = dz[0]
+        best_g, best_x = 0, None
+        for x in range(1, z):
+            g = (dza + dist[0][x] - dz[x]) // 2
             if g > best_g:
                 best_g, best_x = g, x
-        attach = node_of[a]
-        if best_x is not None and best_g > 0:
-            # the first node v on the path from a to best_x at distance
-            # >= best_g from a, and u the node before it
+        attach = node_of[0]
+        if best_x is not None:
+            # the first node v on the path from point 0 to best_x at
+            # distance >= best_g from point 0, and u the node before it
             reached = _walk(b.adj, attach)
             v = node_of[best_x]
             assert reached[v][1] >= best_g, "Gromov product exceeded the path length"
@@ -197,11 +233,11 @@ def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
                 attach = b.split_edge(u, v, best_g - reached[u][1])
         r = dza - best_g
         if r == 0:
-            node_of[z] = attach
+            node_of.append(attach)
         else:
             zn = b.new_node()
             b.add_edge(attach, zn, r)
-            node_of[z] = zn
+            node_of.append(zn)
     return b, node_of
 
 
@@ -209,25 +245,44 @@ def _embed_points(keys: list, dist) -> tuple[_Builder, dict]:
 def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BicoloredTree:
     """Bicolored tree of a tropical rank <= 2 matrix (star for rank <= 1).
 
-    Memoised like the analyses in tropical, so every caller shares one
+    Memoised like the analyses in tropical.  The tree itself comes from
+    _rank2_tree, memoised on the matrix alone, so every caller shares one
     tree per matrix: read it, never write its adjacency or leaves.
     """
     if trop_rank(a, bound) > 2:
         raise RankTooHigh("matrix has tropical rank above 2")
+    return _rank2_tree(a)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _rank2_tree(a: TropMatrix) -> BicoloredTree:
+    """The tree of a matrix whose tropical rank is already known to be <= 2
+    (a caller that knows sym_trop_rank <= 2 knows it: sym_trop_rank is never
+    below trop_rank)."""
+    scale, grid = a.as_int_grid()
     d, n = a.rows, a.cols
-    blue_pos = [_normalize(a.col(j)) for j in range(n)]
-    red_pos = [
-        _normalize(tuple(min(a[k, j] - a[i, j] for j in range(n)) for k in range(d)))
-        for i in range(d)
-    ]
+    # positions on the doubled grid, normalized to first coordinate 0
+    blue_pos = [tuple(2 * (grid[k][j] - grid[0][j]) for k in range(d)) for j in range(n)]
+    red_pos = []
+    for row in grid:
+        ray = [min(map(int.__sub__, other, row)) for other in grid]
+        red_pos.append(tuple(2 * (x - ray[0]) for x in ray))
     keys = list(dict.fromkeys(blue_pos + red_pos))
-    b, node_of = _embed_points(keys, hilbert_distance)
-    leaves = [Leaf(BLUE, j + 1, node_of[blue_pos[j]]) for j in range(n)]
-    leaves += [Leaf(RED, i + 1, node_of[red_pos[i]]) for i in range(d)]
-    tree = BicoloredTree(b.count, b.adj, tuple(leaves))
-    for u in keys:
-        for v in keys:
-            assert tree.node_distance(node_of[u], node_of[v]) == hilbert_distance(u, v)
+    index = {p: k for k, p in enumerate(keys)}
+    dist = [[0] * len(keys) for _ in keys]
+    for k, u in enumerate(keys):
+        for m in range(k):
+            dist[k][m] = dist[m][k] = hilbert_distance(u, keys[m])
+    b, node_of = _embed_points(dist)
+    leaves = [Leaf(BLUE, j + 1, node_of[index[p]]) for j, p in enumerate(blue_pos)]
+    leaves += [Leaf(RED, i + 1, node_of[index[p]]) for i, p in enumerate(red_pos)]
+    tree = BicoloredTree._on_unit(b.count, b.adj, tuple(leaves), 2 * scale)
+    table = tree._dist
+    for k, row in enumerate(dist):
+        from_k = table[node_of[k]]
+        assert all(from_k[node_of[m]] == dkm for m, dkm in enumerate(row)), (
+            "the tree must reproduce every Hilbert distance"
+        )
     return tree
 
 
@@ -238,13 +293,12 @@ def tree_to_matrix(tree: BicoloredTree, d: int | None = None, n: int | None = No
         d = tree.red_count
     if n is None:
         n = tree.blue_count
-    reds = [tree.leaf_node(RED, i + 1) for i in range(d)]
+    reds = [tree._dist[tree.leaf_node(RED, i + 1)] for i in range(d)]
     blues = [tree.leaf_node(BLUE, j + 1) for j in range(n)]
-    dist = tree.node_distance
+    half = 2 * tree.unit
     ent = [
         [
-            (dist(reds[i], blues[0]) + dist(reds[0], blues[j]) - dist(reds[0], blues[0]) - dist(reds[i], blues[j]))
-            / 2
+            Fraction(reds[i][blues[0]] + reds[0][blues[j]] - reds[0][blues[0]] - reds[i][blues[j]], half)
             for j in range(n)
         ]
         for i in range(d)
@@ -255,7 +309,7 @@ def tree_to_matrix(tree: BicoloredTree, d: int | None = None, n: int | None = No
 
 def is_caterpillar(tree: BicoloredTree) -> bool:
     """True when all internal vertices lie along one path."""
-    return all(len(tree.adj[u]) <= 2 for u in range(tree.nodes))
+    return all(len(nbrs) <= 2 for nbrs in tree._len.values())
 
 
 @dataclass(frozen=True)
@@ -274,33 +328,33 @@ def symbic_classify(tree: BicoloredTree) -> SymbicReport:
         raise ValueError("need equal red and blue leaf counts")
     reds = [tree.leaf_node(RED, i + 1) for i in range(n)]
     blues = [tree.leaf_node(BLUE, i + 1) for i in range(n)]
-    dist = tree.node_distance
+    dist = tree._dist
     # The swap red i <-> blue i must preserve all marked-point distances;
     # a leaf isometry of an exact tree metric extends to the spanned tree.
     for i in range(n):
+        from_red, from_blue = dist[reds[i]], dist[blues[i]]
         for j in range(n):
-            if dist(reds[i], reds[j]) != dist(blues[i], blues[j]):
-                return SymbicReport("not_symmetric_swap")
-            if dist(reds[i], blues[j]) != dist(blues[i], reds[j]):
+            if from_red[reds[j]] != from_blue[blues[j]] or from_red[blues[j]] != from_blue[reds[j]]:
                 return SymbicReport("not_symmetric_swap")
     # Extend to a node map: phi(u) is the node matching u's distance profile
-    # to the swapped markers.  Distance profiles separate tree nodes.
+    # to the swapped markers.  Distance profiles separate tree nodes; the
+    # first node of a profile is the one kept.
     marked = reds + blues
     swapped = blues + reds
+    node_of_profile: dict = {}
+    for v in range(tree.nodes):
+        from_v = dist[v]
+        node_of_profile.setdefault(tuple([from_v[s] for s in swapped]), v)
     phi = {}
     for u in range(tree.nodes):
-        profile = [dist(u, m) for m in marked]
-        image = None
-        for v in range(tree.nodes):
-            if all(dist(v, s) == p for s, p in zip(swapped, profile)):
-                image = v
-                break
+        from_u = dist[u]
+        image = node_of_profile.get(tuple([from_u[m] for m in marked]))
         if image is None:
             return SymbicReport("swap_not_automorphism")
         phi[u] = image
-    fixed = tuple(sorted(u for u in range(tree.nodes) if phi[u] == u))
+    fixed = tuple(u for u in range(tree.nodes) if phi[u] == u)
     swapped_edge = None
-    for u, v, _ in tree.edge_list():
+    for u, v, _ in tree._edges():
         if phi[u] == v and phi[v] == u:
             swapped_edge = (u, v)
     if not fixed:
@@ -311,7 +365,7 @@ def symbic_classify(tree: BicoloredTree) -> SymbicReport:
     # Fixed set is the subtree induced on the fixed nodes; a path has no
     # node with three fixed neighbours.
     for u in fixed:
-        if sum(1 for v in tree.adj[u] if phi.get(v) == v) > 2:
+        if sum(1 for v in tree._len[u] if phi.get(v) == v) > 2:
             return SymbicReport("fixed_set_not_path", fixed, None, tuple(sorted(phi.items())))
     return SymbicReport(
         "symbic", fixed, None, tuple(sorted(phi.items())), len(fixed) == 1

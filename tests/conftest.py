@@ -15,13 +15,15 @@ MEMOISED = (
     tropical._sym_barvinok,
     membership._edge_table,
 )
+# memos keyed on the matrix alone, without a bound
+MEMOISED_UNBOUNDED = (trees._rank2_tree,)
 
 
 @pytest.fixture(autouse=True)
 def _empty_analysis_memos():
     """No test can pass on a result another test computed.  The monomial
     class tables are inputs, not results, and stay warm."""
-    for fn in MEMOISED:
+    for fn in MEMOISED + MEMOISED_UNBOUNDED:
         fn.cache_clear()
 
 

@@ -495,11 +495,26 @@ class TestOneAnalysisPerLift:
 
     def test_sym_rank2_real_builds_one_tree(self):
         assert lift_sym_rank2_real(fixture("fig2a")).method == "mirror_factor_product"
-        assert trees.tree_from_rank2.cache_info().misses == 1
+        assert trees._rank2_tree.cache_info().misses == 1
+        # the symmetric rank scan decides; no plain scan follows it
+        assert tropical.sym_trop_rank.cache_info().misses == 1
+        assert tropical.trop_rank.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig3b", "fig4a"])
+    def test_sym_rank2_real_caterpillar_is_the_caterpillar_lift(self, name):
+        """The caterpillar branch answers the symmetric Barvinok test from
+        the tree in hand, without a plain rank scan, and issues the same
+        certificate as lift_sym_caterpillar."""
+        cert = lift_sym_rank2_real(fixture(name))
+        assert tropical.trop_rank.cache_info().currsize == 0
+        again = lift_sym_caterpillar(fixture(name))
+        assert jsonio.dumps(jsonio.encode_certificate(cert)) == jsonio.dumps(
+            jsonio.encode_certificate(again)
+        )
 
     def test_sym_caterpillar_builds_one_tree(self):
         assert lift_sym_caterpillar(fixture("fig2a")).valid
-        assert trees.tree_from_rank2.cache_info().misses == 1
+        assert trees._rank2_tree.cache_info().misses == 1
 
     def test_rank2_real_runs_one_rank_scan(self):
         assert lift_rank2_real(fixture("eq1")).method == "frame_completion"

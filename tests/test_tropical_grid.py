@@ -246,6 +246,16 @@ def test_sym_trop_rank_matches_fraction_reference(a):
     assert sym_trop_rank(a) == ref_rank(a, symmetric=True)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sym_matrices())
+def test_plain_rank_never_exceeds_symmetric_rank(a):
+    """A principal submatrix with one optimal permutation sigma has
+    sigma = sigma^-1 (both give the same value), so its class is the one
+    optimal class: every plainly nonsingular submatrix is symmetrically
+    nonsingular, and sym_trop_rank may stand in for a trop_rank <= 2 guard."""
+    assert trop_rank(a) <= sym_trop_rank(a)
+
+
 # --- the class tables and the Newton edges ----------------------------------
 
 
@@ -256,6 +266,20 @@ def test_class_tables_match_linear_scans():
         assert class_by_exponent(n, ((3,) * n,) * n) is None
         for sigma in permutations(range(n)):
             assert plain_class(sigma) == SignedMonomialClass.from_permutation(sigma, False)
+
+
+def test_class_hash_is_the_field_hash():
+    """The stored hash is the value the generated dataclass hash gave, so
+    sets of classes keep their iteration order."""
+    for n in range(1, 6):
+        for cls in _classes(n, True) + _classes(n, False):
+            fields = (
+                cls.exponent, cls.sign, cls.coefficient, cls.representative,
+                cls.cycle_type, cls.symmetric,
+            )
+            assert hash(cls) == hash(fields)
+            twin = SignedMonomialClass(*fields)
+            assert twin == cls and hash(twin) == hash(cls) and repr(twin) == repr(cls)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
