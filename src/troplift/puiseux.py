@@ -9,6 +9,8 @@ Sums and products of exact series stay exact.  Quotients, inverses and
 square roots run coefficient recurrences on the lattice t^(1/D) that holds
 the exponents (Knuth, TAOCP vol. 2, 4.7): a quotient divides term by term,
 and a square root s of 1 + u solves 2 s_m = u_m - sum_{0<i<m} s_i s_{m-i}.
+The square root runs on integer numerators over powers of 4q, q the common
+denominator of u, and builds one Fraction per output coefficient.
 They return a truncated series unless the divisor or radicand is an exact
 monomial; callers choose the order, with a depth of 20 past the valuation
 as the default, and an order beyond what a truncated input determines is
@@ -20,12 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .errors import InversionOfZero, NegativeLeading, NestedRadical, ValuationUnknown
+from .errors import (
+    InversionOfZero,
+    NegativeLeading,
+    NestedRadical,
+    RadicandMismatch,
+    ValuationUnknown,
+)
 from .quadext import QuadExt, coeff_is_zero, coeff_radicand, coeff_sign, sqrt_exact
 
 DEFAULT_DEPTH = Fraction(20)
-ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def _fold(c):
@@ -302,11 +311,18 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     The leading coefficient of the result is exact when lead(x) is a
     rational square and otherwise a QuadExt with radicand lead(x); in the
     latter case the input must be rational throughout, since two
-    independent radicands are unsupported.
+    independent radicands are unsupported.  Under a rational square lead
+    the tail may carry one radicand, and two raise RadicandMismatch.
 
     With x = c t^v (1 + u), the root is sqrt(c) t^(v/2) s, and on the
     lattice t^(1/D) that holds u, s_0 = 1 and
-    s_m = (u_m - sum_{0<i<m} s_i s_{m-i}) / 2.  The result is exact below
+    s_m = (u_m - sum_{0<i<m} s_i s_{m-i}) / 2.  The recurrence runs on
+    integer numerators: with q the common denominator of u and U_m = q u_m,
+    s_m = S_m / (4q)^m, where S_0 = 1 and
+    S_m = 2^(2m-1) q^(m-1) U_m - sum_{0<i<m/2} S_i S_{m-i} - S_{m/2}^2 / 2,
+    the last term for even m only.  Every S_m with m >= 1 is even, so the
+    halving is exact.  A tail over sqrt(p/r) rides as integer pairs over
+    sqrt(pr), as in verify.series_det.  The result is exact below
     `trunc`, by default x.trunc - v/2 for a truncated x and v/2 +
     DEFAULT_DEPTH for an exact one; a larger `trunc` than x.trunc - v/2 is
     clamped to it.  The root of an exact monomial is exact.
@@ -324,7 +340,7 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     if root is None:
         if x.radicand() is not None:
             raise NestedRadical("series coefficients already carry a radicand")
-        root = QuadExt(Fraction(0), Fraction(1), c)
+        root = QuadExt(ZERO, ONE, c)
     if x.trunc is None and len(x.terms) == 1:
         return PuiseuxSeries.monomial(root, v / 2)
     trunc = _result_order(x, trunc, v / 2, v / 2)
@@ -332,27 +348,71 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     # root exponents v/2 + m*step/den, over the denominator 2*den
     low = _scaled(v, den)
     count = _count_below(trunc, low, 2 * den, 2 * step)
-    cinv = ONE / c
-    u = [ZERO] * count
-    for m, (_, coeff) in zip(idx[1:], x.terms[1:]):
-        if m < count:
-            u[m] = coeff * cinv
-    s = [ONE]
+    tail = [(m, coeff) for m, (_, coeff) in zip(idx[1:], x.terms[1:]) if m < count]
+    # the tail over one denominator: coeff = (A + B sqrt(pr)) / D for a
+    # radicand p/r, so that u_m = coeff / c = (A + B sqrt(pr)) c_den / (D c_num)
+    radicand, coef_den = None, 1
+    for _, coeff in tail:
+        if isinstance(coeff, QuadExt):
+            if radicand is None:
+                radicand = coeff.d
+            elif coeff.d != radicand:
+                raise RadicandMismatch(f"cannot mix sqrt({coeff.d}) with sqrt({radicand})")
+            coef_den = lcm(coef_den, coeff.a.denominator, coeff.b.denominator * coeff.d.denominator)
+        else:
+            coef_den = lcm(coef_den, coeff.denominator)
+    root_den = 1 if radicand is None else radicand.denominator
+    root_sq = 0 if radicand is None else radicand.numerator * root_den
+    cn, cd = c.numerator, c.denominator
+    ua, ub = [0] * count, [0] * count
+    for m, coeff in tail:
+        if isinstance(coeff, QuadExt):
+            a, b = coeff.a, coeff.b
+            ua[m] = a.numerator * (coef_den // a.denominator) * cd
+            ub[m] = b.numerator * (coef_den // (b.denominator * root_den)) * cd
+        else:
+            ua[m] = coeff.numerator * (coef_den // coeff.denominator) * cd
+    q = coef_den * cn
+    g = gcd(q, *ua, *ub)
+    if g > 1:
+        q //= g
+        ua = [a // g for a in ua]
+        ub = [b // g for b in ub]
+    four_q = 4 * q
+    sa, sb = [1], [0]  # S_m = sa[m] + sb[m] sqrt(pr)
+    power = 2  # 2^(2m-1) q^(m-1)
     for m in range(1, count):
-        acc = ZERO
-        for i in range(1, (m + 1) // 2):
-            if s[i] and s[m - i]:
-                acc = acc + s[i] * s[m - i]
-        acc = acc + acc
-        if m % 2 == 0 and s[m // 2]:
-            acc = acc + s[m // 2] * s[m // 2]
-        s.append((u[m] - acc) * HALF)
-    terms = tuple(
-        (Fraction(low + 2 * m * step, 2 * den), _fold(sm * root))
-        for m, sm in enumerate(s[:count])
-        if sm
-    )
-    return PuiseuxSeries(terms, trunc)
+        h = (m + 1) // 2
+        a = power * ua[m] - sum(map(mul, sa[1:h], sa[m - 1 : m - h : -1]))
+        b = power * ub[m]
+        if root_sq:
+            a -= root_sq * sum(map(mul, sb[1:h], sb[m - 1 : m - h : -1]))
+            b -= sum(map(mul, sa[1:h], sb[m - 1 : m - h : -1]))
+            b -= sum(map(mul, sb[1:h], sa[m - 1 : m - h : -1]))
+        if not m & 1:
+            ha, hb = sa[m >> 1], sb[m >> 1]
+            a -= (ha * ha + root_sq * hb * hb) >> 1
+            b -= ha * hb
+        sa.append(a)
+        sb.append(b)
+        power *= four_q
+    rational = type(root) is Fraction
+    rn, rd = root.as_integer_ratio() if rational else (1, 1)
+    terms = []
+    scale = rd
+    for m in range(count):
+        a, b = sa[m], sb[m]
+        if a or b:
+            ca = Fraction(a * rn, scale)
+            if b:
+                coeff = QuadExt(ca, Fraction(b * rn * root_den, scale), radicand)
+            elif rational:
+                coeff = ca
+            else:
+                coeff = QuadExt(ZERO, ca, c)
+            terms.append((Fraction(low + 2 * m * step, 2 * den), coeff))
+        scale *= four_q
+    return PuiseuxSeries(tuple(terms), trunc)
 
 
 def quad_numerators(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):

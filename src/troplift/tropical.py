@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .config import MAX_ENUMERATION_BOUND
-from .errors import DimensionMismatch, RankTooHigh, SizeLimit
+from .errors import DimensionMismatch, SizeLimit
 from .monomials import plain_class, symmetric_tables
 from .tropmat import TropMatrix, trop_mat_mul  # noqa: F401  (re-exported)
 
@@ -183,13 +183,14 @@ def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _barvinok(a: TropMatrix, bound: int):
-    """barvinok_rank2's answer, with the reason as a tuple of items."""
+    """barvinok_rank2's answer, with the reason as a tuple of items.  The
+    rank is read once: above 2 it is the answer, else the tree is built."""
     from . import trees
 
-    try:
-        tree = trees.tree_from_rank2(a, bound)
-    except RankTooHigh:
-        return False, None, (("kind", "rank_too_high"), ("tropical_rank", trop_rank(a, bound)))
+    rank = trop_rank(a, bound)
+    if rank > 2:
+        return False, None, (("kind", "rank_too_high"), ("tropical_rank", rank))
+    tree = trees._rank2_tree(a)
     if not trees.is_caterpillar(tree):
         return False, None, (("kind", "tree_not_caterpillar"),)
     b, c = _caterpillar_witness(a, tree)
@@ -227,13 +228,14 @@ def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _sym_barvinok(a: TropMatrix, bound: int):
-    """sym_barvinok_rank2's answer, with the reason as a tuple of items."""
+    """sym_barvinok_rank2's answer, with the reason as a tuple of items;
+    the rank is read once, as in _barvinok."""
     from . import trees
 
-    try:
-        tree = trees.tree_from_rank2(a, bound)
-    except RankTooHigh:
-        return False, None, (("kind", "rank_too_high"), ("tropical_rank", trop_rank(a, bound)))
+    rank = trop_rank(a, bound)
+    if rank > 2:
+        return False, None, (("kind", "rank_too_high"), ("tropical_rank", rank))
+    tree = trees._rank2_tree(a)
     report = trees.symbic_classify(tree)
     if report.kind != "symbic":
         return False, None, (("kind", report.kind),)

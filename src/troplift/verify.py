@@ -11,11 +11,15 @@ least valuation sum over permutations) has proved nothing, and fails.
 
 All determinants go through series_det, a Laplace expansion over column
 subsets (n 2^(n-1) products, not n n!) on an integer grid: exponents
-scaled by one lcm, coefficients by one common denominator, and a single
-radicand sqrt(p/q) written as sqrt(pq)/q, so the expansion multiplies
-Python ints only.  The order to which the determinant is known is fixed
-first by a min-plus pass, and partial terms that cannot land below it are
-dropped as they arise.
+scaled by one lcm, each row's coefficients by that row's own common
+denominator, and a single radicand sqrt(p/q) written as sqrt(pq)/q, so
+the expansion multiplies Python ints only.  Rows are expanded in
+ascending order of their term count, heavy rows last, and the sign of
+that row permutation is applied once to the result.  When an entry is
+truncated, the order to which the determinant is known is fixed first by
+a min-plus pass, and partial terms that cannot land below it are dropped
+as they arise.  A truncated determinant's tropical value is a second
+min-plus pass on an integer grid.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
@@ -38,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import inf, lcm
+from math import inf, lcm, prod
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, RadicandMismatch, SizeLimit, ValuationUnknown
@@ -107,30 +111,41 @@ def series_det(mat) -> PuiseuxSeries:
     their truncated factors, of that factor's truncation plus the other
     factors' valuations (an entry with no known term counts with its
     truncation); None when no such permutation has a truncated factor.
-    A min-plus pass over column subsets gives it without expanding.
+    A min-plus pass over column subsets gives it without expanding; a
+    matrix with no truncated entry is exact and skips the pass.
+
+    Heavy rows last: the rows are expanded in ascending order of their
+    number of grid terms (stably, so rows already in that order are not
+    moved), and the sign of that row permutation is applied once to the
+    result.  A long row then multiplies the partial determinants once, at
+    the end, instead of carrying its terms through every later row.
 
     Integer grid: exponent e becomes the integer e L, with L the lcm of
-    every exponent and truncation denominator; coefficients are scaled by
-    one common denominator D, and a + b sqrt(p/q) becomes the integer
-    pair (a D, b D / q) over sqrt(pq).  A term is stored under the key
-    2 e L + (1 if it carries sqrt(pq) else 0), so one dict of ints holds
-    both parts.  Mixing two radicands raises RadicandMismatch.
+    every exponent and truncation denominator.  Row i is scaled by its own
+    common coefficient denominator D_i, since the determinant is linear in
+    each row, and a + b sqrt(p/q) becomes the integer pair (a D_i, b D_i / q)
+    over sqrt(pq).  A term is stored under the key 2 e L + (1 if it carries
+    sqrt(pq) else 0), so one dict of ints holds both parts.  Mixing two
+    radicands raises RadicandMismatch.
 
     Expansion: row k moves the partial determinants of the column subsets
     of size k to those of size k + 1, D[S + j] += (-1)^s D[S] m[k][j], with
     s the number of columns of S above j.  A partial term is dropped when
     its exponent plus the least valuation sum of the remaining rows on the
     remaining columns reaches the order, so every dropped term would land
-    at or above it.  The result is divided by D^n once per term.
+    at or above it.  The result is divided by the product of the D_i once
+    per term.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
-    exp_den, coef_den, radicand = 1, 1, None
+    exp_den, radicand, row_dens, truncated = 1, None, [], False
     for row in mat:
+        coef_den = 1
         for s in row:
             if s.trunc is not None:
                 exp_den = lcm(exp_den, s.trunc.denominator)
+                truncated = True
             for e, c in s.terms:
                 exp_den = lcm(exp_den, e.denominator)
                 if isinstance(c, QuadExt):
@@ -141,10 +156,11 @@ def series_det(mat) -> PuiseuxSeries:
                     coef_den = lcm(coef_den, c.a.denominator, c.b.denominator * c.d.denominator)
                 else:
                     coef_den = lcm(coef_den, c.denominator)
+        row_dens.append(coef_den)
     root_den = 1 if radicand is None else radicand.denominator
     root_sq = 0 if radicand is None else radicand.numerator * root_den
 
-    def grid_terms(s):
+    def grid_terms(s, coef_den):
         out = []
         for e, c in s.terms:
             key = 2 * e.numerator * (exp_den // e.denominator)
@@ -163,15 +179,28 @@ def series_det(mat) -> PuiseuxSeries:
     def grid_exp(x):
         return None if x is None else x.numerator * (exp_den // x.denominator)
 
-    terms = [[grid_terms(s) for s in row] for row in mat]
+    terms = [[grid_terms(s, den) for s in row] for row, den in zip(mat, row_dens)]
     truncs = [[grid_exp(s.trunc) for s in row] for row in mat]
-    vals = [
-        [ts[0][0] >> 1 if ts else t for ts, t in zip(trow, tcol)]
-        for trow, tcol in zip(terms, truncs)
-    ]
-    least, order = _min_plus(vals, truncs)
+    sign = 1
+    weight = [sum(map(len, row)) for row in terms]
+    if weight != sorted(weight):  # heavy rows last, stably
+        perm = sorted(range(n), key=weight.__getitem__)
+        terms = [terms[k] for k in perm]
+        truncs = [truncs[k] for k in perm]
+        for k in range(n):
+            for later in perm[k + 1 :]:
+                if later < perm[k]:
+                    sign = -sign
     full = (1 << n) - 1
-    known = order[full]
+    if truncated:
+        vals = [
+            [ts[0][0] >> 1 if ts else t for ts, t in zip(trow, tcol)]
+            for trow, tcol in zip(terms, truncs)
+        ]
+        least, order = _min_plus(vals, truncs)
+        known = order[full]
+    else:  # exact entries: an exact determinant, no term to drop
+        least, known = [0] * (full + 1), inf
 
     partial = [None] * (full + 1)
     partial[0] = {0: 1}
@@ -207,7 +236,7 @@ def series_det(mat) -> PuiseuxSeries:
                         break  # ent is sorted, and the exponent key >> 1 only grows
                     dst[key] = dst.get(key, 0) + c1 * c2
 
-    scale = coef_den**n
+    scale = sign * prod(row_dens)
     parts: dict = {}
     for key, c in (partial[full] or {}).items():
         if c:
@@ -224,6 +253,18 @@ def series_det(mat) -> PuiseuxSeries:
     return PuiseuxSeries.make(pairs, None if known == inf else Fraction(known, exp_den))
 
 
+def _tropical_value(mat) -> Fraction:
+    """The least valuation sum over the permutations that meet no exact
+    zero, an entry with no known term counting with its truncation; a
+    min-plus pass on the lcm grid of those exponents."""
+    lead = [[s.terms[0][0] if s.terms else s.trunc for s in row] for row in mat]
+    den = lcm(*(e.denominator for row in lead for e in row if e is not None))
+    vals = [[None if e is None else e.numerator * (den // e.denominator) for e in row]
+            for row in lead]
+    exact = [[None] * len(mat)] * len(mat)
+    return Fraction(_min_plus(vals, exact)[0][-1], den)
+
+
 def _det_vanishes(mat) -> tuple[bool, str]:
     """Whether a determinant is zero as far as it is known.  A truncated
     determinant known only up to its tropical value (the least valuation
@@ -234,8 +275,7 @@ def _det_vanishes(mat) -> tuple[bool, str]:
         return False, f"nonzero at order {det.val()}"
     if det.trunc is None:
         return True, "exactly zero"
-    vals = [[s.terms[0][0] if s.terms else s.trunc for s in row] for row in mat]
-    value = _min_plus(vals, [[s.trunc for s in row] for row in mat])[0][-1]
+    value = _tropical_value(mat)
     if det.trunc <= value:
         return False, f"known only to order {det.trunc}, not above its tropical value {value}"
     return True, f"zero up to order {det.trunc}"

@@ -46,9 +46,11 @@ class TestOneComputationPerMatrix:
             info = fn.cache_info()
             assert (info.misses, info.currsize) == (1, 1), fn.__name__
             assert info.hits >= 1, fn.__name__
-        # only the Barvinok test reads the tree, and it asks once
-        info = trees.tree_from_rank2.cache_info()
+        # only the Barvinok test reads the tree, and it asks once, past
+        # its own rank check rather than through tree_from_rank2's
+        info = trees._rank2_tree.cache_info()
         assert (info.hits, info.misses) == (0, 1)
+        assert trees.tree_from_rank2.cache_info().misses == 0
         # the matrix and the deleted minors of the R+ test, each once
         info = tropical.trop_det.cache_info()
         assert info.misses == info.currsize > 1
@@ -68,6 +70,29 @@ class TestOneComputationPerMatrix:
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
         info = tropical.trop_det.cache_info()
         assert info.misses == info.currsize
+
+    def test_barvinok_tests_read_the_rank_once(self, monkeypatch):
+        """A rank above 2 answers the Barvinok test from one trop_rank
+        call; no tree guard asks for it a second time.  The four
+        member_rank2 calls ask once each, and the symmetric C+ and R+
+        questions reach the same memoised barvinok_rank2 answer, so the
+        sixteen questions make five calls (six when the reason re-read
+        the rank)."""
+        a = random_sym_matrix(random.Random(1), 5, 0, 3)
+        calls = []
+        rank = tropical.trop_rank
+
+        def counted(*args):
+            calls.append(args)
+            return rank(*args)
+
+        monkeypatch.setattr(tropical, "trop_rank", counted)
+        monkeypatch.setattr(trees, "trop_rank", counted)
+        monkeypatch.setattr(membership, "trop_rank", counted)
+        _decide(a)
+        assert rank(a, 8) > 2
+        assert len(calls) == 5
+        assert rank.cache_info().misses == 1
 
     @pytest.mark.parametrize("name", ["ex52", "sym_rank2_seed3"])
     def test_positive_parts_decide_once(self, name, monkeypatch):

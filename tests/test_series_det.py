@@ -2,7 +2,10 @@
 
 The references below are the Leibniz-expansion `series_det` and the two
 split loops that `troplift.lifts` used before the Laplace kernel; terms and
-truncation orders must agree exactly, truncated entries included.
+truncation orders must agree exactly, truncated entries included.  Some
+matrices carry one long row, a many-term quotient with large-prime
+denominators like the solved entry of a singular lift, so the kernel moves
+it last and scales each row by its own denominator.
 """
 
 from fractions import Fraction
@@ -15,8 +18,9 @@ from hypothesis import strategies as st
 from troplift.errors import DimensionMismatch, RadicandMismatch
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
 from troplift.mpoly import perm_sign
-from troplift.puiseux import PuiseuxSeries
+from troplift.puiseux import PuiseuxSeries, ps_div
 from troplift.quadext import QuadExt
+from troplift.verify import _det_vanishes, _min_plus
 
 F = Fraction
 
@@ -101,12 +105,40 @@ def entries(draw, radicand, truncated):
     return PuiseuxSeries.make(pairs, trunc)
 
 
+PRIMES = st.sampled_from([997, 1009, 7919, 104729])
+
+
+def long_quotient(num_coeff, den_coeffs, exp, count):
+    """num_coeff t^exp / (sum den_coeffs[k] t^(k/2)) to `count` lattice
+    points past its lead: up to `count` terms on the half-integer lattice."""
+    num = PuiseuxSeries.monomial(num_coeff, exp)
+    den = PuiseuxSeries.make([(F(k, 2), c) for k, c in enumerate(den_coeffs)])
+    return ps_div(num, den, F(count, 2))  # the order of 1/den, which leads at 0
+
+
+@st.composite
+def long_entries(draw, radicand, truncated):
+    """A quotient of 15 to 30 terms whose coefficient denominators are
+    products of large primes; exact (its terms alone) unless truncated."""
+    den = [F(draw(PRIMES), draw(PRIMES)), F(draw(st.integers(1, 9)), draw(PRIMES))]
+    den += [F(draw(st.integers(-9, 9)), draw(PRIMES)) for _ in range(draw(st.integers(0, 2)))]
+    num = F(draw(PRIMES), draw(PRIMES))
+    q = long_quotient(num, den, draw(EXPONENTS), draw(st.integers(15, 30)))
+    q = q.scale(draw(coefficients(radicand)))
+    return q if truncated else PuiseuxSeries.make(q.terms)
+
+
 @st.composite
 def matrices(draw, min_n=0, max_n=5):
     n = draw(st.integers(min_n, max_n))
     radicand = draw(st.sampled_from([None, F(2), F(3, 5)]))
     truncated = draw(st.booleans())
     rows = [[draw(entries(radicand, truncated)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.integers(0, 3)) == 0:
+        # one long row, at any index: moving it last may be an odd permutation
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            long_entries(radicand, truncated)
+        )
     if n >= 2 and draw(st.booleans()):
         # rank-deficient: one row a multiple, or the sum, of others
         i, k = draw(st.permutations(range(n)))[:2]
@@ -137,6 +169,61 @@ def test_series_det_matches_permutation_expansion(rows):
 @given(matrices(min_n=6, max_n=6))
 def test_series_det_matches_at_six(rows):
     same(series_det(rows), ref_series_det(rows))
+
+
+def test_row_permutations_change_only_the_sign():
+    """A 4x4 whose second row holds a 24-term quotient: every order of its
+    rows, the long one moved last by an odd or an even permutation or not
+    moved at all, gives the determinant times the permutation's sign."""
+    x = long_quotient(F(1009, 997), [F(997, 1009), F(3, 7919), F(-5, 104729)], F(1, 2), 24)
+    assert len(x.terms) == 24
+    rows = [
+        [mono(1, 0), mono(2, 1), mono(-1, F(1, 2)), mono(3, 2)],
+        [mono(F(1, 3), 1), x, mono(1, 0), PuiseuxSeries.make([(F(0), F(1)), (F(1), F(2))])],
+        [mono(1, 1), mono(1, 0), mono(F(5, 7), F(3, 2)), mono(1, 0)],
+        [mono(2, 0), mono(-1, 1), mono(1, 1), mono(1, F(1, 2))],
+    ]
+    det = series_det(rows)
+    assert det.terms and det.trunc is not None
+    same(det, ref_series_det(rows))
+    for sigma in permutations(range(4)):
+        got = series_det([rows[k] for k in sigma])
+        want = det if perm_sign(sigma) > 0 else -det
+        same(got, want)
+
+
+def ref_det_vanishes(mat):
+    """_det_vanishes with the tropical value taken by _min_plus over the
+    entries' Fraction valuations and truncations."""
+    det = series_det(mat)
+    if not det.is_known_zero():
+        return False, f"nonzero at order {det.val()}"
+    if det.trunc is None:
+        return True, "exactly zero"
+    vals = [[s.terms[0][0] if s.terms else s.trunc for s in row] for row in mat]
+    value = _min_plus(vals, [[s.trunc for s in row] for row in mat])[0][-1]
+    if det.trunc <= value:
+        return False, f"known only to order {det.trunc}, not above its tropical value {value}"
+    return True, f"zero up to order {det.trunc}"
+
+
+@SETTINGS
+@given(matrices(min_n=1))
+def test_det_vanishes_reads_the_tropical_value_of_the_reference(rows):
+    assert _det_vanishes(rows) == ref_det_vanishes(rows)
+
+
+def test_det_vanishes_names_the_tropical_value():
+    one, vague = mono(1, 0), PuiseuxSeries((), F(3, 2))
+    # det = O(t^(3/2)) - t^(1/3) t^(7/6): no term below 3/2, its tropical value
+    rows = [[vague, mono(1, F(1, 3))], [mono(1, F(7, 6)), mono(1, 0)]]
+    assert _det_vanishes(rows) == ref_det_vanishes(rows) == (
+        False,
+        "known only to order 3/2, not above its tropical value 3/2",
+    )
+    # det = (1 + O(t^2)) - 1 = O(t^2), above its tropical value 0
+    rows = [[PuiseuxSeries.make([(F(0), F(1))], F(2)), one], [one, one]]
+    assert _det_vanishes(rows) == ref_det_vanishes(rows) == (True, "zero up to order 2")
 
 
 def mono(c, e, trunc=None):

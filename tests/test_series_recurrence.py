@@ -214,6 +214,31 @@ def sqrt_cases(draw):
     return x, x.val() / 2 + draw(ORDERS)
 
 
+LARGE_PRIMES = st.sampled_from([997, 1009, 7919])
+
+
+@st.composite
+def deep_sqrt_cases(draw):
+    """Roots 30 to 60 lattice points deep, under leads and tails with
+    large-prime denominators: a rational tail under a square or a
+    non-square lead, or a tail over one radicand under a square lead."""
+    p, r = draw(LARGE_PRIMES), draw(LARGE_PRIMES)
+    lead = draw(st.sampled_from([F(p, r), F(p * p, r * r), F(4 * p * p, 9)]))
+    radicand = draw(RADICANDS) if sqrt_exact(lead) is not None else None
+    den = draw(st.sampled_from([1, 2, 3]))
+    v = F(draw(st.integers(-6, 6)), den)
+    pairs = [(v, lead)]
+    for k in sorted({1} | set(draw(st.lists(st.integers(2, 12), max_size=4)))):
+        c = F(draw(st.integers(-9, 9)) or 1, draw(LARGE_PRIMES))
+        if radicand is not None and draw(st.booleans()):
+            c = QuadExt.make(draw(st.sampled_from([F(0), c])), F(1, draw(LARGE_PRIMES)), radicand)
+        pairs.append((v + F(k, den), c))
+    points = draw(st.integers(30, 60))
+    if draw(st.booleans()):
+        return PuiseuxSeries.make(pairs, v + F(points, den)), None
+    return PuiseuxSeries.make(pairs), v / 2 + F(points, den)
+
+
 @st.composite
 def quotient_cases(draw):
     radicand = draw(RADICANDS)
@@ -280,6 +305,14 @@ def test_square_root_matches_power_sum(case):
         root = sqrt_exact(c) or QuadExt(F(0), F(1), c)
         want = lead_only(v / 2, root, order)
     assert got == want
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(deep_sqrt_cases())
+def test_deep_square_root_matches_power_sum(case):
+    x, asked = case
+    trunc = supported(asked, x, x.val() / 2)
+    assert outcome(ps_sqrt, x, asked) == outcome(ref_ps_sqrt, x, trunc)
 
 
 @SETTINGS
