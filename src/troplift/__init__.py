@@ -8,7 +8,6 @@ certificates checked by an independent symbolic verifier.
 
 from .config import Config, default_truncation
 from .lifts import (
-    corner_completion_quadratic,
     lift_corank1,
     lift_rank2_positive,
     lift_rank2_real,
@@ -57,10 +56,9 @@ from .tropical import (
     sym_trop_det,
     sym_trop_rank,
     trop_det,
-    trop_mat_mul,
     trop_rank,
 )
-from .tropmat import TropMatrix
+from .tropmat import TropMatrix, trop_mat_mul
 from .verify import CLAIMS, POSITIVITIES, LiftCertificate, verify_lift
 
 __version__ = "0.1.0"

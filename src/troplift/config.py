@@ -33,7 +33,7 @@ class Config:
             )
 
 
-def default_truncation(a: TropMatrix, margin: int = TRUNCATION_MARGIN) -> Fraction:
+def default_truncation(a: TropMatrix) -> Fraction:
     """Series order deep enough for every verification identity on this input:
-    (largest entry magnitude) * n plus a fixed margin."""
-    return a.max_abs() * max(a.rows, a.cols) + margin
+    (largest entry magnitude) * n plus TRUNCATION_MARGIN."""
+    return a.max_abs() * max(a.rows, a.cols) + TRUNCATION_MARGIN

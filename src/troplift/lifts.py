@@ -36,7 +36,7 @@ from .errors import (
     ValuationUnknown,
 )
 from .membership import adjacent_pair, member_sym_corank1
-from .puiseux import PuiseuxSeries, ps_div, quad_numerators, quad_roots
+from .puiseux import PuiseuxSeries, ps_div, quad_numerators
 from .tropmat import TropMatrix, trop_mat_mul
 from .tropical import (
     _sym_caterpillar_witness,
@@ -743,39 +743,3 @@ def _solve_symmetric_quadratic(
 
     token = repr(asym.entries) + mode + f"{i},{j}"
     return _first_valid(attempt, seed, "sym_corank1", token, exhausted)
-
-
-# ---------------------------------------------------------------------------
-# corner completion: the bordered 3x3 glue quadratic
-
-
-def corner_completion_quadratic(btilde_corner, ctilde_corner, cross_b, cross_c, trunc=None):
-    """Glue two block lifts through a shared unit: fill the corner x of
-
-        [ b   cross_b   x ]
-        [ cross_b  1    cross_c ]
-        [ x   cross_c   c ]
-
-    so the 3x3 is singular.  Returns (x, disc_sign); the discriminant is
-    4 (b - cross_b^2)(c - cross_c^2), so a negative principal 2x2 minor on
-    one side with val(b) > 0 and val(cross_b) = 0 forces real solutions
-    and a valuation-zero root.
-    """
-    one = PuiseuxSeries.constant(ONE)
-    acoef = -one
-    bcoef = cross_b * cross_c + cross_c * cross_b
-    ccoef = (
-        btilde_corner * (one * ctilde_corner - cross_c * cross_c)
-        - cross_b * (cross_b * ctilde_corner)
-    )
-    # det = -x^2 + 2 cross_b cross_c x + (b c - b cross_c^2 - cross_b^2 c)
-    x1, x2, disc_sign = quad_roots(acoef, bcoef, ccoef, trunc=trunc)
-    if disc_sign < 0:
-        return None, disc_sign
-    for x in (x1, x2):
-        try:
-            if x.val() == 0:
-                return x, disc_sign
-        except ValuationUnknown:
-            continue
-    return x1, disc_sign

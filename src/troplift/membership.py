@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
-from .mpoly import perm_sign
+from .monomials import perm_sign
 from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, newton_edge
 from .tropical import (
     _MEMO_SIZE,

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
-from .mpoly import perm_sign
 from .tropmat import TropMatrix
 
 PUBLIC_CLASS_LIMIT = 7
@@ -49,6 +48,12 @@ def cycles_of(sigma) -> list[tuple[int, ...]]:
             j = sigma[j]
         out.append(tuple(cyc))
     return out
+
+
+def perm_sign(sigma) -> int:
+    """Sign of a permutation given as a tuple of images: each cycle of
+    length k is k - 1 transpositions, so the sign is (-1)^(n - cycles)."""
+    return -1 if (len(sigma) - len(cycles_of(sigma))) & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class SignedMonomialClass:
             coeff = 2 ** sum(1 for c in cycles if len(c) >= 3)
         return SignedMonomialClass(
             exponent=tuple(tuple(r) for r in exp),
-            sign=perm_sign(sigma),
+            sign=-1 if (n - len(cycles)) & 1 else 1,
             coefficient=coeff,
             representative=sigma,
             cycle_type=tuple(sorted(len(c) for c in cycles)),

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import NotQuadratic
+from .monomials import perm_sign
 
 
 class MPoly:
@@ -201,24 +202,6 @@ def mpoly_disc(p: MPoly, v: int) -> MPoly:
     b = parts.get(1, zero)
     c = parts.get(0, zero)
     return b * b - 4 * a * c
-
-
-def perm_sign(sigma) -> int:
-    """Sign of a permutation given as a tuple of images."""
-    seen = [False] * len(sigma)
-    sign = 1
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def sym_variable_index(n: int):

@@ -10,7 +10,8 @@ square roots run coefficient recurrences on the lattice t^(1/D) that holds
 the exponents (Knuth, TAOCP vol. 2, 4.7): a quotient divides term by term,
 and a square root s of 1 + u solves 2 s_m = u_m - sum_{0<i<m} s_i s_{m-i}.
 The square root runs on integer numerators over powers of 4q, q the common
-denominator of u, and builds one Fraction per output coefficient.
+denominator of u, with its coefficients on quadext's integer lattice
+(to_lattice in, from_lattice out).
 They return a truncated series unless the divisor or radicand is an exact
 monomial; callers choose the order, with a depth of 20 past the valuation
 as the default, and an order beyond what a truncated input determines is
@@ -24,14 +25,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import (
-    InversionOfZero,
-    NegativeLeading,
-    NestedRadical,
-    RadicandMismatch,
-    ValuationUnknown,
+from .errors import InversionOfZero, NegativeLeading, NestedRadical, ValuationUnknown
+from .quadext import (
+    QuadExt,
+    coeff_is_zero,
+    coeff_radicand,
+    coeff_sign,
+    from_lattice,
+    sqrt_exact,
+    to_lattice,
 )
-from .quadext import QuadExt, coeff_is_zero, coeff_radicand, coeff_sign, sqrt_exact
 
 DEFAULT_DEPTH = Fraction(20)
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -312,7 +315,7 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     rational square and otherwise a QuadExt with radicand lead(x); in the
     latter case the input must be rational throughout, since two
     independent radicands are unsupported.  Under a rational square lead
-    the tail may carry one radicand, and two raise RadicandMismatch.
+    the tail may carry one radicand; quadext.to_lattice refuses two.
 
     With x = c t^v (1 + u), the root is sqrt(c) t^(v/2) s, and on the
     lattice t^(1/D) that holds u, s_0 = 1 and
@@ -321,9 +324,10 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     s_m = S_m / (4q)^m, where S_0 = 1 and
     S_m = 2^(2m-1) q^(m-1) U_m - sum_{0<i<m/2} S_i S_{m-i} - S_{m/2}^2 / 2,
     the last term for even m only.  Every S_m with m >= 1 is even, so the
-    halving is exact.  A tail over sqrt(p/r) rides as integer pairs over
-    sqrt(pr), as in verify.series_det.  The result is exact below
-    `trunc`, by default x.trunc - v/2 for a truncated x and v/2 +
+    halving is exact.  The tail sits on quadext's coefficient lattice, a
+    tail over sqrt(p/r) as integer pairs over sqrt(pr), and
+    quadext.from_lattice builds each output coefficient.  The result is
+    exact below `trunc`, by default x.trunc - v/2 for a truncated x and v/2 +
     DEFAULT_DEPTH for an exact one; a larger `trunc` than x.trunc - v/2 is
     clamped to it.  The root of an exact monomial is exact.
     """
@@ -349,29 +353,15 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     low = _scaled(v, den)
     count = _count_below(trunc, low, 2 * den, 2 * step)
     tail = [(m, coeff) for m, (_, coeff) in zip(idx[1:], x.terms[1:]) if m < count]
-    # the tail over one denominator: coeff = (A + B sqrt(pr)) / D for a
-    # radicand p/r, so that u_m = coeff / c = (A + B sqrt(pr)) c_den / (D c_num)
-    radicand, coef_den = None, 1
-    for _, coeff in tail:
-        if isinstance(coeff, QuadExt):
-            if radicand is None:
-                radicand = coeff.d
-            elif coeff.d != radicand:
-                raise RadicandMismatch(f"cannot mix sqrt({coeff.d}) with sqrt({radicand})")
-            coef_den = lcm(coef_den, coeff.a.denominator, coeff.b.denominator * coeff.d.denominator)
-        else:
-            coef_den = lcm(coef_den, coeff.denominator)
-    root_den = 1 if radicand is None else radicand.denominator
-    root_sq = 0 if radicand is None else radicand.numerator * root_den
+    # the tail on the coefficient lattice: coeff = (A + B sqrt(pr)) / D for
+    # a radicand p/r, so that u_m = coeff / c = (A + B sqrt(pr)) c_den / (D c_num)
+    radicand, ((coef_den, pairs),) = to_lattice([[coeff for _, coeff in tail]])
+    root_sq = 0 if radicand is None else radicand.numerator * radicand.denominator
     cn, cd = c.numerator, c.denominator
     ua, ub = [0] * count, [0] * count
-    for m, coeff in tail:
-        if isinstance(coeff, QuadExt):
-            a, b = coeff.a, coeff.b
-            ua[m] = a.numerator * (coef_den // a.denominator) * cd
-            ub[m] = b.numerator * (coef_den // (b.denominator * root_den)) * cd
-        else:
-            ua[m] = coeff.numerator * (coef_den // coeff.denominator) * cd
+    for (m, _), (a, b) in zip(tail, pairs):
+        ua[m] = a * cd
+        ub[m] = b * cd
     q = coef_den * cn
     g = gcd(q, *ua, *ub)
     if g > 1:
@@ -396,20 +386,19 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
         sa.append(a)
         sb.append(b)
         power *= four_q
+    # s_m sqrt(c) is (sa[m] + sb[m] sqrt(pr)) rn / (rd (4q)^m) for a rational
+    # root rn / rd; an irrational root sqrt(c) has a rational tail, so it is
+    # the lattice pair (0, sa[m]) over c_den (4q)^m with the radicand c
     rational = type(root) is Fraction
-    rn, rd = root.as_integer_ratio() if rational else (1, 1)
+    rn, scale = root.as_integer_ratio() if rational else (1, cd)
     terms = []
-    scale = rd
     for m in range(count):
         a, b = sa[m], sb[m]
         if a or b:
-            ca = Fraction(a * rn, scale)
-            if b:
-                coeff = QuadExt(ca, Fraction(b * rn * root_den, scale), radicand)
-            elif rational:
-                coeff = ca
+            if rational:
+                coeff = from_lattice(a * rn, b * rn, scale, radicand)
             else:
-                coeff = QuadExt(ZERO, ca, c)
+                coeff = from_lattice(0, a, scale, c)
             terms.append((Fraction(low + 2 * m * step, 2 * den), coeff))
         scale *= four_q
     return PuiseuxSeries(tuple(terms), trunc)

@@ -5,13 +5,19 @@ radicand d that is not a perfect square.  Values with b == 0 collapse to
 plain Fractions at construction, so series code can treat "Fraction or
 QuadExt" as one coefficient domain.  Mixing two different radicands in one
 computation is rejected: a certificate carries at most one square root.
+
+Integer kernels (the series determinant, the square-root recurrence) work
+on a coefficient lattice: to_lattice writes each coefficient of a group
+as (A + B sqrt(pr)) / D, with D the group's common denominator and p/r
+the one radicand, and from_lattice turns such a pair back into a Fraction
+or a QuadExt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import RadicandMismatch
 
@@ -176,3 +182,55 @@ def coeff_radicand(c) -> Fraction | None:
     if isinstance(c, QuadExt) and c.b != 0:
         return c.d
     return None
+
+
+def to_lattice(groups):
+    """Integer pairs for groups of Fraction or QuadExt coefficients.
+
+    Returns (radicand, [(D, pairs), ...]), one entry per group: D is the
+    least common denominator of the group and pairs[k] = (A, B) with
+    coefficient k equal to (A + B sqrt(pr)) / D, where p/r is the one
+    radicand of all groups (None, and every B zero, when they are
+    rational).  A second radicand raises RadicandMismatch.  Each group is
+    read twice, so it must be a sequence.
+    """
+    radicand, dens = None, []
+    for group in groups:
+        den = 1
+        for c in group:
+            if isinstance(c, QuadExt):
+                if c.b and radicand is None:
+                    radicand = c.d
+                elif c.b and c.d != radicand:
+                    raise RadicandMismatch(f"cannot mix sqrt({c.d}) with sqrt({radicand})")
+                den = lcm(den, c.a.denominator, c.b.denominator * c.d.denominator)
+            else:
+                den = lcm(den, c.denominator)
+        dens.append(den)
+    root_den = 1 if radicand is None else radicand.denominator
+    out = []
+    for group, den in zip(groups, dens):
+        pairs = []
+        for c in group:
+            if isinstance(c, QuadExt):
+                a, b = c.a, c.b
+                pairs.append(
+                    (
+                        a.numerator * (den // a.denominator),
+                        b.numerator * (den // (b.denominator * root_den)),
+                    )
+                )
+            else:
+                pairs.append((c.numerator * (den // c.denominator), 0))
+        out.append((den, pairs))
+    return radicand, out
+
+
+def from_lattice(a: int, b: int, den: int, radicand):
+    """The coefficient (a + b sqrt(pr)) / den for the radicand p/r: a
+    Fraction when b == 0 (radicand may then be None), else a QuadExt.  The
+    radicand is one a QuadExt already carries, or one sqrt_exact has found
+    not to be a square, so it is not tested again."""
+    if not b:
+        return Fraction(a, den)
+    return QuadExt(Fraction(a, den) if a else ZERO, Fraction(b * radicand.denominator, den), radicand)

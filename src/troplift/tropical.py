@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, SizeLimit
 from .monomials import plain_class, symmetric_tables
-from .tropmat import TropMatrix, trop_mat_mul  # noqa: F401  (re-exported)
+from .tropmat import TropMatrix, trop_mat_mul
 
 _MEMO_SIZE = 32  # matrices remembered per analysis
 

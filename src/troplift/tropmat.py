@@ -56,9 +56,6 @@ class TropMatrix:
         i, j = rc
         return self.entries[i][j]
 
-    def col(self, j) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "TropMatrix":
         return TropMatrix(tuple(zip(*self.entries)), self.symmetric)
 

@@ -11,15 +11,16 @@ least valuation sum over permutations) has proved nothing, and fails.
 
 All determinants go through series_det, a Laplace expansion over column
 subsets (n 2^(n-1) products, not n n!) on an integer grid: exponents
-scaled by one lcm, each row's coefficients by that row's own common
-denominator, and a single radicand sqrt(p/q) written as sqrt(pq)/q, so
-the expansion multiplies Python ints only.  Rows are expanded in
-ascending order of their term count, heavy rows last, and the sign of
-that row permutation is applied once to the result.  When an entry is
-truncated, the order to which the determinant is known is fixed first by
-a min-plus pass, and partial terms that cannot land below it are dropped
-as they arise.  A truncated determinant's tropical value is a second
-min-plus pass on an integer grid.
+scaled by one lcm, and each row's coefficients put on quadext's
+coefficient lattice over that row's own common denominator, a single
+radicand sqrt(p/q) written as sqrt(pq)/q, so the expansion multiplies
+Python ints only.  Rows are expanded in ascending order of their term
+count, heavy rows last, and the sign of that row permutation is applied
+once to the result.  When an entry is truncated, the order to which the
+determinant is known is fixed first by a min-plus pass, and partial
+terms that cannot land below it are dropped as they arise.  A truncated
+determinant's tropical value is a second min-plus pass on an integer
+grid.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
@@ -45,9 +46,9 @@ from itertools import combinations
 from math import inf, lcm, prod
 
 from .config import MAX_ENUMERATION_BOUND
-from .errors import DimensionMismatch, RadicandMismatch, SizeLimit, ValuationUnknown
+from .errors import DimensionMismatch, SizeLimit, ValuationUnknown
 from .puiseux import PuiseuxSeries
-from .quadext import QuadExt
+from .quadext import QuadExt, from_lattice, to_lattice
 from .tropmat import TropMatrix
 
 CLAIMS = ("rank<=2", "symmetric rank<=2", "singular", "symmetric singular")
@@ -121,65 +122,57 @@ def series_det(mat) -> PuiseuxSeries:
     the end, instead of carrying its terms through every later row.
 
     Integer grid: exponent e becomes the integer e L, with L the lcm of
-    every exponent and truncation denominator.  Row i is scaled by its own
-    common coefficient denominator D_i, since the determinant is linear in
-    each row, and a + b sqrt(p/q) becomes the integer pair (a D_i, b D_i / q)
-    over sqrt(pq).  A term is stored under the key 2 e L + (1 if it carries
-    sqrt(pq) else 0), so one dict of ints holds both parts.  Mixing two
-    radicands raises RadicandMismatch.
+    every exponent and truncation denominator.  Each row is one group of
+    quadext.to_lattice: it is scaled by its own common coefficient
+    denominator D_i, since the determinant is linear in each row, and its
+    coefficients become integer pairs over sqrt(pq) for the one radicand
+    p/q (two radicands are refused there).  A term is stored under the key
+    2 e L + (1 if it carries sqrt(pq) else 0), so one dict of ints holds
+    both parts.
 
     Expansion: row k moves the partial determinants of the column subsets
     of size k to those of size k + 1, D[S + j] += (-1)^s D[S] m[k][j], with
     s the number of columns of S above j.  A partial term is dropped when
     its exponent plus the least valuation sum of the remaining rows on the
     remaining columns reaches the order, so every dropped term would land
-    at or above it.  The result is divided by the product of the D_i once
-    per term.
+    at or above it.  quadext.from_lattice divides the result by the
+    product of the D_i once per term.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
-    exp_den, radicand, row_dens, truncated = 1, None, [], False
+    exp_den, coeffs, truncated = 1, [], False
     for row in mat:
-        coef_den = 1
+        group = []
         for s in row:
             if s.trunc is not None:
                 exp_den = lcm(exp_den, s.trunc.denominator)
                 truncated = True
             for e, c in s.terms:
                 exp_den = lcm(exp_den, e.denominator)
-                if isinstance(c, QuadExt):
-                    if c.b and radicand is None:
-                        radicand = c.d
-                    elif c.b and c.d != radicand:
-                        raise RadicandMismatch(f"cannot mix sqrt({c.d}) with sqrt({radicand})")
-                    coef_den = lcm(coef_den, c.a.denominator, c.b.denominator * c.d.denominator)
-                else:
-                    coef_den = lcm(coef_den, c.denominator)
-        row_dens.append(coef_den)
-    root_den = 1 if radicand is None else radicand.denominator
-    root_sq = 0 if radicand is None else radicand.numerator * root_den
-
-    def grid_terms(s, coef_den):
-        out = []
-        for e, c in s.terms:
-            key = 2 * e.numerator * (exp_den // e.denominator)
-            if isinstance(c, QuadExt):
-                if c.a:
-                    out.append((key, c.a.numerator * (coef_den // c.a.denominator)))
-                if c.b:
-                    out.append(
-                        (key + 1, c.b.numerator * (coef_den // (c.b.denominator * root_den)))
-                    )
-            else:
-                out.append((key, c.numerator * (coef_den // c.denominator)))
-        out.sort()
-        return out
+                group.append(c)
+        coeffs.append(group)
+    radicand, rows = to_lattice(coeffs)
+    root_sq = 0 if radicand is None else radicand.numerator * radicand.denominator
 
     def grid_exp(x):
         return None if x is None else x.numerator * (exp_den // x.denominator)
 
-    terms = [[grid_terms(s, den) for s in row] for row, den in zip(mat, row_dens)]
+    terms = []
+    for row, (_, pairs) in zip(mat, rows):
+        pairs = iter(pairs)
+        grid_row = []
+        for s in row:
+            out = []
+            for (e, _), (a, b) in zip(s.terms, pairs):
+                key = 2 * e.numerator * (exp_den // e.denominator)
+                if a:
+                    out.append((key, a))
+                if b:
+                    out.append((key + 1, b))
+            out.sort()
+            grid_row.append(out)
+        terms.append(grid_row)
     truncs = [[grid_exp(s.trunc) for s in row] for row in mat]
     sign = 1
     weight = [sum(map(len, row)) for row in terms]
@@ -236,19 +229,13 @@ def series_det(mat) -> PuiseuxSeries:
                         break  # ent is sorted, and the exponent key >> 1 only grows
                     dst[key] = dst.get(key, 0) + c1 * c2
 
-    scale = sign * prod(row_dens)
+    scale = sign * prod(den for den, _ in rows)
     parts: dict = {}
     for key, c in (partial[full] or {}).items():
         if c:
             parts.setdefault(key >> 1, [0, 0])[key & 1] = c
     pairs = [
-        (
-            Fraction(e, exp_den),
-            Fraction(a, scale)
-            if not b
-            else QuadExt.make(Fraction(a, scale), Fraction(b * root_den, scale), radicand),
-        )
-        for e, (a, b) in parts.items()
+        (Fraction(e, exp_den), from_lattice(a, b, scale, radicand)) for e, (a, b) in parts.items()
     ]
     return PuiseuxSeries.make(pairs, None if known == inf else Fraction(known, exp_den))
 

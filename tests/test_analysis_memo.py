@@ -21,7 +21,7 @@ from troplift.membership import (
 from troplift.samples import random_sym_matrix, random_sym_rank2_matrix
 from troplift.tropmat import TropMatrix
 
-from conftest import MEMOISED
+from conftest import MEMOISED, MEMOISED_UNBOUNDED
 
 MODES = ("C", "R", "C+", "R+")
 MEMBERS = (member_rank2, member_sym_rank2, member_corank1, member_sym_corank1)
@@ -163,6 +163,22 @@ class TestFreshAnswers:
 
 
 class TestMemoSafety:
+    def test_every_analysis_memo_is_emptied_between_tests(self):
+        """A functools memo defined in tropical, trees or membership and
+        missing from conftest's lists would carry results from one test to
+        the next.  The monomial tables, newton's edge cache and the CLI
+        parser stay warm by design."""
+        listed = set(MEMOISED + MEMOISED_UNBOUNDED)
+        defined = {
+            f"{mod.__name__}.{name}": fn
+            for mod in (tropical, trees, membership)
+            for name, fn in vars(mod).items()
+            if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__
+        }
+        assert listed <= set(defined.values())
+        missing = [name for name, fn in defined.items() if fn not in listed]
+        assert missing == []
+
     @pytest.mark.parametrize("fn", MEMOISED, ids=lambda fn: fn.__name__)
     def test_size_limit_is_not_remembered(self, fn):
         a = fixture("fig2a")  # 3 x 3: every analysis needs a bound of at least 2

@@ -21,7 +21,7 @@ from troplift.mpoly import (
     sym_matrix_polys,
 )
 from troplift.puiseux import PuiseuxSeries, ps_inv, ps_sqrt, quad_roots
-from troplift.quadext import QuadExt, sqrt_exact
+from troplift.quadext import QuadExt, from_lattice, sqrt_exact, to_lattice
 
 F = Fraction
 
@@ -391,6 +391,46 @@ class TestKnownRadicand:
         for name, fast, _ in QUAD_OPS[:8]:
             with pytest.raises(RadicandMismatch):
                 fast(x, y)
+
+
+@st.composite
+def _lattice_groups(draw):
+    """(d, groups): lists of coefficients over the one radicand d, or
+    rational ones for d = None, with zero a-parts among them."""
+    d = draw(st.one_of(st.none(), st.just(F(3, 5)), RADICANDS))
+    if d is None:
+        coeff = RATIONALS
+    else:
+        a_part = st.one_of(st.just(F(0)), RATIONALS)
+        coeff = st.builds(lambda a, b: QuadExt.make(a, b, d), a_part, RATIONALS)
+    return d, draw(st.lists(st.lists(coeff, max_size=6), min_size=1, max_size=4))
+
+
+class TestCoefficientLattice:
+    @settings(max_examples=200, deadline=None)
+    @given(_lattice_groups(), st.sampled_from([1, -1, -6]))
+    def test_round_trip(self, drawn, scale):
+        """Each coefficient is (A + B sqrt(pr)) / D on its group's
+        denominator, and comes back with its value and type under any
+        nonzero scale of the pair and the denominator."""
+        d, groups = drawn
+        radicand, rows = to_lattice(groups)
+        carried = any(isinstance(c, QuadExt) for group in groups for c in group)
+        assert radicand == (d if carried else None)
+        assert len(rows) == len(groups)
+        for group, (den, pairs) in zip(groups, rows):
+            assert type(den) is int and den > 0 and len(pairs) == len(group)
+            for c, (a, b) in zip(group, pairs):
+                assert type(a) is int and type(b) is int
+                back = from_lattice(a * scale, b * scale, den * scale, radicand)
+                assert (type(back), back) == (type(c), c)
+
+    def test_denominator_is_the_groups_least(self):
+        r = QuadExt.make(F(1, 2), F(1, 3), F(3, 5))  # 1/2 + (1/3) sqrt(3/5)
+        radicand, [(den, pairs), (one, empty)] = to_lattice([[r, F(1, 4)], []])
+        # sqrt(3/5) = sqrt(15) / 5, so (1/3) sqrt(3/5) = sqrt(15) / 15
+        assert (radicand, den, pairs) == (F(3, 5), 60, [(30, 4), (15, 0)])
+        assert (one, empty) == (1, [])
 
 
 class TestQuadRoots:

@@ -16,6 +16,26 @@ ALLOWED = {
 }
 
 
+# the modules a decision or a lift runs through, and the test references
+# (brute-force oracles, the LP, samplers, symbolic polynomials) none of
+# them may import
+RUNTIME = ("tropical", "monomials", "membership", "newton", "trees", "lifts", "verify", "puiseux")
+REFERENCES = {"mpoly", "oracle", "linprog", "samples"}
+
+
+def _imported(node) -> list:
+    """The troplift modules an import statement names."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        names = [node.module] if node.module else [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module.startswith("troplift"):
+        names = node.module.split(".")[1:2] or [a.name for a in node.names]
+    elif isinstance(node, ast.Import):
+        names = [a.name.split(".")[1] for a in node.names if a.name.startswith("troplift.")]
+    else:
+        names = []
+    return [name.split(".")[0] for name in names]
+
+
 def _local_imports(source: str) -> set:
     """(function, troplift module) for every import inside a function."""
     found = set()
@@ -23,16 +43,19 @@ def _local_imports(source: str) -> set:
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for node in ast.walk(fn):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                names = [node.module] if node.module else [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module.startswith("troplift"):
-                names = node.module.split(".")[1:2] or [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name.split(".")[1] for a in node.names if a.name.startswith("troplift.")]
-            else:
-                continue
-            found.update((fn.name, name.split(".")[0]) for name in names)
+            found.update((fn.name, name) for name in _imported(node))
     return found
+
+
+def test_runtime_modules_import_no_test_reference():
+    found = {
+        (module, name)
+        for module in RUNTIME
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        for name in _imported(node)
+        if name in REFERENCES
+    }
+    assert found == set()
 
 
 def test_no_function_imports_a_troplift_module():

@@ -19,7 +19,6 @@ from troplift.errors import (
 from troplift.fixtures import fixture
 from troplift.lifts import (
     LiftCertificate,
-    corner_completion_quadratic,
     lift_corank1,
     lift_rank2_positive,
     lift_rank2_real,
@@ -545,22 +544,6 @@ class TestLiftBound:
     def test_enumeration_above_the_bound_is_refused(self, lift, name):
         with pytest.raises(SizeLimit):
             lift(fixture(name), bound=2)
-
-
-class TestCornerCompletion:
-    def test_glue_quadratic_valuation_zero_root(self):
-        # positive-diagonal side meets a block with a negative principal
-        # 2x2 minor: discriminant positive, one root of valuation zero
-        b = mono(3, 2)  # val > 0
-        cross_b = mono(2, 0)  # val 0
-        c = mono(5, 1)
-        cross_c = mono(1, 0)
-        x, disc_sign = corner_completion_quadratic(b, c, cross_b, cross_c, trunc=F(25))
-        assert disc_sign == 1
-        assert x.val() == 0
-        one = PuiseuxSeries.constant(F(1))
-        mat = [[b, cross_b, x], [cross_b, one, cross_c], [x, cross_c, c]]
-        assert series_det(mat).is_known_zero()
 
 
 class TestRankChain:

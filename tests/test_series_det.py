@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from troplift.errors import DimensionMismatch, RadicandMismatch
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
-from troplift.mpoly import perm_sign
-from troplift.puiseux import PuiseuxSeries, ps_div
+from troplift.monomials import perm_sign
+from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt
 from troplift.quadext import QuadExt
 from troplift.verify import _det_vanishes, _min_plus
 
@@ -267,6 +267,19 @@ def test_mixed_radicands_raise():
             ref_series_det(rows)
         with pytest.raises(RadicandMismatch):
             series_det(rows)
+
+
+def test_series_det_and_ps_sqrt_refuse_two_radicands_alike():
+    """Both kernels put their coefficients on quadext's lattice, so two
+    radicands are refused with one message."""
+    x = PuiseuxSeries.make(
+        [(F(0), F(1)), (F(1), QuadExt.make(0, 1, 2)), (F(2), QuadExt.make(1, 1, 3))], F(3)
+    )
+    with pytest.raises(RadicandMismatch) as by_det:
+        series_det([[x]])
+    with pytest.raises(RadicandMismatch) as by_sqrt:
+        ps_sqrt(x)
+    assert str(by_det.value) == str(by_sqrt.value) == "cannot mix sqrt(3) with sqrt(2)"
 
 
 def test_non_square_input_is_refused():
