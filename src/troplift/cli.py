@@ -242,7 +242,7 @@ def dispatch(argv=None) -> int:
         elif args.what == "vertices":
             payload = [jsonio.encode_class(c) for c in newton.polytope_vertices(args.n)]
         else:
-            payload = [jsonio.encode_value(e) for e in newton.polytope_edges(args.n)]
+            payload = newton.polytope_edges(args.n)
         _emit(jsonio.dumps(payload), args.outfile)
         return 0
 

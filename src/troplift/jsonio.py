@@ -156,56 +156,26 @@ def encode_class(cls: SignedMonomialClass) -> dict:
     }
 
 
-def encode_value(v):
-    """JSON encoding of a command's payload; an unknown type raises TypeError.
-
-    Most leaves are already plain JSON (encode_certificate has turned every
-    rational into a string), so the exact plain types are tested first;
-    subclasses and the troplift types fall through to the isinstance tests.
-    """
-    t = type(v)
-    if t is str or t is int or t is bool or v is None:
-        return v
-    if t is dict:
-        return {str(k): encode_value(x) for k, x in v.items()}
-    if t is list or t is tuple:
-        return [encode_value(x) for x in v]
-    if isinstance(v, Fraction):
-        return frac_to_str(v)
-    if isinstance(v, TropMatrix):
-        return encode_matrix(v)
-    if isinstance(v, NewtonEdge):
-        return {
-            "u": v.u.monomial_str(),
-            "v": v.v.monomial_str(),
-            "lattice_length": v.lattice_length,
-            "midpoint": None if v.midpoint is None else v.midpoint.monomial_str(),
-            "union_cycle_length": v.union_cycle_length,
-        }
-    if isinstance(v, dict):
-        return {str(k): encode_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [encode_value(x) for x in v]
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    raise TypeError(f"no JSON encoding for {type(v).__name__}")
-
-
 def _indented(v, pad: str) -> str:
-    """The bytes of json.dumps(v, indent=2, sort_keys=True) for a tree of
-    str, int, bool, None, dict with str keys and list, nested below `pad`."""
+    """The bytes of json.dumps(tree, indent=2, sort_keys=True), nested below
+    `pad`, where tree is v with each rational as its "p/q" string, each
+    matrix and edge as its JSON object, each tuple as a list and each key
+    as str(key) (the last of equal strings wins); an unknown type raises
+    TypeError.  Most nodes are plain JSON already (encode_certificate has
+    turned every rational into a string), so those are tested first."""
     if isinstance(v, str):
         return _quote(v)
-    t = type(v)
-    if t is dict:
+    if isinstance(v, dict):
         if not v:
             return "{}"
+        if any(type(k) is not str for k in v):
+            v = {str(k): x for k, x in v.items()}
         inner = pad + "  "
         body = (",\n" + inner).join(
             [_quote(k) + ": " + _indented(v[k], inner) for k in sorted(v)]
         )
         return "{\n" + inner + body + "\n" + pad + "}"
-    if t is list:
+    if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
         inner = pad + "  "
@@ -219,10 +189,23 @@ def _indented(v, pad: str) -> str:
         return "false"
     if isinstance(v, int):
         return int.__repr__(v)
-    raise TypeError(f"no JSON encoding for {t.__name__}")
+    if isinstance(v, Fraction):
+        return _quote(frac_to_str(v))
+    if isinstance(v, TropMatrix):
+        return _indented(encode_matrix(v), pad)
+    if isinstance(v, NewtonEdge):
+        edge = {
+            "u": v.u.monomial_str(),
+            "v": v.v.monomial_str(),
+            "lattice_length": v.lattice_length,
+            "midpoint": None if v.midpoint is None else v.midpoint.monomial_str(),
+            "union_cycle_length": v.union_cycle_length,
+        }
+        return _indented(edge, pad)
+    raise TypeError(f"no JSON encoding for {type(v).__name__}")
 
 
 def dumps(obj) -> str:
     """Indented JSON with sorted keys, as json.dumps(..., indent=2,
-    sort_keys=True) writes it, in one pass over the encode_value tree."""
-    return _indented(encode_value(obj), "")
+    sort_keys=True) writes it, in one pass over a command's payload."""
+    return _indented(obj, "")

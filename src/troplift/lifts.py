@@ -35,13 +35,14 @@ from .errors import (
     SameSigns,
     ValuationUnknown,
 )
-from .membership import adjacent_pair, member_sym_corank1
+from .membership import _edge_table, _positive_part, adjacent_pair
 from .puiseux import PuiseuxSeries, ps_div, quad_numerators
 from .tropmat import TropMatrix, trop_mat_mul
 from .tropical import (
     _sym_caterpillar_witness,
     barvinok_rank2,
     sym_barvinok_rank2,
+    sym_trop_det,
     sym_trop_rank,
     trop_det,
 )
@@ -510,7 +511,7 @@ def lift_corank1(
     res = trop_det(a, bound)
     if not res.tie:
         raise NotSingular("tropical determinant has a unique minimizing monomial")
-    pair = adjacent_pair([cls.representative for cls in res.argmin], opposite_signs=mode == "R+")
+    pair = adjacent_pair(res.argmin, opposite_signs=mode == "R+")
     if pair is None and mode == "R+":
         raise SameSigns("no opposite-sign adjacent pair attains the minimum")
     # the tied permutations are the vertices of a face of the Birkhoff
@@ -602,33 +603,36 @@ def lift_sym_corank1(
     (raising MinorSignsOpposed otherwise) and are made to agree in R mode
     by flipping the sign of one lifted entry of the shared row.
 
-    Both modes read the R+ membership verdict, which lists every edge of
-    a tie, so the symmetric determinant runs once.  Only R+ mode refuses a
-    negative verdict, and only R+ mode reports a boundary tie.  `bound`
-    caps n for the determinants, as in member_sym_corank1.
+    Both modes read the memoised edge table of the membership verdicts,
+    which lists every edge of a tie, so the symmetric determinant runs
+    once.  Only R+ mode refuses a negative verdict, and only R+ mode
+    reports a boundary tie.  `bound` caps n for the determinants, as in
+    member_sym_corank1.
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    verdict = member_sym_corank1(asym, "R+", bound)
-    reason = verdict.reason
-    if not reason["tie"]:
+    if not sym_trop_det(asym, bound).tie:
         raise NotSingular("symmetric tropical determinant has a unique minimizer")
-    if mode == "R+" and not verdict.verdict:
-        if reason["failure"] == "minor_signs":
+    table = _edge_table(asym, bound)
+    boundary = False
+    if mode == "R+":
+        ok, boundary, failure = _positive_part(table, "R+")
+        if failure == "minor_signs":
             raise MinorSignsOpposed(
                 "both deleted minors are sign-forced with opposite signs"
             )
-        raise SameSigns("no edge of the minimizing set admits a positive solution")
-    usable = [e for e in reason["edges"] if e["qualifies_" + ("r_plus" if mode == "R+" else "r")]]
+        if not ok:
+            raise SameSigns("no edge of the minimizing set admits a positive solution")
+    usable = [rec for rec in table if mode == "R" or rec.qualifies_r_plus]
     assert usable, "true verdict must come with a usable edge"
     # prefer edges that span the tie exactly: there the constructive
     # statements apply; on a pure boundary tie the verdict is a closure
     # statement and the solve below may be genuinely infeasible
     usable.sort(
-        key=lambda e: (not e["exact_span"], e["edge"].lattice_length, e["edge"].u.exponent)
+        key=lambda rec: (not rec.exact_span, rec.edge.lattice_length, rec.edge.u.exponent)
     )
-    if mode == "R+" and reason["boundary"]:
+    if boundary:
         exhausted = DegenerateGeneric(
             "the tie strictly contains the qualifying edge; membership is a "
             "closure statement and an exact lift with these valuations may "
@@ -637,11 +641,11 @@ def lift_sym_corank1(
     else:
         exhausted = DegenerateGeneric("quadratic solve kept failing after retries")
     chosen = usable[0]
-    edge = chosen["edge"]
+    edge = chosen.edge
     if edge.lattice_length == 1:
         i, j = _lattice1_entry(edge)
     else:
-        i, j = chosen["minor_pair"]
+        i, j = chosen.minor_reports[0][0]
     if trunc is None:
         trunc = default_truncation(asym)
     flips = _flip_candidates(asym, edge, i, j, mode)

@@ -8,9 +8,12 @@ satisfies the relevant cone criterion.
 
 The analyses behind the verdicts are memoised (see tropical), and so is
 the symmetric edge table that C+ and R+ share: one tuple of immutable
-records per (matrix, bound), holding the memoised NewtonEdges.  Every
-payload, edge dict and minor report a caller gets is built fresh from
-those records, so changing it changes no later answer.
+records per (matrix, bound), holding the memoised NewtonEdges.  A lattice
+length 2 record reads its minor pairs off the even cycle its NewtonEdge
+carries.  `_positive_part` decides C+ and R+ from the table, for the
+verdicts here and for lifts.lift_sym_corank1 alike.  Every payload, edge
+dict and minor report a caller gets is built fresh from those records, so
+changing it changes no later answer.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
-from .monomials import perm_sign
-from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, newton_edge
+from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, is_vertex, newton_edge
 from .tropical import (
     _MEMO_SIZE,
     barvinok_rank2,
@@ -87,7 +89,6 @@ def member_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND)
     signs among the minimizing permutations."""
     _check_mode(mode)
     res = trop_det(a, bound)
-    perms = [cls.representative for cls in res.argmin]
     payload = {
         "tie": res.tie,
         "min_value": res.min_value,
@@ -95,21 +96,21 @@ def member_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND)
     }
     if mode in ("C", "R"):
         return MembershipVerdict("corank1", mode, res.tie, payload)
-    pair = adjacent_pair(perms, opposite_signs=True)
+    pair = adjacent_pair(res.argmin, opposite_signs=True)
     payload["opposite_sign_edge_pair"] = pair
     return MembershipVerdict("corank1", mode, pair is not None, payload)
 
 
-def adjacent_pair(perms, opposite_signs: bool):
-    """First pair of permutations, in combinations order, that spans a
-    Birkhoff-polytope edge (a one-cycle quotient), or None.  With
-    opposite_signs only pairs of opposite signs count, as in the positive
-    parts."""
-    for s1, s2 in combinations(perms, 2):
-        if opposite_signs and perm_sign(s1) == perm_sign(s2):
+def adjacent_pair(classes, opposite_signs: bool):
+    """Representatives of the first pair of plain classes, in combinations
+    order, that spans a Birkhoff-polytope edge (a one-cycle quotient), or
+    None.  With opposite_signs only pairs of opposite signs count, as in
+    the positive parts."""
+    for c1, c2 in combinations(classes, 2):
+        if opposite_signs and c1.sign == c2.sign:
             continue
-        if birkhoff_edge(s1, s2):
-            return s1, s2
+        if birkhoff_edge(c1.representative, c2.representative):
+            return c1.representative, c2.representative
     return None
 
 
@@ -118,7 +119,7 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     with the positive-part and really-positive-part qualifications.
 
     For a lattice length 2 edge the really-positive test deletes the two
-    rows/columns of one adjacent pair on the midpoint cycle and asks the
+    rows/columns of one adjacent pair on the midpoint's even cycle and asks the
     two minors to admit minimizing permutations of a common sign; a single
     adjacent pair decides, and all pairs are reported.  The dicts are
     fresh; the table they are read from is memoised.
@@ -138,7 +139,7 @@ class _EdgeRecord(NamedTuple):
     qualifies_c_plus: bool
     qualifies_r_plus: bool
     # lattice length 2 only: ((i, j), (signs of minor i, of minor j), same sign)
-    # per adjacent pair on the midpoint cycle
+    # per adjacent pair on the midpoint's even cycle
     minor_reports: tuple | None
 
 
@@ -169,13 +170,8 @@ def _edge_table(asym: TropMatrix, bound: int) -> tuple:
     # vertex of every edge would rebuild and hash its minor
     signs = cache(lambda k: _minor_signs(asym, k, bound))
 
-    vertices = [
-        cls
-        for cls in res.argmin
-        if all(k != "cycle" or len(v) % 2 == 1 for k, v in cls.graph_components())
-    ]
     out = []
-    for u, v in combinations(vertices, 2):
+    for u, v in combinations(filter(is_vertex, res.argmin), 2):
         edge = newton_edge(u, v)
         if edge is None:
             continue
@@ -185,11 +181,7 @@ def _edge_table(asym: TropMatrix, bound: int) -> tuple:
         c_plus = edge_positive_ok(edge)
         r_plus, reports = c_plus, None
         if edge.lattice_length == 2:
-            cycle = next(
-                verts
-                for kind, verts in edge.midpoint.graph_components()
-                if kind == "cycle"
-            )
+            cycle = edge.midpoint_cycle
             reports = []
             for k in range(len(cycle)):
                 i, j = cycle[k], cycle[(k + 1) % len(cycle)]
@@ -214,7 +206,7 @@ def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BO
 
     C and R coincide and need a class tie in the symmetric determinant.
     C+ needs a tied edge with opposite signs at lattice length 1 or a
-    midpoint cycle of length divisible by 4 at lattice length 2; R+
+    midpoint even cycle of length divisible by 4 at lattice length 2; R+
     additionally requires the deleted-minor signs to agree for an adjacent
     pair on that cycle.
     """
@@ -226,29 +218,34 @@ def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BO
         "min_value": res.min_value,
         "argmin": [cls.monomial_str() for cls in res.argmin],
     }
-    if mode in ("C", "R"):
-        if not res.tie:
-            payload["failure"] = "no_tie"
-        return MembershipVerdict("sym_corank1", mode, res.tie, payload)
     if not res.tie:
         payload["failure"] = "no_tie"
         return MembershipVerdict("sym_corank1", mode, False, payload)
-    edges = sym_corank1_edges(asym, bound)
-    payload["edges"] = edges
-    key = "qualifies_c_plus" if mode == "C+" else "qualifies_r_plus"
-    ok = any(e[key] for e in edges)
+    if mode in ("C", "R"):
+        return MembershipVerdict("sym_corank1", mode, True, payload)
+    payload["edges"] = sym_corank1_edges(asym, bound)
+    ok, boundary, failure = _positive_part(_edge_table(asym, bound), mode)
     if ok:
-        payload["boundary"] = not any(e[key] and e["exact_span"] for e in edges)
-    if not ok:
-        if mode == "R+" and any(
-            e["qualifies_c_plus"] and e["edge"].lattice_length == 2 for e in edges
-        ):
-            payload["failure"] = "minor_signs"
-        elif not edges:
-            payload["failure"] = "no_edge"
-        else:
-            payload["failure"] = "same_signs"
+        payload["boundary"] = boundary
+    else:
+        payload["failure"] = failure
     return MembershipVerdict("sym_corank1", mode, ok, payload)
+
+
+def _positive_part(table: tuple, mode: str) -> tuple:
+    """(verdict, boundary, failure) of C+ or R+ on a tie's edge table.
+
+    A true verdict is a boundary one when no qualifying edge spans the tie
+    exactly, and has failure None; a false one has boundary None and says
+    why: "minor_signs" when an R+ edge fails only on its minors,
+    "no_edge" when the tie spans no edge, else "same_signs"."""
+    r_plus = mode == "R+"
+    qualifying = [rec for rec in table if (rec.qualifies_r_plus if r_plus else rec.qualifies_c_plus)]
+    if qualifying:
+        return True, not any(rec.exact_span for rec in qualifying), None
+    if r_plus and any(rec.qualifies_c_plus and rec.edge.lattice_length == 2 for rec in table):
+        return False, None, "minor_signs"
+    return False, None, "same_signs" if table else "no_edge"
 
 
 def positive_generators_check(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> bool:

@@ -2,11 +2,14 @@
 
 Monomial classes live in the upper-triangular exponent coordinates, where
 the lattice is integral with entries 0, 1, 2.  Vertices are the classes
-whose semisimple graphs have no even cycle of length >= 4; two vertices
-form an edge when their graph union has at most n + 1 edges and at most
-one even cycle of length >= 4.  Every edge has lattice length 1 or 2, and
-a lattice length 2 edge arises from trading k >= 2 transpositions for a
-2k-cycle, which sits at the edge midpoint.
+whose semisimple graphs have no even cycle of length >= 4 (`is_vertex`);
+two vertices form an edge when their graph union has at most n + 1 edges
+and at most one even cycle of length >= 4.  Every edge has lattice length
+1 or 2, and a lattice length 2 edge arises from trading k >= 2
+transpositions for a 2k-cycle, which sits at the edge midpoint.  The
+midpoint may also hold odd cycles the endpoints share (from n = 7 on, a
+triangle can come ahead of the 2k-cycle), so the edge records the even
+cycle itself as `midpoint_cycle`.
 
 Both the edge criterion and the lattice data read only the two exponent
 matrices, so one memo, keyed on the exponent pair, holds each pair's
@@ -36,14 +39,16 @@ def _check_n(n: int):
         raise SizeLimit(f"polytope predicates support n <= {PUBLIC_CLASS_LIMIT}")
 
 
+def is_vertex(cls: SignedMonomialClass) -> bool:
+    """A class is a polytope vertex when its graph consists of loops,
+    isolated edges and odd cycles."""
+    return all(kind != "cycle" or len(verts) % 2 == 1 for kind, verts in cls.graph_components())
+
+
 def polytope_vertices(n: int) -> tuple:
-    """Classes whose graphs consist of loops, isolated edges, and odd cycles."""
+    """The vertex classes of the n x n symmetric determinant's polytope."""
     _check_n(n)
-    out = []
-    for cls in sym_det_monomials(n):
-        if all(kind != "cycle" or len(verts) % 2 == 1 for kind, verts in cls.graph_components()):
-            out.append(cls)
-    return tuple(out)
+    return tuple(filter(is_vertex, sym_det_monomials(n)))
 
 
 def _union_graph(u: SignedMonomialClass, v: SignedMonomialClass):
@@ -86,7 +91,12 @@ class NewtonEdge:
     v: SignedMonomialClass
     lattice_length: int  # 1 or 2
     midpoint: SignedMonomialClass | None
-    union_cycle_length: int | None  # even length of the midpoint cycle, lattice 2 only
+    # lattice 2 only: the midpoint's even cycle, from its minimum as in cycles_of
+    midpoint_cycle: tuple | None
+
+    @property
+    def union_cycle_length(self) -> int | None:
+        return None if self.midpoint_cycle is None else len(self.midpoint_cycle)
 
 
 _EDGES: dict = {}  # (exponent of u, exponent of v) -> NewtonEdge | None
@@ -126,11 +136,14 @@ def _edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
         )
         mid_cls = class_by_exponent(n, mid)
         assert mid_cls is not None, "midpoint of a lattice-2 edge must be a monomial"
-        cyc = max(
-            (len(verts) for kind, verts in mid_cls.graph_components() if kind == "cycle"),
-            default=None,
+        # the endpoints differ only in transpositions, which alternate
+        # around the midpoint's one even cycle
+        cycle = next(
+            verts
+            for kind, verts in mid_cls.graph_components()
+            if kind == "cycle" and len(verts) % 2 == 0
         )
-        return NewtonEdge(u, v, 2, mid_cls, cyc)
+        return NewtonEdge(u, v, 2, mid_cls, cycle)
     return NewtonEdge(u, v, 1, None, None)
 
 
@@ -177,10 +190,10 @@ def initial_form(classes, weights: TropMatrix) -> tuple:
 
 def edge_positive_ok(edge: NewtonEdge) -> bool:
     """Positive-part test for an edge's normal cone: opposite signs at
-    lattice length 1, or a midpoint cycle length divisible by 4."""
+    lattice length 1, or an even midpoint cycle of length divisible by 4."""
     if edge.lattice_length == 1:
         return edge.u.sign != edge.v.sign
-    return edge.union_cycle_length is not None and edge.union_cycle_length % 4 == 0
+    return len(edge.midpoint_cycle) % 4 == 0
 
 
 def table2_rows() -> tuple:

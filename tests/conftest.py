@@ -1,5 +1,6 @@
 """Shared test setup: every test starts with empty analysis memos and
-without TROPLIFT_* configuration from the environment."""
+without TROPLIFT_* configuration from the environment.  Also the 7x7
+symmetric inputs that several test files share."""
 
 import pytest
 
@@ -17,6 +18,31 @@ MEMOISED = (
 )
 # memos keyed on the matrix alone, without a bound
 MEMOISED_UNBOUNDED = (trees._rank2_tree,)
+
+
+def _sym7_a():
+    rows = [[10] * 7 for _ in range(7)]
+    for i, j in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)):
+        rows[i][j] = rows[j][i] = 0
+    return rows
+
+
+# Symmetric 7x7 ties on one lattice length 2 edge whose midpoint holds a
+# triangle ahead of its even cycle.  A is 0 on the triangle {0, 1, 2} and on
+# the 4-cycle 3-4-5-6 and 10 elsewhere: its minors agree in sign, so R+
+# holds and both lifts exist.  B's midpoint is the triangle (0 1 4) with the
+# 4-cycle (2 3 6 5), whose minors are sign-forced opposite: R+ fails, and
+# the R lift exists.
+SYM7_A = _sym7_a()
+SYM7_B = [
+    [5, 0, 3, 2, 0, 4, 5],
+    [0, 5, 3, 4, 0, 2, 5],
+    [3, 3, 4, 0, 2, 0, 1],
+    [2, 4, 0, 4, 1, 3, 0],
+    [0, 0, 2, 1, 6, 5, 4],
+    [4, 2, 0, 3, 5, 4, 0],
+    [5, 5, 1, 0, 4, 0, 6],
+]
 
 
 @pytest.fixture(autouse=True)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SYM7_A, SYM7_B
 from troplift import cli, errors, jsonio
 from troplift.cli import dispatch, main
 from troplift.fixtures import FIXTURE_NAMES, fixture
@@ -123,6 +124,20 @@ class TestExitCodes:
         assert err.startswith("construction exhausted: DegenerateGeneric: the tie strictly contains")
         assert "input error" not in err
 
+    def test_symmetric_7x7_ties_on_the_even_cycle(self, tmp_path, capsys):
+        a, b, cert = tmp_path / "a.json", tmp_path / "b.json", str(tmp_path / "cert.json")
+        a.write_text(json.dumps({"symmetric": True, "entries": SYM7_A}))
+        b.write_text(json.dumps({"symmetric": True, "entries": SYM7_B}))
+        lift = ["lift", "--variety", "sym_corank1", "--out", cert, "--mode"]
+        for path, mode in ((a, "R+"), (a, "R"), (b, "R")):
+            assert main(lift + [mode, "--in", str(path)]) == 0
+            assert main(["verify", "--in", cert]) == 0
+        capsys.readouterr()
+        assert main(["member", "--variety", "sym_corank1", "--mode", "R+", "--in", str(b)]) == 1
+        assert json.loads(capsys.readouterr().out)["reason"]["failure"] == "minor_signs"
+        assert main(lift + ["R+", "--in", str(b)]) == 1
+        assert "MinorSignsOpposed" in capsys.readouterr().err
+
     def test_member_positive_and_negative(self, fixture_dir):
         ex52 = str(fixture_dir / "ex52.json")
         assert main(["member", "--variety", "sym_corank1", "--mode", "C+", "--in", ex52]) == 0
@@ -171,6 +186,9 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("size limit: ")
         monkeypatch.setenv("TROPLIFT_MAX_N", bound)
         assert main(["verify-suite"]) == 3
+
+    def test_verify_suite_max_n_flag_overrides_the_environment(self, monkeypatch):
+        monkeypatch.setenv("TROPLIFT_MAX_N", "3")
         assert main(["verify-suite", "--max-n", "4"]) == 0
 
     def test_size_limit(self, tmp_path):

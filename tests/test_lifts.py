@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import SYM7_A, SYM7_B
 from troplift import jsonio, trees, tropical
 from troplift.errors import (
     MinorSignsOpposed,
@@ -301,6 +302,17 @@ class TestSymCorank1:
         z = TropMatrix.make([[0] * 3 for _ in range(3)], symmetric=True)
         cert = lift_sym_corank1(z, "R+")
         assert cert.valid and cert.positivity == "all-positive"
+
+    @pytest.mark.parametrize("mode", ["R", "R+"])
+    def test_solve_on_the_even_cycle_behind_a_triangle(self, mode):
+        cert = lift_sym_corank1(TropMatrix.make(SYM7_A, symmetric=True), mode)
+        assert cert.valid and cert.claimed == "symmetric singular"
+
+    def test_opposed_minors_on_the_even_cycle(self):
+        b = TropMatrix.make(SYM7_B, symmetric=True)
+        with pytest.raises(MinorSignsOpposed):
+            lift_sym_corank1(b, "R+")
+        assert lift_sym_corank1(b, "R").valid
 
     def test_random_real_instances(self):
         rng = random.Random(51)

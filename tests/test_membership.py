@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 
+from conftest import SYM7_A, SYM7_B
 from troplift.fixtures import fixture
 from troplift.membership import (
     member_corank1,
     member_rank2,
     member_sym_corank1,
     member_sym_rank2,
+    sym_corank1_edges,
 )
 from troplift.samples import (
     random_matrix,
@@ -111,6 +113,24 @@ class TestSymCorank1:
         v = verdicts(member_sym_corank1, a)
         assert v["C"] and v["R"]
         assert not v["C+"] and not v["R+"]
+
+    def test_minor_pairs_sit_on_the_even_cycle_behind_a_triangle(self):
+        a = TropMatrix.make(SYM7_A, symmetric=True)
+        (edge,) = sym_corank1_edges(a)
+        assert edge["minor_pair"] == (3, 4)
+        pairs = [rep["pair"] for rep in edge["minor_reports"]]
+        assert pairs == [(3, 4), (4, 5), (5, 6), (6, 3)]
+        assert edge["exact_span"] and edge["qualifies_r_plus"]
+        assert verdicts(member_sym_corank1, a) == {m: True for m in MODES}
+
+    def test_opposed_minors_on_the_even_cycle_refuse_r_plus(self):
+        b = TropMatrix.make(SYM7_B, symmetric=True)
+        assert verdicts(member_sym_corank1, b) == {"C": True, "R": True, "C+": True, "R+": False}
+        r = member_sym_corank1(b, "R+")
+        assert r.reason["failure"] == "minor_signs"
+        (edge,) = r.reason["edges"]
+        assert edge["minor_pair"] == (2, 3)
+        assert not any(rep["same_sign_choice"] for rep in edge["minor_reports"])
 
 
 class TestProperties:

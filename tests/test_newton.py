@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+from conftest import SYM7_A, SYM7_B
 from troplift import newton
+from troplift.membership import sym_corank1_edges
 from troplift.monomials import SignedMonomialClass, class_by_exponent, sym_det_monomials
 from troplift.newton import (
     birkhoff_edge,
@@ -143,12 +145,29 @@ class TestPolytope:
         assert fast_e == sorted(tuple(sorted(p)) for p in hull_e)
 
     def test_all_lattice2_midpoints_are_classes(self):
-        for n in (3, 4, 5):
-            for e in polytope_edges(n):
-                assert e.lattice_length in (1, 2)
-                if e.lattice_length == 2:
-                    assert e.midpoint is not None
-                    assert e.union_cycle_length is not None and e.union_cycle_length % 2 == 0
+        edges = [e for n in (3, 4, 5, 6) for e in polytope_edges(n)]
+        for rows, cycle in ((SYM7_A, (3, 4, 5, 6)), (SYM7_B, (2, 3, 6, 5))):
+            (rec,) = sym_corank1_edges(TropMatrix.make(rows, symmetric=True))
+            edge = rec["edge"]
+            # from n = 7 on, a triangle can come ahead of the even cycle
+            cycles = [vs for kind, vs in edge.midpoint.graph_components() if kind == "cycle"]
+            assert [len(vs) for vs in cycles] == [3, 4]
+            assert edge.midpoint_cycle == cycle
+            edges.append(edge)
+        assert sum(e.lattice_length == 2 for e in edges) == 3 + 15 + 150 + 2
+        for e in edges:
+            assert e.lattice_length in (1, 2)
+            if e.lattice_length == 1:
+                assert e.midpoint is None and e.midpoint_cycle is None
+                continue
+            assert e.midpoint is not None
+            even = [
+                vs
+                for kind, vs in e.midpoint.graph_components()
+                if kind == "cycle" and len(vs) % 2 == 0
+            ]
+            assert even == [e.midpoint_cycle]
+            assert e.union_cycle_length == len(e.midpoint_cycle) >= 4
 
 
 class TestBirkhoff:

@@ -132,7 +132,11 @@ def ref_sym_corank1_edges(a):
             "minor_reports": None,
         }
         if edge.lattice_length == 2:
-            cycle = next(vs for kind, vs in edge.midpoint.graph_components() if kind == "cycle")
+            cycle = next(
+                vs
+                for kind, vs in edge.midpoint.graph_components()
+                if kind == "cycle" and len(vs) % 2 == 0
+            )
             reports = []
             for k in range(len(cycle)):
                 i, j = cycle[k], cycle[(k + 1) % len(cycle)]
