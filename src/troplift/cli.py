@@ -302,7 +302,7 @@ def run_verify_suite(seed: int, bound: int):
         d = rng.randint(2, max_n)
         n = rng.randint(2, max_n)
         a = samples.random_rank2_matrix(rng, d, n)
-        fast, _, _ = barvinok_rank2(a, bound)
+        fast = barvinok_rank2(a, bound).ok
         reports.append(
             oracle.OracleReport(
                 "barvinok_rank2", repr(a.entries), fast, oracle.brute_barvinok2(a)
@@ -312,7 +312,7 @@ def run_verify_suite(seed: int, bound: int):
         n = rng.randint(2, max_n)
         a = samples.random_sym_rank2_matrix(rng, n)
         a = TropMatrix.make(a.entries, symmetric=True)
-        fast, _, _ = sym_barvinok_rank2(a, bound)
+        fast = sym_barvinok_rank2(a, bound).ok
         reports.append(
             oracle.OracleReport(
                 "sym_barvinok_rank2", repr(a.entries), fast, oracle.brute_sym_barvinok2(a)

@@ -37,16 +37,15 @@ from .errors import (
 )
 from .membership import _edge_table, _positive_part, adjacent_pair
 from .puiseux import PuiseuxSeries, ps_div, quad_numerators
-from .tropmat import TropMatrix, trop_mat_mul
+from .tropmat import TropMatrix
 from .tropical import (
-    _sym_caterpillar_witness,
     barvinok_rank2,
     sym_barvinok_rank2,
+    sym_tree_barvinok,
     sym_trop_det,
     sym_trop_rank,
     trop_det,
 )
-from . import trees as trees_mod
 from .verify import LiftCertificate, _det_vanishes, series_det, verify_lift
 
 MAX_RETRIES = 32
@@ -93,21 +92,18 @@ def _factor_product(b: TropMatrix, c: TropMatrix) -> tuple:
 
 
 def lift_rank2_positive(
-    a: TropMatrix, seed: int = 1, witness=None, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
-    """Positive rank <= 2 lift from a min-plus factorization A = B ⊙ C.
+    """Positive rank <= 2 lift from the Barvinok witness A = B ⊙ C.
 
     Each entry becomes the subtraction-free sum of t**(B_ik + C_kj), so no
     cancellation occurs and valuations match by construction.  `bound`
     caps the rank scan of the witness search, as in member_rank2.
     """
-    if witness is None:
-        ok, witness, reason = barvinok_rank2(a, bound)
-        if not ok:
-            raise NotBarvinok2(f"no two-term factorization: {reason['kind']}")
-    b, c = witness
-    if trop_mat_mul(b, c).entries != a.entries:
-        raise NotBarvinok2("witness does not factor the target")
+    rec = barvinok_rank2(a, bound)
+    if not rec.ok:
+        raise NotBarvinok2(f"no two-term factorization: {rec.kind}")
+    b, c = rec.witness
     return _issue(
         a, _factor_product(b, c), "rank<=2", "all-positive", "factorization_product", seed, bound
     )
@@ -152,33 +148,32 @@ def lift_sym_caterpillar(
     Two shapes occur: a fully fixed spine (pairs sit on the path, lifted by
     the spine recursion) and a single fixed point (mirror symmetry, lifted
     by the factor product of the symmetric factorization B ⊙ B^T).  The
-    symmetric Barvinok test picks the shape, and its rank_too_high reason
-    raises NotRank2; the spine branch reads the test's memoised tree.
-    `bound` caps the tree's rank scan, as in member_sym_rank2.
+    symmetric Barvinok test picks the shape, and a tropical rank above 2
+    in its record raises NotRank2; the spine branch reads the record's
+    tree and symbic report.  `bound` caps the tree's rank scan, as in
+    member_sym_rank2.
     """
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
-    ok, b, reason = sym_barvinok_rank2(asym, bound)
-    if reason["kind"] == "rank_too_high":
+    rec = sym_barvinok_rank2(asym, bound)
+    if rec.tropical_rank > 2:
         raise NotRank2("tropical rank above 2")
-    if not ok and reason["kind"] != "fixed_path_not_point":
+    if not rec.caterpillar:
         raise NotCaterpillar("matrix is not of caterpillar symbic type")
-    return _caterpillar_lift(asym, b, seed, bound)
+    return _caterpillar_lift(asym, rec, seed, bound)
 
 
-def _caterpillar_lift(asym: TropMatrix, b, seed: int, bound: int) -> LiftCertificate:
-    """The positive lift of a caterpillar symbic matrix: the factor product
-    of the witness b when the swap fixes one point, else (b None) the spine
-    recursion along the fixed spine of the matrix's tree."""
+def _caterpillar_lift(asym: TropMatrix, rec, seed: int, bound: int) -> LiftCertificate:
+    """The positive lift of a caterpillar symbic matrix from its symmetric
+    Barvinok record: the factor product of the witness when the swap fixes
+    one point, else the spine recursion along the tree's fixed spine."""
     n = asym.rows
-    if b is not None:
-        lift = _factor_product(b, b.transpose())
+    if rec.ok:
+        lift = _factor_product(rec.witness, rec.witness.transpose())
         method = "mirror_factor_product"
     else:
-        tree = trees_mod._rank2_tree(asym)
-        rep = trees_mod.symbic_classify(tree)
-        assert len(rep.fixed_nodes) == tree.nodes, "caterpillar fixed path spans the spine"
-        coord = tree.spine_coordinates()
-        pos = [coord[tree.leaf_node("blue", i + 1)] for i in range(n)]
+        assert len(rec.report.fixed_nodes) == rec.tree.nodes, "caterpillar fixed path spans the spine"
+        coord = rec.tree.spine_coordinates()
+        pos = [coord[rec.tree.leaf_node("blue", i + 1)] for i in range(n)]
         order = sorted(range(n), key=lambda i: (pos[i], i))
         # labels along the spine run 1, n, n-1, ..., 2
         label = {order[0]: 0}
@@ -243,10 +238,10 @@ def lift_rank2_real(
     caps the minor size of the rank scan, as in member_rank2.
     """
     d, n = a.rows, a.cols
-    ok, witness, reason = barvinok_rank2(a, bound)
-    if ok:
-        return lift_rank2_positive(a, seed=seed, witness=witness, bound=bound)
-    if reason["kind"] == "rank_too_high":
+    rec = barvinok_rank2(a, bound)
+    if rec.ok:
+        return lift_rank2_positive(a, seed=seed, bound=bound)
+    if rec.tropical_rank > 2:
         raise NotRank2("tropical rank above 2")
 
     frame = next(
@@ -403,16 +398,13 @@ def lift_sym_rank2_real(
         asym[i, j] == (asym[i, i] + asym[j, j]) / 2 for i in range(n) for j in range(n)
     ):
         return _lift_sym_rank1(asym, seed, bound)
-    # sym_trop_rank is never below trop_rank, so the tree exists; read it
-    # without a second rank scan, and answer the symmetric Barvinok test
-    # of a caterpillar from it too
-    tree = trees_mod._rank2_tree(asym)
-    rep = trees_mod.symbic_classify(tree)
-    assert rep.kind == "symbic", "symmetric rank <= 2 matrices have symbic trees"
-    if trees_mod.is_caterpillar(tree):
-        b = _sym_caterpillar_witness(asym, tree, rep) if rep.one_fixed_point else None
-        return _caterpillar_lift(asym, b, seed, bound)
-    length, info = _branch_paths(tree, rep)
+    # a symmetric tropical rank 1 matrix is an outer square, and trop_rank
+    # <= sym_trop_rank, so the tropical rank is 2 here: no second rank scan
+    rec = sym_tree_barvinok(asym, 2)
+    assert rec.report.kind == "symbic", "symmetric rank <= 2 matrices have symbic trees"
+    if rec.caterpillar:
+        return _caterpillar_lift(asym, rec, seed, bound)
+    length, info = _branch_paths(rec.tree, rec.report)
 
     # transversal value of a pair: path offset plus both branch depths;
     # the diagonal is always transversal, which pins the symmetric scaling

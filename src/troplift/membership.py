@@ -11,9 +11,11 @@ the symmetric edge table that C+ and R+ share: one tuple of immutable
 records per (matrix, bound), holding the memoised NewtonEdges.  A lattice
 length 2 record reads its minor pairs off the even cycle its NewtonEdge
 carries.  `_positive_part` decides C+ and R+ from the table, for the
-verdicts here and for lifts.lift_sym_corank1 alike.  Every payload, edge
-dict and minor report a caller gets is built fresh from those records, so
-changing it changes no later answer.
+verdicts here and for lifts.lift_sym_corank1 alike; the rank-2 positive
+parts read tropical's Barvinok records, as the rank-2 lifts do.  Every
+payload, Barvinok detail, edge dict and minor report a caller gets is
+built fresh here from those records, so changing it changes no later
+answer.
 """
 
 from __future__ import annotations
@@ -56,13 +58,10 @@ def member_rank2(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -
     parts coincide with Barvinok rank <= 2 (caterpillar trees)."""
     _check_mode(mode)
     rank = trop_rank(a, bound)
+    payload = {"tropical_rank": rank}
     if mode in ("C", "R"):
-        return MembershipVerdict("rank2", mode, rank <= 2, {"tropical_rank": rank})
-    ok, witness, reason = barvinok_rank2(a, bound)
-    payload = {"tropical_rank": rank, "barvinok2": ok, "detail": reason}
-    if witness is not None:
-        payload["witness"] = witness
-    return MembershipVerdict("rank2", mode, ok, payload)
+        return MembershipVerdict("rank2", mode, rank <= 2, payload)
+    return _barvinok_verdict("rank2", mode, payload, barvinok_rank2(a, bound))
 
 
 def member_sym_rank2(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:
@@ -72,15 +71,22 @@ def member_sym_rank2(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUN
     _check_mode(mode)
     asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
     rank = sym_trop_rank(asym, bound)
+    payload = {"symmetric_tropical_rank": rank}
     if mode in ("C", "R"):
-        return MembershipVerdict(
-            "sym_rank2", mode, rank <= 2, {"symmetric_tropical_rank": rank}
-        )
-    ok, witness, reason = barvinok_rank2(asym, bound)
-    payload = {"symmetric_tropical_rank": rank, "barvinok2": ok, "detail": reason}
-    if witness is not None:
-        payload["witness"] = witness
-    return MembershipVerdict("sym_rank2", mode, ok, payload)
+        return MembershipVerdict("sym_rank2", mode, rank <= 2, payload)
+    return _barvinok_verdict("sym_rank2", mode, payload, barvinok_rank2(asym, bound))
+
+
+def _barvinok_verdict(variety: str, mode: str, payload: dict, rec) -> MembershipVerdict:
+    """A positive part's verdict from a Barvinok record: its answer, its
+    kind (with the tropical rank that refused it) and its witness."""
+    detail = {"kind": rec.kind}
+    if rec.kind == "rank_too_high":
+        detail["tropical_rank"] = rec.tropical_rank
+    payload.update(barvinok2=rec.ok, detail=detail)
+    if rec.ok:
+        payload["witness"] = rec.witness
+    return MembershipVerdict(variety, mode, rec.ok, payload)
 
 
 def member_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:

@@ -14,11 +14,11 @@ frozen TropMatrix (which hashes and builds its grid once) and the bound,
 so the sixteen membership questions asked of one matrix compute each
 once.  Callers pass the bound positionally: f(a), f(a, 8) and
 f(a, bound=8) are three memo keys.  Raised errors are not remembered; a
-Barvinok test's rank_too_high answer is returned, so it is.  Newton
+Barvinok test's rank_too_high record is returned, so it is.  Newton
 polytope edges have one memo of their own, per exponent pair (newton).
-Nothing returned aliases memo state: results, trees, witnesses and edges
-are immutable or never written, and a Barvinok reason is a fresh dict
-per call.
+Nothing returned aliases mutable memo state: results, Barvinok records
+and edges are immutable, trees and witnesses are never written, and the
+payload dicts are membership's, built per call.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, SizeLimit
@@ -168,34 +169,42 @@ def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     return _rank(a, bound, _grid_sym_nonsingular)
 
 
-def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
-    """Decide Barvinok rank <= 2 and build a factorization witness.
+class BarvinokRecord(NamedTuple):
+    """What a Barvinok rank <= 2 test decided: `kind` names the deciding
+    step, `tree` is None above tropical rank 2, and `witness`, when `ok`,
+    is (B, C) with A = B ⊙ C, or for the symmetric test B with A = B ⊙ B^T.
+    The symmetric test adds its SymbicReport and whether the symbic tree
+    is a caterpillar."""
 
-    Returns (flag, witness, reason); witness is a pair (B, C) of TropMatrix
-    factors with A = B ⊙ C through at most two inner dimensions.  A matrix
-    has Barvinok rank <= 2 exactly when its bicolored tree is a
-    caterpillar, and the witness reads the factors off the spine.  The
-    answer is memoised; the reason is a fresh dict on every call.
-    """
-    ok, witness, reason = _barvinok(a, bound)
-    return ok, witness, dict(reason)
+    ok: bool
+    kind: str
+    tropical_rank: int
+    tree: object
+    witness: object
+    report: object = None
+    caterpillar: bool = False
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _barvinok(a: TropMatrix, bound: int):
-    """barvinok_rank2's answer, with the reason as a tuple of items.  The
-    rank is read once: above 2 it is the answer, else the tree is built."""
+def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BarvinokRecord:
+    """Decide Barvinok rank <= 2 and build a factorization witness.
+
+    A matrix has Barvinok rank <= 2 exactly when its bicolored tree is a
+    caterpillar, and the witness reads the factors off the spine, through
+    at most two inner dimensions.  The rank is read once: above 2 it is
+    the answer, else the tree is built.
+    """
     from . import trees
 
     rank = trop_rank(a, bound)
     if rank > 2:
-        return False, None, (("kind", "rank_too_high"), ("tropical_rank", rank))
+        return BarvinokRecord(False, "rank_too_high", rank, None, None)
     tree = trees._rank2_tree(a)
     if not trees.is_caterpillar(tree):
-        return False, None, (("kind", "tree_not_caterpillar"),)
+        return BarvinokRecord(False, "tree_not_caterpillar", rank, tree, None)
     b, c = _caterpillar_witness(a, tree)
     assert trop_mat_mul(b, c).entries == a.entries, "witness must reproduce the matrix"
-    return True, (b, c), (("kind", "caterpillar"),)
+    return BarvinokRecord(True, "caterpillar", rank, tree, (b, c), caterpillar=True)
 
 
 def _caterpillar_witness(a: TropMatrix, tree):
@@ -203,49 +212,44 @@ def _caterpillar_witness(a: TropMatrix, tree):
     d, n = a.rows, a.cols
     p = [coord[tree.leaf_node("red", i + 1)] for i in range(d)]
     q = [coord[tree.leaf_node("blue", j + 1)] for j in range(n)]
-    # Gauge: a_ij = c_i + c'_j - |p_i - q_j| / 2.
-    cp0 = Fraction(0)
-    c = [a[i, 0] + abs(p[i] - q[0]) / 2 - cp0 for i in range(d)]
+    # Gauge: a_ij = c_i + c'_j - |p_i - q_j| / 2, with c'_0 = 0.
+    c = [a[i, 0] + abs(p[i] - q[0]) / 2 for i in range(d)]
     cp = [a[0, j] + abs(p[0] - q[j]) / 2 - c[0] for j in range(n)]
     b = TropMatrix.make([[c[i] - p[i] / 2, c[i] + p[i] / 2] for i in range(d)])
     cmat = TropMatrix.make([[cp[j] + q[j] / 2 for j in range(n)], [cp[j] - q[j] / 2 for j in range(n)]])
     return b, cmat
 
 
-def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
-    """Decide symmetric Barvinok rank <= 2 with a witness B, A = B ⊙ B^T.
-
-    Holds exactly when the symbic tree is a caterpillar whose color-swap
-    automorphism fixes a single point; the two factor columns correspond
-    to the two sides of that fixed point.  Memoised like barvinok_rank2,
-    with a fresh reason dict on every call.
-    """
+@lru_cache(maxsize=_MEMO_SIZE)
+def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BarvinokRecord:
+    """Decide symmetric Barvinok rank <= 2 with a witness B, A = B ⊙ B^T:
+    barvinok_rank2's rank gate, then sym_tree_barvinok."""
     if not a.symmetric:
         a = TropMatrix.make(a.entries, symmetric=True)
-    ok, b, reason = _sym_barvinok(a, bound)
-    return ok, b, dict(reason)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _sym_barvinok(a: TropMatrix, bound: int):
-    """sym_barvinok_rank2's answer, with the reason as a tuple of items;
-    the rank is read once, as in _barvinok."""
-    from . import trees
-
     rank = trop_rank(a, bound)
     if rank > 2:
-        return False, None, (("kind", "rank_too_high"), ("tropical_rank", rank))
-    tree = trees._rank2_tree(a)
+        return BarvinokRecord(False, "rank_too_high", rank, None, None)
+    return sym_tree_barvinok(a, rank)
+
+
+def sym_tree_barvinok(asym: TropMatrix, rank: int) -> BarvinokRecord:
+    """The symmetric Barvinok test of a symmetric matrix of tropical rank
+    `rank` <= 2, read off its tree without a rank scan: it holds exactly
+    when the symbic tree is a caterpillar whose color-swap automorphism
+    fixes a single point, and the two factor columns are its two sides."""
+    from . import trees
+
+    tree = trees._rank2_tree(asym)
     report = trees.symbic_classify(tree)
     if report.kind != "symbic":
-        return False, None, (("kind", report.kind),)
+        return BarvinokRecord(False, report.kind, rank, tree, None, report)
     if not trees.is_caterpillar(tree):
-        return False, None, (("kind", "tree_not_caterpillar"),)
+        return BarvinokRecord(False, "tree_not_caterpillar", rank, tree, None, report)
     if not report.one_fixed_point:
-        return False, None, (("kind", "fixed_path_not_point"),)
-    b = _sym_caterpillar_witness(a, tree, report)
-    assert trop_mat_mul(b, b.transpose()).entries == a.entries
-    return True, b, (("kind", "one_fixed_point_caterpillar"),)
+        return BarvinokRecord(False, "fixed_path_not_point", rank, tree, None, report, True)
+    b = _sym_caterpillar_witness(asym, tree, report)
+    assert trop_mat_mul(b, b.transpose()).entries == asym.entries
+    return BarvinokRecord(True, "one_fixed_point_caterpillar", rank, tree, b, report, True)
 
 
 def _sym_caterpillar_witness(a: TropMatrix, tree, report):

@@ -12,8 +12,8 @@ MEMOISED = (
     tropical.trop_rank,
     tropical.sym_trop_rank,
     trees.tree_from_rank2,
-    tropical._barvinok,
-    tropical._sym_barvinok,
+    tropical.barvinok_rank2,
+    tropical.sym_barvinok_rank2,
     membership._edge_table,
 )
 # memos keyed on the matrix alone, without a bound

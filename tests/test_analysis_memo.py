@@ -40,7 +40,7 @@ class TestOneComputationPerMatrix:
             tropical.trop_rank,
             tropical.sym_trop_rank,
             tropical.sym_trop_det,
-            tropical._barvinok,
+            tropical.barvinok_rank2,
             membership._edge_table,
         ):
             info = fn.cache_info()
@@ -66,7 +66,7 @@ class TestOneComputationPerMatrix:
         # rank above 2: no tree is built, and the refusal is not remembered,
         # but the Barvinok test's rank_too_high answer is
         assert trees.tree_from_rank2.cache_info().currsize == 0
-        info = tropical._barvinok.cache_info()
+        info = tropical.barvinok_rank2.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
         info = tropical.trop_det.cache_info()
         assert info.misses == info.currsize
@@ -75,9 +75,9 @@ class TestOneComputationPerMatrix:
         """A rank above 2 answers the Barvinok test from one trop_rank
         call; no tree guard asks for it a second time.  The four
         member_rank2 calls ask once each, and the symmetric C+ and R+
-        questions reach the same memoised barvinok_rank2 answer, so the
-        sixteen questions make five calls (six when the reason re-read
-        the rank)."""
+        questions reach the same memoised barvinok_rank2 record, whose
+        rank_too_high payload reads the rank off the record, so the
+        sixteen questions make five calls."""
         a = random_sym_matrix(random.Random(1), 5, 0, 3)
         calls = []
         rank = tropical.trop_rank
@@ -107,9 +107,9 @@ class TestOneComputationPerMatrix:
         monkeypatch.setattr(newton, "_EDGES", {})
         monkeypatch.setattr(newton, "_edge", counted)
         _decide(a)
-        # bound passed or not, one memo key
-        assert tropical.sym_barvinok_rank2(a) == tropical.sym_barvinok_rank2(a, 8)
-        for fn in (tropical._barvinok, tropical._sym_barvinok, membership._edge_table):
+        # the memo returns its record itself, not a copy
+        assert tropical.sym_barvinok_rank2(a, 8) is tropical.sym_barvinok_rank2(a, 8)
+        for fn in (tropical.barvinok_rank2, tropical.sym_barvinok_rank2, membership._edge_table):
             info = fn.cache_info()
             assert info.misses == 1 and info.hits >= 1, fn.__name__
         # C+ and R+ together computed each exponent pair's edge once
@@ -153,13 +153,16 @@ class TestFreshAnswers:
     @pytest.mark.parametrize(
         "test", [tropical.barvinok_rank2, tropical.sym_barvinok_rank2], ids=lambda f: f.__name__
     )
-    def test_changed_reason_leaves_the_next_answer(self, name, test):
+    def test_barvinok_record_is_immutable(self, name, test):
+        """A Barvinok test returns its memoised record itself: a NamedTuple
+        whose fields are immutable or never written, so no caller can
+        change the next answer.  The payload dicts are membership's."""
         a = fixture(name)
-        ok, witness, reason = test(a)
-        before = jsonio.dumps([ok, witness, reason])
-        reason["kind"] = "changed"
-        reason.clear()
-        assert jsonio.dumps(list(test(a))) == before
+        rec = test(a, 8)
+        assert test(a, 8) is rec
+        with pytest.raises(AttributeError):
+            rec.kind = "changed"
+        assert not any(isinstance(v, (dict, list, set)) for v in rec)
 
 
 class TestMemoSafety:

@@ -1,0 +1,49 @@
+"""The census of the 3 x 3 symmetric box with entries 0-2: each of the 16
+(variety, mode) questions of each of its 165 orbits has a verdict that
+its lift bears out (tests/census.py)."""
+
+from itertools import permutations
+
+import pytest
+
+from census import MEMBERS, MODES, gaps, orbit_count, symmetric_orbits
+from troplift.tropical import sym_trop_rank, trop_rank
+from troplift.tropmat import TropMatrix
+
+BOX = symmetric_orbits(3, range(3))
+
+
+def test_orbit_counts():
+    assert [orbit_count(3, 3), orbit_count(4, 2), orbit_count(4, 3)] == [165, 90, 3132]
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 2)])
+def test_one_matrix_per_orbit(n, k):
+    """The least upper triangle of an orbit is unique, so as many distinct
+    matrices as orbits means one matrix in each."""
+    box = symmetric_orbits(n, range(k))
+    assert len(box) == len(set(box)) == orbit_count(n, k)
+
+
+def test_every_verdict_comes_with_its_certificate_or_refusal():
+    assert gaps(BOX) == []
+
+
+def test_verdicts_are_invariant_under_relabelling():
+    """The premise of the census: relabelling rows and columns together
+    changes no verdict."""
+    for a in BOX:
+        want = [MEMBERS[v](a, m).verdict for v in MEMBERS for m in MODES]
+        for p in permutations(range(3)):
+            b = TropMatrix.make([[a[p[i], p[j]] for j in range(3)] for i in range(3)], symmetric=True)
+            assert [MEMBERS[v](b, m).verdict for v in MEMBERS for m in MODES] == want
+
+
+def test_symmetric_rank_2_past_the_outer_square_is_tropical_rank_2():
+    """lift_sym_rank2_real hands sym_tree_barvinok the tropical rank 2
+    without a plain rank scan: trop_rank <= sym_trop_rank, and a symmetric
+    matrix of tropical rank 1 is an outer square."""
+    for a in BOX:
+        if sym_trop_rank(a) <= 2:
+            outer = all(a[i, j] == (a[i, i] + a[j, j]) / 2 for i in range(3) for j in range(3))
+            assert trop_rank(a) == (1 if outer else 2)

@@ -51,12 +51,14 @@ def mono(c, e):
 class TestRank2Positive:
     def test_rank1_subcase_witness(self):
         a = TropMatrix.make([[0, 2], [1, 3]])
-        b = TropMatrix.make([[0], [1]])
-        c = TropMatrix.make([[0, 2]])
-        cert = lift_rank2_positive(a, witness=(b, c))
-        want = [[mono(1, 0), mono(1, 2)], [mono(1, 1), mono(1, 3)]]
+        cert = lift_rank2_positive(a)
+        assert cert.valid and cert.positivity == "all-positive"
+        b, c = tropical.barvinok_rank2(a).witness
+        want = [
+            [PuiseuxSeries.make([(b[i, k] + c[k, j], F(1)) for k in range(b.cols)]) for j in range(2)]
+            for i in range(2)
+        ]
         assert [list(r) for r in cert.lift] == want
-        assert cert.valid
 
     def test_spine_matrix_entries_are_positive_sums(self):
         cert = lift_rank2_positive(fixture("fig4a"))
@@ -527,6 +529,25 @@ class TestOneAnalysisPerLift:
         assert lift_sym_caterpillar(fixture("fig2a")).valid
         assert trees._rank2_tree.cache_info().misses == 1
 
+    @pytest.mark.parametrize("lift", [lift_sym_caterpillar, lift_sym_rank2_real], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("name", ["fig2a", "fig3b", "fig3c", "fig4a"])
+    def test_caterpillar_lift_classifies_its_tree_once(self, lift, name, monkeypatch):
+        """The spine recursion (fig4a) reads the symbic report of the
+        Barvinok record, as the mirror product (fig2a, fig3b, fig3c) does,
+        rather than classifying the tree a second time."""
+        calls = []
+        classify = trees.symbic_classify
+
+        def counted(tree):
+            calls.append(tree)
+            return classify(tree)
+
+        monkeypatch.setattr(trees, "symbic_classify", counted)
+        cert = lift(fixture(name))
+        spine = name == "fig4a"
+        assert cert.method == ("spine_recursion" if spine else "mirror_factor_product")
+        assert len(calls) == 1
+
     def test_rank2_real_runs_one_rank_scan(self):
         assert lift_rank2_real(fixture("eq1")).method == "frame_completion"
         assert tropical.trop_rank.cache_info().misses == 1
@@ -570,7 +591,6 @@ class TestRankChain:
             assert cert.valid
             from troplift.tropical import barvinok_rank2
 
-            ok, _, _ = barvinok_rank2(a)
-            if ok:
+            if barvinok_rank2(a).ok:
                 pos = lift_rank2_positive(a, seed=k)
                 assert pos.valid and pos.positivity == "all-positive"

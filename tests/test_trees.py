@@ -190,7 +190,7 @@ class TestClassification:
         for k in range(60):
             d, n = rng.randint(2, 5), rng.randint(2, 5)
             a = random_rank2_matrix(rng, d, n)
-            ok, _, _ = barvinok_rank2(a)
+            ok = barvinok_rank2(a).ok
             assert ok == is_caterpillar(tree_from_rank2(a))
 
     def test_sym_barvinok_iff_one_fixed_point_caterpillar(self):
@@ -200,7 +200,7 @@ class TestClassification:
             t = random_symbic_tree(rng, n)
             a = tree_to_matrix(t, n, n)
             a = TropMatrix.make(a.entries, symmetric=True)
-            ok, _, _ = sym_barvinok_rank2(a)
+            ok = sym_barvinok_rank2(a).ok
             t2 = tree_from_rank2(a)
             assert ok == (is_caterpillar(t2) and one_fixed_point(t2))
 

@@ -132,13 +132,14 @@ class TestTropMatMul:
 
 class TestBarvinok:
     def test_eq1_not_barvinok2(self):
-        ok, wit, reason = barvinok_rank2(EQ1)
-        assert not ok and reason["kind"] == "tree_not_caterpillar"
+        rec = barvinok_rank2(EQ1)
+        assert not rec.ok and rec.kind == "tree_not_caterpillar"
 
     def test_mirror_matrix_is_sym_barvinok(self):
         a = TropMatrix.make([[0, 2, 1], [2, 0, 0], [1, 0, 0]], symmetric=True)
-        ok, b, _ = sym_barvinok_rank2(a)
-        assert ok
+        rec = sym_barvinok_rank2(a)
+        assert rec.ok
+        b = rec.witness
         assert trop_mat_mul(b, b.transpose()).entries == a.entries
 
     def test_witness_factors_exactly(self):
@@ -147,10 +148,10 @@ class TestBarvinok:
         for k in range(60):
             d, n = rng.randint(2, 5), rng.randint(2, 5)
             a = random_rank2_matrix(rng, d, n)
-            ok, wit, _ = barvinok_rank2(a)
-            if ok:
+            rec = barvinok_rank2(a)
+            if rec.ok:
                 hits += 1
-                b, c = wit
+                b, c = rec.witness
                 assert trop_mat_mul(b, c).entries == a.entries
         assert hits > 10
 
@@ -159,5 +160,5 @@ class TestBarvinok:
         for k in range(30):
             d, n = rng.randint(2, 4), rng.randint(2, 4)
             a = random_rank2_matrix(rng, d, n)
-            fast, _, _ = barvinok_rank2(a)
+            fast = barvinok_rank2(a).ok
             assert fast == brute_barvinok2(a)
