@@ -24,20 +24,12 @@ from .membership import (
     positive_generators_check,
 )
 from .monomials import SignedMonomialClass, sym_det_monomials
-from .mpoly import MPoly, mpoly_det, mpoly_disc
 from .newton import (
     NewtonEdge,
     birkhoff_edge,
     initial_form,
     polytope_edges,
     polytope_vertices,
-)
-from .oracle import (
-    OracleReport,
-    brute_barvinok2,
-    brute_hull,
-    brute_sym_barvinok2,
-    cocircuit_fixture,
 )
 from .puiseux import PuiseuxSeries, ps_inv, ps_sqrt, quad_roots
 from .quadext import QuadExt

@@ -15,25 +15,21 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import jsonio, lifts, membership, newton, oracle, samples, trees, verify
+from . import jsonio, lifts, membership, newton, trees, verify
 from .config import MAX_ENUMERATION_BOUND, Config
 from .errors import ConstructionExhausted, NegativeResult, SizeLimit, TropliftError
 from .fixtures import FIXTURE_NAMES, fixture_json
 from .monomials import sym_det_monomials
 from .tropical import (
-    barvinok_rank2,
-    sym_barvinok_rank2,
     sym_trop_det,
     sym_trop_rank,
     trop_det,
     trop_rank,
 )
-from .tropmat import TropMatrix
 
 
 def _env(name, cast, fallback):
@@ -95,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_cmd("polytope", "monomial classes, vertices, and edges", with_in=False)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--what", choices=("monomials", "vertices", "edges"), default="monomials")
-    sp.add_argument("--table2", action="store_true", help="emit the bundled 4x4 showcase rows")
-    add_cmd("verify-suite", "run the brute-force oracle cross-checks", with_in=False)
     sp = sub.add_parser("fixtures", help="write a bundled example input as JSON", parents=[common])
     sp.add_argument("name", choices=FIXTURE_NAMES)
     sp.add_argument("--out", dest="outdir", default=".")
@@ -233,9 +227,6 @@ def dispatch(argv=None) -> int:
     if cmd == "polytope":
         if args.n < 0:
             raise ValueError(f"--n must not be negative, got {args.n}")
-        if args.table2:
-            _emit(jsonio.dumps(fixture_json("table2")), args.outfile)
-            return 0
         _check_enumeration(args.n, cfg.enumeration_bound)
         if args.what == "monomials":
             payload = [jsonio.encode_class(c) for c in sym_det_monomials(args.n)]
@@ -245,21 +236,6 @@ def dispatch(argv=None) -> int:
             payload = newton.polytope_edges(args.n)
         _emit(jsonio.dumps(payload), args.outfile)
         return 0
-
-    if cmd == "verify-suite":
-        reports = run_verify_suite(cfg.seed, cfg.enumeration_bound)
-        payload = [
-            {
-                "subject": r.subject,
-                "instance": r.instance,
-                "fast": r.fast_result,
-                "brute": r.brute_result,
-                "agree": r.agree,
-            }
-            for r in reports
-        ]
-        _emit(jsonio.dumps(payload), args.outfile)
-        return 0 if all(r.agree for r in reports) else 1
 
     if cmd == "fixtures":
         path = Path(args.outdir) / f"{args.name}.json"
@@ -286,66 +262,6 @@ def _run_lift(a, variety, mode, cfg: Config):
     if variety == "sym_corank1":
         return lifts.lift_sym_corank1(a, real_mode, seed=seed, trunc=trunc, bound=bound)
     raise ValueError(variety)
-
-
-def run_verify_suite(seed: int, bound: int):
-    """Cross-check fast paths against the brute oracles on seeded samples.
-
-    Samples have at most 4 rows and columns; every enumeration runs under
-    `bound`, so a bound below 4 raises SizeLimit (the polytope checks are
-    4x4 and the cocircuit rank scan reaches 4x4 minors).
-    """
-    rng = random.Random(seed)
-    max_n = max(2, min(bound, 4))
-    reports = []
-    for k in range(20):
-        d = rng.randint(2, max_n)
-        n = rng.randint(2, max_n)
-        a = samples.random_rank2_matrix(rng, d, n)
-        fast = barvinok_rank2(a, bound).ok
-        reports.append(
-            oracle.OracleReport(
-                "barvinok_rank2", repr(a.entries), fast, oracle.brute_barvinok2(a)
-            )
-        )
-    for k in range(10):
-        n = rng.randint(2, max_n)
-        a = samples.random_sym_rank2_matrix(rng, n)
-        a = TropMatrix.make(a.entries, symmetric=True)
-        fast = sym_barvinok_rank2(a, bound).ok
-        reports.append(
-            oracle.OracleReport(
-                "sym_barvinok_rank2", repr(a.entries), fast, oracle.brute_sym_barvinok2(a)
-            )
-        )
-    _check_enumeration(4, bound)
-    classes = sym_det_monomials(4)
-    pts = [
-        tuple(c.exponent[i][j] for i in range(4) for j in range(i, 4)) for c in classes
-    ]
-    hull_v, hull_e = oracle.brute_hull(pts)
-    fast_v = sorted(classes.index(c) for c in newton.polytope_vertices(4))
-    reports.append(
-        oracle.OracleReport("polytope_vertices_4", "symmetric determinant exponents", fast_v, sorted(hull_v))
-    )
-    fast_e = sorted(
-        tuple(sorted((classes.index(e.u), classes.index(e.v)))) for e in newton.polytope_edges(4)
-    )
-    reports.append(
-        oracle.OracleReport(
-            "polytope_edges_4",
-            "symmetric determinant exponents",
-            fast_e,
-            sorted(tuple(sorted(p)) for p in hull_e),
-        )
-    )
-    cc = oracle.cocircuit_fixture()
-    reports.append(
-        oracle.OracleReport(
-            "cocircuit_rank", "ternary affine plane", trop_rank(cc, bound), 3
-        )
-    )
-    return reports
 
 
 def main(argv=None) -> int:

@@ -29,10 +29,6 @@ class NestedRadical(TropliftError):
     """Operation would introduce a second independent square-root radicand."""
 
 
-class NotQuadratic(TropliftError):
-    """Polynomial is not quadratic in the requested variable."""
-
-
 class RadicandMismatch(TropliftError):
     """Arithmetic between quadratic-extension values with different radicands."""
 

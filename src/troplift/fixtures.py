@@ -5,7 +5,6 @@ from __future__ import annotations
 from . import jsonio
 from .errors import UnknownFixture
 from .newton import table2_rows
-from .oracle import cocircuit_fixture
 from .tropmat import TropMatrix, trop_mat_mul
 
 FIXTURE_NAMES = (
@@ -24,6 +23,26 @@ def _mirror_product(rows) -> TropMatrix:
     m1 = TropMatrix.make(rows)
     prod = trop_mat_mul(m1, m1.transpose())
     return TropMatrix.make(prod.entries, symmetric=True)
+
+
+def cocircuit_fixture() -> TropMatrix:
+    """Cocircuit matrix of the ternary affine plane: 9 points, 12 lines.
+
+    Entry (i, j) is 0 when point i avoids line j (so lies in cocircuit j)
+    and 1 otherwise; every column has exactly six zeros.
+    """
+    points = [(x, y) for x in range(3) for y in range(3)]
+    directions = [(0, 1), (1, 0), (1, 1), (1, 2)]
+    lines = []
+    for d in directions:
+        starts = set()
+        for p in points:
+            line = frozenset(((p[0] + t * d[0]) % 3, (p[1] + t * d[1]) % 3) for t in range(3))
+            starts.add(line)
+        lines.extend(sorted(starts, key=sorted))
+    assert len(lines) == 12
+    ent = [[0 if p not in line else 1 for line in lines] for p in points]
+    return TropMatrix.make(ent)
 
 
 def fixture(name: str):

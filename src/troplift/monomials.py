@@ -50,12 +50,6 @@ def cycles_of(sigma) -> list[tuple[int, ...]]:
     return out
 
 
-def perm_sign(sigma) -> int:
-    """Sign of a permutation given as a tuple of images: each cycle of
-    length k is k - 1 transpositions, so the sign is (-1)^(n - cycles)."""
-    return -1 if (len(sigma) - len(cycles_of(sigma))) & 1 else 1
-
-
 @dataclass(frozen=True)
 class SignedMonomialClass:
     exponent: tuple  # n x n integer matrix; upper-triangular when symmetric

@@ -7,9 +7,24 @@ matrix per orbit.  For each (variety, mode) the census asks the member_*
 verdict and runs the lift the CLI would issue: a true verdict must come
 with a valid certificate, all-positive in C+ and R+, and a false one with
 a NegativeResult.  Anything else is a gap.
+
+    PYTHONPATH=src python tests/census.py N K
+
+runs the box of N x N matrices with entries 0..K-1.  It prints the verdict
+and outcome counts per (variety, mode), checks input by input that the C
+verdict equals the R verdict for every variety and that the sym_rank2 C+
+verdict equals the R+ one, counts the sym_corank1 inputs with C+ true and
+R+ false (the paper's C+ != R+), and, for the 4 x 4 box with entries 0-2,
+compares its gaps with census_gaps.json.  It exits 1 when a check fails.
+After a fix closes a gap, write the new gaps(symmetric_orbits(4, range(3)))
+to that file.
 """
 
+import json
+import sys
+from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 
 from troplift import cli, membership
 from troplift.config import Config
@@ -23,6 +38,8 @@ MEMBERS = {
     "sym_corank1": membership.member_sym_corank1,
 }
 MODES = ("C", "R", "C+", "R+")
+# the gap rows of the 4 x 4 box with entries 0-2, in census order
+GAPS_FILE = Path(__file__).with_name("census_gaps.json")
 
 
 def _cells(n: int) -> list:
@@ -92,15 +109,63 @@ def ask(a: TropMatrix, variety: str, mode: str) -> tuple:
     return verdict, "certificate" if cert.valid and positive else "invalid_certificate"
 
 
+def answers(a: TropMatrix) -> dict:
+    """(verdict, outcome) of each of the 16 questions, by (variety, mode)."""
+    return {(variety, mode): ask(a, variety, mode) for variety in MEMBERS for mode in MODES}
+
+
+def rows_of(a: TropMatrix) -> list:
+    return [[str(x) for x in row] for row in a.entries]
+
+
+def _gap_rows(a: TropMatrix, answered: dict) -> list:
+    return [
+        {"rows": rows_of(a), "variety": variety, "mode": mode, "verdict": verdict, "outcome": outcome}
+        for (variety, mode), (verdict, outcome) in answered.items()
+        if outcome != ("certificate" if verdict else "refused")
+    ]
+
+
 def gaps(box) -> list:
-    """(matrix rows, variety, mode, verdict, outcome) of every question
+    """The matrix rows, variety, mode, verdict and outcome of every question
     whose lift does not match its verdict."""
-    out = []
-    for a in box:
-        for variety in MEMBERS:
-            for mode in MODES:
-                verdict, outcome = ask(a, variety, mode)
-                if outcome != ("certificate" if verdict else "refused"):
-                    rows = [[str(x) for x in row] for row in a.entries]
-                    out.append((rows, variety, mode, verdict, outcome))
-    return out
+    return [row for a in box for row in _gap_rows(a, answers(a))]
+
+
+def known_gaps() -> list:
+    return json.loads(GAPS_FILE.read_text())
+
+
+def main(argv) -> int:
+    n, k = (int(x) for x in argv)
+    counts = Counter()
+    found, broken = [], []
+    split = 0
+    same = [(variety, "C", "R") for variety in MEMBERS] + [("sym_rank2", "C+", "R+")]
+    for a in symmetric_orbits(n, range(k)):
+        answered = answers(a)
+        counts.update(answered.items())
+        found += _gap_rows(a, answered)
+        broken += [
+            (rows_of(a), variety, one, other)
+            for variety, one, other in same
+            if answered[variety, one][0] != answered[variety, other][0]
+        ]
+        split += answered["sym_corank1", "C+"][0] and not answered["sym_corank1", "R+"][0]
+    for key in ((variety, mode) for variety in MEMBERS for mode in MODES):
+        tally = sorted((answer, count) for (at, answer), count in counts.items() if at == key)
+        print(*key, *(f"{verdict}/{outcome}: {count}" for (verdict, outcome), count in tally))
+    for rows, variety, one, other in broken:
+        print(f"{variety} {one} and {other} verdicts differ on {rows}")
+    print(f"sym_corank1 C+ true and R+ false on {split} inputs")
+    print(f"{len(found)} gap rows")
+    ok = not broken
+    if (n, k) == (4, 3):
+        matches = found == known_gaps()
+        print("gaps", "equal" if matches else "differ from", GAPS_FILE.name)
+        ok = ok and matches
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,7 +4,7 @@
 
 Cases are every bundled matrix fixture crossed with every variety and the
 modes R and R+ (C and C+ run the same constructions as R and R+), plus
-seeded instances from troplift.samples: exact rank claims, truncated
+seeded instances from tests/samples.py: exact rank claims, truncated
 corank-one solves and symmetric corank-one solves with a square-root
 coefficient.  A case is kept when `troplift lift` exits 0 on it.  The
 manifest cases.json records each kept case's input, variety and mode;
@@ -27,8 +27,10 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
+sys.path.insert(0, os.path.join(HERE, ".."))
 
-from troplift import cli, jsonio, samples  # noqa: E402
+import samples  # noqa: E402
+from troplift import cli, jsonio  # noqa: E402
 from troplift.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from troplift.tropmat import TropMatrix, trop_mat_mul  # noqa: E402
 

@@ -5,7 +5,7 @@
 Cases are every square bundled matrix fixture and 40 seeded symmetric 5x5
 matrices whose symmetric tropical determinant has a large class tie: 20
 generic ones with small integer entries (ties of 4 to 12 classes) and 20
-symmetric tropical rank-2 ones from troplift.samples (ties of 11 to 21
+symmetric tropical rank-2 ones from tests/samples.py (ties of 11 to 21
 classes, half-integer entries; wider ties make payloads of several hundred
 kilobytes).  Each case runs `troplift member` for the four varieties in the
 four modes.  The manifest member/cases.json records
@@ -29,8 +29,10 @@ import tempfile
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "member")
 sys.path.insert(0, os.path.join(HERE, "..", "..", "..", "src"))
+sys.path.insert(0, os.path.join(HERE, "..", ".."))
 
-from troplift import cli, jsonio, samples  # noqa: E402
+import samples  # noqa: E402
+from troplift import cli, jsonio  # noqa: E402
 from troplift.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from troplift.tropical import sym_trop_det  # noqa: E402
 from troplift.tropmat import TropMatrix  # noqa: E402

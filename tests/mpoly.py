@@ -2,7 +2,7 @@
 
 A polynomial maps exponent tuples (one integer per variable) to Fraction
 coefficients; zero coefficients are never stored.  This is enough for the
-symbolic determinant and discriminant identities the package verifies, so
+symbolic determinant and discriminant identities the acceptance tests check, so
 there is no term-order machinery beyond plain lexicographic comparisons.
 """
 
@@ -11,8 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import NotQuadratic
-from .monomials import perm_sign
+from troplift.errors import TropliftError
+from troplift.monomials import cycles_of
+
+
+class NotQuadratic(TropliftError):
+    """Polynomial is not quadratic in the requested variable."""
+
+
+def perm_sign(sigma) -> int:
+    """Sign of a permutation given as a tuple of images: each cycle of
+    length k is k - 1 transpositions, so the sign is (-1)^(n - cycles)."""
+    return -1 if (len(sigma) - len(cycles_of(sigma))) & 1 else 1
 
 
 class MPoly:

@@ -2,33 +2,19 @@
 
 These validate the fast paths on small instances: exhaustive min-plus
 factorization searches reduced to difference-constraint or LP feasibility,
-an exact convex hull by LP membership, and the ternary-affine-plane
-cocircuit matrix whose tropical rank pins down the rank-3 behavior.
+and an exact convex hull by LP membership.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import SizeLimit
-from .linprog import OPTIMAL, lp_feasible, lp_maximize
-from .tropmat import TropMatrix
+from linprog import OPTIMAL, lp_feasible, lp_maximize
+from troplift.errors import SizeLimit
+from troplift.tropmat import TropMatrix
 
 BRUTE_LIMIT = 4
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    subject: str
-    instance: str
-    fast_result: object
-    brute_result: object
-
-    @property
-    def agree(self) -> bool:
-        return self.fast_result == self.brute_result
 
 
 class _DiffConstraints:
@@ -211,22 +197,3 @@ def brute_hull(points):
             edges.append((i, j))
     return vertices, edges
 
-
-def cocircuit_fixture() -> TropMatrix:
-    """Cocircuit matrix of the ternary affine plane: 9 points, 12 lines.
-
-    Entry (i, j) is 0 when point i avoids line j (so lies in cocircuit j)
-    and 1 otherwise; every column has exactly six zeros.
-    """
-    points = [(x, y) for x in range(3) for y in range(3)]
-    directions = [(0, 1), (1, 0), (1, 1), (1, 2)]
-    lines = []
-    for d in directions:
-        starts = set()
-        for p in points:
-            line = frozenset(((p[0] + t * d[0]) % 3, (p[1] + t * d[1]) % 3) for t in range(3))
-            starts.add(line)
-        lines.extend(sorted(starts, key=sorted))
-    assert len(lines) == 12
-    ent = [[0 if p not in line else 1 for line in lines] for p in points]
-    return TropMatrix.make(ent)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidTree
-from .tropmat import TropMatrix, trop_mat_mul
-from .trees import RED, BLUE, BicoloredTree, Leaf, tree_to_matrix
+from troplift.errors import InvalidTree
+from troplift.tropmat import TropMatrix, trop_mat_mul
+from troplift.trees import RED, BLUE, BicoloredTree, Leaf, tree_to_matrix
 
 
 def rational(rng, lo=-4, hi=4, den=2) -> Fraction:

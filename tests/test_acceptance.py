@@ -11,7 +11,21 @@ from fractions import Fraction
 
 import pytest
 
-from troplift.fixtures import fixture
+from mpoly import MPoly, mpoly_det, mpoly_disc, sym_matrix_polys
+from oracle import (
+    brute_barvinok2,
+    brute_hull,
+    brute_sym_barvinok2,
+)
+from samples import (
+    random_barvinok2_matrix,
+    random_bicolored_tree,
+    random_matrix,
+    random_rank2_matrix,
+    random_sym_matrix,
+    random_sym_rank2_matrix,
+)
+from troplift.fixtures import cocircuit_fixture, fixture
 from troplift.lifts import (
     lift_corank1,
     lift_rank2_real,
@@ -28,7 +42,6 @@ from troplift.membership import (
     positive_generators_check,
 )
 from troplift.monomials import sym_det_monomials
-from troplift.mpoly import MPoly, mpoly_det, mpoly_disc, sym_matrix_polys
 from troplift.newton import (
     edge_lattice_data,
     edge_positive_ok,
@@ -36,20 +49,6 @@ from troplift.newton import (
     polytope_edges,
     polytope_vertices,
     table2_rows,
-)
-from troplift.oracle import (
-    brute_barvinok2,
-    brute_hull,
-    brute_sym_barvinok2,
-    cocircuit_fixture,
-)
-from troplift.samples import (
-    random_barvinok2_matrix,
-    random_bicolored_tree,
-    random_matrix,
-    random_rank2_matrix,
-    random_sym_matrix,
-    random_sym_rank2_matrix,
 )
 from troplift.trees import (
     is_caterpillar,

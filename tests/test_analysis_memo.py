@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from samples import random_sym_matrix, random_sym_rank2_matrix
 from troplift import jsonio, membership, newton, trees, tropical
 from troplift.cli import main
 from troplift.errors import SizeLimit, TropliftError
@@ -18,7 +19,6 @@ from troplift.membership import (
     member_sym_corank1,
     member_sym_rank2,
 )
-from troplift.samples import random_sym_matrix, random_sym_rank2_matrix
 from troplift.tropmat import TropMatrix
 
 from conftest import MEMOISED, MEMOISED_UNBOUNDED

@@ -170,6 +170,15 @@ class TestExitCodes:
         assert main(["trop-det", "--in", str(plain)]) == 0
         assert json.loads(capsys.readouterr().out)["symmetric"] is None
 
+    @pytest.mark.parametrize("argv", [["verify-suite"], ["polytope", "--table2"]])
+    def test_retired_command_and_flag_are_usage_errors(self, argv, capsys):
+        """verify-suite's cross-checks run in tests/test_oracle.py, and
+        `fixtures table2` writes the Table 2 rows."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: troplift")
+
     def test_negative_polytope_size_is_an_input_error(self, capsys):
         assert main(["polytope", "--n", "-1"]) == 2
         assert "--n must not be negative, got -1" in capsys.readouterr().err
@@ -179,17 +188,6 @@ class TestExitCodes:
         assert main(["polytope", "--n", "4", "--max-n", "3", "--what", what]) == 3
         assert "size limit: enumeration bound 3 exceeded (n = 4)" in capsys.readouterr().err
         assert main(["polytope", "--n", "3", "--max-n", "3", "--what", what]) == 0
-
-    @pytest.mark.parametrize("bound", ["1", "2", "3"])
-    def test_verify_suite_above_max_n_is_a_size_limit(self, bound, capsys, monkeypatch):
-        assert main(["verify-suite", "--max-n", bound]) == 3
-        assert capsys.readouterr().err.startswith("size limit: ")
-        monkeypatch.setenv("TROPLIFT_MAX_N", bound)
-        assert main(["verify-suite"]) == 3
-
-    def test_verify_suite_max_n_flag_overrides_the_environment(self, monkeypatch):
-        monkeypatch.setenv("TROPLIFT_MAX_N", "3")
-        assert main(["verify-suite", "--max-n", "4"]) == 0
 
     def test_size_limit(self, tmp_path):
         big = tmp_path / "big.json"
@@ -386,11 +384,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out == "sym_corank1 over C+: member\nsym_corank1 over R+: not a member\n"
 
-    def test_verify_suite_agrees_with_the_oracles(self, capsys):
-        assert main(["verify-suite", "--seed", "1"]) == 0
-        reports = json.loads(capsys.readouterr().out)
-        assert len(reports) == 33 and all(r["agree"] for r in reports)
-
     def test_cocircuit_rank(self, fixture_dir, capsys):
         assert main(["rank", "--in", str(fixture_dir / "cocircuit-ag23.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -423,9 +416,9 @@ class TestCommands:
         cert_file.write_text(json.dumps(obj))
         assert main(["verify", "--in", str(cert_file)]) == 1
 
-    def test_polytope_table2(self, capsys):
-        assert main(["polytope", "--table2"]) == 0
-        rows = json.loads(capsys.readouterr().out)
+    def test_polytope_table2(self, tmp_path):
+        assert main(["fixtures", "table2", "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "table2.json").read_text())
         assert len(rows) == 5
         assert rows[0]["monomial"] == "2*x12*x13*x23*x44"
 
@@ -438,12 +431,6 @@ class TestCommands:
     def test_polytope_counts(self, capsys):
         assert main(["polytope", "--n", "4", "--what", "vertices"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 14
-
-    def test_table2_fixture_matches_cli(self, fixture_dir, capsys):
-        assert main(["polytope", "--table2"]) == 0
-        via_cli = json.loads(capsys.readouterr().out)
-        via_fixture = json.loads((fixture_dir / "table2.json").read_text())
-        assert via_cli == via_fixture
 
     def test_seed_env_override(self, fixture_dir, tmp_path, capsys, monkeypatch):
         ex52 = str(fixture_dir / "ex52.json")
@@ -497,9 +484,9 @@ class TestSharedParser:
         assert one_build > 1
         built.clear()
         cli.build_parser.cache_clear()
-        out = str(tmp_path / "table2.json")
+        out = str(tmp_path / "monomials.json")
         for _ in range(20):
-            assert main(["polytope", "--table2", "--out", out]) == 0
+            assert main(["polytope", "--n", "3", "--out", out]) == 0
         assert len(built) == one_build
 
     @pytest.mark.parametrize("command", [[], ["lift"], ["verify"]])

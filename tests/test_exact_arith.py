@@ -7,18 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from troplift.errors import (
-    NegativeLeading,
-    NotQuadratic,
-    RadicandMismatch,
-    ValuationUnknown,
-)
-from troplift.mpoly import (
+from mpoly import (
     MPoly,
+    NotQuadratic,
     mpoly_det,
     mpoly_disc,
     mpoly_exact_div,
     sym_matrix_polys,
+)
+from troplift.errors import (
+    NegativeLeading,
+    RadicandMismatch,
+    ValuationUnknown,
 )
 from troplift.puiseux import PuiseuxSeries, ps_inv, ps_sqrt, quad_roots
 from troplift.quadext import QuadExt, from_lattice, sqrt_exact, to_lattice

@@ -8,6 +8,13 @@ from itertools import combinations
 import pytest
 
 from conftest import SYM7_A, SYM7_B
+from samples import (
+    positive_length,
+    random_barvinok2_matrix,
+    random_matrix,
+    random_rank2_matrix,
+    random_sym_rank2_matrix,
+)
 from troplift import jsonio, trees, tropical
 from troplift.errors import (
     MinorSignsOpposed,
@@ -31,13 +38,6 @@ from troplift.lifts import (
 )
 from troplift.membership import member_corank1, positive_generators_check
 from troplift.puiseux import PuiseuxSeries
-from troplift.samples import (
-    positive_length,
-    random_barvinok2_matrix,
-    random_matrix,
-    random_rank2_matrix,
-    random_sym_rank2_matrix,
-)
 from troplift.tropical import trop_det, trop_rank
 from troplift.tropmat import TropMatrix
 

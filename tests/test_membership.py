@@ -4,6 +4,13 @@ import random
 from fractions import Fraction
 
 from conftest import SYM7_A, SYM7_B
+from samples import (
+    random_matrix,
+    random_rank2_matrix,
+    random_sym_matrix,
+    random_sym_rank2_matrix,
+    rational,
+)
 from troplift.fixtures import fixture
 from troplift.membership import (
     member_corank1,
@@ -11,13 +18,6 @@ from troplift.membership import (
     member_sym_corank1,
     member_sym_rank2,
     sym_corank1_edges,
-)
-from troplift.samples import (
-    random_matrix,
-    random_rank2_matrix,
-    random_sym_matrix,
-    random_sym_rank2_matrix,
-    rational,
 )
 from troplift.tropmat import TropMatrix
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 from conftest import SYM7_A, SYM7_B
+from oracle import brute_hull
+from samples import random_sym_matrix
 from troplift import newton
 from troplift.membership import sym_corank1_edges
 from troplift.monomials import SignedMonomialClass, class_by_exponent, sym_det_monomials
@@ -18,8 +20,6 @@ from troplift.newton import (
     polytope_vertices,
     table2_rows,
 )
-from troplift.oracle import brute_hull
-from troplift.samples import random_sym_matrix
 from troplift.tropmat import TropMatrix
 
 
@@ -199,7 +199,7 @@ class TestBirkhoff:
 
     @staticmethod
     def _edge_by_lp(perms, pts, i, j):
-        from troplift.linprog import OPTIMAL, lp_maximize
+        from linprog import OPTIMAL, lp_maximize
 
         m = len(pts)
         dim = len(pts[0])

@@ -1,20 +1,22 @@
-"""Brute-force oracles and the cocircuit fixture."""
+"""Brute-force oracles, their agreement with the fast paths, and the
+cocircuit fixture."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from troplift.errors import SizeLimit
-from troplift.linprog import INFEASIBLE, OPTIMAL, lp_feasible, lp_maximize
-from troplift.oracle import (
+from linprog import INFEASIBLE, OPTIMAL, lp_feasible, lp_maximize
+from oracle import (
     brute_barvinok2,
     brute_hull,
     brute_sym_barvinok2,
-    cocircuit_fixture,
 )
-from troplift.fixtures import fixture
-from troplift.samples import random_rank2_matrix, random_sym_rank2_matrix
+from samples import random_rank2_matrix, random_sym_rank2_matrix
+from troplift.errors import SizeLimit
+from troplift.fixtures import cocircuit_fixture, fixture
+from troplift.monomials import sym_det_monomials
+from troplift.newton import polytope_edges, polytope_vertices
 from troplift.tropical import barvinok_rank2, sym_barvinok_rank2, trop_rank
 from troplift.tropmat import TropMatrix
 
@@ -114,3 +116,32 @@ class TestCocircuitFixture:
 
     def test_tropical_rank_three(self):
         assert trop_rank(cocircuit_fixture()) == 3
+
+
+def test_fast_paths_agree_with_the_references_on_seed_1():
+    """The 33 cross-checks on the draws of random.Random(1): 20 plain and 10
+    symmetric rank-2 samples of at most 4 x 4, the vertices and edges of
+    the 4 x 4 symmetric determinant's Newton polytope, and the cocircuit
+    fixture's tropical rank."""
+    rng = random.Random(1)
+    checks = []
+    for _ in range(20):
+        d, n = rng.randint(2, 4), rng.randint(2, 4)
+        a = random_rank2_matrix(rng, d, n)
+        checks.append((a.entries, barvinok_rank2(a).ok, brute_barvinok2(a)))
+    for _ in range(10):
+        a = random_sym_rank2_matrix(rng, rng.randint(2, 4))
+        a = TropMatrix.make(a.entries, symmetric=True)
+        checks.append((a.entries, sym_barvinok_rank2(a).ok, brute_sym_barvinok2(a)))
+    classes = sym_det_monomials(4)
+    pts = [tuple(c.exponent[i][j] for i in range(4) for j in range(i, 4)) for c in classes]
+    hull_v, hull_e = brute_hull(pts)
+    fast_v = sorted(classes.index(c) for c in polytope_vertices(4))
+    checks.append(("vertices", fast_v, sorted(hull_v)))
+    fast_e = sorted(
+        tuple(sorted((classes.index(e.u), classes.index(e.v)))) for e in polytope_edges(4)
+    )
+    checks.append(("edges", fast_e, sorted(tuple(sorted(p)) for p in hull_e)))
+    checks.append(("cocircuit rank", trop_rank(cocircuit_fixture()), 3))
+    assert len(checks) == 33
+    assert [c for c in checks if c[1] != c[2]] == []

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mpoly import perm_sign
 from troplift.errors import DimensionMismatch, RadicandMismatch
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
-from troplift.monomials import perm_sign
 from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt
 from troplift.quadext import QuadExt
 from troplift.verify import _det_vanishes, _min_plus

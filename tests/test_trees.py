@@ -7,16 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from troplift import jsonio
-from troplift.errors import InvalidTree, RankTooHigh
-from troplift.fixtures import fixture
-from troplift.samples import (
+from samples import (
     random_bicolored_tree,
     random_rank2_matrix,
     random_sym_rank2_matrix,
     random_symbic_tree,
     rational,
 )
+from troplift import jsonio
+from troplift.errors import InvalidTree, RankTooHigh
+from troplift.fixtures import fixture
 from troplift.trees import (
     BicoloredTree,
     Leaf,

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import brute_barvinok2
+from samples import random_matrix, random_rank2_matrix, random_sym_matrix
 from troplift.errors import SizeLimit
 from troplift.monomials import sym_det_monomials
-from troplift.oracle import brute_barvinok2
-from troplift.samples import random_matrix, random_rank2_matrix, random_sym_matrix
 from troplift.tropical import (
     barvinok_rank2,
     sym_barvinok_rank2,

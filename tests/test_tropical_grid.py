@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from troplift import samples
+import samples
 from troplift.membership import sym_corank1_edges
 from troplift.monomials import SignedMonomialClass, _classes, class_by_exponent, plain_class
 from troplift.newton import (
