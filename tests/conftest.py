@@ -1,10 +1,13 @@
 """Shared test setup: every test starts with empty analysis memos and
 without TROPLIFT_* configuration from the environment.  Also the 7x7
-symmetric inputs that several test files share."""
+symmetric inputs that several test files share, and the brute-force hull
+of the 4x4 symmetric determinant's exponent points, built once."""
 
 import pytest
 
+from oracle import brute_hull
 from troplift import membership, trees, tropical
+from troplift.monomials import sym_det_monomials
 
 MEMOISED = (
     tropical.trop_det,
@@ -59,3 +62,17 @@ def _no_env_config(monkeypatch):
     golden bytes do not depend on the shell a test runs in."""
     for key in ("TROPLIFT_SEED", "TROPLIFT_TRUNC", "TROPLIFT_MAX_N", "TROPLIFT_FORMAT"):
         monkeypatch.delenv(key, raising=False)
+
+
+@pytest.fixture(scope="session")
+def hull4():
+    """brute_hull of the 17 exponent points (upper triangles, row by row)
+    of sym_det_monomials(4): (vertex ids, edge id pairs) as tuples.  It is
+    the reference the fast vertex and edge tests are checked against, and
+    it reads no memo, so the per-test memo reset does not touch it."""
+    pts = [
+        tuple(c.exponent[i][j] for i in range(4) for j in range(i, 4))
+        for c in sym_det_monomials(4)
+    ]
+    vertices, edges = brute_hull(pts)
+    return tuple(vertices), tuple(tuple(e) for e in edges)

@@ -8,8 +8,8 @@ holds it, by a recorder; calls those functions make of each other are
 recorded too.  A RECORDED name that no home module binds stops the run
 before anything is written, so a rename cannot shrink the set quietly.
 series/calls.json lists each distinct call once, in the order first made:
-the function name, its series arguments encoded with
-`jsonio.encode_series`, the `trunc` argument, and the sha256 digest of the
+the function name, its series arguments as JSON objects (`series_json`),
+the `trunc` argument, and the sha256 digest of the
 result's encoding (`result_digest`).  tests/test_golden_series.py replays
 every call and compares digests.
 
@@ -39,6 +39,11 @@ RECORDED = ("ps_inv", "ps_sqrt", "quad_roots", "ps_div", "quad_numerators")
 HOMES = (puiseux, lifts)
 
 
+def series_json(s) -> dict:
+    """The JSON object jsonio writes for a series."""
+    return json.loads(jsonio.dumps(s))
+
+
 def result_digest(result) -> str:
     """sha256 of a series result, of a quad_roots triple or quad_numerators
     quadruple (series or None, then the discriminant sign), or of a raised
@@ -47,9 +52,9 @@ def result_digest(result) -> str:
         obj = {"raises": type(result).__name__}
     elif isinstance(result, tuple):
         *parts, sign = result
-        obj = [None if x is None else jsonio.encode_series(x) for x in parts] + [sign]
+        obj = [None if x is None else series_json(x) for x in parts] + [sign]
     else:
-        obj = jsonio.encode_series(result)
+        obj = series_json(result)
     data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(data).hexdigest()
 
@@ -89,7 +94,7 @@ def record(calls: list, seen: set) -> list:
             given = signature.bind(*args, **kwargs).arguments
             trunc = given.pop("trunc", None)
             args = list(given.values())
-            key_series = [jsonio.encode_series(s) for s in args]
+            key_series = [series_json(s) for s in args]
             key_trunc = None if trunc is None else jsonio.frac_to_str(trunc)
             try:
                 result = fn(*args, trunc=trunc)

@@ -12,11 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mpoly import MPoly, mpoly_det, mpoly_disc, sym_matrix_polys
-from oracle import (
-    brute_barvinok2,
-    brute_hull,
-    brute_sym_barvinok2,
-)
+from oracle import brute_barvinok2, brute_sym_barvinok2
 from samples import (
     random_barvinok2_matrix,
     random_bicolored_tree,
@@ -192,16 +188,13 @@ def test_criterion_3_table_regeneration():
     report(3, ok, elapsed, "five rows and three edge claims match")
 
 
-def test_criterion_4_newton_polytope_vs_hull():
+def test_criterion_4_newton_polytope_vs_hull(hull4):
     t0 = time.time()
     classes = sym_det_monomials(4)
     ok = len(classes) == 17
     verts = polytope_vertices(4)
     ok = ok and len(verts) == 14
-    pts = [
-        tuple(c.exponent[i][j] for i in range(4) for j in range(i, 4)) for c in classes
-    ]
-    hull_v, hull_e = brute_hull(pts)
+    hull_v, hull_e = hull4
     ok = ok and sorted(classes.index(c) for c in verts) == sorted(hull_v)
     edges = polytope_edges(4)
     fast_e = sorted(

@@ -1,5 +1,6 @@
 """Scalar, series, and symbolic-polynomial arithmetic."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -149,13 +150,13 @@ class TestSerialization:
         from troplift import jsonio
 
         x = series((F(-3, 2), 5), (0, F(7, 3)), (F(1, 2), -2), trunc=F(19, 2))
-        assert jsonio.decode_series(jsonio.encode_series(x)) == x
+        assert jsonio.decode_series(json.loads(jsonio.dumps(x))) == x
 
     def test_series_with_radical_coefficient_roundtrip(self):
         from troplift import jsonio
 
         y = ps_sqrt(series((4, 2)))  # sqrt(2) t^2
-        back = jsonio.decode_series(jsonio.encode_series(y))
+        back = jsonio.decode_series(json.loads(jsonio.dumps(y)))
         assert back == y
         assert isinstance(back.lead_coeff(), QuadExt)
 
@@ -163,8 +164,9 @@ class TestSerialization:
         from troplift import jsonio
 
         z = series((0, 1), (2, -1))
-        assert jsonio.decode_series(jsonio.encode_series(z)) == z
-        assert jsonio.encode_series(z)["trunc"] == "inf"
+        obj = json.loads(jsonio.dumps(z))
+        assert jsonio.decode_series(obj) == z
+        assert obj["trunc"] == "inf"
 
 
 def _reference_fold(c):

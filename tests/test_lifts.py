@@ -1,5 +1,6 @@
 """Lift constructions and the independent verifier."""
 
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -367,7 +368,7 @@ class TestVerifier:
 
     def test_certificate_json_roundtrip(self):
         cert = lift_sym_caterpillar(fixture("fig2a"))
-        obj = jsonio.encode_certificate(cert)
+        obj = json.loads(jsonio.dumps(jsonio.encode_certificate(cert)))
         back = jsonio.decode_certificate(obj)
         assert back.lift == cert.lift
         assert back.target.entries == cert.target.entries
@@ -387,7 +388,7 @@ class TestVerifier:
             assert not cert.valid
             failing = [s["check"] for s in cert.transcript if not s["ok"]]
             assert failing == ["claim" if claimed != "rank<=2" else "positivity"]
-            obj = jsonio.encode_certificate(cert)
+            obj = json.loads(jsonio.dumps(jsonio.encode_certificate(cert)))
             with pytest.raises(ValueError):
                 jsonio.decode_certificate(obj)
         again = LiftCertificate(good.target, good.lift, good.claimed, good.positivity)

@@ -120,10 +120,9 @@ class TestPolytope:
     def test_single_vertex_n1(self):
         assert len(polytope_vertices(1)) == 1
 
-    def test_hull_agrees_n4(self):
+    def test_hull_agrees_n4(self, hull4):
         classes = sym_det_monomials(4)
-        pts = [exponent_point(c) for c in classes]
-        hull_v, hull_e = brute_hull(pts)
+        hull_v, hull_e = hull4
         fast_v = sorted(classes.index(c) for c in polytope_vertices(4))
         assert fast_v == sorted(hull_v)
         fast_e = sorted(

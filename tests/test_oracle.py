@@ -118,7 +118,7 @@ class TestCocircuitFixture:
         assert trop_rank(cocircuit_fixture()) == 3
 
 
-def test_fast_paths_agree_with_the_references_on_seed_1():
+def test_fast_paths_agree_with_the_references_on_seed_1(hull4):
     """The 33 cross-checks on the draws of random.Random(1): 20 plain and 10
     symmetric rank-2 samples of at most 4 x 4, the vertices and edges of
     the 4 x 4 symmetric determinant's Newton polytope, and the cocircuit
@@ -134,8 +134,7 @@ def test_fast_paths_agree_with_the_references_on_seed_1():
         a = TropMatrix.make(a.entries, symmetric=True)
         checks.append((a.entries, sym_barvinok_rank2(a).ok, brute_sym_barvinok2(a)))
     classes = sym_det_monomials(4)
-    pts = [tuple(c.exponent[i][j] for i in range(4) for j in range(i, 4)) for c in classes]
-    hull_v, hull_e = brute_hull(pts)
+    hull_v, hull_e = hull4
     fast_v = sorted(classes.index(c) for c in polytope_vertices(4))
     checks.append(("vertices", fast_v, sorted(hull_v)))
     fast_e = sorted(
