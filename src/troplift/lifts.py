@@ -204,26 +204,47 @@ def _caterpillar_lift(asym: TropMatrix, rec, seed: int, bound: int) -> LiftCerti
 # plain rank 2 over the reals: completion from a nonsingular 2x2 frame
 
 
-def _plain_frame_ok(a: TropMatrix, p1, p2, q1, q2) -> bool:
-    delta = min(a[p1, q1] + a[p2, q2], a[p1, q2] + a[p2, q1])
-    for i in range(a.rows):
-        if i in (p1, p2):
-            continue
-        for j in range(a.cols):
-            if j in (q1, q2):
-                continue
-            m = (
-                min(
-                    a[i, q1] + a[p2, q2] + a[p1, j],
-                    a[i, q1] + a[p1, q2] + a[p2, j],
-                    a[i, q2] + a[p2, q1] + a[p1, j],
-                    a[i, q2] + a[p1, q1] + a[p2, j],
-                )
-                - delta
-            )
-            if m != a[i, j]:
-                return False
-    return True
+def _completion_frame(a: TropMatrix):
+    """The lexicographically first 2x2 frame (p1, p2, q1, q2) whose
+    tropical completion reproduces a, or None.
+
+    The completion of entry (i, j) is the least of the four valuation
+    sums of the rank-2 adjugate formula, minus the frame's tropical
+    determinant delta; it splits as min(a_iq1 + b1_j, a_iq2 + b2_j) with
+    b1, b2 read off the two frame rows once per frame.  All of it is
+    homogeneous of degree one, so it runs on the integer grid of a.
+    """
+    _, g = a.as_int_grid()
+    n = a.cols
+    for p1, p2 in combinations(range(a.rows), 2):
+        r1, r2 = g[p1], g[p2]
+        for q1, q2 in combinations(range(n), 2):
+            delta = min(r1[q1] + r2[q2], r1[q2] + r2[q1])
+            b1 = [min(r2[q2] + x1, r1[q2] + x2) - delta for x1, x2 in zip(r1, r2)]
+            b2 = [min(r2[q1] + x1, r1[q1] + x2) - delta for x1, x2 in zip(r1, r2)]
+            if all(
+                min(row[q1] + b1[j], row[q2] + b2[j]) == row[j]
+                for i, row in enumerate(g)
+                if i != p1 and i != p2
+                for j in range(n)
+                if j != q1 and j != q2
+            ):
+                return p1, p2, q1, q2
+    return None
+
+
+def _frame_completion(u, v, p1, p2, delta) -> tuple:
+    """The rank <= 2 lift u adj(G) v^T t^-delta, G the frame rows u[p1],
+    u[p2]: entry (i, j) is u_i0 w_j0 + u_i1 w_j1, with the two column
+    combinations w_j0 = g22 v_j0 - g12 v_j1 and w_j1 = g11 v_j1 - g21 v_j0
+    formed once per column and shifted by -delta there."""
+    g11, g12 = u[p1]
+    g21, g22 = u[p2]
+    w = [
+        ((g22 * v0 - g12 * v1).shift(-delta), (g11 * v1 - g21 * v0).shift(-delta))
+        for v0, v1 in v
+    ]
+    return tuple(tuple(u0 * w0 + u1 * w1 for w0, w1 in w) for u0, u1 in u)
 
 
 def lift_rank2_real(
@@ -244,15 +265,7 @@ def lift_rank2_real(
     if rec.tropical_rank > 2:
         raise NotRank2("tropical rank above 2")
 
-    frame = next(
-        (
-            (p1, p2, q1, q2)
-            for p1, p2 in combinations(range(d), 2)
-            for q1, q2 in combinations(range(n), 2)
-            if _plain_frame_ok(a, p1, p2, q1, q2)
-        ),
-        None,
-    )
+    frame = _completion_frame(a)
     if frame is None:
         raise GenericRetryExhausted("no completion frame matches the valuation pattern")
     p1, p2, q1, q2 = frame
@@ -268,18 +281,7 @@ def lift_rank2_real(
         det_g = g11 * g22 - g12 * g21
         if det_g.is_known_zero() or det_g.val() != delta:
             return
-        lift = tuple(
-            tuple(
-                (
-                    u[i][0] * g22 * v[j][0]
-                    - u[i][0] * g12 * v[j][1]
-                    - u[i][1] * g21 * v[j][0]
-                    + u[i][1] * g11 * v[j][1]
-                ).shift(-delta)
-                for j in range(n)
-            )
-            for i in range(d)
-        )
+        lift = _frame_completion(u, v, p1, p2, delta)
         yield _issue(a, lift, "rank<=2", "none", "frame_completion", seed, bound)
 
     exhausted = GenericRetryExhausted("frame completion kept cancelling after retries")
@@ -440,14 +442,8 @@ def lift_sym_rank2_real(
                 unit_y = s if side > 0 else -s
             xs.append(unit_x.shift(vx))
             ys.append(unit_y.shift(vy))
-        lift = tuple(
-            tuple(
-                (xs[i] * ys[j] + xs[j] * ys[i]).shift(
-                    shift[i] + shift[j] + length / 2
-                )
-                for j in range(n)
-            )
-            for i in range(n)
+        lift = _symmetric(
+            n, lambda i, j: (xs[i] * ys[j] + xs[j] * ys[i]).shift(shift[i] + shift[j] + length / 2)
         )
         yield _issue(asym, lift, "symmetric rank<=2", "none", "mirrored_generators", seed, bound)
 
@@ -455,11 +451,21 @@ def lift_sym_rank2_real(
     return _first_valid(attempt, seed, "sym_rank2_real", repr(asym.entries), exhausted)
 
 
+def _symmetric(n: int, entry) -> tuple:
+    """The n x n matrix of entry(i, j) for an entry symmetric in i and j:
+    each is built once, for i <= j, and mirrored."""
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry(i, j)
+    return tuple(tuple(row) for row in m)
+
+
 def _lift_sym_rank1(asym: TropMatrix, seed: int, bound: int) -> LiftCertificate:
     n = asym.rows
     rng = rngmod.stream(seed, "sym_rank1", repr(asym.entries))
     x = [PuiseuxSeries.monomial(rngmod.positive_coeff(rng), asym[i, i] / 2) for i in range(n)]
-    lift = tuple(tuple(x[i] * x[j] for j in range(n)) for i in range(n))
+    lift = _symmetric(n, lambda i, j: x[i] * x[j])
     return _issue(asym, lift, "symmetric rank<=2", "all-positive", "outer_square", seed, bound)
 
 

@@ -9,25 +9,33 @@ tail and the transcript records the order checked.  A truncated
 determinant or minor that is known only up to its tropical value (the
 least valuation sum over permutations) has proved nothing, and fails.
 
-All determinants go through series_det, a Laplace expansion over column
-subsets (n 2^(n-1) products, not n n!) on an integer grid: exponents
-scaled by one lcm, and each row's coefficients put on quadext's
-coefficient lattice over that row's own common denominator, a single
-radicand sqrt(p/q) written as sqrt(pq)/q, so the expansion multiplies
-Python ints only.  Rows are expanded in ascending order of their term
-count, heavy rows last, and the sign of that row permutation is applied
-once to the result.  When an entry is truncated, the order to which the
-determinant is known is fixed first by a min-plus pass, and partial
-terms that cannot land below it are dropped as they arise.  A truncated
-determinant's tropical value is a second min-plus pass on an integer
-grid.
+Determinants and minors run on one integer grid per matrix (_to_grid):
+exponents scaled by one lcm, and each row's coefficients put on
+quadext's coefficient lattice over that row's own common denominator, a
+single radicand sqrt(p/q) written as sqrt(pq)/q, so the arithmetic
+multiplies Python ints only.  On the grid, a Laplace expansion over
+column subsets (_expand, n 2^(n-1) products for n x n, not n n!) carries
+the partial determinants of the first k rows from the k-column subsets
+to the (k+1)-column ones, one row step (_row_step) per subset.  It
+makes only the subsets with at most as many columns as it has rows, so
+two rows of n columns cost C(n, 1) + C(n, 2) steps.  series_det
+converts its square matrix and expands every row.  It expands rows in
+ascending order of their term count, heavy rows last, and applies the
+sign of that row permutation once to the result.  When an entry is
+truncated, the order to which the determinant is known is fixed first
+by a min-plus pass, and partial terms that cannot land below it are
+dropped as they arise.  A truncated determinant's tropical value is a
+second min-plus pass on an integer grid.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
 whose bordering (k+1) x (k+1) minors all vanish fixes the rank at k, so
-every 3x3 minor vanishes.  Truncated entries are known only to an order,
-and bordering would divide by the 2x2 pivot and lose precision by its
-valuation, so they scan every 3x3 minor.
+every 3x3 minor vanishes.  The lift goes onto its grid once; the two
+pivot rows are expanded once, which gives every 2x2 minor on them, and
+each bordering minor is one more row step of that expansion, zero when
+every int of it is.  Truncated entries are known only to an order, and
+bordering would divide by the 2x2 pivot and lose precision by its
+valuation, so they scan every 3x3 minor through series_det.
 
 A check is refused by its cost, like every enumeration in the package:
 verify_lift raises SizeLimit just before it would expand a minor with
@@ -44,6 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm, prod
+from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, SizeLimit, ValuationUnknown
@@ -104,60 +113,47 @@ def _min_plus(vals, truncs):
     return least, order
 
 
-def series_det(mat) -> PuiseuxSeries:
-    """Determinant of a square matrix of series, exact below the order to
-    which the permutation expansion knows it.
+class _Grid(NamedTuple):
+    """A matrix of series on one integer grid, converted once.
 
-    Order: the least, over permutations that meet no exact zero and over
-    their truncated factors, of that factor's truncation plus the other
-    factors' valuations (an entry with no known term counts with its
-    truncation); None when no such permutation has a truncated factor.
-    A min-plus pass over column subsets gives it without expanding; a
-    matrix with no truncated entry is exact and skips the pass.
-
-    Heavy rows last: the rows are expanded in ascending order of their
-    number of grid terms (stably, so rows already in that order are not
-    moved), and the sign of that row permutation is applied once to the
-    result.  A long row then multiplies the partial determinants once, at
-    the end, instead of carrying its terms through every later row.
-
-    Integer grid: exponent e becomes the integer e L, with L the lcm of
-    every exponent and truncation denominator.  Each row is one group of
+    Exponent e becomes the integer e L, with L (exp_den) the lcm of every
+    exponent and truncation denominator.  Each row is one group of
     quadext.to_lattice: it is scaled by its own common coefficient
-    denominator D_i, since the determinant is linear in each row, and its
-    coefficients become integer pairs over sqrt(pq) for the one radicand
-    p/q (two radicands are refused there).  A term is stored under the key
-    2 e L + (1 if it carries sqrt(pq) else 0), so one dict of ints holds
-    both parts.
-
-    Expansion: row k moves the partial determinants of the column subsets
-    of size k to those of size k + 1, D[S + j] += (-1)^s D[S] m[k][j], with
-    s the number of columns of S above j.  A partial term is dropped when
-    its exponent plus the least valuation sum of the remaining rows on the
-    remaining columns reaches the order, so every dropped term would land
-    at or above it.  quadext.from_lattice divides the result by the
-    product of the D_i once per term.
+    denominator dens[k], which a determinant or minor takes out once since
+    it is linear in each row, and its coefficients become integer pairs over
+    sqrt(pq) for the one radicand p/q (two radicands are refused there).
+    terms[k][j] lists entry (k, j) as (key, coefficient) int pairs sorted
+    by key, the key 2 e L + (1 if the term carries sqrt(pq) else 0), so
+    one dict of ints holds both parts; truncs[k][j] is the entry's
+    truncation on the grid, or None.
     """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
-    exp_den, coeffs, truncated = 1, [], False
+
+    exp_den: int
+    radicand: Fraction | None
+    dens: list
+    terms: list
+    truncs: list
+
+    @property
+    def root_sq(self) -> int:
+        """pq, the square of sqrt(pq); 0 without a radicand."""
+        r = self.radicand
+        return 0 if r is None else r.numerator * r.denominator
+
+
+def _to_grid(mat) -> _Grid:
+    """The integer grid of a d x n matrix of series (see _Grid)."""
+    exp_den, coeffs = 1, []
     for row in mat:
         group = []
         for s in row:
             if s.trunc is not None:
                 exp_den = lcm(exp_den, s.trunc.denominator)
-                truncated = True
             for e, c in s.terms:
                 exp_den = lcm(exp_den, e.denominator)
                 group.append(c)
         coeffs.append(group)
     radicand, rows = to_lattice(coeffs)
-    root_sq = 0 if radicand is None else radicand.numerator * radicand.denominator
-
-    def grid_exp(x):
-        return None if x is None else x.numerator * (exp_den // x.denominator)
-
     terms = []
     for row, (_, pairs) in zip(mat, rows):
         pairs = iter(pairs)
@@ -173,7 +169,96 @@ def series_det(mat) -> PuiseuxSeries:
             out.sort()
             grid_row.append(out)
         terms.append(grid_row)
-    truncs = [[grid_exp(s.trunc) for s in row] for row in mat]
+    truncs = [
+        [None if s.trunc is None else s.trunc.numerator * (exp_den // s.trunc.denominator) for s in row]
+        for row in mat
+    ]
+    return _Grid(exp_den, radicand, [den for den, _ in rows], terms, truncs)
+
+
+def _row_step(partial, row, target: int, root_sq: int, cap=inf) -> dict:
+    """One row of the column-subset expansion, for the column subset
+    `target`: D[T] = sum over the columns j of T of (-1)^s D[T - j] m[j],
+    with s the number of columns of T above j and m the row's grid terms.
+    Keys at or above `cap` are dropped; each entry's terms are sorted, and
+    the exponent key >> 1 only grows along them."""
+    out: dict = {}
+    for j, ent in enumerate(row):
+        bit = 1 << j
+        if not target & bit or not ent:
+            continue
+        src = partial.get(target ^ bit)
+        if not src:
+            continue
+        negate = (target >> (j + 1)).bit_count() & 1
+        for k1, c1 in src.items():
+            if not c1:
+                continue
+            if negate:
+                c1 = -c1
+            for k2, c2 in ent:
+                key = k1 + k2
+                if k1 & k2 & 1:  # sqrt(pq) * sqrt(pq) = pq
+                    key -= 2
+                    c2 *= root_sq
+                if key >= cap:
+                    break
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _expand(rows, ncols: int, root_sq: int, least=None, known=inf) -> dict:
+    """Partial determinants of the grid rows `rows` (each a list of ncols
+    entries' terms): the result maps each column subset S of size
+    len(rows), as a bit mask, to the determinant of those rows on the
+    columns S, a dict from grid keys to ints that vanishes when it holds
+    no nonzero value.  Row k moves the subsets of size k to those of size
+    k + 1 by _row_step, and only those subsets are made, C(ncols, k + 1)
+    of them.  With least (the min-plus pass of a square matrix) and known
+    (the order its determinant is known to), a partial term is dropped
+    when its exponent plus the least valuation sum of the remaining rows
+    on the remaining columns reaches the order, so every dropped term
+    would land at or above it."""
+    full = (1 << ncols) - 1
+    masks, partial = [0], {0: {0: 1}}
+    for row in rows:
+        # each subset of the next size once: a column above its top one
+        masks = [m | 1 << j for m in masks for j in range(m.bit_length(), ncols)]
+        wider = {}
+        for target in masks:
+            rest = 0 if least is None else least[full ^ target]
+            if rest != inf:  # keys at or above the cap land at or above the order
+                wider[target] = _row_step(partial, row, target, root_sq, 2 * (known - rest))
+        partial = wider
+    return partial
+
+
+def series_det(mat) -> PuiseuxSeries:
+    """Determinant of a square matrix of series, exact below the order to
+    which the permutation expansion knows it.
+
+    Order: the least, over permutations that meet no exact zero and over
+    their truncated factors, of that factor's truncation plus the other
+    factors' valuations (an entry with no known term counts with its
+    truncation); None when no such permutation has a truncated factor.
+    A min-plus pass over column subsets gives it without expanding; a
+    matrix with no truncated entry is exact and skips the pass.
+
+    The matrix goes onto its integer grid (_to_grid), and _expand runs
+    the column-subset expansion over all of its rows.  Heavy rows last:
+    the rows are expanded in ascending order of their number of grid terms
+    (stably, so rows already in that order are not moved), and the sign of
+    that row permutation is applied once to the result.  A long row then
+    multiplies the partial determinants once, at the end, instead of
+    carrying its terms through every later row.  quadext.from_lattice
+    divides the result by the product of the row denominators once per
+    term.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
+    grid = _to_grid(mat)
+    terms, truncs = grid.terms, grid.truncs
     sign = 1
     weight = [sum(map(len, row)) for row in terms]
     if weight != sorted(weight):  # heavy rows last, stably
@@ -185,7 +270,7 @@ def series_det(mat) -> PuiseuxSeries:
                 if later < perm[k]:
                     sign = -sign
     full = (1 << n) - 1
-    if truncated:
+    if any(t is not None for row in truncs for t in row):
         vals = [
             [ts[0][0] >> 1 if ts else t for ts, t in zip(trow, tcol)]
             for trow, tcol in zip(terms, truncs)
@@ -193,47 +278,15 @@ def series_det(mat) -> PuiseuxSeries:
         least, order = _min_plus(vals, truncs)
         known = order[full]
     else:  # exact entries: an exact determinant, no term to drop
-        least, known = [0] * (full + 1), inf
+        least, known = None, inf
+    partial = _expand(terms, n, grid.root_sq, least, known)
 
-    partial = [None] * (full + 1)
-    partial[0] = {0: 1}
-    for mask in range(full):
-        src = partial[mask]
-        partial[mask] = None
-        if not src:
-            continue
-        k = mask.bit_count()
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            ent = terms[k][j]
-            rest = least[full ^ mask ^ bit]
-            if not ent or rest == inf:
-                continue
-            cap = 2 * (known - rest)  # keys at or above cap land at or above the order
-            if (mask >> j).bit_count() & 1:
-                ent = [(key, -c) for key, c in ent]
-            dst = partial[mask | bit]
-            if dst is None:
-                dst = partial[mask | bit] = {}
-            for k1, c1 in src.items():
-                if not c1:
-                    continue
-                for k2, c2 in ent:
-                    key = k1 + k2
-                    if k1 & k2 & 1:  # sqrt(pq) * sqrt(pq) = pq
-                        key -= 2
-                        c2 *= root_sq
-                    if key >= cap:
-                        break  # ent is sorted, and the exponent key >> 1 only grows
-                    dst[key] = dst.get(key, 0) + c1 * c2
-
-    scale = sign * prod(den for den, _ in rows)
+    scale = sign * prod(grid.dens)
     parts: dict = {}
-    for key, c in (partial[full] or {}).items():
+    for key, c in partial.get(full, {}).items():
         if c:
             parts.setdefault(key >> 1, [0, 0])[key & 1] = c
+    exp_den, radicand = grid.exp_den, grid.radicand
     pairs = [
         (Fraction(e, exp_den), from_lattice(a, b, scale, radicand)) for e, (a, b) in parts.items()
     ]
@@ -268,10 +321,6 @@ def _det_vanishes(mat) -> tuple[bool, str]:
     return True, f"zero up to order {det.trunc}"
 
 
-def _minor(lift, rows, cols) -> PuiseuxSeries:
-    return series_det([[lift[i][j] for j in cols] for i in rows])
-
-
 def _bordered_rank2(lift, d: int, n: int) -> bool:
     """True when an exact matrix has rank <= 2, checked on the 3x3 minors
     bordering its lexicographically first nonzero 2x2 minor.
@@ -279,13 +328,22 @@ def _bordered_rank2(lift, d: int, n: int) -> bool:
     Bordered-minor theorem: if a k x k minor is nonzero and every
     (k+1) x (k+1) minor containing it vanishes, the rank is k.  With no
     nonzero 2x2 minor the rank is at most 1.
+
+    The lift goes onto its integer grid once.  For each pair of pivot
+    rows, the column-subset expansion over those two rows gives every 2x2
+    minor on them at once; a bordering 3x3 minor is one more row step of
+    that expansion.  A minor is zero when every int of it is.
     """
+    grid = _to_grid(lift)
+    terms, root_sq = grid.terms, grid.root_sq
     for p in combinations(range(d), 2):
+        pivot = _expand([terms[i] for i in p], n, root_sq)
         for q in combinations(range(n), 2):
-            if _minor(lift, p, q).is_known_zero():
+            cols = (1 << q[0]) | (1 << q[1])
+            if not any(pivot.get(cols, {}).values()):
                 continue
-            return all(
-                _minor(lift, sorted(p + (r,)), sorted(q + (c,))).is_known_zero()
+            return not any(
+                any(_row_step(pivot, terms[r], cols | 1 << c, root_sq).values())
                 for r in range(d)
                 if r not in p
                 for c in range(n)

@@ -1,12 +1,16 @@
 """Shared test setup: every test starts with empty analysis memos and
 without TROPLIFT_* configuration from the environment.  Also the 7x7
 symmetric inputs that several test files share, and the brute-force hull
-of the 4x4 symmetric determinant's exponent points, built once."""
+of the 4x4 symmetric determinant's exponent points and the cocircuit
+fixture's tropical rank, each computed once."""
+
+import time
 
 import pytest
 
 from oracle import brute_hull
 from troplift import membership, trees, tropical
+from troplift.fixtures import cocircuit_fixture
 from troplift.monomials import sym_det_monomials
 
 MEMOISED = (
@@ -76,3 +80,14 @@ def hull4():
     ]
     vertices, edges = brute_hull(pts)
     return tuple(vertices), tuple(tuple(e) for e in edges)
+
+
+@pytest.fixture(scope="session")
+def cocircuit_rank():
+    """(tropical rank, seconds taken) of the 9x12 cocircuit fixture.  The
+    scan takes about a second, and three tests check it.  It runs the
+    unmemoised trop_rank, so it neither reads a rank another test left
+    in the memo nor leaves one behind."""
+    start = time.perf_counter()
+    rank = tropical.trop_rank.__wrapped__(cocircuit_fixture())
+    return rank, time.perf_counter() - start

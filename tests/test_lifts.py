@@ -2,11 +2,14 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import SYM7_A, SYM7_B
 from samples import (
@@ -39,6 +42,7 @@ from troplift.lifts import (
 )
 from troplift.membership import member_corank1, positive_generators_check
 from troplift.puiseux import PuiseuxSeries
+from troplift.quadext import QuadExt
 from troplift.tropical import trop_det, trop_rank
 from troplift.tropmat import TropMatrix
 
@@ -395,10 +399,13 @@ class TestVerifier:
         assert verify_lift(again) == good.transcript
 
 
-def _random_entry(rng):
-    return PuiseuxSeries.monomial(
-        F(rng.choice((-3, -2, -1, 1, 2, 3))), F(rng.randint(0, 6), rng.choice((1, 2)))
-    )
+def _random_entry(rng, radicand=None, dens=(1, 2)):
+    """A monomial with a signed coefficient, over sqrt(radicand) when one is
+    given, and an exponent over one of `dens`."""
+    c = F(rng.choice((-3, -2, -1, 1, 2, 3)))
+    if radicand is not None:
+        c = QuadExt.make(c, F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3))), radicand)
+    return PuiseuxSeries.monomial(c, F(rng.randint(0, 6), rng.choice(dens)))
 
 
 def _product(u, v):
@@ -409,9 +416,9 @@ def _product(u, v):
     ]
 
 
-def _rank_k(rng, d, n, k):
-    u = [[_random_entry(rng) for _ in range(k)] for _ in range(d)]
-    v = [[_random_entry(rng) for _ in range(n)] for _ in range(k)]
+def _rank_k(rng, d, n, k, **entry):
+    u = [[_random_entry(rng, **entry) for _ in range(k)] for _ in range(d)]
+    v = [[_random_entry(rng, **entry) for _ in range(n)] for _ in range(k)]
     return _product(u, v)
 
 
@@ -435,6 +442,33 @@ def _minors_step(rows):
     verify_lift(cert)
     (step,) = [s for s in cert.transcript if s["check"] == "minors_3x3_vanish"]
     return step["ok"], step["detail"]
+
+
+@st.composite
+def _drawn_products(draw):
+    """A d x n product of d x k and k x n monomial matrices, 1 <= d, n <= 5
+    and k <= 3: signed coefficients, over sqrt(2) or sqrt(3/5) or
+    rational, exponents over 1, 2 or 3, some entries exact zeros, and
+    sometimes one entry perturbed off the product.  Returns the rows and
+    whether they are an unperturbed product with k <= 2."""
+    d, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    radicand = draw(st.sampled_from((None, F(2), F(3, 5))))
+
+    def entry():
+        a = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        b = 0 if radicand is None else F(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+        c = a if radicand is None else QuadExt.make(a, b, radicand)
+        return PuiseuxSeries.monomial(c, F(draw(st.integers(-4, 6)), draw(st.integers(1, 3))))
+
+    rows = _product(
+        [[entry() for _ in range(k)] for _ in range(d)],
+        [[entry() for _ in range(n)] for _ in range(k)],
+    )
+    perturbed = draw(st.booleans())
+    if perturbed:
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = rows[i][j] + PuiseuxSeries.monomial(F(1), F(draw(st.integers(0, 4))))
+    return rows, k <= 2 and not perturbed
 
 
 class TestBorderedRankCheck:
@@ -464,9 +498,55 @@ class TestBorderedRankCheck:
             rows[d - 1][n - 1] = rows[d - 1][n - 1] + PuiseuxSeries.monomial(F(1), F(7))
             yield rows
 
+    def _lattice_cases(self):
+        """Coefficients over one radicand, exponents over 2 and 3, exact
+        zeros, and shapes with fewer than three rows or columns; each with
+        whether it is a product with k <= 2, whose 3x3 minors vanish."""
+        rng = random.Random(3302)
+        for radicand in (F(2), F(3, 5)):
+            for d, n in ((3, 4), (4, 4), (4, 5)):
+                for k in (1, 2, 3):
+                    yield _rank_k(rng, d, n, k, radicand=radicand), k <= 2
+        for d, n in ((3, 3), (4, 5), (5, 4)):
+            for k in (1, 2, 3):
+                yield _rank_k(rng, d, n, k, dens=(2, 3)), k <= 2
+        for d, n in ((4, 4), (4, 5), (5, 5)):
+            for k in (2, 3):
+                u = [[_random_entry(rng) for _ in range(k)] for _ in range(d)]
+                v = [[_random_entry(rng) for _ in range(n)] for _ in range(k)]
+                u[rng.randrange(d)][0] = PuiseuxSeries.zero()
+                v[rng.randrange(k)][rng.randrange(n)] = PuiseuxSeries.zero()
+                rows = _product(u, v)
+                yield rows, k <= 2
+                rows = [r[:] for r in rows]  # zero entries in a rank-k product
+                for _ in range(3):
+                    rows[rng.randrange(d)][rng.randrange(n)] = PuiseuxSeries.zero()
+                yield rows, False
+        for d, n in ((1, 1), (1, 4), (2, 2), (2, 5), (4, 2), (3, 1), (5, 2)):
+            for k in (1, 2, 3):
+                yield _rank_k(rng, d, n, k, dens=(1, 3)), True
+        yield [[PuiseuxSeries.zero()] * 4 for _ in range(4)], True
+
     def test_matches_full_scan(self):
         for rows in self._cases():
             assert _minors_step(rows) == _full_3x3_scan(rows)
+
+    def test_matches_full_scan_on_the_grid_cases(self):
+        verdicts = []
+        for rows, low_rank in self._lattice_cases():
+            got = _minors_step(rows)
+            assert got == _full_3x3_scan(rows)
+            assert got[0] or not low_rank
+            verdicts.append(got[0])
+        assert 0 < verdicts.count(False) < len(verdicts)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_drawn_products())
+    def test_matches_full_scan_on_drawn_products(self, case):
+        rows, low_rank = case
+        got = _minors_step(rows)
+        assert got == _full_3x3_scan(rows)
+        assert got[0] or not low_rank
 
     def test_truncated_entry_scans_every_minor(self):
         rows = _rank_k(random.Random(12), 4, 4, 2)
@@ -488,18 +568,39 @@ class TestBorderedRankCheck:
         assert _minors_step(rows) == (True, "all 3x3 minors vanish (to truncation)")
 
     def test_exact_rank2_needs_only_bordered_minors(self, monkeypatch):
+        """On the grid, the two pivot rows are expanded once, over all C(5, 2)
+        column pairs, and each bordering 3x3 minor is one more row step;
+        no minor goes through series_det."""
         import troplift.verify as verify_mod
 
-        calls = []
+        dets, steps = [], []
+        row_step = verify_mod._row_step
 
-        def counting(mat):
-            calls.append(len(mat))
+        def counting_det(mat):
+            dets.append(len(mat))
             return series_det(mat)
 
-        monkeypatch.setattr(verify_mod, "series_det", counting)
+        def counting_step(partial, row, target, *rest):
+            steps.append(target.bit_count())
+            return row_step(partial, row, target, *rest)
+
+        monkeypatch.setattr(verify_mod, "series_det", counting_det)
+        monkeypatch.setattr(verify_mod, "_row_step", counting_step)
         rows = _rank_k(random.Random(5), 4, 5, 2)
         assert _minors_step(rows) == (True, "all 3x3 minors vanish (exact)")
-        assert calls.count(3) == (4 - 2) * (5 - 2)
+        assert steps.count(3) == (4 - 2) * (5 - 2)
+        assert steps.count(2) == 10
+        assert dets == []
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wide_exact_rank2_lift_expands_only_the_subsets_it_uses(self, d):
+        """A 40-column lift: the pivot rows make C(40, 1) + C(40, 2) subsets,
+        not 2^40, and the check ends in well under a second."""
+        rows = _rank_k(random.Random(40), d, 40, 2)
+        start = time.perf_counter()
+        ok, detail = _minors_step(rows)
+        assert time.perf_counter() - start < 10
+        assert (ok, detail) == (True, "all 3x3 minors vanish (exact)")
 
 
 class TestOneAnalysisPerLift:

@@ -17,7 +17,7 @@ from troplift.errors import SizeLimit
 from troplift.fixtures import cocircuit_fixture, fixture
 from troplift.monomials import sym_det_monomials
 from troplift.newton import polytope_edges, polytope_vertices
-from troplift.tropical import barvinok_rank2, sym_barvinok_rank2, trop_rank
+from troplift.tropical import barvinok_rank2, sym_barvinok_rank2
 from troplift.tropmat import TropMatrix
 
 F = Fraction
@@ -114,11 +114,11 @@ class TestCocircuitFixture:
                 if a != b:
                     assert len(a & b) <= 1
 
-    def test_tropical_rank_three(self):
-        assert trop_rank(cocircuit_fixture()) == 3
+    def test_tropical_rank_three(self, cocircuit_rank):
+        assert cocircuit_rank[0] == 3
 
 
-def test_fast_paths_agree_with_the_references_on_seed_1(hull4):
+def test_fast_paths_agree_with_the_references_on_seed_1(hull4, cocircuit_rank):
     """The 33 cross-checks on the draws of random.Random(1): 20 plain and 10
     symmetric rank-2 samples of at most 4 x 4, the vertices and edges of
     the 4 x 4 symmetric determinant's Newton polytope, and the cocircuit
@@ -141,6 +141,6 @@ def test_fast_paths_agree_with_the_references_on_seed_1(hull4):
         tuple(sorted((classes.index(e.u), classes.index(e.v)))) for e in polytope_edges(4)
     )
     checks.append(("edges", fast_e, sorted(tuple(sorted(p)) for p in hull_e)))
-    checks.append(("cocircuit rank", trop_rank(cocircuit_fixture()), 3))
+    checks.append(("cocircuit rank", cocircuit_rank[0], 3))
     assert len(checks) == 33
     assert [c for c in checks if c[1] != c[2]] == []
