@@ -46,7 +46,7 @@ from .tropical import (
     sym_trop_rank,
     trop_det,
 )
-from .verify import LiftCertificate, _det_vanishes, series_det, verify_lift
+from .verify import LiftCertificate, _det_vanishes, _to_grid, series_det, verify_lift
 
 MAX_RETRIES = 32
 
@@ -153,7 +153,7 @@ def lift_sym_caterpillar(
     tree and symbic report.  `bound` caps the tree's rank scan, as in
     member_sym_rank2.
     """
-    asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
+    asym = a.as_symmetric()
     rec = sym_barvinok_rank2(asym, bound)
     if rec.tropical_rank > 2:
         raise NotRank2("tropical rank above 2")
@@ -392,7 +392,7 @@ def lift_sym_rank2_real(
     branch-internal cancellations are driven by rooted-path unit series.
     `bound` caps the rank scans, as in member_sym_rank2.
     """
-    asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
+    asym = a.as_symmetric()
     n = asym.rows
     if sym_trop_rank(asym, bound) > 2:
         raise NotRank2("symmetric tropical rank above 2")
@@ -558,7 +558,7 @@ def lift_corank1(
             ]
             for i in range(n)
         ]
-        z, why = _det_vanishes(exact_rows)
+        z, why = _det_vanishes(_to_grid(exact_rows), range(n), range(n))
         cert.transcript.append(
             {"check": "determinant_exact_zero", "ok": z, "detail": why}
         )
@@ -609,7 +609,7 @@ def lift_sym_corank1(
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
-    asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
+    asym = a.as_symmetric()
     if not sym_trop_det(asym, bound).tie:
         raise NotSingular("symmetric tropical determinant has a unique minimizer")
     table = _edge_table(asym, bound)

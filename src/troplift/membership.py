@@ -69,7 +69,7 @@ def member_sym_rank2(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUN
     positive parts need ordinary Barvinok rank <= 2 of the symmetric
     matrix (caterpillar symbic tree)."""
     _check_mode(mode)
-    asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
+    asym = a.as_symmetric()
     rank = sym_trop_rank(asym, bound)
     payload = {"symmetric_tropical_rank": rank}
     if mode in ("C", "R"):
@@ -130,7 +130,7 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     adjacent pair decides, and all pairs are reported.  The dicts are
     fresh; the table they are read from is memoised.
     """
-    asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
+    asym = a.as_symmetric()
     return [_edge_payload(rec) for rec in _edge_table(asym, bound)]
 
 
@@ -217,7 +217,7 @@ def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BO
     pair on that cycle.
     """
     _check_mode(mode)
-    asym = a if a.symmetric else TropMatrix.make(a.entries, symmetric=True)
+    asym = a.as_symmetric()
     res = sym_trop_det(asym, bound)
     payload = {
         "tie": res.tie,

@@ -92,8 +92,7 @@ def _sym_argmin(grid, n: int) -> tuple[int, list]:
 def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over monomial classes of the symmetric determinant."""
     _check_square(a, bound)
-    if not a.symmetric:
-        a = TropMatrix.make(a.entries, symmetric=True)
+    a = a.as_symmetric()
     scale, grid = a.as_int_grid()
     best, arg = _sym_argmin(grid, a.rows)
     return TropDetResult(Fraction(best, scale), tuple(arg), len(arg) >= 2)
@@ -164,8 +163,7 @@ def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest nonsingular submatrix size, using the symmetric determinant
     (class ties) on principal submatrices and the plain one elsewhere; the
     ascending scan is trop_rank's."""
-    if not a.symmetric:
-        a = TropMatrix.make(a.entries, symmetric=True)
+    a = a.as_symmetric()
     return _rank(a, bound, _grid_sym_nonsingular)
 
 
@@ -224,8 +222,7 @@ def _caterpillar_witness(a: TropMatrix, tree):
 def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BarvinokRecord:
     """Decide symmetric Barvinok rank <= 2 with a witness B, A = B ⊙ B^T:
     barvinok_rank2's rank gate, then sym_tree_barvinok."""
-    if not a.symmetric:
-        a = TropMatrix.make(a.entries, symmetric=True)
+    a = a.as_symmetric()
     rank = trop_rank(a, bound)
     if rank > 2:
         return BarvinokRecord(False, "rank_too_high", rank, None, None)

@@ -56,6 +56,10 @@ class TropMatrix:
         i, j = rc
         return self.entries[i][j]
 
+    def as_symmetric(self) -> "TropMatrix":
+        """This matrix flagged symmetric; ValueError when it is not."""
+        return self if self.symmetric else TropMatrix.make(self.entries, symmetric=True)
+
     def transpose(self) -> "TropMatrix":
         return TropMatrix(tuple(zip(*self.entries)), self.symmetric)
 

@@ -9,33 +9,37 @@ tail and the transcript records the order checked.  A truncated
 determinant or minor that is known only up to its tropical value (the
 least valuation sum over permutations) has proved nothing, and fails.
 
-Determinants and minors run on one integer grid per matrix (_to_grid):
-exponents scaled by one lcm, and each row's coefficients put on
-quadext's coefficient lattice over that row's own common denominator, a
-single radicand sqrt(p/q) written as sqrt(pq)/q, so the arithmetic
-multiplies Python ints only.  On the grid, a Laplace expansion over
-column subsets (_expand, n 2^(n-1) products for n x n, not n n!) carries
-the partial determinants of the first k rows from the k-column subsets
-to the (k+1)-column ones, one row step (_row_step) per subset.  It
-makes only the subsets with at most as many columns as it has rows, so
-two rows of n columns cost C(n, 1) + C(n, 2) steps.  series_det
-converts its square matrix and expands every row.  It expands rows in
-ascending order of their term count, heavy rows last, and applies the
-sign of that row permutation once to the result.  When an entry is
-truncated, the order to which the determinant is known is fixed first
-by a min-plus pass, and partial terms that cannot land below it are
-dropped as they arise.  A truncated determinant's tropical value is a
-second min-plus pass on an integer grid.
+Every determinant and minor runs on one integer grid per matrix
+(_to_grid): exponents scaled by one lcm, and each row's coefficients put
+on quadext's coefficient lattice over that row's own common denominator,
+a single radicand sqrt(p/q) written as sqrt(pq)/q, so the arithmetic
+multiplies Python ints only.  verify_lift puts a lift on its grid once,
+and every check it makes reads that grid.  On the grid, a Laplace
+expansion over column subsets (_expand, n 2^(n-1) products for n x n,
+not n n!) carries the partial determinants of the first k rows from the
+k-column subsets to the (k+1)-column ones, one row step (_row_step) per
+subset.  It makes only the subsets with at most as many columns as it
+has rows, so two rows of n columns cost C(n, 1) + C(n, 2) steps.
+
+_minor is the one kernel for a square minor on chosen rows and columns.
+It expands rows in ascending order of their term count, heavy rows last,
+and applies the sign of that row permutation once to the result.  When
+an entry is truncated, one min-plus pass gives both the order to which
+the minor is known and its tropical value, and partial terms that cannot
+land below that order are dropped as they arise.  _det_vanishes reads
+its verdict off _minor's ints and builds no series; only series_det, the
+determinant the constructions also use, turns the ints back into a
+series.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
 whose bordering (k+1) x (k+1) minors all vanish fixes the rank at k, so
-every 3x3 minor vanishes.  The lift goes onto its grid once; the two
-pivot rows are expanded once, which gives every 2x2 minor on them, and
-each bordering minor is one more row step of that expansion, zero when
-every int of it is.  Truncated entries are known only to an order, and
-bordering would divide by the 2x2 pivot and lose precision by its
-valuation, so they scan every 3x3 minor through series_det.
+every 3x3 minor vanishes.  The two pivot rows are expanded once, which
+gives every 2x2 minor on them, and each bordering minor is one more row
+step of that expansion, zero when every int of it is.  Truncated entries
+are known only to an order, and bordering would divide by the 2x2 pivot
+and lose precision by its valuation, so they scan every 3x3 minor, each
+through _minor on the same grid.
 
 A check is refused by its cost, like every enumeration in the package:
 verify_lift raises SizeLimit just before it would expand a minor with
@@ -233,32 +237,26 @@ def _expand(rows, ncols: int, root_sq: int, least=None, known=inf) -> dict:
     return partial
 
 
-def series_det(mat) -> PuiseuxSeries:
-    """Determinant of a square matrix of series, exact below the order to
-    which the permutation expansion knows it.
+def _minor(grid: _Grid, rows, cols) -> tuple[dict, float, float]:
+    """The minor of a grid on rows x cols (as many of each), on the grid.
 
-    Order: the least, over permutations that meet no exact zero and over
-    their truncated factors, of that factor's truncation plus the other
-    factors' valuations (an entry with no known term counts with its
-    truncation); None when no such permutation has a truncated factor.
-    A min-plus pass over column subsets gives it without expanding; a
-    matrix with no truncated entry is exact and skips the pass.
+    Returns its nonzero terms, a dict from grid keys to ints (the minor
+    times the product of the rows' denominators), the order on the grid to
+    which it is known, and its tropical value: the least valuation sum
+    over the permutations that meet no exact zero, an entry with no known
+    term counting with its truncation.  The order is the least, over those
+    permutations and their truncated factors, of that factor's truncation
+    plus the other factors' valuations.  Order and tropical value are the
+    full column set's entries of one min-plus pass, and both are inf when
+    no entry is truncated: the minor is then exact and no pass runs.
 
-    The matrix goes onto its integer grid (_to_grid), and _expand runs
-    the column-subset expansion over all of its rows.  Heavy rows last:
-    the rows are expanded in ascending order of their number of grid terms
-    (stably, so rows already in that order are not moved), and the sign of
-    that row permutation is applied once to the result.  A long row then
-    multiplies the partial determinants once, at the end, instead of
-    carrying its terms through every later row.  quadext.from_lattice
-    divides the result by the product of the row denominators once per
-    term.
+    Heavy rows last: rows are expanded in ascending order of their number
+    of grid terms (stably, so rows already in that order are not moved),
+    so a long row multiplies the partial determinants once, at the end.
     """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
-    grid = _to_grid(mat)
-    terms, truncs = grid.terms, grid.truncs
+    terms = [[grid.terms[r][c] for c in cols] for r in rows]
+    truncs = [[grid.truncs[r][c] for c in cols] for r in rows]
+    n = len(terms)
     sign = 1
     weight = [sum(map(len, row)) for row in terms]
     if weight != sorted(weight):  # heavy rows last, stably
@@ -276,16 +274,32 @@ def series_det(mat) -> PuiseuxSeries:
             for trow, tcol in zip(terms, truncs)
         ]
         least, order = _min_plus(vals, truncs)
-        known = order[full]
-    else:  # exact entries: an exact determinant, no term to drop
-        least, known = None, inf
+        known, value = order[full], least[full]
+    else:  # exact entries: an exact minor, no term to drop
+        least, known, value = None, inf, inf
     partial = _expand(terms, n, grid.root_sq, least, known)
+    return {key: sign * c for key, c in partial.get(full, {}).items() if c}, known, value
 
-    scale = sign * prod(grid.dens)
+
+def series_det(mat) -> PuiseuxSeries:
+    """Determinant of a square matrix of series, exact below the order to
+    which the permutation expansion knows it (see _minor); the order is
+    None when no permutation that meets no exact zero has a truncated
+    factor.
+
+    The matrix goes onto its integer grid (_to_grid), and _minor expands
+    all of its rows.  quadext.from_lattice divides the result by the
+    product of the row denominators once per term.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
+    grid = _to_grid(mat)
+    terms, known, _ = _minor(grid, range(n), range(n))
+    scale = prod(grid.dens)
     parts: dict = {}
-    for key, c in partial.get(full, {}).items():
-        if c:
-            parts.setdefault(key >> 1, [0, 0])[key & 1] = c
+    for key, c in terms.items():
+        parts.setdefault(key >> 1, [0, 0])[key & 1] = c
     exp_den, radicand = grid.exp_den, grid.radicand
     pairs = [
         (Fraction(e, exp_den), from_lattice(a, b, scale, radicand)) for e, (a, b) in parts.items()
@@ -293,48 +307,37 @@ def series_det(mat) -> PuiseuxSeries:
     return PuiseuxSeries.make(pairs, None if known == inf else Fraction(known, exp_den))
 
 
-def _tropical_value(mat) -> Fraction:
-    """The least valuation sum over the permutations that meet no exact
-    zero, an entry with no known term counting with its truncation; a
-    min-plus pass on the lcm grid of those exponents."""
-    lead = [[s.terms[0][0] if s.terms else s.trunc for s in row] for row in mat]
-    den = lcm(*(e.denominator for row in lead for e in row if e is not None))
-    vals = [[None if e is None else e.numerator * (den // e.denominator) for e in row]
-            for row in lead]
-    exact = [[None] * len(mat)] * len(mat)
-    return Fraction(_min_plus(vals, exact)[0][-1], den)
-
-
-def _det_vanishes(mat) -> tuple[bool, str]:
-    """Whether a determinant is zero as far as it is known.  A truncated
-    determinant known only up to its tropical value (the least valuation
-    sum over permutations) has no term that could have shown, so it proves
-    nothing and fails."""
-    det = series_det(mat)
-    if not det.is_known_zero():
-        return False, f"nonzero at order {det.val()}"
-    if det.trunc is None:
+def _det_vanishes(grid: _Grid, rows, cols) -> tuple[bool, str]:
+    """Whether the minor of a grid on rows x cols is zero as far as it is
+    known, read off _minor's ints.  A truncated minor known only up to its
+    tropical value has no term that could have shown, so it proves nothing
+    and fails."""
+    terms, known, value = _minor(grid, rows, cols)
+    exp_den = grid.exp_den
+    if terms:
+        return False, f"nonzero at order {Fraction(min(terms) >> 1, exp_den)}"
+    if known == inf:
         return True, "exactly zero"
-    value = _tropical_value(mat)
-    if det.trunc <= value:
-        return False, f"known only to order {det.trunc}, not above its tropical value {value}"
-    return True, f"zero up to order {det.trunc}"
+    order = Fraction(known, exp_den)
+    if known <= value:
+        return False, f"known only to order {order}, not above its tropical value {Fraction(value, exp_den)}"
+    return True, f"zero up to order {order}"
 
 
-def _bordered_rank2(lift, d: int, n: int) -> bool:
-    """True when an exact matrix has rank <= 2, checked on the 3x3 minors
-    bordering its lexicographically first nonzero 2x2 minor.
+def _bordered_rank2(grid: _Grid, d: int, n: int) -> bool:
+    """True when an exact d x n matrix, on its grid, has rank <= 2,
+    checked on the 3x3 minors bordering its lexicographically first
+    nonzero 2x2 minor.
 
     Bordered-minor theorem: if a k x k minor is nonzero and every
     (k+1) x (k+1) minor containing it vanishes, the rank is k.  With no
     nonzero 2x2 minor the rank is at most 1.
 
-    The lift goes onto its integer grid once.  For each pair of pivot
-    rows, the column-subset expansion over those two rows gives every 2x2
-    minor on them at once; a bordering 3x3 minor is one more row step of
-    that expansion.  A minor is zero when every int of it is.
+    For each pair of pivot rows, the column-subset expansion over those
+    two rows gives every 2x2 minor on them at once; a bordering 3x3 minor
+    is one more row step of that expansion.  A minor is zero when every
+    int of it is.
     """
-    grid = _to_grid(lift)
     terms, root_sq = grid.terms, grid.root_sq
     for p in combinations(range(d), 2):
         pivot = _expand([terms[i] for i in p], n, root_sq)
@@ -352,11 +355,12 @@ def _bordered_rank2(lift, d: int, n: int) -> bool:
     return True
 
 
-def _scan_3x3(lift, d: int, n: int) -> tuple[bool, str]:
-    """Every 3x3 minor in lexicographic order; names the first nonzero one."""
+def _scan_3x3(grid: _Grid, d: int, n: int) -> tuple[bool, str]:
+    """Every 3x3 minor of a d x n grid in lexicographic order; names the
+    first one that does not vanish."""
     for ri in combinations(range(d), 3):
         for cj in combinations(range(n), 3):
-            z, why = _det_vanishes([[lift[i][j] for j in cj] for i in ri])
+            z, why = _det_vanishes(grid, ri, cj)
             if not z:
                 return False, f"minor {ri}x{cj} {why}"
     return True, "all 3x3 minors vanish"
@@ -491,11 +495,12 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
             raise SizeLimit(
                 f"checking {cert.claimed} expands {side}x{side} minors, above bound {bound}"
             )
-        exact = all(lift[i][j].trunc is None for i in range(d) for j in range(n))
-        if exact and _bordered_rank2(lift, d, n):
+        grid = _to_grid(lift)
+        exact = all(t is None for row in grid.truncs for t in row)
+        if exact and _bordered_rank2(grid, d, n):
             ok, detail = True, "all 3x3 minors vanish"
         else:
-            ok, detail = _scan_3x3(lift, d, n)
+            ok, detail = _scan_3x3(grid, d, n)
         if ok:
             detail += " (exact)" if exact else " (to truncation)"
         steps.append({"check": "minors_3x3_vanish", "ok": ok, "detail": detail})
@@ -505,7 +510,7 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
             raise SizeLimit(
                 f"checking {cert.claimed} expands the {n}x{n} determinant, above bound {bound}"
             )
-        z, why = _det_vanishes([list(row) for row in lift])
+        z, why = _det_vanishes(_to_grid(lift), range(n), range(n))
         steps.append({"check": "determinant_vanishes", "ok": z, "detail": why})
 
     cert.transcript = steps

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,7 @@ from samples import (
     random_rank2_matrix,
     random_sym_rank2_matrix,
 )
+from test_series_det import ref_det_vanishes
 from troplift import jsonio, trees, tropical
 from troplift.errors import (
     MinorSignsOpposed,
@@ -47,6 +49,7 @@ from troplift.tropical import trop_det, trop_rank
 from troplift.tropmat import TropMatrix
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def mono(c, e):
@@ -423,13 +426,14 @@ def _rank_k(rng, d, n, k, **entry):
 
 
 def _full_3x3_scan(rows):
-    """Reference: every 3x3 minor through series_det, in lexicographic order."""
+    """Reference: every 3x3 minor through series_det and the Fraction
+    min-plus pass (ref_det_vanishes), in lexicographic order."""
     d, n = len(rows), len(rows[0])
     for ri in combinations(range(d), 3):
         for cj in combinations(range(n), 3):
-            det = series_det([[rows[i][j] for j in cj] for i in ri])
-            if not det.is_known_zero():
-                return False, f"minor {ri}x{cj} nonzero at order {det.val()}"
+            z, why = ref_det_vanishes([[rows[i][j] for j in cj] for i in ri])
+            if not z:
+                return False, f"minor {ri}x{cj} {why}"
     exact = all(e.trunc is None for row in rows for e in row)
     return True, "all 3x3 minors vanish" + (" (exact)" if exact else " (to truncation)")
 
@@ -469,6 +473,18 @@ def _drawn_products(draw):
         i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, n - 1))
         rows[i][j] = rows[i][j] + PuiseuxSeries.monomial(F(1), F(draw(st.integers(0, 4))))
     return rows, k <= 2 and not perturbed
+
+
+@st.composite
+def _truncated_products(draw):
+    """_drawn_products with one to three entries truncated, at an order
+    above their valuation or at or below it, which leaves no known term."""
+    rows, _ = draw(_drawn_products())
+    d, n = len(rows), len(rows[0])
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = rows[i][j].truncate(F(draw(st.integers(-6, 12)), draw(st.integers(1, 3))))
+    return rows
 
 
 class TestBorderedRankCheck:
@@ -548,6 +564,11 @@ class TestBorderedRankCheck:
         assert got == _full_3x3_scan(rows)
         assert got[0] or not low_rank
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_truncated_products())
+    def test_truncated_scan_matches_the_per_minor_reference(self, rows):
+        assert _minors_step(rows) == _full_3x3_scan(rows)
+
     def test_truncated_entry_scans_every_minor(self):
         rows = _rank_k(random.Random(12), 4, 4, 2)
         rows[2][3] = rows[2][3].truncate(F(30))
@@ -591,6 +612,46 @@ class TestBorderedRankCheck:
         assert steps.count(3) == (4 - 2) * (5 - 2)
         assert steps.count(2) == 10
         assert dets == []
+
+    @pytest.mark.parametrize("case", ["singular", "truncated rank 2", "exact rank 3"])
+    def test_verify_converts_once_and_builds_no_series(self, monkeypatch, case):
+        """verify_lift puts the lift on its grid once, and every minor and
+        determinant it checks reads that grid: a singular claim, a truncated
+        rank-2 claim, and an exact rank-2 claim whose bordered minor is
+        nonzero, which falls back to the 3x3 scan."""
+        import troplift.verify as verify_mod
+
+        if case == "singular":
+            cert = jsonio.decode_certificate(
+                json.loads((GOLDEN / "fig2a-corank1-R.json").read_text())
+            )
+            lift, claimed, target = cert.lift, cert.claimed, cert.target
+        else:
+            rows = _rank_k(random.Random(12), 4, 4, 2)
+            if case == "truncated rank 2":
+                rows[2][3] = rows[2][3].truncate(F(30))
+            else:
+                rows[1][2] = rows[1][2] + PuiseuxSeries.monomial(F(1), F(3))
+            lift, claimed = tuple(map(tuple, rows)), "rank<=2"
+            target = TropMatrix.make([[e.val() for e in row] for row in rows])
+        grids = []
+        to_grid = verify_mod._to_grid
+
+        def counting_grid(mat):
+            grids.append(len(mat))
+            return to_grid(mat)
+
+        def no_series_det(mat):
+            raise AssertionError("verify_lift called series_det")
+
+        monkeypatch.setattr(verify_mod, "_to_grid", counting_grid)
+        monkeypatch.setattr(verify_mod, "series_det", no_series_det)
+        cert = LiftCertificate(target, lift, claimed, "none")
+        verify_lift(cert)
+        assert grids == [len(lift)]
+        checks = ("determinant_vanishes", "minors_3x3_vanish")
+        (step,) = [s for s in cert.transcript if s["check"] in checks]
+        assert step["ok"] == (case != "exact rank 3"), step
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_wide_exact_rank2_lift_expands_only_the_subsets_it_uses(self, d):

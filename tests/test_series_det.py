@@ -20,7 +20,7 @@ from troplift.errors import DimensionMismatch, RadicandMismatch
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
 from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt
 from troplift.quadext import QuadExt
-from troplift.verify import _det_vanishes, _min_plus
+from troplift.verify import _det_vanishes, _min_plus, _to_grid
 
 F = Fraction
 
@@ -207,23 +207,28 @@ def ref_det_vanishes(mat):
     return True, f"zero up to order {det.trunc}"
 
 
+def det_vanishes(mat):
+    """_det_vanishes on the whole of a square matrix's grid."""
+    return _det_vanishes(_to_grid(mat), range(len(mat)), range(len(mat)))
+
+
 @SETTINGS
 @given(matrices(min_n=1))
 def test_det_vanishes_reads_the_tropical_value_of_the_reference(rows):
-    assert _det_vanishes(rows) == ref_det_vanishes(rows)
+    assert det_vanishes(rows) == ref_det_vanishes(rows)
 
 
 def test_det_vanishes_names_the_tropical_value():
     one, vague = mono(1, 0), PuiseuxSeries((), F(3, 2))
     # det = O(t^(3/2)) - t^(1/3) t^(7/6): no term below 3/2, its tropical value
     rows = [[vague, mono(1, F(1, 3))], [mono(1, F(7, 6)), mono(1, 0)]]
-    assert _det_vanishes(rows) == ref_det_vanishes(rows) == (
+    assert det_vanishes(rows) == ref_det_vanishes(rows) == (
         False,
         "known only to order 3/2, not above its tropical value 3/2",
     )
     # det = (1 + O(t^2)) - 1 = O(t^2), above its tropical value 0
     rows = [[PuiseuxSeries.make([(F(0), F(1))], F(2)), one], [one, one]]
-    assert _det_vanishes(rows) == ref_det_vanishes(rows) == (True, "zero up to order 2")
+    assert det_vanishes(rows) == ref_det_vanishes(rows) == (True, "zero up to order 2")
 
 
 def mono(c, e, trunc=None):

@@ -91,6 +91,12 @@ class TestSymTropDet:
     def test_three_by_three_has_five_classes(self):
         assert len(sym_det_monomials(3)) == 5
 
+    def test_as_symmetric_flags_an_equal_matrix_once(self):
+        assert EQ1_SYM.as_symmetric() is EQ1_SYM
+        assert EQ1.as_symmetric() == EQ1_SYM
+        with pytest.raises(ValueError):
+            TropMatrix.make([[0, 1], [2, 0]]).as_symmetric()
+
 
 class TestRanks:
     def test_eq1_ranks(self):

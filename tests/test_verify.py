@@ -143,6 +143,23 @@ def _package_imports(path: Path) -> set:
     return found
 
 
+def _series_builders(source: str) -> set:
+    """The top-level definitions of a source that call PuiseuxSeries or one
+    of its constructors (PuiseuxSeries.make, .zero, ...), by name;
+    "<module>" for a call outside any definition."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        name = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    func = func.value
+                if isinstance(func, ast.Name) and func.id == "PuiseuxSeries":
+                    found.add(name)
+    return found
+
+
 class TestTrustedBase:
     """verify.py and what it imports stay apart from the constructions.
     The package __init__ imports every module, so sys.modules cannot tell;
@@ -157,6 +174,22 @@ class TestTrustedBase:
 
     def test_certificates_decode_without_the_constructions(self):
         assert "lifts" not in _package_imports(PACKAGE / "jsonio.py")
+
+    def test_only_series_det_builds_a_series(self):
+        """The verifier decides every minor on the grid's ints; only
+        series_det, the determinant the constructions share, turns them
+        back into a series."""
+        assert _series_builders((PACKAGE / "verify.py").read_text()) == {"series_det"}
+
+    def test_series_builder_scan_sees_each_constructor(self):
+        source = (
+            "def a(): return PuiseuxSeries((), 1)\n"
+            "def b(): return [PuiseuxSeries.make(p) for p in q]\n"
+            "class C:\n    def m(self): return PuiseuxSeries.zero()\n"
+            "X = PuiseuxSeries.constant(1)\n"
+            "def d(x: PuiseuxSeries) -> PuiseuxSeries: return x.terms\n"
+        )
+        assert _series_builders(source) == {"a", "b", "C", "<module>"}
 
     def test_lifts_reuse_the_verifier(self):
         assert lifts.verify_lift is verify.verify_lift
