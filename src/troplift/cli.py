@@ -6,7 +6,9 @@ usage error, or a seeded construction that spent its retries
 (errors.ConstructionExhausted, under its own label), 3 enumeration size
 limit.
 Configuration precedence is flags, then TROPLIFT_* environment variables,
-then defaults.
+then defaults.  No option sets a series truncation: corank-one lifts are
+exact, and the symmetric solve's square root runs to an order derived
+from its input (config.default_truncation).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio, lifts, membership, newton, trees, verify
@@ -51,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed for randomized constructions")
-    common.add_argument("--trunc", type=str, default=None, help="series truncation order (p/q)")
     common.add_argument(
         "--max-n",
         type=int,
@@ -99,13 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> Config:
     seed = args.seed if args.seed is not None else _env("TROPLIFT_SEED", int, 1)
-    trunc = args.trunc if args.trunc is not None else os.environ.get("TROPLIFT_TRUNC")
     bound = (
         args.max_n if args.max_n is not None else _env("TROPLIFT_MAX_N", int, MAX_ENUMERATION_BOUND)
     )
     fmt = args.format if args.format is not None else _env("TROPLIFT_FORMAT", str, "json")
     return Config(
-        truncation_order=None if trunc is None else Fraction(trunc),
         enumeration_bound=bound,
         seed=seed,
         output_format=fmt,
@@ -247,7 +245,7 @@ def dispatch(argv=None) -> int:
 
 
 def _run_lift(a, variety, mode, cfg: Config):
-    seed, bound, trunc = cfg.seed, cfg.enumeration_bound, cfg.truncation_order
+    seed, bound = cfg.seed, cfg.enumeration_bound
     if variety == "rank2":
         if mode in ("C+", "R+"):
             return lifts.lift_rank2_positive(a, seed=seed, bound=bound)
@@ -258,9 +256,9 @@ def _run_lift(a, variety, mode, cfg: Config):
         return lifts.lift_sym_rank2_real(a, seed=seed, bound=bound)
     real_mode = "R+" if mode.endswith("+") else "R"
     if variety == "corank1":
-        return lifts.lift_corank1(a, real_mode, seed=seed, trunc=trunc, bound=bound)
+        return lifts.lift_corank1(a, real_mode, seed=seed, bound=bound)
     if variety == "sym_corank1":
-        return lifts.lift_sym_corank1(a, real_mode, seed=seed, trunc=trunc, bound=bound)
+        return lifts.lift_sym_corank1(a, real_mode, seed=seed, bound=bound)
     raise ValueError(variety)
 
 

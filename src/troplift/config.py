@@ -1,8 +1,10 @@
-"""Run configuration: truncation order, enumeration bound, seed, format.
+"""Run configuration: enumeration bound, seed, format.
 
 Precedence when the CLI resolves a value: flags, then environment
-variables (TROPLIFT_SEED, TROPLIFT_TRUNC, TROPLIFT_MAX_N, TROPLIFT_FORMAT),
-then these defaults.
+variables (TROPLIFT_SEED, TROPLIFT_MAX_N, TROPLIFT_FORMAT), then these
+defaults.  No setting reaches the series truncation: the one truncated
+step, the square root of the symmetric quadratic solve, runs to
+default_truncation of its input.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ TRUNCATION_MARGIN = 20
 
 @dataclass
 class Config:
-    truncation_order: Fraction | None = None  # None: derived per input
     enumeration_bound: int = MAX_ENUMERATION_BOUND
     seed: int = DEFAULT_SEED
     output_format: str = "json"
@@ -34,6 +35,7 @@ class Config:
 
 
 def default_truncation(a: TropMatrix) -> Fraction:
-    """Series order deep enough for every verification identity on this input:
-    (largest entry magnitude) * n plus TRUNCATION_MARGIN."""
+    """Series order of the symmetric solve's square root, deep enough for
+    every verification identity on this input: (largest entry magnitude)
+    * n plus TRUNCATION_MARGIN."""
     return a.max_abs() * max(a.rows, a.cols) + TRUNCATION_MARGIN

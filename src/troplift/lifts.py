@@ -4,7 +4,10 @@ Every lift_* operation returns a LiftCertificate whose transcript is
 produced by verify.verify_lift, which recomputes everything from scratch
 and is given the lift's own bound.  The linear and quadratic entry solves
 read their coefficients off determinants (verify.series_det) of cofactors
-and of the matrix with the unknown set to zero.
+and of the matrix with the unknown set to zero.  They divide no series:
+scaling the solved entry's row (and column) by a unit of valuation 0 and
+positive leading coefficient clears its denominator and keeps every
+valuation and sign.  Only the symmetric solve's square root truncates.
 
 Every certificate is built and verified by _issue.  The seeded
 constructions run under one driver, _first_valid: attempt k draws from
@@ -36,7 +39,7 @@ from .errors import (
     ValuationUnknown,
 )
 from .membership import _edge_table, _positive_part, adjacent_pair
-from .puiseux import PuiseuxSeries, ps_div, quad_numerators
+from .puiseux import PuiseuxSeries, quad_numerators
 from .tropmat import TropMatrix
 from .tropical import (
     barvinok_rank2,
@@ -46,7 +49,7 @@ from .tropical import (
     sym_trop_rank,
     trop_det,
 )
-from .verify import LiftCertificate, _det_vanishes, _to_grid, series_det, verify_lift
+from .verify import LiftCertificate, series_det, verify_lift
 
 MAX_RETRIES = 32
 
@@ -237,14 +240,26 @@ def _frame_completion(u, v, p1, p2, delta) -> tuple:
     """The rank <= 2 lift u adj(G) v^T t^-delta, G the frame rows u[p1],
     u[p2]: entry (i, j) is u_i0 w_j0 + u_i1 w_j1, with the two column
     combinations w_j0 = g22 v_j0 - g12 v_j1 and w_j1 = g11 v_j1 - g21 v_j0
-    formed once per column and shifted by -delta there."""
+    formed once per column and shifted by -delta there.  Each entry is one
+    PuiseuxSeries.make over the term products of both summands."""
     g11, g12 = u[p1]
     g21, g22 = u[p2]
     w = [
         ((g22 * v0 - g12 * v1).shift(-delta), (g11 * v1 - g21 * v0).shift(-delta))
         for v0, v1 in v
     ]
-    return tuple(tuple(u0 * w0 + u1 * w1 for w0, w1 in w) for u0, u1 in u)
+    return tuple(
+        tuple(
+            PuiseuxSeries.make(
+                (e1 + e2, c1 * c2)
+                for x, y in ((u0, w0), (u1, w1))
+                for e1, c1 in x.terms
+                for e2, c2 in y.terms
+            )
+            for w0, w1 in w
+        )
+        for u0, u1 in u
+    )
 
 
 def lift_rank2_real(
@@ -494,14 +509,18 @@ def _split_det_linear(lift_rows, istar, jstar):
 
 
 def lift_corank1(
-    a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, mode: str = "R+", seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Singular lift with one entry solved from a linear determinant equation.
 
     Requires a tied tropical determinant; in R+ mode the tie must contain a
     Birkhoff-edge pair of opposite signs, and the solved entry comes out
     positive because the two dominating monomials have opposite signs.
-    `bound` caps n for the determinant's scan, as in member_corank1.
+    The root x = -B/A of det = A x + B is written with its denominator
+    cleared: row i* is scaled by +-A, a unit with a positive leading
+    coefficient, so the lift is exact and its determinant vanishes
+    identically.  `bound` caps n for the determinant's scan, as in
+    member_corank1.
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
@@ -524,8 +543,6 @@ def lift_corank1(
     )
     istar = next(i for i in range(n) if sigma1[i] != sigma2[i])
     jstar = sigma1[istar]
-    if trunc is None:
-        trunc = default_truncation(norm)
     positivity = "all-positive" if mode == "R+" else "none"
 
     def attempt(rng):
@@ -533,36 +550,20 @@ def lift_corank1(
             [_monomial_lift(rng, norm[i, j]) for j in range(n)] for i in range(n)
         ]
         acoef, bcoef = _split_det_linear(rows, istar, jstar)
-        if acoef.is_known_zero() or bcoef.is_known_zero():
-            return
         if acoef.val() != 0 or bcoef.val() != 0:
+            return  # an exact zero has valuation None
+        if acoef.lead_sign() < 0:
+            acoef, bcoef = -acoef, -bcoef
+        # row istar times A keeps every valuation and sign; -B, of valuation
+        # 0 = norm[istar, jstar], stands for A x and has the sign of x = -B/A
+        solved = -bcoef
+        if mode == "R+" and solved.lead_sign() <= 0:
             return
-        x = ps_div(-bcoef, acoef, trunc)
-        if x.val() != norm[istar, jstar]:
-            return
-        if mode == "R+" and x.lead_sign() <= 0:
-            return
-        rows[istar][jstar] = x
+        rows[istar] = [solved if j == jstar else x * acoef for j, x in enumerate(rows[istar])]
         lift = tuple(
             tuple(rows[i][j].shift(col_shift[j]) for j in range(n)) for i in range(n)
         )
-        cert = _issue(a, lift, "singular", positivity, "linear_entry_solve", seed, bound)
-        # exact zero check: replace the solved entry by -B and scale the
-        # rest of its row by A; the determinant then vanishes identically
-        exact_rows = [
-            [
-                (-bcoef) if (i == istar and j == jstar) else (
-                    rows[i][j] * acoef if i == istar else rows[i][j]
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        z, why = _det_vanishes(_to_grid(exact_rows), range(n), range(n))
-        cert.transcript.append(
-            {"check": "determinant_exact_zero", "ok": z, "detail": why}
-        )
-        yield cert
+        yield _issue(a, lift, "singular", positivity, "linear_entry_solve", seed, bound)
 
     exhausted = DegenerateGeneric("generic draws kept failing the linear solve")
     return _first_valid(attempt, seed, "corank1", repr(a.entries) + mode, exhausted)
@@ -590,7 +591,7 @@ def _split_det_quadratic(lift_rows, i, j):
 
 
 def lift_sym_corank1(
-    a: TropMatrix, mode: str = "R+", seed: int = 1, trunc=None, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, mode: str = "R+", seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Symmetric singular lift; one symmetric entry solves a quadratic.
 
@@ -644,10 +645,8 @@ def lift_sym_corank1(
         i, j = _lattice1_entry(edge)
     else:
         i, j = chosen.minor_reports[0][0]
-    if trunc is None:
-        trunc = default_truncation(asym)
     flips = _flip_candidates(asym, edge, i, j, mode)
-    return _solve_symmetric_quadratic(asym, i, j, mode, seed, flips, trunc, bound, exhausted)
+    return _solve_symmetric_quadratic(asym, i, j, mode, seed, flips, bound, exhausted)
 
 
 def _flip_candidates(asym: TropMatrix, edge, i, j, mode) -> list:
@@ -692,14 +691,19 @@ def _lattice1_entry(edge) -> tuple[int, int]:
 
 
 def _solve_symmetric_quadratic(
-    asym: TropMatrix, i, j, mode, seed, flip_candidates, trunc, bound, exhausted
+    asym: TropMatrix, i, j, mode, seed, flip_candidates, bound, exhausted
 ) -> LiftCertificate:
     """Each attempt draws the symmetric monomials once, then tries no flip
-    and each flip in turn, and for each the roots x1 and x2 of
-    quad_numerators; a root is divided out only when its leading term can
-    have the target valuation and sign."""
+    and each flip in turn, and for each the numerators n of quad_numerators,
+    the square root truncated at default_truncation.  A root x = n / 2A is
+    kept only when its leading term has the target valuation and sign.  Row
+    and column i are scaled by the unit u = eps 2A t^-val(2A), eps the sign
+    of 2A's leading coefficient, and (i, j), (j, i) hold u x = eps n
+    t^-val(2A): the determinant becomes u^2 det, and every valuation and
+    sign stays."""
     n = asym.rows
     target = asym[i, j]
+    trunc = default_truncation(asym)
     flips = [None] + list(flip_candidates)
     positivity = "all-positive" if mode == "R+" else "none"
 
@@ -720,25 +724,20 @@ def _solve_symmetric_quadratic(
                 continue  # degenerate draw
             if disc_sign < 0:
                 continue
-            # the root n / 2A leads with val(n) - val(2A) and sign(n) sign(2A),
-            # so only a numerator whose root can pass the checks is divided
-            shift, sign = two_a.val(), two_a.lead_sign()
+            shift, eps = two_a.val(), two_a.lead_sign()
+            unit = (two_a if eps > 0 else -two_a).shift(-shift)
             for num in (n1, n2):
                 if num.is_known_zero() or num.val() - shift != target:
                     continue
-                if mode == "R+" and num.lead_sign() * sign <= 0:
+                root = (num if eps > 0 else -num).shift(-shift)
+                if mode == "R+" and root.lead_sign() <= 0:
                     continue
-                x = ps_div(num, two_a, trunc)
-                try:
-                    ok_val = x.val() == target
-                except ValuationUnknown:
-                    continue
-                if not ok_val:
-                    continue
-                if mode == "R+" and x.lead_sign() <= 0:
-                    continue
-                cur[i][j] = cur[j][i] = x
-                lift = tuple(tuple(row) for row in cur)
+                scaled = [x * unit for x in cur[i]]
+                scaled[i] = scaled[i] * unit
+                scaled[j] = root
+                lift = _symmetric(
+                    n, lambda r, c: scaled[c] if r == i else scaled[r] if c == i else cur[r][c]
+                )
                 yield _issue(
                     asym, lift, "symmetric singular", positivity, "quadratic_entry_solve", seed, bound
                 )

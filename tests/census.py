@@ -6,7 +6,8 @@ columns together, so a box of small integer matrices is covered by one
 matrix per orbit.  For each (variety, mode) the census asks the member_*
 verdict and runs the lift the CLI would issue: a true verdict must come
 with a valid certificate, all-positive in C+ and R+, and a false one with
-a NegativeResult.  Anything else is a gap.
+a NegativeResult.  A corank1 certificate must also be exact: no entry is
+truncated and its determinant vanishes exactly.  Anything else is a gap.
 
     PYTHONPATH=src python tests/census.py N K
 
@@ -14,8 +15,9 @@ runs the box of N x N matrices with entries 0..K-1.  It prints the verdict
 and outcome counts per (variety, mode), checks input by input that the C
 verdict equals the R verdict for every variety and that the sym_rank2 C+
 verdict equals the R+ one, counts the sym_corank1 inputs with C+ true and
-R+ false (the paper's C+ != R+), and, for the 4 x 4 box with entries 0-2,
-compares its gaps with census_gaps.json.  It exits 1 when a check fails.
+R+ false (the paper's C+ != R+), lists every corank1 certificate that is
+not exact, and, for the 4 x 4 box with entries 0-2, compares its gaps
+with census_gaps.json.  It exits 1 when a check fails.
 After a fix closes a gap, write the new gaps(symmetric_orbits(4, range(3)))
 to that file.
 """
@@ -93,10 +95,19 @@ def orbit_count(n: int, k: int) -> int:
     return sum(k ** _cycles(m) for m in maps) // len(maps)
 
 
+def _exact(cert) -> bool:
+    """No entry of the certificate is truncated, and its last step finds
+    the determinant exactly zero."""
+    step = cert.transcript[-1]
+    exact = all(x.trunc is None for row in cert.lift for x in row)
+    return exact and (step["check"], step["detail"]) == ("determinant_vanishes", "exactly zero")
+
+
 def ask(a: TropMatrix, variety: str, mode: str) -> tuple:
     """(verdict, outcome) of one question: outcome is "certificate" for a
-    valid certificate of the mode's positivity, "refused" for a
-    NegativeResult, else the name of what the lift raised or returned."""
+    valid certificate of the mode's positivity, exact for corank1,
+    "refused" for a NegativeResult, else the name of what the lift raised
+    or returned."""
     cfg = Config()
     verdict = MEMBERS[variety](a, mode, cfg.enumeration_bound).verdict
     try:
@@ -106,7 +117,11 @@ def ask(a: TropMatrix, variety: str, mode: str) -> tuple:
     except TropliftError as exc:
         return verdict, type(exc).__name__
     positive = cert.positivity == "all-positive" or not mode.endswith("+")
-    return verdict, "certificate" if cert.valid and positive else "invalid_certificate"
+    if not (cert.valid and positive):
+        return verdict, "invalid_certificate"
+    if variety == "corank1" and not _exact(cert):
+        return verdict, "inexact_certificate"
+    return verdict, "certificate"
 
 
 def answers(a: TropMatrix) -> dict:
@@ -139,7 +154,7 @@ def known_gaps() -> list:
 def main(argv) -> int:
     n, k = (int(x) for x in argv)
     counts = Counter()
-    found, broken = [], []
+    found, broken, inexact = [], [], []
     split = 0
     same = [(variety, "C", "R") for variety in MEMBERS] + [("sym_rank2", "C+", "R+")]
     for a in symmetric_orbits(n, range(k)):
@@ -151,15 +166,22 @@ def main(argv) -> int:
             for variety, one, other in same
             if answered[variety, one][0] != answered[variety, other][0]
         ]
+        inexact += [
+            (rows_of(a), mode)
+            for mode in MODES
+            if answered["corank1", mode][1] == "inexact_certificate"
+        ]
         split += answered["sym_corank1", "C+"][0] and not answered["sym_corank1", "R+"][0]
     for key in ((variety, mode) for variety in MEMBERS for mode in MODES):
         tally = sorted((answer, count) for (at, answer), count in counts.items() if at == key)
         print(*key, *(f"{verdict}/{outcome}: {count}" for (verdict, outcome), count in tally))
     for rows, variety, one, other in broken:
         print(f"{variety} {one} and {other} verdicts differ on {rows}")
+    for rows, mode in inexact:
+        print(f"corank1 {mode} certificate is not exact on {rows}")
     print(f"sym_corank1 C+ true and R+ false on {split} inputs")
     print(f"{len(found)} gap rows")
-    ok = not broken
+    ok = not broken and not inexact
     if (n, k) == (4, 3):
         matches = found == known_gaps()
         print("gaps", "equal" if matches else "differ from", GAPS_FILE.name)

@@ -62,9 +62,9 @@ def _empty_analysis_memos():
 
 @pytest.fixture(autouse=True)
 def _no_env_config(monkeypatch):
-    """Seed, truncation, bound and format come from flags or defaults, so
-    golden bytes do not depend on the shell a test runs in."""
-    for key in ("TROPLIFT_SEED", "TROPLIFT_TRUNC", "TROPLIFT_MAX_N", "TROPLIFT_FORMAT"):
+    """Seed, bound and format come from flags or defaults, so golden bytes
+    do not depend on the shell a test runs in."""
+    for key in ("TROPLIFT_SEED", "TROPLIFT_MAX_N", "TROPLIFT_FORMAT"):
         monkeypatch.delenv(key, raising=False)
 
 

@@ -4,7 +4,7 @@
 
 Cases are every bundled matrix fixture crossed with every variety and the
 modes R and R+ (C and C+ run the same constructions as R and R+), plus
-seeded instances from tests/samples.py: exact rank claims, truncated
+seeded instances from tests/samples.py: exact rank claims, exact
 corank-one solves and symmetric corank-one solves with a square-root
 coefficient.  A case is kept when `troplift lift` exits 0 on it.  The
 manifest cases.json records each kept case's input, variety and mode;

@@ -33,8 +33,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "src"))
 from troplift import jsonio, lifts, puiseux  # noqa: E402
 from troplift.errors import TropliftError  # noqa: E402
 
-# the lifts call ps_div and quad_numerators; ps_inv and quad_roots are
-# their public wrappers, and ps_sqrt serves quad_numerators
+# the symmetric lift calls quad_numerators, and ps_sqrt serves it;
+# quad_roots divides its numerators with ps_div, which ps_inv wraps too
 RECORDED = ("ps_inv", "ps_sqrt", "quad_roots", "ps_div", "quad_numerators")
 HOMES = (puiseux, lifts)
 

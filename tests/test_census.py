@@ -17,8 +17,10 @@ from census import (
     rows_of,
     symmetric_orbits,
 )
+from troplift import cli
 from troplift.tropical import sym_trop_rank, trop_rank
 from troplift.tropmat import TropMatrix
+from troplift.verify import verify_lift
 
 BOX = symmetric_orbits(3, range(3))
 # every 16th orbit of the 4 x 4 box with entries 0-2, in enumeration order
@@ -66,6 +68,28 @@ def test_the_script_fails_when_the_c_and_r_verdicts_differ(monkeypatch, capsys):
     )
     assert main(["2", "2"]) == 1
     assert "corank1 C and R verdicts differ on [['0', '0'], ['0', '1']]" in capsys.readouterr().out
+
+
+def test_the_script_fails_on_a_truncated_corank1_certificate(monkeypatch, capsys):
+    """A corank1 certificate with a truncated entry still verifies, to its
+    truncation, but it is not exact, so the census reports it and fails."""
+    real = cli._run_lift
+
+    def truncating(a, variety, mode, cfg):
+        cert = real(a, variety, mode, cfg)
+        if variety == "corank1":
+            rows = [list(row) for row in cert.lift]
+            rows[0][0] = rows[0][0].truncate(10)
+            cert.lift = tuple(tuple(row) for row in rows)
+            verify_lift(cert)
+            assert cert.valid
+        return cert
+
+    monkeypatch.setattr(cli, "_run_lift", truncating)
+    assert main(["2", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "corank1 R+ certificate is not exact on [['0', '0'], ['0', '0']]" in out
+    assert "corank1 R False/refused: 4 True/inexact_certificate: 2" in out.splitlines()
 
 
 def test_verdicts_are_invariant_under_relabelling():

@@ -451,7 +451,7 @@ class TestSharedParser:
 
     def test_no_state_leaks_between_calls(self, fixture_dir, capsys):
         args = self.LIFT + ["--in", str(fixture_dir / "fig2a.json")]
-        flags = ["--seed", "5", "--max-n", "3", "--format", "text", "--trunc", "7"]
+        flags = ["--seed", "5", "--max-n", "3", "--format", "text"]
         assert main(args + flags) == 0
         flagged = capsys.readouterr().out
         with pytest.raises(SystemExit) as exc:
@@ -468,6 +468,16 @@ class TestSharedParser:
         ).stdout
         assert again == fresh
         assert flagged != fresh and json.loads(flagged)["seed"] == 5
+
+    def test_trunc_is_a_usage_error(self, fixture_dir, capsys):
+        """No option sets a series truncation: corank-one lifts are exact,
+        and the symmetric square root's order is derived from the input."""
+        args = self.LIFT + ["--in", str(fixture_dir / "fig2a.json"), "--trunc", "7"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --trunc 7" in err
 
     def test_parser_is_built_once(self, monkeypatch, tmp_path, capsys):
         built = []

@@ -1,9 +1,9 @@
 """Golden series calls: every `ps_inv`, `ps_sqrt` and `quad_roots` call the
 criterion-5 property suite makes returns the result whose digest is stored
 in tests/golden/series (regenerated by tests/golden/make_golden_series.py).
-The symmetric quadratic solve calls quad_numerators and divides by 2A
-itself, so each quad_roots case is also replayed that way.  The generator
-itself must record what the lifts call, and refuse a name it cannot find."""
+quad_roots divides the numerators of quad_numerators by 2A, so each
+quad_roots case is also replayed that way.  The generator itself must
+record what the lifts call, and refuse a name it cannot find."""
 
 import json
 from pathlib import Path
@@ -58,21 +58,21 @@ def test_every_recorded_name_is_bound_in_a_home_module():
 
 
 def test_recorder_sees_the_calls_the_lifts_make():
-    """The symmetric solve's calls, made as lifts.py makes them (trunc by
-    position), are recorded, and every record replays to its digest."""
+    """The symmetric solve's call, made as lifts.py makes it (trunc by
+    position), is recorded with the square root it takes, and every record
+    replays to its digest.  The solve clears 2A instead of dividing by it,
+    so lifts.py binds no ps_div."""
     case = next(c for c in CALLS if c["fn"] in ("quad_roots", "quad_numerators"))
     A, B, C = (jsonio.decode_series(s) for s in case["series"])
     trunc = None if case["trunc"] is None else jsonio.frac_from_str(case["trunc"])
     calls: list = []
     replaced = record(calls, set())
     try:
-        n1, n2, two_a, sign = lifts.quad_numerators(A, B, C, trunc)
-        assert sign > 0
-        lifts.ps_div(n1, two_a, trunc)
+        assert lifts.quad_numerators(A, B, C, trunc)[3] > 0
     finally:
         for mod, name, fn in replaced:
             setattr(mod, name, fn)
-    assert lifts.ps_div is ps_div and lifts.quad_numerators is quad_numerators
-    assert {c["fn"] for c in calls} == {"quad_numerators", "ps_sqrt", "ps_div"}
+    assert lifts.quad_numerators is quad_numerators and not hasattr(lifts, "ps_div")
+    assert {c["fn"] for c in calls} == {"quad_numerators", "ps_sqrt"}
     for c in calls:
         assert result_digest(call(c["fn"], c["series"], c["trunc"])) == c["result_digest"]

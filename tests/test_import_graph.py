@@ -1,6 +1,7 @@
 """The package's import graph is read off module tops: no function imports
-a troplift module, except where a cycle forces it.  And the package holds
-only what the command line loads."""
+a troplift module, except where a cycle forces it.  The package holds only
+what the command line loads.  And the verifier is a trusted base that other
+modules use only through its public names."""
 
 import ast
 import os
@@ -31,6 +32,15 @@ def _imported(node) -> list:
     else:
         names = []
     return [name.split(".")[0] for name in names]
+
+
+def _private_from_verify(source: str) -> set:
+    """The `_`-prefixed names an import statement takes from verify."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "verify":
+            found.update(a.name for a in node.names if a.name.startswith("_"))
+    return found
 
 
 def _local_imports(source: str) -> set:
@@ -98,3 +108,27 @@ def test_scanner_sees_every_import_form():
         ("g", "rng"),
         ("g", "verify"),
     }
+
+
+def test_no_module_imports_a_private_name_of_verify():
+    """Constructions reach the verifier through verify_lift, series_det and
+    LiftCertificate only, so a check cannot be done beside it with its
+    private kernels."""
+    found = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_from_verify(path.read_text())
+    }
+    assert found == set()
+
+
+def test_private_name_scan_sees_every_form():
+    source = (
+        "from .verify import LiftCertificate, _to_grid\n"
+        "from troplift.verify import _det_vanishes as dv\n"
+        "from .puiseux import _fold\n"
+        "from . import verify\n"
+        "def f():\n"
+        "    from .verify import _minor\n"
+    )
+    assert _private_from_verify(source) == {"_to_grid", "_det_vanishes", "_minor"}

@@ -3,10 +3,11 @@
 verify_lift is patched where lifts.py looks it up.  Rejecting the first
 certificate makes each seeded lift return attempt 1's certificate;
 rejecting every certificate makes it raise its own exhaustion error, and
-makes a one-shot lift return an invalid certificate.  The symmetric
-quadratic solve divides out only roots it can keep, so it makes at most
-one division per certificate it issues, and a rejected root leads to the
-certificate the solve that divided both roots returned.
+makes a one-shot lift return an invalid certificate.  The singular
+lifts clear the denominator of the solved entry instead of dividing by
+it, so no series division runs, and a rejected root of the symmetric
+solve leads to the next root or flip of the same draw, or to a later
+attempt.
 """
 
 import hashlib
@@ -158,30 +159,31 @@ def _count(monkeypatch, name, *homes):
 
 
 @pytest.mark.parametrize("name,mode", SYM_CORANK1)
-def test_sym_corank1_divides_at_most_once_per_issued_certificate(name, mode, monkeypatch):
-    divisions = _count(monkeypatch, "ps_div", puiseux, lifts)
+def test_singular_lifts_divide_no_series(name, mode, monkeypatch):
+    assert not hasattr(lifts, "ps_div")
+    divisions = _count(monkeypatch, "ps_div", puiseux)
     issued = _count(monkeypatch, "_issue", lifts)
-    try:
-        lifts.lift_sym_corank1(fixture(name), mode)
-    except NegativeResult:
-        assert (name, mode) == ("ex52", "R+")  # the deleted minors' signs oppose
-    assert len(divisions) <= len(issued)
+    for lift in (lifts.lift_corank1, lifts.lift_sym_corank1):
+        try:
+            assert lift(fixture(name), mode).valid
+        except NegativeResult:
+            pass  # SameSigns, or ex52's opposed deleted minors in R+
+    assert issued and divisions == []
 
 
 # sha256 of the certificate each lift returns when its first certificate is
-# rejected, as computed when quad_roots divided both numerators; the lift
-# finds it within attempt 0 (another root or flip of the same draw) or, in
-# ATTEMPTS_AFTER_FIRST_REJECTION, in a later attempt
+# rejected; the lift finds it within attempt 0 (another root or flip of the
+# same draw) or, in ATTEMPTS_AFTER_FIRST_REJECTION, in a later attempt
 AFTER_FIRST_REJECTION = {
-    ("ex52", "R"): "a25702fccf26842d6a9ba6dc7ed1ba2dda07466f359278faa47173993df11650",
-    ("fig2a", "R"): "1bcfab78eecf84d5e7c52b332d12a98c67c4da4c78a12fe57cc94f5e39bbc6fc",
-    ("fig2a", "R+"): "7ee5562dc9915ed01fae648d280fe6b1989a0f23567047985aaf4b8dc6e3f43a",
-    ("fig3b", "R"): "7dfe355d42aef0d61a9f663edb596ebe21a3c61c437b73c18a4227de22cd7450",
-    ("fig3b", "R+"): "80812f79c0dd37b26d9fc98c0cf7074714de6b2b3bf220d7b2e3ac6cf81229f7",
-    ("fig3c", "R"): "6f7e50bbf678e5ffa63c1ad5d87b89fd3c59352871f8a4d78b1bce9403c9b0ae",
-    ("fig3c", "R+"): "9f2708155a5957c0b44407923e7c9eb35128d0d6a18dd4c0d99da58be59c9dbe",
-    ("fig4a", "R"): "2614f086496be6fbeababa7f6a4b26b1ddf55aeab7e8fdc3a25125bc33231286",
-    ("fig4a", "R+"): "9f7095e30a4bbeac2c6f78c4a6d1ddbbf0a8f53eb3be84354ac7d83b449032c2",
+    ("ex52", "R"): "3d29ff6001bc31df9e4dd04ea52f2ec9ae40022ca20cdfb7f5c278e0ebce6b21",
+    ("fig2a", "R"): "731ea3df811ef2f8222b265f733488a10ec11d670e8f6ed15e3c9261f1a172cd",
+    ("fig2a", "R+"): "3f63f48079a09a50cb594b8b4424e3c717f34d8073f622a7f27cf7c2ffe420d8",
+    ("fig3b", "R"): "55ab367043f92330993434d64f84a754dc2a3745f377367187a2515d0052341c",
+    ("fig3b", "R+"): "123cdfa7a0ac14d308c3817e1653f39afab41ee1e3f56bc26ae5e5bffa2a2eec",
+    ("fig3c", "R"): "0c06d9314fc55ad2308e6779cef026edc3d6016268f28b8701956a039e1dd577",
+    ("fig3c", "R+"): "0457efc908f6ae92b2e0add43a3c888b6f39908ee33e35d0c853710d3fca13f7",
+    ("fig4a", "R"): "c5cc7e31d3beffb2fe8d3426ae0157ca8d7aecd70ba3e44d9eea32830d2f73ec",
+    ("fig4a", "R+"): "fb05157561d5ccd6b29d5f4ec180963ce16de58405463279bac7e7e36017be92",
 }
 ATTEMPTS_AFTER_FIRST_REJECTION = {
     ("fig2a", "R+"): ["0", "1"],

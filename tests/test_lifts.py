@@ -266,7 +266,12 @@ class TestCorank1:
             done += 1
             cert = lift_corank1(a, "R+", seed=done)
             assert cert.valid
-            assert any(s["check"] == "determinant_exact_zero" and s["ok"] for s in cert.transcript)
+            assert cert.transcript[-1] == {
+                "check": "determinant_vanishes",
+                "ok": True,
+                "detail": "exactly zero",
+            }
+            assert all(x.trunc is None for row in cert.lift for x in row)
 
 
 class TestSymCorank1:
