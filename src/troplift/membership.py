@@ -10,9 +10,12 @@ The analyses behind the verdicts are memoised (see tropical), and so is
 the symmetric edge table that C+ and R+ share: one tuple of immutable
 records per (matrix, bound), holding the memoised NewtonEdges.  A lattice
 length 2 record reads its minor pairs off the even cycle its NewtonEdge
-carries.  `_positive_part` decides C+ and R+ from the table, for the
-verdicts here and for lifts.lift_sym_corank1 alike; the rank-2 positive
-parts read tropical's Barvinok records, as the rank-2 lifts do.  Every
+carries, and its deleted minors' signs are read off the matrix's int grid
+through one table of signed permutations per size, as are the 3x3
+minors' signs of `positive_generators_check`.  `_positive_part` decides
+C+ and R+ from the table, for the verdicts here and for
+lifts.lift_sym_corank1 alike; the rank-2 positive parts read tropical's
+Barvinok records, as the rank-2 lifts do.  Every
 payload, Barvinok detail, edge dict and minor report a caller gets is
 built fresh here from those records, so changing it changes no later
 answer.
@@ -22,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
-from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, is_vertex, newton_edge
+from .errors import SizeLimit
+from .monomials import cycles_of
+from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, newton_edge
 from .tropical import (
     _MEMO_SIZE,
     barvinok_rank2,
@@ -172,12 +177,12 @@ def _edge_table(asym: TropMatrix, bound: int) -> tuple:
     """The _EdgeRecords of a symmetric matrix, shared by C+ and R+."""
     res = sym_trop_det(asym, bound)
     argmin = set(res.argmin)
-    # once per deleted index; through the trop_det memo alone, every cycle
-    # vertex of every edge would rebuild and hash its minor
-    signs = cache(lambda k: _minor_signs(asym, k, bound))
+    # once per deleted index, read off the parent's grid: every cycle vertex
+    # of every edge asks for its minor's signs
+    signs = cache(lambda k: _minor_signs(asym, k))
 
     out = []
-    for u, v in combinations(filter(is_vertex, res.argmin), 2):
+    for u, v in combinations([cls for cls in res.argmin if cls.is_vertex], 2):
         edge = newton_edge(u, v)
         if edge is None:
             continue
@@ -199,12 +204,32 @@ def _edge_table(asym: TropMatrix, bound: int) -> tuple:
     return tuple(out)
 
 
-def _minor_signs(asym: TropMatrix, k: int, bound: int) -> tuple:
+def _minor_signs(asym: TropMatrix, k: int) -> tuple:
     """Sorted signs of the minimizing permutations with row and column k deleted."""
     idx = [r for r in range(asym.rows) if r != k]
-    sub = asym.submatrix(idx, idx)
-    res = trop_det(sub, bound)
-    return tuple(sorted({cls.sign for cls in res.argmin}))
+    return _argmin_signs(asym.as_int_grid()[1], idx, idx)
+
+
+@cache
+def _signed_permutations(k: int) -> tuple:
+    """(sigma, sign) for every permutation of range(k), in permutations order."""
+    return tuple((s, -1 if (k - len(cycles_of(s))) & 1 else 1) for s in permutations(range(k)))
+
+
+def _argmin_signs(grid, rows, cols) -> tuple:
+    """Sorted signs of the permutations that minimize the plain tropical
+    determinant of the subgrid on rows x cols."""
+    sub = [tuple(grid[r][c] for c in cols) for r in rows]
+    best = None
+    signs: set = set()
+    for sigma, sign in _signed_permutations(len(rows)):
+        v = sum(map(tuple.__getitem__, sub, sigma))
+        if best is None or v < best:
+            best = v
+            signs = {sign}
+        elif v == best:
+            signs.add(sign)
+    return tuple(sorted(signs))
 
 
 def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:
@@ -258,10 +283,11 @@ def positive_generators_check(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND)
     """Every 3x3 tropical minor attains its minimum on two monomials of
     opposite signs (the positive-generator property of the 3x3 minors)."""
     d, n = a.rows, a.cols
-    for ri in combinations(range(d), 3):
-        for cj in combinations(range(n), 3):
-            res = trop_det(a.submatrix(ri, cj), bound)
-            signs = {cls.sign for cls in res.argmin}
-            if signs != {-1, 1}:
-                return False
-    return True
+    if min(d, n) >= 3 and bound < 3:
+        raise SizeLimit(f"enumeration bound {bound} exceeded (n = 3)")
+    _, grid = a.as_int_grid()
+    return all(
+        _argmin_signs(grid, ri, cj) == (-1, 1)
+        for ri in combinations(range(d), 3)
+        for cj in combinations(range(n), 3)
+    )

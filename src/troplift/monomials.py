@@ -15,7 +15,8 @@ on a matrix rescaled to integers, and an exponent -> class dict for
 midpoint lookups.  Plain classes are memoised per permutation, so a
 determinant's argmin costs a dict lookup per minimiser without building
 all n! classes up front.  A class computes its hash once, when it is
-made, and builds its monomial string once, on first use.
+made, and its monomial string and Newton-polytope vertex test once, on
+first use.
 """
 
 from __future__ import annotations
@@ -121,6 +122,13 @@ class SignedMonomialClass:
             else:
                 out.append(("cycle", cyc))
         return out
+
+    @cached_property
+    def is_vertex(self) -> bool:
+        """Whether the class is a vertex of the Newton polytope: its graph
+        consists of loops, isolated edges and odd cycles.  Read once per
+        class, like the monomial string."""
+        return all(kind != "cycle" or len(verts) % 2 == 1 for kind, verts in self.graph_components())
 
     def edge_items(self) -> frozenset:
         """Edges of the semisimple graph; loops tagged, multi-edges collapsed."""

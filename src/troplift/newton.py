@@ -2,9 +2,10 @@
 
 Monomial classes live in the upper-triangular exponent coordinates, where
 the lattice is integral with entries 0, 1, 2.  Vertices are the classes
-whose semisimple graphs have no even cycle of length >= 4 (`is_vertex`);
-two vertices form an edge when their graph union has at most n + 1 edges
-and at most one even cycle of length >= 4.  Every edge has lattice length
+whose semisimple graphs have no even cycle of length >= 4 (each class
+reads this once, as `SignedMonomialClass.is_vertex`); two vertices form
+an edge when their graph union has at most n + 1 edges and at most one
+even cycle of length >= 4.  Every edge has lattice length
 1 or 2, and a lattice length 2 edge arises from trading k >= 2
 transpositions for a 2k-cycle, which sits at the edge midpoint.  The
 midpoint may also hold odd cycles the endpoints share (from n = 7 on, a
@@ -39,16 +40,10 @@ def _check_n(n: int):
         raise SizeLimit(f"polytope predicates support n <= {PUBLIC_CLASS_LIMIT}")
 
 
-def is_vertex(cls: SignedMonomialClass) -> bool:
-    """A class is a polytope vertex when its graph consists of loops,
-    isolated edges and odd cycles."""
-    return all(kind != "cycle" or len(verts) % 2 == 1 for kind, verts in cls.graph_components())
-
-
 def polytope_vertices(n: int) -> tuple:
     """The vertex classes of the n x n symmetric determinant's polytope."""
     _check_n(n)
-    return tuple(filter(is_vertex, sym_det_monomials(n)))
+    return tuple(cls for cls in sym_det_monomials(n) if cls.is_vertex)
 
 
 def _union_graph(u: SignedMonomialClass, v: SignedMonomialClass):

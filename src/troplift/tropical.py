@@ -6,7 +6,11 @@ rescaled by their denominator lcm, so the hot loops add ints.  A symmetric
 class value is the int sum of e * grid[i][j] over the class's precomputed
 support, and a minimum goes back to a Fraction only once, as best / scale.
 Enumeration refuses inputs above the configured bound rather than risking
-a wrong uniqueness verdict.
+a wrong uniqueness verdict.  The rank scans write out their 1 x 1, 2 x 2
+and 3 x 3 uniqueness tests as int sums (6 permutation sums for a plain
+3 x 3 minor, 5 class sums for a principal one) and enumerate from 4 x 4
+on.  The determinant of a transposed minor has the same terms, so on a
+symmetric matrix a scan tests one minor of each transposed pair.
 
 The determinants, the ranks and the two Barvinok tests, like
 trees.tree_from_rank2 and membership's edge table, are memoised on the
@@ -99,10 +103,26 @@ def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetRe
 
 
 def _grid_nonsingular(grid, rows, cols) -> bool:
-    """Unique-minimum test for the plain tropical determinant of a subgrid."""
+    """Unique-minimum test for the plain tropical determinant of a subgrid.
+    Sizes 1 to 3 are written out; larger ones scan the permutations."""
+    k = len(rows)
+    if k == 1:
+        return True
+    if k == 2:
+        r0, r1 = grid[rows[0]], grid[rows[1]]
+        j0, j1 = cols
+        return r0[j0] + r1[j1] != r0[j1] + r1[j0]
+    if k == 3:
+        r0, r1, r2 = grid[rows[0]], grid[rows[1]], grid[rows[2]]
+        j0, j1, j2 = cols
+        a0, a1, a2 = r0[j0], r0[j1], r0[j2]
+        b0, b1, b2 = r1[j0], r1[j1], r1[j2]
+        c0, c1, c2 = r2[j0], r2[j1], r2[j2]
+        sums = (a0 + b1 + c2, a0 + b2 + c1, a1 + b0 + c2, a1 + b2 + c0, a2 + b0 + c1, a2 + b1 + c0)
+        return sums.count(min(sums)) == 1
     best = None
     hits = 0
-    for sigma in permutations(range(len(rows))):
+    for sigma in permutations(range(k)):
         v = 0
         for i, s in enumerate(sigma):
             v += grid[rows[i]][cols[s]]
@@ -115,7 +135,22 @@ def _grid_nonsingular(grid, rows, cols) -> bool:
 
 
 def _grid_sym_nonsingular(grid, idx) -> bool:
-    """Unique-minimum test for the symmetric determinant of a principal subgrid."""
+    """Unique-minimum test for the symmetric determinant of a principal
+    subgrid.  Sizes 1 to 3 are written out: at size 3 the classes are the
+    identity, the three transpositions and the one 3-cycle class."""
+    k = len(idx)
+    if k == 1:
+        return True
+    if k == 2:
+        i, j = idx
+        return grid[i][i] + grid[j][j] != 2 * grid[i][j]
+    if k == 3:
+        i, j, m = idx
+        ri, rj = grid[i], grid[j]
+        a, b, c = ri[i], rj[j], grid[m][m]
+        x, y, z = ri[j], ri[m], rj[m]
+        sums = (a + b + c, x + x + c, y + y + b, z + z + a, x + y + z)
+        return sums.count(min(sums)) == 1
     _, arg = _sym_argmin([[grid[i][j] for j in idx] for i in idx], len(idx))
     return len(arg) == 1
 
@@ -123,16 +158,21 @@ def _grid_sym_nonsingular(grid, idx) -> bool:
 def _rank(a: TropMatrix, bound: int, principal) -> int:
     """Largest size of a nonsingular square submatrix, by an ascending scan
     that stops at the first size with none.  `principal`, when given, tests
-    the principal subgrids in place of the plain test."""
+    the principal subgrids in place of the plain test.  On a symmetric
+    matrix the minor on (cols, rows) is the transpose of the one on (rows,
+    cols), whose determinant has the same terms, so only cols >= rows is
+    tested."""
     _, grid = a.as_int_grid()
     d, n = a.rows, a.cols
     rank = 0
     for k in range(1, min(d, n) + 1):
         if k > bound:
             raise SizeLimit(f"rank certification needs {k} <= bound {bound}")
+        col_sets = list(combinations(range(n), k))
         found = False
-        for rows in combinations(range(d), k):
-            for cols in combinations(range(n), k):
+        # combinations come in tuple order, so cols >= rows is col_sets[i:]
+        for i, rows in enumerate(combinations(range(d), k)):
+            for cols in col_sets[i:] if a.symmetric else col_sets:
                 if principal is not None and rows == cols:
                     found = principal(grid, rows)
                 else:

@@ -16,10 +16,10 @@ and outcome counts per (variety, mode), checks input by input that the C
 verdict equals the R verdict for every variety and that the sym_rank2 C+
 verdict equals the R+ one, counts the sym_corank1 inputs with C+ true and
 R+ false (the paper's C+ != R+), lists every corank1 certificate that is
-not exact, and, for the 4 x 4 box with entries 0-2, compares its gaps
-with census_gaps.json.  It exits 1 when a check fails.
-After a fix closes a gap, write the new gaps(symmetric_orbits(4, range(3)))
-to that file.
+not exact, and, for a box with a gap file in GAP_FILES, compares its gaps
+with that file.  It exits 1 when a check fails.
+After a fix closes a gap, write the new gaps(symmetric_orbits(N, range(K)))
+to the file of each box it changes.
 """
 
 import json
@@ -40,8 +40,11 @@ MEMBERS = {
     "sym_corank1": membership.member_sym_corank1,
 }
 MODES = ("C", "R", "C+", "R+")
-# the gap rows of the 4 x 4 box with entries 0-2, in census order
-GAPS_FILE = Path(__file__).with_name("census_gaps.json")
+# the gap rows of a box, in census order, by (N, K): one file per box
+GAP_FILES = {
+    (4, 3): Path(__file__).with_name("census_gaps.json"),
+    (5, 2): Path(__file__).with_name("census_gaps_5x5_01.json"),
+}
 
 
 def _cells(n: int) -> list:
@@ -147,8 +150,8 @@ def gaps(box) -> list:
     return [row for a in box for row in _gap_rows(a, answers(a))]
 
 
-def known_gaps() -> list:
-    return json.loads(GAPS_FILE.read_text())
+def known_gaps(n: int, k: int) -> list:
+    return json.loads(GAP_FILES[n, k].read_text())
 
 
 def main(argv) -> int:
@@ -182,9 +185,9 @@ def main(argv) -> int:
     print(f"sym_corank1 C+ true and R+ false on {split} inputs")
     print(f"{len(found)} gap rows")
     ok = not broken and not inexact
-    if (n, k) == (4, 3):
-        matches = found == known_gaps()
-        print("gaps", "equal" if matches else "differ from", GAPS_FILE.name)
+    if (n, k) in GAP_FILES:
+        matches = found == known_gaps(n, k)
+        print("gaps", "equal" if matches else "differ from", GAP_FILES[n, k].name)
         ok = ok and matches
     return 0 if ok else 1
 

@@ -23,8 +23,8 @@ MEMOISED = (
     tropical.sym_barvinok_rank2,
     membership._edge_table,
 )
-# memos keyed on the matrix alone, without a bound
-MEMOISED_UNBOUNDED = (trees._rank2_tree,)
+# memos keyed on the matrix alone, without a bound, and per-size tables
+MEMOISED_UNBOUNDED = (trees._rank2_tree, membership._signed_permutations)
 
 
 def _sym7_a():

@@ -1,7 +1,8 @@
 """The census of the 3 x 3 symmetric box with entries 0-2: each of the 16
 (variety, mode) questions of each of its 165 orbits has a verdict that
-its lift bears out (tests/census.py).  A fixed slice of the 4 x 4 box has
-exactly the gaps that census_gaps.json lists for it."""
+its lift bears out (tests/census.py).  Fixed slices of the 4 x 4 box with
+entries 0-2 and of the 5 x 5 box with entries 0-1 have exactly the gaps
+that their boxes' gap files list for them."""
 
 from itertools import permutations
 
@@ -23,12 +24,15 @@ from troplift.tropmat import TropMatrix
 from troplift.verify import verify_lift
 
 BOX = symmetric_orbits(3, range(3))
-# every 16th orbit of the 4 x 4 box with entries 0-2, in enumeration order
+# every 16th orbit of the 4 x 4 box with entries 0-2, and every 8th of the
+# 5 x 5 box with entries 0-1, in enumeration order
 SLICE = symmetric_orbits(4, range(3))[::16]
+SLICE_5X5 = symmetric_orbits(5, range(2))[::8]
 
 
 def test_orbit_counts():
-    assert [orbit_count(3, 3), orbit_count(4, 2), orbit_count(4, 3)] == [165, 90, 3132]
+    counts = [orbit_count(3, 3), orbit_count(4, 2), orbit_count(4, 3), orbit_count(5, 2)]
+    assert counts == [165, 90, 3132, 544]
 
 
 @pytest.mark.parametrize("n, k", [(3, 3), (4, 2)])
@@ -43,13 +47,17 @@ def test_every_verdict_comes_with_its_certificate_or_refusal():
     assert gaps(BOX) == []
 
 
-def test_the_4x4_slice_has_exactly_its_known_gaps():
-    """A gap that appears or closes in the slice fails here until
-    census_gaps.json is rewritten (`python tests/census.py 4 3` checks the
-    whole box)."""
-    inside = [rows_of(a) for a in SLICE]
-    assert len(SLICE) == 196
-    assert gaps(SLICE) == [row for row in known_gaps() if row["rows"] in inside]
+@pytest.mark.parametrize(
+    "box, size, n, k", [(SLICE, 196, 4, 3), (SLICE_5X5, 68, 5, 2)], ids=["4x4", "5x5"]
+)
+def test_the_slice_has_exactly_its_known_gaps(box, size, n, k):
+    """A gap that appears or closes in a slice fails here until its box's
+    gap file is rewritten (`python tests/census.py N K` checks the whole
+    box).  The 5 x 5 slice runs the 5 x 5 rank <= 2 scans of the decision
+    path, and its gaps include two rank2 rows."""
+    inside = [rows_of(a) for a in box]
+    assert len(box) == size
+    assert gaps(box) == [row for row in known_gaps(n, k) if row["rows"] in inside]
 
 
 def test_the_script_counts_the_3x3_box(capsys):

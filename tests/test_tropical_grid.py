@@ -4,21 +4,31 @@ The references below are the code that troplift used before class values
 became int sums over precomputed supports: a class value summed as
 Fractions entry by entry, argmin classes built with `from_permutation`,
 `class_by_exponent` as a linear scan, principal submatrices rebuilt as
-TropMatrix objects, and `sym_corank1_edges` recomputing the deleted-minor
-signs for every cycle vertex of every edge.  Values, argmin tuples (order
-included), ranks and edge reports must agree exactly.
+TropMatrix objects, every minor of a rank scan tested by its permutations
+(both minors of a transposed pair included), and `sym_corank1_edges` and
+`positive_generators_check` taking minor signs from the `trop_det` of a
+submatrix.  Values, argmin tuples (order included), ranks, minor signs
+and edge reports must agree exactly.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import samples
-from troplift.membership import sym_corank1_edges
+from troplift import tropical
+from troplift.errors import SizeLimit
+from troplift.membership import (
+    _argmin_signs,
+    _minor_signs,
+    positive_generators_check,
+    sym_corank1_edges,
+)
 from troplift.monomials import SignedMonomialClass, _classes, class_by_exponent, plain_class
 from troplift.newton import (
     _even_big_cycles,
@@ -27,7 +37,14 @@ from troplift.newton import (
     edge_positive_ok,
     is_polytope_edge,
 )
-from troplift.tropical import sym_trop_det, sym_trop_rank, trop_det, trop_rank
+from troplift.tropical import (
+    _grid_nonsingular,
+    _grid_sym_nonsingular,
+    sym_trop_det,
+    sym_trop_rank,
+    trop_det,
+    trop_rank,
+)
 from troplift.tropmat import TropMatrix
 
 F = Fraction
@@ -93,6 +110,19 @@ def ref_rank(a, symmetric=False):
             return rank
         rank = k
     return rank
+
+
+def ref_signs(sub):
+    """The sorted signs of the permutations minimizing a square submatrix."""
+    return tuple(sorted({cls.sign for cls in ref_trop_det(sub)[1]}))
+
+
+def ref_positive_generators_check(a):
+    return all(
+        ref_signs(a.submatrix(ri, cj)) == (-1, 1)
+        for ri in combinations(range(a.rows), 3)
+        for cj in combinations(range(a.cols), 3)
+    )
 
 
 def ref_is_polytope_edge(u, v):
@@ -202,6 +232,26 @@ def matrices(draw, max_n=5):
     )
 
 
+@st.composite
+def narrow_matrices(draw, max_d=5, max_n=6):
+    """Integer matrices up to 5 x 6 with entries in 0..1 or 0..2, so that
+    2 x 2 and 3 x 3 minors tie often; rows and columns may differ in number."""
+    d, n = draw(st.integers(1, max_d)), draw(st.integers(1, max_n))
+    hi = draw(st.integers(1, 2))
+    return TropMatrix.make([[draw(st.integers(0, hi)) for _ in range(n)] for _ in range(d)])
+
+
+@st.composite
+def narrow_sym_matrices(draw, max_n=5):
+    """Symmetric integer matrices with entries in 0..1 or 0..2."""
+    n, hi = draw(st.integers(1, max_n)), draw(st.integers(1, 2))
+    ent = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ent[i][j] = ent[j][i] = draw(st.integers(0, hi))
+    return TropMatrix.make(ent, symmetric=True)
+
+
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -258,6 +308,124 @@ def test_plain_rank_never_exceeds_symmetric_rank(a):
     optimal class: every plainly nonsingular submatrix is symmetrically
     nonsingular, and sym_trop_rank may stand in for a trop_rank <= 2 guard."""
     assert trop_rank(a) <= sym_trop_rank(a)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(narrow_sym_matrices(), sym_matrices()))
+def test_trop_rank_of_a_symmetric_matrix_reads_one_minor_per_transposed_pair(a):
+    """The scan of a symmetric-flagged matrix skips the minors with cols <
+    rows; an unflagged copy is scanned whole.  Both match the reference."""
+    plain = TropMatrix.make(a.entries)
+    assert a.symmetric and not plain.symmetric
+    assert trop_rank(a) == trop_rank(plain) == ref_rank(plain)
+    assert sym_trop_rank(a) == sym_trop_rank(plain) == ref_rank(a, symmetric=True)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(narrow_matrices())
+def test_trop_rank_of_narrow_rectangular_matrices(a):
+    assert trop_rank(a) == ref_rank(a)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(narrow_matrices())
+def test_each_minor_test_matches_the_permutation_reference(a):
+    """The written-out 1 x 1, 2 x 2 and 3 x 3 tests, and the permutation
+    scan at 4 x 4, on every minor, with rows and columns from different
+    index sets."""
+    _, grid = a.as_int_grid()
+    for k in range(1, min(a.rows, a.cols, 4) + 1):
+        for rows in combinations(range(a.rows), k):
+            for cols in combinations(range(a.cols), k):
+                want = ref_nonsingular(a.submatrix(rows, cols), False)
+                assert _grid_nonsingular(grid, rows, cols) == want, (rows, cols)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(narrow_sym_matrices(), sym_matrices()))
+def test_each_principal_test_matches_the_class_reference(a):
+    _, grid = a.as_int_grid()
+    for k in range(1, min(a.rows, 4) + 1):
+        for idx in combinations(range(a.rows), k):
+            want = ref_nonsingular(a.submatrix(idx, idx), True)
+            assert _grid_sym_nonsingular(grid, idx) == want, idx
+
+
+def test_rank_scans_count_their_minor_tests(monkeypatch):
+    """On a symmetric 5 x 5 of rank 2 both scans test every 3 x 3 minor
+    and find none nonsingular.  The plain scan tests the 55 with cols >=
+    rows, not all 100; the symmetric scan tests the 10 principal ones by
+    their classes and the other 45 plainly."""
+    a = samples.random_sym_rank2_matrix(random.Random(3), 5)
+    counts = Counter()
+    plain, principal = tropical._grid_nonsingular, tropical._grid_sym_nonsingular
+
+    def counted_plain(grid, rows, cols):
+        counts["plain", len(rows)] += 1
+        return plain(grid, rows, cols)
+
+    def counted_principal(grid, idx):
+        counts["principal", len(idx)] += 1
+        return principal(grid, idx)
+
+    monkeypatch.setattr(tropical, "_grid_nonsingular", counted_plain)
+    monkeypatch.setattr(tropical, "_grid_sym_nonsingular", counted_principal)
+    assert trop_rank(a) == 2
+    assert counts == {("plain", 1): 1, ("plain", 2): 4, ("plain", 3): 55}
+    counts.clear()
+    assert sym_trop_rank(a) == 2
+    assert counts == {
+        ("principal", 1): 1,
+        ("plain", 2): 3,
+        ("principal", 2): 1,
+        ("plain", 3): 45,
+        ("principal", 3): 10,
+    }
+
+
+# --- minor signs ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(narrow_matrices(), matrices()))
+def test_minor_signs_match_the_trop_det_of_the_submatrix(a):
+    """Every 3 x 3 minor's argmin signs, read off the grid, and the
+    positive-generator verdict built on them."""
+    _, grid = a.as_int_grid()
+    for ri in combinations(range(a.rows), 3):
+        for cj in combinations(range(a.cols), 3):
+            assert _argmin_signs(grid, ri, cj) == ref_signs(a.submatrix(ri, cj))
+    assert positive_generators_check(a) == ref_positive_generators_check(a)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(narrow_sym_matrices(), sym_matrices()))
+def test_deleted_minor_signs_match_the_trop_det_of_the_submatrix(a):
+    assume(a.rows > 1)
+    for k in range(a.rows):
+        idx = [r for r in range(a.rows) if r != k]
+        assert _minor_signs(a, k) == ref_signs(a.submatrix(idx, idx))
+
+
+def test_positive_generators_check_agrees_on_both_verdicts():
+    """Barvinok rank 2 matrices have the property and most narrow draws
+    do not; both verdicts occur, and each matches the reference.  The
+    bound still refuses a 3 x 3 minor it does not cover."""
+    rng = random.Random(11)
+    verdicts = Counter()
+    for k in range(40):
+        d, n = rng.randint(3, 5), rng.randint(3, 6)
+        if k % 2:
+            a = samples.random_barvinok2_matrix(rng, d, n)
+        else:
+            a = TropMatrix.make([[rng.randint(0, 1) for _ in range(n)] for _ in range(d)])
+        ok = positive_generators_check(a)
+        assert ok == ref_positive_generators_check(a)
+        verdicts[ok] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
+    with pytest.raises(SizeLimit):
+        positive_generators_check(a, 2)
+    assert positive_generators_check(TropMatrix.make([[0, 1, 2], [1, 0, 2]]), 2)
 
 
 # --- the class tables and the Newton edges ----------------------------------
