@@ -8,7 +8,10 @@ satisfies the relevant cone criterion.
 
 The analyses behind the verdicts are memoised (see tropical), and so is
 the symmetric edge table that C+ and R+ share: one tuple of immutable
-records per (matrix, bound), holding the memoised NewtonEdges.  A lattice
+records per (matrix, bound), holding the memoised NewtonEdges that
+newton.edges_among finds among the tie's vertex classes.  An edge's span
+(its endpoints, and at lattice length 2 its midpoint) is made of distinct
+tied classes, so it is exactly the tie when the counts agree.  A lattice
 length 2 record reads its minor pairs off the even cycle its NewtonEdge
 carries, and its deleted minors' signs are read off the matrix's int grid
 through one table of signed permutations per size, as are the 3x3
@@ -31,7 +34,7 @@ from typing import NamedTuple
 from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
 from .monomials import cycles_of
-from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, newton_edge
+from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, edges_among
 from .tropical import (
     _MEMO_SIZE,
     barvinok_rank2,
@@ -135,8 +138,21 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     adjacent pair decides, and all pairs are reported.  The dicts are
     fresh; the table they are read from is memoised.
     """
-    asym = a.as_symmetric()
-    return [_edge_payload(rec) for rec in _edge_table(asym, bound)]
+    out = []
+    for rec in _edge_table(a.as_symmetric(), bound):
+        if rec.minor_reports is not None:
+            out.append(_edge_payload(rec))
+            continue
+        out.append({
+            "edge": rec.edge,
+            "exact_span": rec.exact_span,
+            "qualifies_c_plus": rec.qualifies_c_plus,
+            "qualifies_r": True,
+            "minor_pair": None,
+            "minor_reports": None,
+            "qualifies_r_plus": rec.qualifies_r_plus,
+        })
+    return out
 
 
 class _EdgeRecord(NamedTuple):
@@ -155,18 +171,17 @@ class _EdgeRecord(NamedTuple):
 
 
 def _edge_payload(rec: _EdgeRecord) -> dict:
-    reports = None
-    if rec.minor_reports is not None:
-        reports = [
-            {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
-            for pair, (si, sj), same in rec.minor_reports
-        ]
+    """The payload of a lattice length 2 record."""
+    reports = [
+        {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
+        for pair, (si, sj), same in rec.minor_reports
+    ]
     return {
         "edge": rec.edge,
         "exact_span": rec.exact_span,
         "qualifies_c_plus": rec.qualifies_c_plus,
         "qualifies_r": True,
-        "minor_pair": None if reports is None else reports[0]["pair"],
+        "minor_pair": reports[0]["pair"],
         "minor_reports": reports,
         "qualifies_r_plus": rec.qualifies_r_plus,
     }
@@ -182,25 +197,23 @@ def _edge_table(asym: TropMatrix, bound: int) -> tuple:
     signs = cache(lambda k: _minor_signs(asym, k))
 
     out = []
-    for u, v in combinations([cls for cls in res.argmin if cls.is_vertex], 2):
-        edge = newton_edge(u, v)
-        if edge is None:
-            continue
+    for edge in edges_among(cls for cls in res.argmin if cls.is_vertex):
         if edge.lattice_length == 2 and edge.midpoint not in argmin:
             continue  # midpoint of a tied edge is forced into the tie
-        span = {u, v} if edge.lattice_length == 1 else {u, v, edge.midpoint}
+        # the span (u, v, and at lattice length 2 the midpoint) is made of
+        # distinct members of the argmin, so it is the tie when the sizes agree
+        exact_span = len(argmin) == edge.lattice_length + 1
         c_plus = edge_positive_ok(edge)
-        r_plus, reports = c_plus, None
-        if edge.lattice_length == 2:
-            cycle = edge.midpoint_cycle
-            reports = []
-            for k in range(len(cycle)):
-                i, j = cycle[k], cycle[(k + 1) % len(cycle)]
-                si, sj = signs(i), signs(j)
-                reports.append(((i, j), (si, sj), any(s in sj for s in si)))
-            r_plus = c_plus and reports[0][2]
-            reports = tuple(reports)
-        out.append(_EdgeRecord(edge, argmin == span, c_plus, r_plus, reports))
+        if edge.lattice_length == 1:
+            out.append(_EdgeRecord(edge, exact_span, c_plus, c_plus, None))
+            continue
+        cycle = edge.midpoint_cycle
+        reports = []
+        for k in range(len(cycle)):
+            i, j = cycle[k], cycle[(k + 1) % len(cycle)]
+            si, sj = signs(i), signs(j)
+            reports.append(((i, j), (si, sj), any(s in sj for s in si)))
+        out.append(_EdgeRecord(edge, exact_span, c_plus, c_plus and reports[0][2], tuple(reports)))
     return tuple(out)
 
 

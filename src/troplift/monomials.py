@@ -15,8 +15,8 @@ on a matrix rescaled to integers, and an exponent -> class dict for
 midpoint lookups.  Plain classes are memoised per permutation, so a
 determinant's argmin costs a dict lookup per minimiser without building
 all n! classes up front.  A class computes its hash once, when it is
-made, and its monomial string and Newton-polytope vertex test once, on
-first use.
+made, and its monomial string, Newton-polytope vertex test and graph
+edge set once, on first use.
 """
 
 from __future__ import annotations
@@ -130,8 +130,10 @@ class SignedMonomialClass:
         class, like the monomial string."""
         return all(kind != "cycle" or len(verts) % 2 == 1 for kind, verts in self.graph_components())
 
+    @cached_property
     def edge_items(self) -> frozenset:
-        """Edges of the semisimple graph; loops tagged, multi-edges collapsed."""
+        """Edges of the semisimple graph; loops tagged, multi-edges collapsed.
+        Read once per class: every Newton edge test unions two of them."""
         items = set()
         for i in range(self.n):
             for j in range(i, self.n):

@@ -13,16 +13,22 @@ triangle can come ahead of the 2k-cycle), so the edge records the even
 cycle itself as `midpoint_cycle`.
 
 Both the edge criterion and the lattice data read only the two exponent
-matrices, so one memo, keyed on the exponent pair, holds each pair's
-NewtonEdge, or None when the pair spans no edge.  `newton_edge` reads
-it; `is_polytope_edge` and `edge_lattice_data` are one-line readers of
-`newton_edge`.  A NewtonEdge is frozen, so callers share it.
+matrices, so each exponent pair's NewtonEdge, or None when the pair spans
+no edge, is computed once, between the classes the symmetric tables hold
+for the two exponents.  The memo is one row per table class u, a dict
+from table class v to the pair's edge; classes keep their hash, so a
+lookup hashes no exponent matrix.  A class that is not its exponent's
+table class (another representative, or a copy) is matched to it once per
+call and gets the remembered edge copied to name it.  `edges_among` owns
+the pair loop over a list of classes, for `polytope_edges`, membership's
+edge table and `newton_edge`, its one-pair case; `is_polytope_edge` and
+`edge_lattice_data` are one-line readers of `newton_edge`.
+A NewtonEdge is frozen, so callers share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 from .errors import SizeLimit
 from .monomials import (
@@ -48,7 +54,7 @@ def polytope_vertices(n: int) -> tuple:
 
 def _union_graph(u: SignedMonomialClass, v: SignedMonomialClass):
     """Union of the two semisimple graphs; loops tagged separately."""
-    items = u.edge_items() | v.edge_items()
+    items = u.edge_items | v.edge_items
     loops = {i for kind, i in ((e[0], e[1]) for e in items if e[0] == "loop")}
     edges = {e for e in items if e[0] != "loop"}
     return loops, edges
@@ -94,22 +100,44 @@ class NewtonEdge:
         return None if self.midpoint_cycle is None else len(self.midpoint_cycle)
 
 
-_EDGES: dict = {}  # (exponent of u, exponent of v) -> NewtonEdge | None
+# table class u -> {table class v: NewtonEdge | None}; the classes hash
+# from their stored hash, so a lookup reads no exponent tuple
+_EDGES: dict = {}
+
+
+def _table_class(u: SignedMonomialClass) -> SignedMonomialClass:
+    """The class the symmetric tables hold for u's exponent; u itself when
+    they hold none."""
+    return class_by_exponent(u.n, u.exponent) or u
+
+
+def edges_among(vertices) -> list:
+    """The NewtonEdges among vertex classes, in combinations order.
+
+    Each exponent pair's edge is computed once, on the table classes, and
+    each class is matched to its table class once per call, so the pair
+    loop reads the row memo by the classes' stored hashes alone.  Classes
+    with the table's exponents but other representatives get a copy of the
+    edge naming them."""
+    vertices = list(vertices)
+    tables = [_table_class(u) for u in vertices]
+    out = []
+    for i, (u, tu) in enumerate(zip(vertices, tables)):
+        row = _EDGES.setdefault(tu, {})
+        for v, tv in zip(vertices[i + 1:], tables[i + 1:]):
+            try:
+                edge = row[tv]
+            except KeyError:
+                edge = row[tv] = _edge(tu, tv)
+            if edge is not None:
+                out.append(edge if tu is u and tv is v else replace(edge, u=u, v=v))
+    return out
 
 
 def newton_edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
-    """The Newton-polytope edge spanned by two vertex classes, or None.
-
-    Computed once per exponent pair.  Classes with the exponents of the
-    remembered edge but other representatives get a copy naming them."""
-    key = (u.exponent, v.exponent)
-    try:
-        edge = _EDGES[key]
-    except KeyError:
-        edge = _EDGES[key] = _edge(u, v)
-    if edge is not None and (edge.u is not u or edge.v is not v):
-        edge = replace(edge, u=u, v=v)
-    return edge
+    """The Newton-polytope edge spanned by two vertex classes, or None."""
+    edges = edges_among((u, v))
+    return edges[0] if edges else None
 
 
 def _edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
@@ -154,13 +182,7 @@ def edge_lattice_data(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonE
 
 def polytope_edges(n: int) -> tuple:
     _check_n(n)
-    verts = polytope_vertices(n)
-    out = []
-    for u, v in combinations(verts, 2):
-        edge = newton_edge(u, v)
-        if edge is not None:
-            out.append(edge)
-    return tuple(out)
+    return tuple(edges_among(polytope_vertices(n)))
 
 
 def birkhoff_edge(sigma1, sigma2) -> bool:

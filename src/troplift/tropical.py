@@ -9,8 +9,11 @@ Enumeration refuses inputs above the configured bound rather than risking
 a wrong uniqueness verdict.  The rank scans write out their 1 x 1, 2 x 2
 and 3 x 3 uniqueness tests as int sums (6 permutation sums for a plain
 3 x 3 minor, 5 class sums for a principal one) and enumerate from 4 x 4
-on.  The determinant of a transposed minor has the same terms, so on a
-symmetric matrix a scan tests one minor of each transposed pair.
+on, except for a square matrix's full-size minor: that is the matrix
+itself, nonsingular when its memoised trop_det (for the symmetric scan,
+sym_trop_det) has no tie.  The determinant of a transposed minor has the
+same terms, so on a symmetric matrix a scan tests one minor of each
+transposed pair.
 
 The determinants, the ranks and the two Barvinok tests, like
 trees.tree_from_rank2 and membership's edge table, are memoised on the
@@ -19,10 +22,10 @@ so the sixteen membership questions asked of one matrix compute each
 once.  Callers pass the bound positionally: f(a), f(a, 8) and
 f(a, bound=8) are three memo keys.  Raised errors are not remembered; a
 Barvinok test's rank_too_high record is returned, so it is.  Newton
-polytope edges have one memo of their own, per exponent pair (newton).
-Nothing returned aliases mutable memo state: results, Barvinok records
-and edges are immutable, trees and witnesses are never written, and the
-payload dicts are membership's, built per call.
+polytope edges have one memo of their own, a row of edges per monomial
+class (newton).  Nothing returned aliases mutable memo state: results,
+Barvinok records and edges are immutable, trees and witnesses are never
+written, and the payload dicts are membership's, built per call.
 """
 
 from __future__ import annotations
@@ -161,13 +164,18 @@ def _rank(a: TropMatrix, bound: int, principal) -> int:
     the principal subgrids in place of the plain test.  On a symmetric
     matrix the minor on (cols, rows) is the transpose of the one on (rows,
     cols), whose determinant has the same terms, so only cols >= rows is
-    tested."""
+    tested.  A square matrix's full-size minor is the matrix itself, so its
+    test reads the memoised determinant that the singular questions share:
+    sym_trop_det with `principal`, else trop_det."""
     _, grid = a.as_int_grid()
     d, n = a.rows, a.cols
     rank = 0
     for k in range(1, min(d, n) + 1):
         if k > bound:
             raise SizeLimit(f"rank certification needs {k} <= bound {bound}")
+        if k == d == n:
+            det = trop_det if principal is None else sym_trop_det
+            return rank if det(a, bound).tie else k
         col_sets = list(combinations(range(n), k))
         found = False
         # combinations come in tuple order, so cols >= rows is col_sets[i:]

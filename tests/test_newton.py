@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from conftest import SYM7_A, SYM7_B
 from oracle import brute_hull
@@ -14,6 +15,7 @@ from troplift.newton import (
     birkhoff_edge,
     edge_lattice_data,
     edge_positive_ok,
+    edges_among,
     initial_form,
     is_polytope_edge,
     polytope_edges,
@@ -94,11 +96,19 @@ class TestTable2:
             assert e2.lattice_length == 1 and not edge_positive_ok(e2)
 
     def test_edge_names_the_classes_it_was_asked_about(self, monkeypatch):
-        """The memo holds one edge per exponent pair; a class with the
-        same exponents but another representative (the triangle walked
-        the other way) gets an edge naming it, without a second
-        computation."""
+        """The row memo holds one edge per exponent pair, between the
+        classes the symmetric tables hold; a class with the same exponents
+        but another representative (the triangle walked the other way)
+        gets an edge naming it, without a second computation."""
+        computed = []
+        edge = newton._edge
+
+        def counted(u, v):
+            computed.append((u.exponent, v.exponent))
+            return edge(u, v)
+
         monkeypatch.setattr(newton, "_EDGES", {})
+        monkeypatch.setattr(newton, "_edge", counted)
         tri_loop, _, tp1, _, _ = table2_rows()
         reversed_tri = SignedMonomialClass.from_permutation((2, 0, 1, 3), True)
         assert reversed_tri.exponent == tri_loop.exponent and reversed_tri != tri_loop
@@ -107,10 +117,26 @@ class TestTable2:
         second = edge_lattice_data(reversed_tri, tp1)
         assert (first.u, first.v) == (tri_loop, tp1) and (second.u, second.v) == (reversed_tri, tp1)
         assert second.lattice_length == first.lattice_length == 1
-        assert edge_lattice_data(tri_loop, tp1) is first
-        assert len(newton._EDGES) == 1
+        (among,) = edges_among([reversed_tri, tp1])
+        assert (among.u, among.v) == (reversed_tri, tp1) and among == second
+        # the table classes get the remembered edge itself
+        table_tri, table_tp1 = (class_by_exponent(4, c.exponent) for c in (tri_loop, tp1))
+        remembered = edge_lattice_data(table_tri, table_tp1)
+        assert edges_among([table_tri, table_tp1]) == [remembered]
+        assert edges_among([table_tri, table_tp1])[0] is remembered
+        assert computed == [(tri_loop.exponent, tp1.exponent)]
+        assert sum(len(row) for row in newton._EDGES.values()) == 1
         # equal exponents are one point of the polytope, not an edge
         assert not is_polytope_edge(tri_loop, reversed_tri)
+
+    def test_edges_among_matches_the_uncached_criterion(self):
+        """In combinations order, naming the classes it was given: the
+        table's vertices, and the showcase vertices, which are copies."""
+        for verts in (polytope_vertices(4), table2_rows()[:4]):
+            want = [e for e in (newton._edge(u, v) for u, v in combinations(verts, 2)) if e]
+            got = edges_among(verts)
+            assert got == want
+            assert [(id(e.u), id(e.v)) for e in got] == [(id(e.u), id(e.v)) for e in want]
 
 
 class TestPolytope:

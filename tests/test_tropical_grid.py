@@ -484,6 +484,25 @@ def test_wide_5x5_ties_match_references(seed):
     assert sym_corank1_edges(a) == ref_sym_corank1_edges(a)
 
 
+@pytest.mark.parametrize(
+    "a, tied, vertices, records",
+    [
+        # every one of the 73 classes ties
+        (TropMatrix.make([[0] * 5] * 5, symmetric=True), 73, 58, 560),
+        (samples.random_sym_rank2_matrix(random.Random(36), 5), 56, 44, 357),
+    ],
+    ids=["constant", "sym_rank2_seed36"],
+)
+def test_the_largest_5x5_ties_match_the_reference(a, tied, vertices, records):
+    """Ties far wider than the drawn matrices reach: every edge record,
+    in order, against the pairwise reference."""
+    tie = sym_trop_det(a).argmin
+    assert (len(tie), sum(cls.is_vertex for cls in tie)) == (tied, vertices)
+    got = sym_corank1_edges(a)
+    assert len(got) == records
+    assert got == ref_sym_corank1_edges(a)
+
+
 def test_edge_criterion_memo_agrees_with_direct_test():
     classes = _classes(5, True)
     for u, v in combinations(classes[::3], 2):
