@@ -409,11 +409,10 @@ def lift_sym_rank2_real(
     """
     asym = a.as_symmetric()
     n = asym.rows
-    if sym_trop_rank(asym, bound) > 2:
+    rank = sym_trop_rank(asym, bound)
+    if rank > 2:
         raise NotRank2("symmetric tropical rank above 2")
-    if all(
-        asym[i, j] == (asym[i, i] + asym[j, j]) / 2 for i in range(n) for j in range(n)
-    ):
+    if rank <= 1:  # a_ij = (a_ii + a_jj) / 2 throughout: an outer square
         return _lift_sym_rank1(asym, seed, bound)
     # a symmetric tropical rank 1 matrix is an outer square, and trop_rank
     # <= sym_trop_rank, so the tropical rank is 2 here: no second rank scan

@@ -13,30 +13,31 @@ newton.edges_among finds among the tie's vertex classes.  An edge's span
 (its endpoints, and at lattice length 2 its midpoint) is made of distinct
 tied classes, so it is exactly the tie when the counts agree.  A lattice
 length 2 record reads its minor pairs off the even cycle its NewtonEdge
-carries, and its deleted minors' signs are read off the matrix's int grid
-through one table of signed permutations per size, as are the 3x3
-minors' signs of `positive_generators_check`.  `_positive_part` decides
-C+ and R+ from the table, for the verdicts here and for
-lifts.lift_sym_corank1 alike; the rank-2 positive parts read tropical's
-Barvinok records, as the rank-2 lifts do.  Every
-payload, Barvinok detail, edge dict and minor report a caller gets is
-built fresh here from those records, so changing it changes no later
-answer.
+carries.  Its deleted minors' signs, like the 3x3 minors' signs of
+`positive_generators_check`, are read off the matrix's int grid:
+tropical's permutation scan finds the minimizers, and each one's sign is
+that of its plain monomial class.  `_positive_part` decides C+ and R+
+from the table, for the verdicts here and for lifts.lift_sym_corank1
+alike; the rank-2 positive parts read tropical's Barvinok records, as the
+rank-2 lifts do.  Every payload, Barvinok detail, edge dict and minor
+report a caller gets is built fresh here from those records, so changing
+it changes no later answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
-from .monomials import cycles_of
+from .monomials import plain_class
 from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, edges_among
 from .tropical import (
     _MEMO_SIZE,
+    _perm_argmin,
     barvinok_rank2,
     sym_trop_det,
     sym_trop_rank,
@@ -223,26 +224,11 @@ def _minor_signs(asym: TropMatrix, k: int) -> tuple:
     return _argmin_signs(asym.as_int_grid()[1], idx, idx)
 
 
-@cache
-def _signed_permutations(k: int) -> tuple:
-    """(sigma, sign) for every permutation of range(k), in permutations order."""
-    return tuple((s, -1 if (k - len(cycles_of(s))) & 1 else 1) for s in permutations(range(k)))
-
-
 def _argmin_signs(grid, rows, cols) -> tuple:
     """Sorted signs of the permutations that minimize the plain tropical
     determinant of the subgrid on rows x cols."""
-    sub = [tuple(grid[r][c] for c in cols) for r in rows]
-    best = None
-    signs: set = set()
-    for sigma, sign in _signed_permutations(len(rows)):
-        v = sum(map(tuple.__getitem__, sub, sigma))
-        if best is None or v < best:
-            best = v
-            signs = {sign}
-        elif v == best:
-            signs.add(sign)
-    return tuple(sorted(signs))
+    _, arg = _perm_argmin([tuple(grid[r][c] for c in cols) for r in rows])
+    return tuple(sorted({plain_class(sigma).sign for sigma in arg}))
 
 
 def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BOUND) -> MembershipVerdict:

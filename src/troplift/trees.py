@@ -241,13 +241,13 @@ def _embed_points(dist: list) -> tuple[_Builder, list]:
     return b, node_of
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BicoloredTree:
     """Bicolored tree of a tropical rank <= 2 matrix (star for rank <= 1).
 
-    Memoised like the analyses in tropical.  The tree itself comes from
-    _rank2_tree, memoised on the matrix alone, so every caller shares one
-    tree per matrix: read it, never write its adjacency or leaves.
+    It keeps no memo of its own: the rank is the memoised trop_rank, and
+    the tree comes from _rank2_tree, memoised on the matrix alone, so every
+    caller shares one tree per matrix: read it, never write its adjacency
+    or leaves.
     """
     if trop_rank(a, bound) > 2:
         raise RankTooHigh("matrix has tropical rank above 2")

@@ -1,8 +1,10 @@
 """Tropical determinants, rank notions, and Barvinok factorizations.
 
-All minima are exhaustive enumerations over permutations (or monomial
-classes for the symmetric determinant) on an integer grid: entries are
-rescaled by their denominator lcm, so the hot loops add ints.  A symmetric
+All minima are exhaustive enumerations on an integer grid: entries are
+rescaled by their denominator lcm, so the hot loops add ints.  Every plain
+determinant minimum (trop_det, the rank scans' plain minors from 4 x 4
+on, membership's minor signs) is one permutation scan, _perm_argmin; the
+symmetric ones scan monomial classes (_sym_argmin).  A symmetric
 class value is the int sum of e * grid[i][j] over the class's precomputed
 support, and a minimum goes back to a Fraction only once, as best / scale.
 Enumeration refuses inputs above the configured bound rather than risking
@@ -16,16 +18,17 @@ same terms, so on a symmetric matrix a scan tests one minor of each
 transposed pair.
 
 The determinants, the ranks and the two Barvinok tests, like
-trees.tree_from_rank2 and membership's edge table, are memoised on the
-frozen TropMatrix (which hashes and builds its grid once) and the bound,
-so the sixteen membership questions asked of one matrix compute each
-once.  Callers pass the bound positionally: f(a), f(a, 8) and
-f(a, bound=8) are three memo keys.  Raised errors are not remembered; a
-Barvinok test's rank_too_high record is returned, so it is.  Newton
-polytope edges have one memo of their own, a row of edges per monomial
-class (newton).  Nothing returned aliases mutable memo state: results,
-Barvinok records and edges are immutable, trees and witnesses are never
-written, and the payload dicts are membership's, built per call.
+membership's edge table, are memoised on the frozen TropMatrix (which
+hashes and builds its grid once) and the bound (the rank-2 tree,
+trees._rank2_tree, on the matrix alone), so the sixteen membership
+questions asked of one matrix compute each once.  Callers pass the
+bound positionally: f(a), f(a, 8) and f(a, bound=8) are three memo keys.
+Raised errors are not remembered; a Barvinok test's rank_too_high record
+is returned, so it is.  Newton polytope edges have one memo of their
+own, a row of edges per monomial class (newton).  Nothing returned
+aliases mutable memo state: results, Barvinok records and edges are
+immutable, trees and witnesses are never written, and the payload dicts
+are membership's, built per call.
 """
 
 from __future__ import annotations
@@ -58,21 +61,30 @@ def _check_square(a: TropMatrix, bound: int):
         raise SizeLimit(f"enumeration bound {bound} exceeded (n = {a.rows})")
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
-    """Minimum over all permutation monomials, with the full argmin set."""
-    _check_square(a, bound)
-    n = a.rows
-    scale, grid = a.as_int_grid()
+def _perm_argmin(sub) -> tuple[int, list]:
+    """Least permutation sum of a square int grid (row tuples) and the
+    permutations attaining it, in permutations order: the one scan behind
+    every plain tropical determinant."""
     best = None
     arg: list = []
-    for sigma in permutations(range(n)):
-        v = sum(map(tuple.__getitem__, grid, sigma))
+    for sigma in permutations(range(len(sub))):
+        v = 0
+        for i, s in enumerate(sigma):
+            v += sub[i][s]
         if best is None or v < best:
             best = v
             arg = [sigma]
         elif v == best:
             arg.append(sigma)
+    return best, arg
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
+    """Minimum over all permutation monomials, with the full argmin set."""
+    _check_square(a, bound)
+    scale, grid = a.as_int_grid()
+    best, arg = _perm_argmin(grid)
     classes = tuple(plain_class(s) for s in arg)
     return TropDetResult(Fraction(best, scale), classes, len(arg) >= 2)
 
@@ -107,7 +119,7 @@ def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetRe
 
 def _grid_nonsingular(grid, rows, cols) -> bool:
     """Unique-minimum test for the plain tropical determinant of a subgrid.
-    Sizes 1 to 3 are written out; larger ones scan the permutations."""
+    Sizes 1 to 3 are written out; larger ones go through _perm_argmin."""
     k = len(rows)
     if k == 1:
         return True
@@ -123,18 +135,8 @@ def _grid_nonsingular(grid, rows, cols) -> bool:
         c0, c1, c2 = r2[j0], r2[j1], r2[j2]
         sums = (a0 + b1 + c2, a0 + b2 + c1, a1 + b0 + c2, a1 + b2 + c0, a2 + b0 + c1, a2 + b1 + c0)
         return sums.count(min(sums)) == 1
-    best = None
-    hits = 0
-    for sigma in permutations(range(k)):
-        v = 0
-        for i, s in enumerate(sigma):
-            v += grid[rows[i]][cols[s]]
-        if best is None or v < best:
-            best = v
-            hits = 1
-        elif v == best:
-            hits += 1  # a tie so far; a later, lower value still resets it
-    return hits == 1
+    _, arg = _perm_argmin([tuple(grid[r][c] for c in cols) for r in rows])
+    return len(arg) == 1
 
 
 def _grid_sym_nonsingular(grid, idx) -> bool:

@@ -18,13 +18,12 @@ MEMOISED = (
     tropical.sym_trop_det,
     tropical.trop_rank,
     tropical.sym_trop_rank,
-    trees.tree_from_rank2,
     tropical.barvinok_rank2,
     tropical.sym_barvinok_rank2,
     membership._edge_table,
 )
-# memos keyed on the matrix alone, without a bound, and per-size tables
-MEMOISED_UNBOUNDED = (trees._rank2_tree, membership._signed_permutations)
+# memos keyed on the matrix alone, without a bound
+MEMOISED_UNBOUNDED = (trees._rank2_tree,)
 
 
 def _sym7_a():

@@ -47,10 +47,11 @@ class TestOneComputationPerMatrix:
             assert (info.misses, info.currsize) == (1, 1), fn.__name__
             assert info.hits >= 1, fn.__name__
         # only the Barvinok test reads the tree, and it asks once, past
-        # its own rank check rather than through tree_from_rank2's
+        # its own rank check rather than through tree_from_rank2's: the rank
+        # is read once per member_rank2 mode and once by the Barvinok test
         info = trees._rank2_tree.cache_info()
         assert (info.hits, info.misses) == (0, 1)
-        assert trees.tree_from_rank2.cache_info().misses == 0
+        assert tropical.trop_rank.cache_info().hits == 4
         # the matrix alone: the R+ test reads its deleted minors' signs
         # off the matrix's grid, not through the determinant memo
         info = tropical.trop_det.cache_info()
@@ -88,9 +89,9 @@ class TestOneComputationPerMatrix:
             assert (info.misses, info.currsize) == (1, 1), fn.__name__
         assert tropical.trop_det.cache_info().hits >= 1
         assert tropical.sym_trop_det.cache_info().hits >= 1
-        # rank above 2: no tree is built, and the refusal is not remembered,
-        # but the Barvinok test's rank_too_high answer is
-        assert trees.tree_from_rank2.cache_info().currsize == 0
+        # rank above 2: no tree is built, but the Barvinok test's
+        # rank_too_high answer is remembered
+        assert trees._rank2_tree.cache_info().currsize == 0
         info = tropical.barvinok_rank2.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
 
@@ -241,7 +242,7 @@ class TestMemoSafety:
         assert main(["tree", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == before
         assert trees.tree_from_rank2(a, 8) is tree
-        assert trees.tree_from_rank2.cache_info().misses == 1
+        assert trees._rank2_tree.cache_info().misses == 1
         assert jsonio.encode_tree(tree) == before
         assert vars(tree) == state
 

@@ -113,8 +113,10 @@ def test_verdicts_are_invariant_under_relabelling():
 def test_symmetric_rank_2_past_the_outer_square_is_tropical_rank_2():
     """lift_sym_rank2_real hands sym_tree_barvinok the tropical rank 2
     without a plain rank scan: trop_rank <= sym_trop_rank, and a symmetric
-    matrix of tropical rank 1 is an outer square."""
+    matrix of tropical rank 1 is an outer square.  It picks the outer
+    square by sym_trop_rank <= 1, which holds exactly for outer squares."""
     for a in BOX:
         if sym_trop_rank(a) <= 2:
             outer = all(a[i, j] == (a[i, i] + a[j, j]) / 2 for i in range(3) for j in range(3))
             assert trop_rank(a) == (1 if outer else 2)
+            assert (sym_trop_rank(a) <= 1) == outer

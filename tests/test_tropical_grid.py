@@ -217,9 +217,9 @@ def sym_matrices(draw, max_n=5):
 
 
 @st.composite
-def matrices(draw, max_n=5):
+def matrices(draw, max_n=5, min_n=1):
     """Rectangular matrices; the forced kind is u_i + w_j with a few bumps."""
-    d, n = draw(st.integers(1, max_n)), draw(st.integers(1, max_n))
+    d, n = draw(st.integers(min_n, max_n)), draw(st.integers(min_n, max_n))
     if draw(st.booleans()):
         return TropMatrix.make([[draw(entries(-4, 4)) for _ in range(n)] for _ in range(d)])
     u = [draw(entries(-3, 3)) for _ in range(d)]
@@ -268,8 +268,9 @@ def test_sym_trop_det_matches_fraction_class_values(a):
 
 
 @SETTINGS
-@given(st.one_of(sym_matrices(), matrices()))
+@given(st.one_of(sym_matrices(), matrices(), matrices(6, 6)))
 def test_trop_det_matches_from_permutation_argmin(a):
+    """Value, argmin classes in permutations order, and tie, up to 6 x 6."""
     if not a.is_square():
         a = a.submatrix(range(min(a.rows, a.cols)), range(min(a.rows, a.cols)))
     res = trop_det(a)
@@ -331,10 +332,10 @@ def test_trop_rank_of_narrow_rectangular_matrices(a):
 @given(narrow_matrices())
 def test_each_minor_test_matches_the_permutation_reference(a):
     """The written-out 1 x 1, 2 x 2 and 3 x 3 tests, and the permutation
-    scan at 4 x 4, on every minor, with rows and columns from different
-    index sets."""
+    scan at 4 x 4 and 5 x 5, on every minor, with rows and columns from
+    different index sets."""
     _, grid = a.as_int_grid()
-    for k in range(1, min(a.rows, a.cols, 4) + 1):
+    for k in range(1, min(a.rows, a.cols, 5) + 1):
         for rows in combinations(range(a.rows), k):
             for cols in combinations(range(a.cols), k):
                 want = ref_nonsingular(a.submatrix(rows, cols), False)
