@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio, lifts, membership, newton, trees, verify
-from .config import MAX_ENUMERATION_BOUND, Config
+from .config import DEFAULT_SEED, MAX_ENUMERATION_BOUND, Config
 from .errors import ConstructionExhausted, NegativeResult, SizeLimit, TropliftError
 from .fixtures import FIXTURE_NAMES, fixture_json
 from .monomials import sym_det_monomials
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> Config:
-    seed = args.seed if args.seed is not None else _env("TROPLIFT_SEED", int, 1)
+    seed = args.seed if args.seed is not None else _env("TROPLIFT_SEED", int, DEFAULT_SEED)
     bound = (
         args.max_n if args.max_n is not None else _env("TROPLIFT_MAX_N", int, MAX_ENUMERATION_BOUND)
     )

@@ -208,6 +208,11 @@ def decode_certificate(obj: dict) -> LiftCertificate:
         raise ValueError(
             f"unknown positivity {obj['positivity']!r}; expected one of {POSITIVITIES}"
         )
+    seed, method = obj.get("seed"), obj.get("method", "")
+    if seed is not None and type(seed) is not int:  # a bool is not a seed
+        raise ValueError(f"seed must be a JSON integer or null, got {seed!r}")
+    if not isinstance(method, str):
+        raise ValueError(f"method must be a JSON string, got {method!r}")
     rows = [_expect(r, list, "a lift row") for r in _expect(obj["lift"], list, "lift")]
     series = _Reader().series
     return LiftCertificate(
@@ -216,8 +221,8 @@ def decode_certificate(obj: dict) -> LiftCertificate:
         claimed=obj["claimed"],
         positivity=obj["positivity"],
         transcript=list(_expect(obj.get("transcript", []), list, "transcript")),
-        seed=obj.get("seed"),
-        method=obj.get("method", ""),
+        seed=seed,
+        method=method,
     )
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import rng as rngmod
-from .config import MAX_ENUMERATION_BOUND, default_truncation
+from .config import DEFAULT_SEED, MAX_ENUMERATION_BOUND, default_truncation
 from .errors import (
     DegenerateGeneric,
     GenericRetryExhausted,
@@ -95,7 +95,7 @@ def _factor_product(b: TropMatrix, c: TropMatrix) -> tuple:
 
 
 def lift_rank2_positive(
-    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, seed: int = DEFAULT_SEED, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Positive rank <= 2 lift from the Barvinok witness A = B ⊙ C.
 
@@ -144,7 +144,7 @@ def _spine_recursion_lift(dstd: list) -> list:
 
 
 def lift_sym_caterpillar(
-    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, seed: int = DEFAULT_SEED, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Positive symmetric rank <= 2 lift for caterpillar symbic matrices.
 
@@ -263,7 +263,7 @@ def _frame_completion(u, v, p1, p2, delta) -> tuple:
 
 
 def lift_rank2_real(
-    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, seed: int = DEFAULT_SEED, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Real rank <= 2 lift of any tropical rank <= 2 matrix.
 
@@ -396,7 +396,7 @@ def _root_path_series(edges, dep, mark_key, coeff_of) -> PuiseuxSeries:
 
 
 def lift_sym_rank2_real(
-    a: TropMatrix, seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, seed: int = DEFAULT_SEED, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Real symmetric rank <= 2 lift of a symmetric tropical rank <= 2 matrix.
 
@@ -508,7 +508,7 @@ def _split_det_linear(lift_rows, istar, jstar):
 
 
 def lift_corank1(
-    a: TropMatrix, mode: str = "R+", seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, mode: str = "R+", seed: int = DEFAULT_SEED, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Singular lift with one entry solved from a linear determinant equation.
 
@@ -590,7 +590,7 @@ def _split_det_quadratic(lift_rows, i, j):
 
 
 def lift_sym_corank1(
-    a: TropMatrix, mode: str = "R+", seed: int = 1, bound: int = MAX_ENUMERATION_BOUND
+    a: TropMatrix, mode: str = "R+", seed: int = DEFAULT_SEED, bound: int = MAX_ENUMERATION_BOUND
 ) -> LiftCertificate:
     """Symmetric singular lift; one symmetric entry solves a quadratic.
 

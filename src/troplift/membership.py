@@ -139,21 +139,7 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     adjacent pair decides, and all pairs are reported.  The dicts are
     fresh; the table they are read from is memoised.
     """
-    out = []
-    for rec in _edge_table(a.as_symmetric(), bound):
-        if rec.minor_reports is not None:
-            out.append(_edge_payload(rec))
-            continue
-        out.append({
-            "edge": rec.edge,
-            "exact_span": rec.exact_span,
-            "qualifies_c_plus": rec.qualifies_c_plus,
-            "qualifies_r": True,
-            "minor_pair": None,
-            "minor_reports": None,
-            "qualifies_r_plus": rec.qualifies_r_plus,
-        })
-    return out
+    return [_edge_payload(rec) for rec in _edge_table(a.as_symmetric(), bound)]
 
 
 class _EdgeRecord(NamedTuple):
@@ -172,17 +158,19 @@ class _EdgeRecord(NamedTuple):
 
 
 def _edge_payload(rec: _EdgeRecord) -> dict:
-    """The payload of a lattice length 2 record."""
-    reports = [
-        {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
-        for pair, (si, sj), same in rec.minor_reports
-    ]
+    """The payload of one record; the minor entries are None at lattice length 1."""
+    reports = None
+    if rec.minor_reports is not None:
+        reports = [
+            {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
+            for pair, (si, sj), same in rec.minor_reports
+        ]
     return {
         "edge": rec.edge,
         "exact_span": rec.exact_span,
         "qualifies_c_plus": rec.qualifies_c_plus,
         "qualifies_r": True,
-        "minor_pair": reports[0]["pair"],
+        "minor_pair": None if reports is None else reports[0]["pair"],
         "minor_reports": reports,
         "qualifies_r_plus": rec.qualifies_r_plus,
     }

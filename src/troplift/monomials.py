@@ -8,15 +8,15 @@ entries 0, 1, 2 (diagonal 0 or 1), the common sign, and the coefficient
 Newton polytope via their semisimple graphs: components are loops (fixed
 points), isolated edges (transpositions), and cycles.
 
-The tropical minima read classes through tables built once per n with
-the lazy class cache: each symmetric class's support ((i, j, e), ...)
-over its nonzero exponents, so a class value is an int sum e * grid[i][j]
-on a matrix rescaled to integers, and an exponent -> class dict for
-midpoint lookups.  Plain classes are memoised per permutation, so a
-determinant's argmin costs a dict lookup per minimiser without building
-all n! classes up front.  A class computes its hash once, when it is
-made, and its monomial string, Newton-polytope vertex test and graph
-edge set once, on first use.
+The tropical minima read classes through an exponent -> class dict,
+built once per n with the lazy class cache; Newton's midpoint lookups
+read it too.  Plain classes are memoised per permutation (up to a fixed
+number), so a determinant's argmin costs a dict lookup per minimiser
+without building all n! classes up front.  A plain class reads its
+symmetric class from the dict once, so the symmetric argmin is the plain
+argmin grouped into classes.  A class computes its hash once, when it is
+made, and its monomial string, symmetric class, Newton-polytope vertex
+test and graph edge set once, on first use.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
 from .tropmat import TropMatrix
 
 PUBLIC_CLASS_LIMIT = 7
+PLAIN_CLASS_MEMO = 1024  # holds every permutation up to 6 x 6 (873 in all)
 
 
 def cycles_of(sigma) -> list[tuple[int, ...]]:
@@ -49,6 +49,19 @@ def cycles_of(sigma) -> list[tuple[int, ...]]:
             j = sigma[j]
         out.append(tuple(cyc))
     return out
+
+
+def sym_exponent(sigma) -> tuple:
+    """Upper-triangular exponent of a permutation's symmetric-determinant
+    monomial: the edge {i, sigma(i)} counted once per i."""
+    n = len(sigma)
+    exp = [[0] * n for _ in range(n)]
+    for i, img in enumerate(sigma):
+        if i <= img:
+            exp[i][img] += 1
+        else:
+            exp[img][i] += 1
+    return tuple(map(tuple, exp))
 
 
 @dataclass(frozen=True)
@@ -77,19 +90,14 @@ class SignedMonomialClass:
         sigma = tuple(sigma)
         n = len(sigma)
         cycles = cycles_of(sigma)
-        exp = [[0] * n for _ in range(n)]
         if symmetric:
-            for i, img in enumerate(sigma):
-                a, b = min(i, img), max(i, img)
-                exp[a][b] += 1
-        else:
-            for i, img in enumerate(sigma):
-                exp[i][img] = 1
-        coeff = 1
-        if symmetric:
+            exponent = sym_exponent(sigma)
             coeff = 2 ** sum(1 for c in cycles if len(c) >= 3)
+        else:
+            exponent = tuple((0,) * img + (1,) + (0,) * (n - 1 - img) for img in sigma)
+            coeff = 1
         return SignedMonomialClass(
-            exponent=tuple(tuple(r) for r in exp),
+            exponent=exponent,
             sign=-1 if (n - len(cycles)) & 1 else 1,
             coefficient=coeff,
             representative=sigma,
@@ -122,6 +130,13 @@ class SignedMonomialClass:
             else:
                 out.append(("cycle", cyc))
         return out
+
+    @cached_property
+    def symmetric_class(self) -> "SignedMonomialClass":
+        """The symmetric-determinant class of the representative, from the
+        class table.  Read once per class: every symmetric argmin groups
+        the plain minimisers by it."""
+        return symmetric_tables(self.n)[sym_exponent(self.representative)]
 
     @cached_property
     def is_vertex(self) -> bool:
@@ -179,23 +194,14 @@ def _classes(n: int, symmetric: bool) -> tuple:
     return tuple(sorted(by_exp.values(), key=lambda c: c.exponent))
 
 
-class SymmetricTables(NamedTuple):
-    classes: tuple  # _classes(n, True), in its order
-    supports: tuple  # per class: ((i, j, e), ...) over nonzero exponents, i <= j
-    by_exponent: dict  # exponent matrix -> class
-
-
 @lru_cache(maxsize=None)
-def symmetric_tables(n: int) -> SymmetricTables:
-    classes = _classes(n, True)
-    supports = tuple(
-        tuple((i, j, e) for i, row in enumerate(cls.exponent) for j, e in enumerate(row) if e)
-        for cls in classes
-    )
-    return SymmetricTables(classes, supports, {cls.exponent: cls for cls in classes})
+def symmetric_tables(n: int) -> dict:
+    """Exponent matrix -> class of the n x n symmetric determinant;
+    SizeLimit above the enumeration bound."""
+    return {cls.exponent: cls for cls in _classes(n, True)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PLAIN_CLASS_MEMO)
 def plain_class(sigma: tuple) -> SignedMonomialClass:
     """The class of the plain determinant monomial of one permutation."""
     return SignedMonomialClass.from_permutation(sigma, False)
@@ -209,4 +215,4 @@ def sym_det_monomials(n: int) -> tuple:
 
 
 def class_by_exponent(n: int, exponent: tuple) -> SignedMonomialClass | None:
-    return symmetric_tables(n).by_exponent.get(exponent)
+    return symmetric_tables(n).get(exponent)

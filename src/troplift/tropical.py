@@ -1,21 +1,22 @@
 """Tropical determinants, rank notions, and Barvinok factorizations.
 
 All minima are exhaustive enumerations on an integer grid: entries are
-rescaled by their denominator lcm, so the hot loops add ints.  Every plain
-determinant minimum (trop_det, the rank scans' plain minors from 4 x 4
-on, membership's minor signs) is one permutation scan, _perm_argmin; the
-symmetric ones scan monomial classes (_sym_argmin).  A symmetric
-class value is the int sum of e * grid[i][j] over the class's precomputed
-support, and a minimum goes back to a Fraction only once, as best / scale.
-Enumeration refuses inputs above the configured bound rather than risking
-a wrong uniqueness verdict.  The rank scans write out their 1 x 1, 2 x 2
-and 3 x 3 uniqueness tests as int sums (6 permutation sums for a plain
-3 x 3 minor, 5 class sums for a principal one) and enumerate from 4 x 4
-on, except for a square matrix's full-size minor: that is the matrix
-itself, nonsingular when its memoised trop_det (for the symmetric scan,
-sym_trop_det) has no tie.  The determinant of a transposed minor has the
-same terms, so on a symmetric matrix a scan tests one minor of each
-transposed pair.
+rescaled by their denominator lcm, so the hot loops add ints, and a
+minimum goes back to a Fraction only once, as best / scale.  Every
+determinant minimum (trop_det, sym_trop_det, the rank scans' minors from
+4 x 4 on, membership's minor signs) is one permutation scan, _perm_argmin.
+On a symmetric matrix every permutation of a symmetric monomial class has
+the class's value, so the symmetric argmin is the plain argmin grouped
+into classes: sym_trop_det reads the memoised trop_det of the same
+matrix.  Enumeration refuses inputs above the configured bound rather
+than risking a wrong uniqueness verdict.  The rank scans write out their
+1 x 1, 2 x 2 and 3 x 3 uniqueness tests as int sums (6 permutation sums
+for a plain 3 x 3 minor, 5 class sums for a principal one) and enumerate
+from 4 x 4 on, except for a square matrix's full-size minor: that is the
+matrix itself, nonsingular when its memoised trop_det (for the symmetric
+scan, sym_trop_det) has no tie.  The determinant of a transposed minor
+has the same terms, so on a symmetric matrix a scan tests one minor of
+each transposed pair.
 
 The determinants, the ranks and the two Barvinok tests, like
 membership's edge table, are memoised on the frozen TropMatrix (which
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, SizeLimit
-from .monomials import plain_class, symmetric_tables
+from .monomials import plain_class, sym_exponent, symmetric_tables
 from .tropmat import TropMatrix, trop_mat_mul
 
 _MEMO_SIZE = 32  # matrices remembered per analysis
@@ -64,7 +65,7 @@ def _check_square(a: TropMatrix, bound: int):
 def _perm_argmin(sub) -> tuple[int, list]:
     """Least permutation sum of a square int grid (row tuples) and the
     permutations attaining it, in permutations order: the one scan behind
-    every plain tropical determinant."""
+    every tropical determinant."""
     best = None
     arg: list = []
     for sigma in permutations(range(len(sub))):
@@ -89,32 +90,19 @@ def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult
     return TropDetResult(Fraction(best, scale), classes, len(arg) >= 2)
 
 
-def _sym_argmin(grid, n: int) -> tuple[int, list]:
-    """Least class value of the n x n symmetric determinant on an int grid
-    (upper triangle read) and the classes attaining it."""
-    tables = symmetric_tables(n)
-    best = None
-    arg: list = []
-    for cls, support in zip(tables.classes, tables.supports):
-        v = 0
-        for i, j, e in support:
-            v += e * grid[i][j]
-        if best is None or v < best:
-            best = v
-            arg = [cls]
-        elif v == best:
-            arg.append(cls)
-    return best, arg
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
-    """Minimum over monomial classes of the symmetric determinant."""
+    """Minimum over monomial classes of the symmetric determinant: the
+    minimisers of trop_det grouped into their classes, in class-table
+    (exponent) order.  The class table refuses n above its cap before any
+    permutation is scanned."""
     _check_square(a, bound)
     a = a.as_symmetric()
-    scale, grid = a.as_int_grid()
-    best, arg = _sym_argmin(grid, a.rows)
-    return TropDetResult(Fraction(best, scale), tuple(arg), len(arg) >= 2)
+    symmetric_tables(a.rows)  # SizeLimit above the table's cap
+    res = trop_det(a, bound)
+    classes = {cls.symmetric_class for cls in res.argmin}
+    arg = tuple(sorted(classes, key=lambda cls: cls.exponent))
+    return TropDetResult(res.min_value, arg, len(arg) >= 2)
 
 
 def _grid_nonsingular(grid, rows, cols) -> bool:
@@ -141,7 +129,8 @@ def _grid_nonsingular(grid, rows, cols) -> bool:
 
 def _grid_sym_nonsingular(grid, idx) -> bool:
     """Unique-minimum test for the symmetric determinant of a principal
-    subgrid.  Sizes 1 to 3 are written out: at size 3 the classes are the
+    subgrid: nonsingular when every minimising permutation falls in one
+    class.  Sizes 1 to 3 are written out: at size 3 the classes are the
     identity, the three transpositions and the one 3-cycle class."""
     k = len(idx)
     if k == 1:
@@ -156,8 +145,9 @@ def _grid_sym_nonsingular(grid, idx) -> bool:
         x, y, z = ri[j], ri[m], rj[m]
         sums = (a + b + c, x + x + c, y + y + b, z + z + a, x + y + z)
         return sums.count(min(sums)) == 1
-    _, arg = _sym_argmin([[grid[i][j] for j in idx] for i in idx], len(idx))
-    return len(arg) == 1
+    _, arg = _perm_argmin([tuple(grid[i][j] for j in idx) for i in idx])
+    first = sym_exponent(arg[0])
+    return all(sym_exponent(sigma) == first for sigma in arg[1:])
 
 
 def _rank(a: TropMatrix, bound: int, principal) -> int:

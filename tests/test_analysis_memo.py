@@ -4,11 +4,12 @@ that a caller could change or that an error should have stopped."""
 import copy
 import json
 import random
+from math import factorial
 
 import pytest
 
 from samples import random_sym_matrix, random_sym_rank2_matrix
-from troplift import jsonio, membership, newton, trees, tropical
+from troplift import jsonio, membership, monomials, newton, trees, tropical
 from troplift.cli import main
 from troplift.errors import SizeLimit, TropliftError
 from troplift.fixtures import fixture
@@ -94,6 +95,16 @@ class TestOneComputationPerMatrix:
         assert trees._rank2_tree.cache_info().currsize == 0
         info = tropical.barvinok_rank2.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+
+    def test_symmetric_determinant_reads_the_plain_one(self):
+        """sym_trop_det groups trop_det's minimisers, under the memo key
+        the singular and rank questions use: one hit and no miss."""
+        a = random_sym_matrix(random.Random(5), 5, 0, 3)
+        tropical.trop_det(a, 8)
+        before = tropical.trop_det.cache_info()
+        tropical.sym_trop_det(a, 8)
+        after = tropical.trop_det.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
     def test_barvinok_tests_read_the_rank_once(self, monkeypatch):
         """A rank above 2 answers the Barvinok test from one trop_rank
@@ -206,6 +217,15 @@ class TestMemoSafety:
         assert listed <= set(defined.values())
         missing = [name for name, fn in defined.items() if fn not in listed]
         assert missing == []
+
+    def test_plain_class_memo_is_bounded(self):
+        """A tie of all 5040 permutations of a 7 x 7 leaves no more plain
+        classes in the process-wide memo than its cap, which holds every
+        permutation up to 6 x 6."""
+        tropical.trop_det(TropMatrix.make([[0] * 7] * 7), 8)
+        info = monomials.plain_class.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.maxsize >= sum(factorial(k) for k in range(1, 7))
 
     @pytest.mark.parametrize("fn", MEMOISED, ids=lambda fn: fn.__name__)
     def test_size_limit_is_not_remembered(self, fn):

@@ -67,6 +67,10 @@ MALFORMED = {
     "terms_not_an_array": ("verify", _golden_cert(lambda c: c["lift"][0][0].update(terms="xx"))),
     "lift_not_an_array": ("verify", _golden_cert(lambda c: c.update(lift=3))),
     "coef_not_a_rational": ("verify", _golden_cert(lambda c: _first_term(c).update(coef=[1]))),
+    "seed_a_float": ("verify", _golden_cert(lambda c: c.update(seed=1.5))),
+    "seed_a_boolean": ("verify", _golden_cert(lambda c: c.update(seed=True))),
+    "seed_a_string": ("verify", _golden_cert(lambda c: c.update(seed="x"))),
+    "method_a_float": ("verify", _golden_cert(lambda c: c.update(method=2.5))),
 }
 
 

@@ -1,9 +1,11 @@
-"""One permutation scan for the plain tropical determinant.
+"""One permutation scan for both tropical determinants.
 
-tropical._perm_argmin is the one loop over the permutations of a plain
-determinant: trop_det, the rank scans' larger minors and membership's
-minor signs all call it, and a minimizer's sign is its monomial class's
-(SignedMonomialClass.from_permutation).  So only tropical (the scan) and
+tropical._perm_argmin is the one loop over the permutations of a
+determinant: trop_det, the rank scans' larger minors (principal ones
+included) and membership's minor signs all call it, sym_trop_det groups
+trop_det's minimizers into their symmetric classes, and a minimizer's
+sign is its monomial class's (SignedMonomialClass.from_permutation).
+So only tropical (the scan) and
 monomials (the class tables) may enumerate permutations; a second module
 that does would hold a second scan or a second parity rule.
 """

@@ -1,8 +1,9 @@
 """Tropical minima on the integer grid against the Fraction loops they replace.
 
-The references below are the code that troplift used before class values
-became int sums over precomputed supports: a class value summed as
-Fractions entry by entry, argmin classes built with `from_permutation`,
+The references below are the code that troplift used before the
+symmetric argmin became the plain argmin grouped into classes: a class
+value summed as Fractions entry by entry over every class of the
+symmetric determinant, argmin classes built with `from_permutation`,
 `class_by_exponent` as a linear scan, principal submatrices rebuilt as
 TropMatrix objects, every minor of a rank scan tested by its permutations
 (both minors of a transposed pair included), and `sym_corank1_edges` and
@@ -196,11 +197,11 @@ def entries(draw, lo, hi):
 
 
 @st.composite
-def sym_matrices(draw, max_n=5):
+def sym_matrices(draw, max_n=5, min_n=1):
     """Symmetric matrices: plain draws with negative entries, narrow draws
     that tie often, and u_i + u_j plus a few bumps, where every class of
     the symmetric determinant ties before the bumps."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(["wide", "narrow", "forced"]))
     ent = [[F(0)] * n for _ in range(n)]
     u = [draw(entries(-3, 3)) for _ in range(n)]
@@ -259,8 +260,10 @@ SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[Heal
 
 
 @SETTINGS
-@given(sym_matrices())
+@given(st.one_of(sym_matrices(), narrow_sym_matrices(), sym_matrices(6, 6)))
 def test_sym_trop_det_matches_fraction_class_values(a):
+    """Value, argmin classes in class-table order, and tie, up to 6 x 6;
+    the narrow draws tie densely."""
     res = sym_trop_det(a)
     best, arg = ref_sym_trop_det(a)
     assert (res.min_value, res.argmin, res.tie) == (best, arg, len(arg) >= 2)
@@ -284,6 +287,19 @@ def test_forced_tie_keeps_every_class_and_the_scale():
     res = sym_trop_det(a)
     assert res.argmin == _classes(4, True)
     assert res.min_value == 2 * sum(u) == F(-2)
+
+
+def test_size_limit_comes_before_any_permutation_scan(monkeypatch):
+    """Above the class table's cap the symmetric determinant is refused
+    with the table's SizeLimit, before an n! scan starts."""
+
+    def no_scan(sub):
+        raise AssertionError("permutation scan before the size refusal")
+
+    monkeypatch.setattr(tropical, "_perm_argmin", no_scan)
+    a = TropMatrix.make([[0] * 9] * 9, symmetric=True)
+    with pytest.raises(SizeLimit, match="monomial enumeration capped at n = 8"):
+        sym_trop_det(a, 9)
 
 
 # --- the ranks ------------------------------------------------------------
@@ -345,8 +361,10 @@ def test_each_minor_test_matches_the_permutation_reference(a):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(narrow_sym_matrices(), sym_matrices()))
 def test_each_principal_test_matches_the_class_reference(a):
+    """The written-out 1 x 1, 2 x 2 and 3 x 3 tests, and the grouped
+    permutation scan at 4 x 4 and 5 x 5, on every principal minor."""
     _, grid = a.as_int_grid()
-    for k in range(1, min(a.rows, 4) + 1):
+    for k in range(1, min(a.rows, 5) + 1):
         for idx in combinations(range(a.rows), k):
             want = ref_nonsingular(a.submatrix(idx, idx), True)
             assert _grid_sym_nonsingular(grid, idx) == want, idx
