@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio, lifts, membership, newton, trees, verify
-from .config import DEFAULT_SEED, MAX_ENUMERATION_BOUND, Config
+from .config import DEFAULT_SEED, MAX_ENUMERATION_BOUND, OUTPUT_FORMATS, Config
 from .errors import ConstructionExhausted, NegativeResult, SizeLimit, TropliftError
 from .fixtures import FIXTURE_NAMES, fixture_json
 from .monomials import sym_det_monomials
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"accept an enumeration bound above {MAX_ENUMERATION_BOUND} "
         "(uniqueness verdicts get slow)",
     )
-    common.add_argument("--format", choices=("json", "dot", "text"), default=None)
+    common.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     p = argparse.ArgumentParser(
         prog="troplift",
         description="Tropical rank tests, membership oracles, and certified Puiseux lifts",

@@ -17,6 +17,7 @@ from .tropmat import TropMatrix
 
 MAX_ENUMERATION_BOUND = 8
 DEFAULT_SEED = 1
+OUTPUT_FORMATS = ("json", "dot", "text")
 TRUNCATION_MARGIN = 20
 
 
@@ -28,6 +29,8 @@ class Config:
     acknowledge_large: bool = False
 
     def __post_init__(self):
+        if self.output_format not in OUTPUT_FORMATS:
+            raise ValueError(f"output format {self.output_format!r} is not one of {OUTPUT_FORMATS}")
         if self.enumeration_bound > MAX_ENUMERATION_BOUND and not self.acknowledge_large:
             raise SizeLimit(
                 f"enumeration bound above {MAX_ENUMERATION_BOUND} needs acknowledge_large"

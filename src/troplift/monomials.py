@@ -8,15 +8,15 @@ entries 0, 1, 2 (diagonal 0 or 1), the common sign, and the coefficient
 Newton polytope via their semisimple graphs: components are loops (fixed
 points), isolated edges (transpositions), and cycles.
 
-The tropical minima read classes through an exponent -> class dict,
-built once per n with the lazy class cache; Newton's midpoint lookups
-read it too.  Plain classes are memoised per permutation (up to a fixed
-number), so a determinant's argmin costs a dict lookup per minimiser
-without building all n! classes up front.  A plain class reads its
-symmetric class from the dict once, so the symmetric argmin is the plain
-argmin grouped into classes.  A class computes its hash once, when it is
-made, and its monomial string, symmetric class, Newton-polytope vertex
-test and graph edge set once, on first use.
+A symmetric class is built from its exponent alone (sym_class, memoised)
+for the tropical minima and Newton's edges and midpoints; only the
+enumeration commands list every class of a size.  Plain classes are
+memoised per permutation (up to a fixed number), so a determinant's
+argmin costs a dict lookup per minimiser.  A plain class reads its
+symmetric class once, so the symmetric argmin is the plain argmin
+grouped into classes.  A class computes its hash once, when it is made,
+and its monomial string, symmetric class, Newton-polytope vertex test and
+graph edge set once, on first use.
 """
 
 from __future__ import annotations
@@ -133,10 +133,9 @@ class SignedMonomialClass:
 
     @cached_property
     def symmetric_class(self) -> "SignedMonomialClass":
-        """The symmetric-determinant class of the representative, from the
-        class table.  Read once per class: every symmetric argmin groups
-        the plain minimisers by it."""
-        return symmetric_tables(self.n)[sym_exponent(self.representative)]
+        """The symmetric-determinant class of the representative.  Read once
+        per class: every symmetric argmin groups the plain minimisers by it."""
+        return sym_class(sym_exponent(self.representative))
 
     @cached_property
     def is_vertex(self) -> bool:
@@ -162,8 +161,8 @@ class SignedMonomialClass:
 
     @cached_property
     def _monomial(self) -> str:
-        # once per class: the class tables, and with them every argmin, live
-        # for the whole process
+        # once per class: the symmetric classes, and with them every
+        # symmetric argmin, live for the whole process
         bits = []
         if self.coefficient != 1:
             bits.append(str(self.coefficient))
@@ -177,28 +176,47 @@ class SignedMonomialClass:
         return lead + "*".join(bits)
 
 
+_SYM_CLASSES: dict = {}  # exponent -> class; lru_cache would wrap each key
+
+
+def sym_class(exponent: tuple) -> SignedMonomialClass:
+    """The symmetric class of an upper-triangular exponent, memoised, with
+    its least representative, in O(n^2): loops fixed, doubled edges swapped,
+    each cycle walked from its least vertex to its smaller neighbour.
+    ValueError when the walk gives no permutation of that exponent."""
+    cls = _SYM_CLASSES.get(exponent)
+    if cls is not None:
+        return cls
+    n = len(exponent)
+    sigma = list(range(n))
+    nbrs: list = [[] for _ in range(n)]  # across the entries 1 off the diagonal
+    for i, row in enumerate(exponent):
+        for j in range(i + 1, n):
+            if row[j] == 2:
+                sigma[i], sigma[j] = j, i
+            elif row[j]:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    for start in range(n):
+        cur = start
+        while nbrs[cur]:  # each step uses up an edge
+            nxt = min(nbrs[cur])
+            nbrs[cur].remove(nxt)
+            nbrs[nxt].remove(cur)
+            sigma[cur], cur = nxt, nxt
+    cls = SignedMonomialClass.from_permutation(sigma, True)
+    if len(set(sigma)) != n or cls.exponent != exponent:
+        raise ValueError(f"not a symmetric determinant exponent: {exponent!r}")
+    return _SYM_CLASSES.setdefault(cls.exponent, cls)
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int, symmetric: bool) -> tuple:
+    """Every symmetric n x n class (`symmetric` must be True), by exponent."""
+    assert symmetric, "only the symmetric determinant's classes are listed"
     if n > MAX_ENUMERATION_BOUND:
         raise SizeLimit(f"monomial enumeration capped at n = {MAX_ENUMERATION_BOUND}")
-    if not symmetric:
-        return tuple(
-            SignedMonomialClass.from_permutation(s, False) for s in permutations(range(n))
-        )
-    by_exp = {}
-    for sigma in permutations(range(n)):
-        cls = SignedMonomialClass.from_permutation(sigma, True)
-        prev = by_exp.get(cls.exponent)
-        if prev is None or cls.representative < prev.representative:
-            by_exp[cls.exponent] = cls
-    return tuple(sorted(by_exp.values(), key=lambda c: c.exponent))
-
-
-@lru_cache(maxsize=None)
-def symmetric_tables(n: int) -> dict:
-    """Exponent matrix -> class of the n x n symmetric determinant;
-    SizeLimit above the enumeration bound."""
-    return {cls.exponent: cls for cls in _classes(n, True)}
+    return tuple(map(sym_class, sorted({sym_exponent(s) for s in permutations(range(n))})))
 
 
 @lru_cache(maxsize=PLAIN_CLASS_MEMO)
@@ -212,7 +230,3 @@ def sym_det_monomials(n: int) -> tuple:
     if n > PUBLIC_CLASS_LIMIT:
         raise SizeLimit(f"symmetric monomial enumeration supports n <= {PUBLIC_CLASS_LIMIT}")
     return _classes(n, True)
-
-
-def class_by_exponent(n: int, exponent: tuple) -> SignedMonomialClass | None:
-    return symmetric_tables(n).get(exponent)

@@ -14,12 +14,13 @@ cycle itself as `midpoint_cycle`.
 
 Both the edge criterion and the lattice data read only the two exponent
 matrices, so each exponent pair's NewtonEdge, or None when the pair spans
-no edge, is computed once, between the classes the symmetric tables hold
-for the two exponents.  The memo is one row per table class u, a dict
-from table class v to the pair's edge; classes keep their hash, so a
-lookup hashes no exponent matrix.  A class that is not its exponent's
-table class (another representative, or a copy) is matched to it once per
-call and gets the remembered edge copied to name it.  `edges_among` owns
+no edge, is computed once, between the classes monomials.sym_class builds
+from the two exponents; the midpoint is sym_class of the mean exponent.
+The memo is one row per built class u, a dict from built class v to the
+pair's edge; classes keep their hash, so a lookup hashes no exponent
+matrix.  A class that is not its exponent's built class (another
+representative, or a copy) is matched to it once per call and gets the
+remembered edge copied to name it.  `edges_among` owns
 the pair loop over a list of classes, for `polytope_edges`, membership's
 edge table and `newton_edge`, its one-pair case; `is_polytope_edge` and
 `edge_lattice_data` are one-line readers of `newton_edge`.
@@ -30,25 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import SizeLimit
 from .monomials import (
-    PUBLIC_CLASS_LIMIT,
     SignedMonomialClass,
-    class_by_exponent,
     cycles_of,
+    sym_class,
     sym_det_monomials,
 )
 from .tropmat import TropMatrix
 
 
-def _check_n(n: int):
-    if n > PUBLIC_CLASS_LIMIT:
-        raise SizeLimit(f"polytope predicates support n <= {PUBLIC_CLASS_LIMIT}")
-
-
 def polytope_vertices(n: int) -> tuple:
-    """The vertex classes of the n x n symmetric determinant's polytope."""
-    _check_n(n)
+    """The vertex classes of the n x n symmetric determinant's polytope;
+    SizeLimit above sym_det_monomials' limit."""
     return tuple(cls for cls in sym_det_monomials(n) if cls.is_vertex)
 
 
@@ -100,37 +94,31 @@ class NewtonEdge:
         return None if self.midpoint_cycle is None else len(self.midpoint_cycle)
 
 
-# table class u -> {table class v: NewtonEdge | None}; the classes hash
-# from their stored hash, so a lookup reads no exponent tuple
+# class u -> {class v: NewtonEdge | None}, between sym_class's classes;
+# the classes hash from their stored hash, so a lookup reads no exponent
 _EDGES: dict = {}
-
-
-def _table_class(u: SignedMonomialClass) -> SignedMonomialClass:
-    """The class the symmetric tables hold for u's exponent; u itself when
-    they hold none."""
-    return class_by_exponent(u.n, u.exponent) or u
 
 
 def edges_among(vertices) -> list:
     """The NewtonEdges among vertex classes, in combinations order.
 
-    Each exponent pair's edge is computed once, on the table classes, and
-    each class is matched to its table class once per call, so the pair
-    loop reads the row memo by the classes' stored hashes alone.  Classes
-    with the table's exponents but other representatives get a copy of the
-    edge naming them."""
+    Each exponent pair's edge is computed once, between the classes
+    sym_class builds for the two exponents, and each class is matched to
+    its sym_class once per call, so the pair loop reads the row memo by
+    the classes' stored hashes alone.  Classes with the same exponents but
+    other representatives get a copy of the edge naming them."""
     vertices = list(vertices)
-    tables = [_table_class(u) for u in vertices]
+    built = [sym_class(u.exponent) for u in vertices]
     out = []
-    for i, (u, tu) in enumerate(zip(vertices, tables)):
-        row = _EDGES.setdefault(tu, {})
-        for v, tv in zip(vertices[i + 1:], tables[i + 1:]):
+    for i, (u, bu) in enumerate(zip(vertices, built)):
+        row = _EDGES.setdefault(bu, {})
+        for v, bv in zip(vertices[i + 1:], built[i + 1:]):
             try:
-                edge = row[tv]
+                edge = row[bv]
             except KeyError:
-                edge = row[tv] = _edge(tu, tv)
+                edge = row[bv] = _edge(bu, bv)
             if edge is not None:
-                out.append(edge if tu is u and tv is v else replace(edge, u=u, v=v))
+                out.append(edge if bu is u and bv is v else replace(edge, u=u, v=v))
     return out
 
 
@@ -149,16 +137,10 @@ def _edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
     loops, edges = _union_graph(u, v)
     if len(loops) + len(edges) > n + 1 or _even_big_cycles(n, edges) > 1:
         return None
-    diff = [
-        u.exponent[i][j] - v.exponent[i][j] for i in range(n) for j in range(n)
-    ]
-    if all(x % 2 == 0 for x in diff):
-        mid = tuple(
-            tuple((u.exponent[i][j] + v.exponent[i][j]) // 2 for j in range(n))
-            for i in range(n)
-        )
-        mid_cls = class_by_exponent(n, mid)
-        assert mid_cls is not None, "midpoint of a lattice-2 edge must be a monomial"
+    rows = tuple(zip(u.exponent, v.exponent))
+    if all((x - y) % 2 == 0 for ru, rv in rows for x, y in zip(ru, rv)):
+        mid = tuple(tuple((x + y) // 2 for x, y in zip(ru, rv)) for ru, rv in rows)
+        mid_cls = sym_class(mid)  # ValueError if the midpoint is no monomial
         # the endpoints differ only in transpositions, which alternate
         # around the midpoint's one even cycle
         cycle = next(
@@ -181,7 +163,6 @@ def edge_lattice_data(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonE
 
 
 def polytope_edges(n: int) -> tuple:
-    _check_n(n)
     return tuple(edges_among(polytope_vertices(n)))
 
 

@@ -8,8 +8,9 @@ determinant minimum (trop_det, sym_trop_det, the rank scans' minors from
 On a symmetric matrix every permutation of a symmetric monomial class has
 the class's value, so the symmetric argmin is the plain argmin grouped
 into classes: sym_trop_det reads the memoised trop_det of the same
-matrix.  Enumeration refuses inputs above the configured bound rather
-than risking a wrong uniqueness verdict.  The rank scans write out their
+matrix, and each minimiser's class built from its exponent.  Enumeration
+refuses inputs above the configured bound rather than risking a wrong
+uniqueness verdict.  The rank scans write out their
 1 x 1, 2 x 2 and 3 x 3 uniqueness tests as int sums (6 permutation sums
 for a plain 3 x 3 minor, 5 class sums for a principal one) and enumerate
 from 4 x 4 on, except for a square matrix's full-size minor: that is the
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, SizeLimit
-from .monomials import plain_class, sym_exponent, symmetric_tables
+from .monomials import plain_class, sym_exponent
 from .tropmat import TropMatrix, trop_mat_mul
 
 _MEMO_SIZE = 32  # matrices remembered per analysis
@@ -93,12 +94,13 @@ def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult
 @lru_cache(maxsize=_MEMO_SIZE)
 def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over monomial classes of the symmetric determinant: the
-    minimisers of trop_det grouped into their classes, in class-table
-    (exponent) order.  The class table refuses n above its cap before any
-    permutation is scanned."""
+    minimisers of trop_det grouped into their classes, in exponent order.
+    Up to n! minimisers' classes are materialised, so n above the
+    enumeration bound is refused before any scan, whatever the bound."""
     _check_square(a, bound)
+    if a.rows > MAX_ENUMERATION_BOUND:
+        raise SizeLimit(f"monomial enumeration capped at n = {MAX_ENUMERATION_BOUND}")
     a = a.as_symmetric()
-    symmetric_tables(a.rows)  # SizeLimit above the table's cap
     res = trop_det(a, bound)
     classes = {cls.symmetric_class for cls in res.argmin}
     arg = tuple(sorted(classes, key=lambda cls: cls.exponent))

@@ -54,7 +54,8 @@ SYM7_B = [
 @pytest.fixture(autouse=True)
 def _empty_analysis_memos():
     """No test can pass on a result another test computed.  The monomial
-    class tables are inputs, not results, and stay warm."""
+    classes (sym_class's memo, plain_class's, the enumeration's lists) are
+    inputs, not results, and stay warm."""
     for fn in MEMOISED + MEMOISED_UNBOUNDED:
         fn.cache_clear()
 

@@ -205,7 +205,7 @@ class TestMemoSafety:
     def test_every_analysis_memo_is_emptied_between_tests(self):
         """A functools memo defined in tropical, trees or membership and
         missing from conftest's lists would carry results from one test to
-        the next.  The monomial tables, newton's edge cache and the CLI
+        the next.  The monomial classes, newton's edge cache and the CLI
         parser stay warm by design."""
         listed = set(MEMOISED + MEMOISED_UNBOUNDED)
         defined = {
@@ -226,6 +226,17 @@ class TestMemoSafety:
         info = monomials.plain_class.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
         assert info.maxsize >= sum(factorial(k) for k in range(1, 7))
+
+    def test_no_class_table_on_the_decision_path(self):
+        """The sixteen questions and the symmetric determinant build each
+        class they reach from its exponent: the all-class enumeration is
+        never filled, even for a 7 x 7 whose every permutation ties."""
+        monomials._classes.cache_clear()
+        rng = random.Random(31)
+        for a in (random_sym_rank2_matrix(rng, 5), random_sym_rank2_matrix(rng, 6)):
+            _decide(a)
+        tropical.sym_trop_det(TropMatrix.make([[0] * 7] * 7, symmetric=True))
+        assert monomials._classes.cache_info().misses == 0
 
     @pytest.mark.parametrize("fn", MEMOISED, ids=lambda fn: fn.__name__)
     def test_size_limit_is_not_remembered(self, fn):

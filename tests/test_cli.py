@@ -447,6 +447,17 @@ class TestCommands:
         via_flag = json.loads(capsys.readouterr().out)
         assert via_flag == via_env
 
+    def test_format_env_must_name_a_format(self, fixture_dir, capsys, monkeypatch):
+        """An unknown TROPLIFT_FORMAT is an input error, as the same value
+        given to --format is a usage error; a flag still takes precedence."""
+        rank = ["rank", "--in", str(fixture_dir / "ex52.json")]
+        monkeypatch.setenv("TROPLIFT_FORMAT", "xml")
+        assert main(rank) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "input error: ValueError: output format 'xml' is not one of" in err
+        assert main(rank + ["--format", "text"]) == 0
+        assert capsys.readouterr().out.startswith("tropical rank")
+
 
 class TestSharedParser:
     """main builds the parser once per process and shares it between calls."""

@@ -10,7 +10,7 @@ from oracle import brute_hull
 from samples import random_sym_matrix
 from troplift import newton
 from troplift.membership import sym_corank1_edges
-from troplift.monomials import SignedMonomialClass, class_by_exponent, sym_det_monomials
+from troplift.monomials import SignedMonomialClass, sym_class, sym_det_monomials
 from troplift.newton import (
     birkhoff_edge,
     edge_lattice_data,
@@ -97,7 +97,7 @@ class TestTable2:
 
     def test_edge_names_the_classes_it_was_asked_about(self, monkeypatch):
         """The row memo holds one edge per exponent pair, between the
-        classes the symmetric tables hold; a class with the same exponents
+        classes sym_class builds; a class with the same exponents
         but another representative (the triangle walked the other way)
         gets an edge naming it, without a second computation."""
         computed = []
@@ -112,18 +112,18 @@ class TestTable2:
         tri_loop, _, tp1, _, _ = table2_rows()
         reversed_tri = SignedMonomialClass.from_permutation((2, 0, 1, 3), True)
         assert reversed_tri.exponent == tri_loop.exponent and reversed_tri != tri_loop
-        assert class_by_exponent(4, tri_loop.exponent) == tri_loop
+        assert sym_class(tri_loop.exponent) == tri_loop
         first = edge_lattice_data(tri_loop, tp1)
         second = edge_lattice_data(reversed_tri, tp1)
         assert (first.u, first.v) == (tri_loop, tp1) and (second.u, second.v) == (reversed_tri, tp1)
         assert second.lattice_length == first.lattice_length == 1
         (among,) = edges_among([reversed_tri, tp1])
         assert (among.u, among.v) == (reversed_tri, tp1) and among == second
-        # the table classes get the remembered edge itself
-        table_tri, table_tp1 = (class_by_exponent(4, c.exponent) for c in (tri_loop, tp1))
-        remembered = edge_lattice_data(table_tri, table_tp1)
-        assert edges_among([table_tri, table_tp1]) == [remembered]
-        assert edges_among([table_tri, table_tp1])[0] is remembered
+        # the built classes get the remembered edge itself
+        built_tri, built_tp1 = (sym_class(c.exponent) for c in (tri_loop, tp1))
+        remembered = edge_lattice_data(built_tri, built_tp1)
+        assert edges_among([built_tri, built_tp1]) == [remembered]
+        assert edges_among([built_tri, built_tp1])[0] is remembered
         assert computed == [(tri_loop.exponent, tp1.exponent)]
         assert sum(len(row) for row in newton._EDGES.values()) == 1
         # equal exponents are one point of the polytope, not an edge
@@ -131,7 +131,7 @@ class TestTable2:
 
     def test_edges_among_matches_the_uncached_criterion(self):
         """In combinations order, naming the classes it was given: the
-        table's vertices, and the showcase vertices, which are copies."""
+        enumeration's vertices, and the showcase vertices, which are copies."""
         for verts in (polytope_vertices(4), table2_rows()[:4]):
             want = [e for e in (newton._edge(u, v) for u, v in combinations(verts, 2)) if e]
             got = edges_among(verts)

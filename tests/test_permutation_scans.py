@@ -5,9 +5,10 @@ determinant: trop_det, the rank scans' larger minors (principal ones
 included) and membership's minor signs all call it, sym_trop_det groups
 trop_det's minimizers into their symmetric classes, and a minimizer's
 sign is its monomial class's (SignedMonomialClass.from_permutation).
-So only tropical (the scan) and
-monomials (the class tables) may enumerate permutations; a second module
-that does would hold a second scan or a second parity rule.
+Each symmetric class is built from its exponent (monomials.sym_class), so
+only tropical (the scan) and monomials (the enumeration commands' list
+of every class) may enumerate permutations; a second module that does
+would hold a second scan or a second parity rule.
 """
 
 import ast

@@ -1,10 +1,11 @@
 """Tropical minima on the integer grid against the Fraction loops they replace.
 
 The references below are the code that troplift used before the
-symmetric argmin became the plain argmin grouped into classes: a class
-value summed as Fractions entry by entry over every class of the
-symmetric determinant, argmin classes built with `from_permutation`,
-`class_by_exponent` as a linear scan, principal submatrices rebuilt as
+symmetric argmin became the plain argmin grouped into classes: the
+symmetric classes found by keeping the least representative of each
+exponent over all n! permutations, a class value summed as Fractions
+entry by entry over every one of those classes, argmin classes built
+with `from_permutation`, principal submatrices rebuilt as
 TropMatrix objects, every minor of a rank scan tested by its permutations
 (both minors of a transposed pair included), and `sym_corank1_edges` and
 `positive_generators_check` taking minor signs from the `trop_det` of a
@@ -15,6 +16,7 @@ and edge reports must agree exactly.
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -30,7 +32,7 @@ from troplift.membership import (
     positive_generators_check,
     sym_corank1_edges,
 )
-from troplift.monomials import SignedMonomialClass, _classes, class_by_exponent, plain_class
+from troplift.monomials import SignedMonomialClass, _classes, plain_class, sym_class
 from troplift.newton import (
     _even_big_cycles,
     _union_graph,
@@ -75,23 +77,29 @@ def ref_trop_det(a):
     return best, tuple(SignedMonomialClass.from_permutation(s, False) for s in arg)
 
 
+@lru_cache(maxsize=None)
+def ref_sym_classes(n):
+    """Every symmetric class, each with its least representative over the
+    n! permutations, in exponent order."""
+    by_exp = {}
+    for sigma in permutations(range(n)):
+        cls = SignedMonomialClass.from_permutation(sigma, True)
+        prev = by_exp.get(cls.exponent)
+        if prev is None or cls.representative < prev.representative:
+            by_exp[cls.exponent] = cls
+    return tuple(sorted(by_exp.values(), key=lambda c: c.exponent))
+
+
 def ref_sym_trop_det(a):
     a = TropMatrix.make(a.entries, symmetric=True)
     best, arg = None, []
-    for cls in _classes(a.rows, True):
+    for cls in ref_sym_classes(a.rows):
         v = ref_value(cls, a)
         if best is None or v < best:
             best, arg = v, [cls]
         elif v == best:
             arg.append(cls)
     return best, tuple(arg)
-
-
-def ref_class_by_exponent(n, exponent):
-    for cls in _classes(n, True):
-        if cls.exponent == exponent:
-            return cls
-    return None
 
 
 def ref_nonsingular(sub, symmetric):
@@ -285,7 +293,7 @@ def test_forced_tie_keeps_every_class_and_the_scale():
     u = [F(1, 2), F(-1, 3), F(5, 6), F(-2)]
     a = TropMatrix.make([[ui + uj for uj in u] for ui in u], symmetric=True)
     res = sym_trop_det(a)
-    assert res.argmin == _classes(4, True)
+    assert res.argmin == ref_sym_classes(4)
     assert res.min_value == 2 * sum(u) == F(-2)
 
 
@@ -447,27 +455,50 @@ def test_positive_generators_check_agrees_on_both_verdicts():
     assert positive_generators_check(TropMatrix.make([[0, 1, 2], [1, 0, 2]]), 2)
 
 
-# --- the class tables and the Newton edges ----------------------------------
+# --- the classes and the Newton edges ----------------------------------------
 
 
-def test_class_tables_match_linear_scans():
+def _fields(cls):
+    return (
+        cls.exponent, cls.sign, cls.coefficient, cls.representative,
+        cls.cycle_type, cls.symmetric,
+    )
+
+
+def test_sym_class_matches_the_least_representative_loop():
+    """Every class up to 8 x 8 (18 155 at n = 8), field by field, and the
+    enumeration in the reference's order."""
+    for n in range(1, 9):
+        for cls in ref_sym_classes(n):
+            assert _fields(sym_class(cls.exponent)) == _fields(cls)
+        assert _classes(n, True) == ref_sym_classes(n)
     for n in range(1, 6):
-        for cls in _classes(n, True):
-            assert class_by_exponent(n, cls.exponent) is ref_class_by_exponent(n, cls.exponent)
-        assert class_by_exponent(n, ((3,) * n,) * n) is None
         for sigma in permutations(range(n)):
             assert plain_class(sigma) == SignedMonomialClass.from_permutation(sigma, False)
+
+
+@pytest.mark.parametrize(
+    "exponent",
+    [
+        ((1, 0, 0), (0, 0, 3), (0, 0, 0)),  # an entry of 3
+        ((2, 0, 0), (0, 0, 1), (0, 0, 0)),  # a diagonal 2
+        # vertices 0 and 3 each hold one cycle edge: a path, not a cycle
+        ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
+    ],
+    ids=["entry_3", "diagonal_2", "one_cycle_edge"],
+)
+def test_sym_class_refuses_an_exponent_that_is_no_class(exponent):
+    with pytest.raises(ValueError, match="not a symmetric determinant exponent"):
+        sym_class(exponent)
 
 
 def test_class_hash_is_the_field_hash():
     """The stored hash is the value the generated dataclass hash gave, so
     sets of classes keep their iteration order."""
     for n in range(1, 6):
-        for cls in _classes(n, True) + _classes(n, False):
-            fields = (
-                cls.exponent, cls.sign, cls.coefficient, cls.representative,
-                cls.cycle_type, cls.symmetric,
-            )
+        plain = tuple(plain_class(sigma) for sigma in permutations(range(n)))
+        for cls in _classes(n, True) + plain:
+            fields = _fields(cls)
             assert hash(cls) == hash(fields)
             twin = SignedMonomialClass(*fields)
             assert twin == cls and hash(twin) == hash(cls) and repr(twin) == repr(cls)
