@@ -20,11 +20,11 @@ The memo is one row per built class u, a dict from built class v to the
 pair's edge; classes keep their hash, so a lookup hashes no exponent
 matrix.  A class that is not its exponent's built class (another
 representative, or a copy) is matched to it once per call and gets the
-remembered edge copied to name it.  `edges_among` owns
-the pair loop over a list of classes, for `polytope_edges`, membership's
-edge table and `newton_edge`, its one-pair case; `is_polytope_edge` and
-`edge_lattice_data` are one-line readers of `newton_edge`.
-A NewtonEdge is frozen, so callers share it.
+remembered edge copied to name it.  `edges_among` owns the pair loop
+over a list of classes, for `polytope_edges`, membership's edge table and
+`newton_edge`, its one-pair case; `is_polytope_edge` and
+`edge_lattice_data` are one-line readers of `newton_edge`.  A NewtonEdge
+is frozen, so callers share it.
 """
 
 from __future__ import annotations

@@ -484,8 +484,10 @@ def test_sym_class_matches_the_least_representative_loop():
         ((2, 0, 0), (0, 0, 1), (0, 0, 0)),  # a diagonal 2
         # vertices 0 and 3 each hold one cycle edge: a path, not a cycle
         ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
+        # the walk sends 0 and 1 to 1, which reproduces this exponent
+        ((0, 1, 1), (0, 1, 0), (0, 0, 0)),
     ],
-    ids=["entry_3", "diagonal_2", "one_cycle_edge"],
+    ids=["entry_3", "diagonal_2", "one_cycle_edge", "no_permutation"],
 )
 def test_sym_class_refuses_an_exponent_that_is_no_class(exponent):
     with pytest.raises(ValueError, match="not a symmetric determinant exponent"):
