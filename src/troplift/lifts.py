@@ -3,8 +3,10 @@
 Every lift_* operation returns a LiftCertificate whose transcript is
 produced by verify.verify_lift, which recomputes everything from scratch
 and is given the lift's own bound.  The linear and quadratic entry solves
-read their coefficients off determinants (verify.series_det) of cofactors
-and of the matrix with the unknown set to zero.  They divide no series:
+set the unknown's cells of the drawn matrix to the exact zero and read
+each coefficient as a minor of that one matrix (verify.series_det on
+chosen rows and columns): two for the linear solve, three for the
+symmetric one.  They divide no series:
 scaling the solved entry's row (and column) by a unit of valuation 0 and
 positive leading coefficient clears its denominator and keeps every
 valuation and sign.  Only the symmetric solve's square root truncates.
@@ -30,13 +32,11 @@ from .errors import (
     GenericRetryExhausted,
     InversionOfZero,
     MinorSignsOpposed,
-    NegativeLeading,
     NotBarvinok2,
     NotCaterpillar,
     NotRank2,
     NotSingular,
     SameSigns,
-    ValuationUnknown,
 )
 from .membership import _edge_table, _positive_part, adjacent_pair
 from .puiseux import PuiseuxSeries, quad_numerators
@@ -487,24 +487,16 @@ def _lift_sym_rank1(asym: TropMatrix, seed: int, bound: int) -> LiftCertificate:
 # singular lifts: one linear or quadratic unknown
 
 
-def _without(m, rows=(), cols=(), zeros=()):
-    """m without the given rows and columns; the entries in zeros read as
-    exact zeros."""
-    n = len(m)
-    return [
-        [ZERO if (r, c) in zeros else m[r][c] for c in range(n) if c not in cols]
-        for r in range(n)
-        if r not in rows
-    ]
-
-
-def _split_det_linear(lift_rows, istar, jstar):
-    """A, B with det = A x + B for the matrix whose (istar, jstar) entry is
-    x: A is the signed cofactor of x and B the determinant at x = 0."""
-    acoef = series_det(_without(lift_rows, (istar,), (jstar,)))
+def _split_det_linear(m0, istar, jstar):
+    """A, B with det = A x + B when the (istar, jstar) entry of m0, an
+    exact zero there, is x: A is the signed cofactor of x and B = det m0."""
+    n = len(m0)
+    acoef = series_det(
+        m0, [r for r in range(n) if r != istar], [c for c in range(n) if c != jstar]
+    )
     if (istar + jstar) % 2:
         acoef = -acoef
-    return acoef, series_det(_without(lift_rows, zeros={(istar, jstar)}))
+    return acoef, series_det(m0)
 
 
 def lift_corank1(
@@ -548,6 +540,7 @@ def lift_corank1(
         rows = [
             [_monomial_lift(rng, norm[i, j]) for j in range(n)] for i in range(n)
         ]
+        rows[istar][jstar] = ZERO  # x; the drawn value is never read
         acoef, bcoef = _split_det_linear(rows, istar, jstar)
         if acoef.val() != 0 or bcoef.val() != 0:
             return  # an exact zero has valuation None
@@ -568,25 +561,22 @@ def lift_corank1(
     return _first_valid(attempt, seed, "corank1", repr(a.entries) + mode, exhausted)
 
 
-def _split_det_quadratic(lift_rows, i, j):
+def _split_det_quadratic(m0, i, j):
     """A, B, C with det = A x^2 + B x + C when entries (i,j) and (j,i),
-    i != j, are x.
+    i != j, of the symmetric m0, exact zeros there, are x.
 
-    C is the determinant at x = 0.  The permutations through both x pair
-    them as a transposition, so A is minus the minor without rows and
-    columns i and j.  B sums the two signed cofactors of x, each with the
-    other x set to 0.  Each coefficient is a determinant over exactly its
-    own permutations, so each keeps its own order when entries are
-    truncated.
+    C = det m0.  The permutations through both x pair them as a
+    transposition, so A is minus the minor without rows and columns i and
+    j.  B sums the two signed cofactors of x, each with the other x at 0;
+    on a symmetric m0 they are transposes of each other, so B is twice
+    one.  Each coefficient is a determinant over exactly its own
+    permutations, so each keeps its own order when entries are truncated.
     """
-    ccoef = series_det(_without(lift_rows, zeros={(i, j), (j, i)}))
-    acoef = -series_det(_without(lift_rows, (i, j), (i, j)))
-    bcoef = series_det(_without(lift_rows, (i,), (j,), {(j, i)})) + series_det(
-        _without(lift_rows, (j,), (i,), {(i, j)})
-    )
-    if (i + j) % 2:
-        bcoef = -bcoef
-    return acoef, bcoef, ccoef
+    n = len(m0)
+    rest = [r for r in range(n) if r not in (i, j)]
+    acoef = -series_det(m0, rest, rest)
+    bcoef = series_det(m0, [r for r in range(n) if r != i], [c for c in range(n) if c != j])
+    return acoef, bcoef.scale(Fraction(-2 if (i + j) % 2 else 2)), series_det(m0)
 
 
 def lift_sym_corank1(
@@ -711,6 +701,7 @@ def _solve_symmetric_quadratic(
         for r in range(n):
             for c in range(r, n):
                 rows[r][c] = rows[c][r] = _monomial_lift(rng, asym[r, c])
+        rows[i][j] = rows[j][i] = ZERO  # x; the drawn value is never read
         for flip in flips:
             cur = [row[:] for row in rows]
             if flip is not None:
@@ -719,8 +710,8 @@ def _solve_symmetric_quadratic(
             acoef, bcoef, ccoef = _split_det_quadratic(cur, i, j)
             try:
                 n1, n2, two_a, disc_sign = quad_numerators(acoef, bcoef, ccoef, trunc)
-            except (ValuationUnknown, InversionOfZero, NegativeLeading):
-                continue  # degenerate draw
+            except InversionOfZero:
+                continue  # degenerate draw: A = 0
             if disc_sign < 0:
                 continue
             shift, eps = two_a.val(), two_a.lead_sign()

@@ -27,9 +27,10 @@ and applies the sign of that row permutation once to the result.  When
 an entry is truncated, one min-plus pass gives both the order to which
 the minor is known and its tropical value, and partial terms that cannot
 land below that order are dropped as they arise.  _det_vanishes reads
-its verdict off _minor's ints and builds no series; only series_det, the
-determinant the constructions also use, turns the ints back into a
-series.
+its verdict off _minor's ints and builds no series; only series_det, a
+matrix's determinant or a minor on chosen rows and columns, which the
+constructions also read their coefficients from, turns the ints back
+into a series.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
@@ -281,21 +282,25 @@ def _minor(grid: _Grid, rows, cols) -> tuple[dict, float, float]:
     return {key: sign * c for key, c in partial.get(full, {}).items() if c}, known, value
 
 
-def series_det(mat) -> PuiseuxSeries:
-    """Determinant of a square matrix of series, exact below the order to
-    which the permutation expansion knows it (see _minor); the order is
-    None when no permutation that meets no exact zero has a truncated
-    factor.
+def series_det(mat, rows=None, cols=None) -> PuiseuxSeries:
+    """The minor of a matrix of series on rows x cols (all of its rows and
+    all of its columns by default), exact below the order to which the
+    permutation expansion knows it (see _minor); the order is None when
+    no permutation that meets no exact zero has a truncated factor.
 
-    The matrix goes onto its integer grid (_to_grid), and _minor expands
-    all of its rows.  quadext.from_lattice divides the result by the
-    product of the row denominators once per term.
+    Only the named rows go onto the integer grid (_to_grid), and _minor
+    expands them on the named columns.  quadext.from_lattice divides the
+    result by the product of the row denominators once per term.
     """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise DimensionMismatch(f"determinant needs a square matrix, got {n} rows of unequal length")
-    grid = _to_grid(mat)
-    terms, known, _ = _minor(grid, range(n), range(n))
+    width = len(mat[0]) if mat else 0
+    rows = range(len(mat)) if rows is None else rows
+    cols = range(width) if cols is None else cols
+    if len(rows) != len(cols) or any(len(row) != width for row in mat):
+        raise DimensionMismatch(
+            f"determinant needs a square minor, got {len(rows)} rows and {len(cols)} columns"
+        )
+    grid = _to_grid([mat[r] for r in rows])
+    terms, known, _ = _minor(grid, range(len(rows)), cols)
     scale = prod(grid.dens)
     parts: dict = {}
     for key, c in terms.items():

@@ -16,9 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpoly import perm_sign
+from troplift import lifts
 from troplift.errors import DimensionMismatch, RadicandMismatch
+from troplift.fixtures import fixture
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
-from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt
+from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt, quad_numerators
 from troplift.quadext import QuadExt
 from troplift.verify import _det_vanishes, _min_plus, _to_grid
 
@@ -305,7 +307,56 @@ def test_radicand_products_fold_to_rationals():
     assert got.terms[0][1] == F(2, 5) and type(got.terms[0][1]) is Fraction
 
 
+# --- minors ---------------------------------------------------------------
+
+
+@st.composite
+def rectangles(draw):
+    """A d x n matrix, d and n in 0..5, with a chosen minor's rows and
+    columns: as many of each, distinct, in any order."""
+    d, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    radicand = draw(st.sampled_from([None, F(2), F(3, 5)]))
+    truncated = draw(st.booleans())
+    mat = [[draw(entries(radicand, truncated)) for _ in range(n)] for _ in range(d)]
+    if d and n and draw(st.integers(0, 3)) == 0:
+        mat[draw(st.integers(0, d - 1))][draw(st.integers(0, n - 1))] = draw(
+            long_entries(radicand, truncated)
+        )
+    k = draw(st.integers(0, min(d, n)))
+    return mat, draw(st.permutations(range(d)))[:k], draw(st.permutations(range(n)))[:k]
+
+
+@SETTINGS
+@given(rectangles())
+def test_minor_matches_the_determinant_of_its_submatrix(drawn):
+    mat, rows, cols = drawn
+    same(series_det(mat, rows, cols), ref_series_det([[mat[r][c] for c in cols] for r in rows]))
+
+
+def test_minor_of_unequal_sides_is_refused():
+    one = mono(1, 0)
+    mat = [[one, mono(2, 1), one], [one, one, mono(1, 2)]]
+    for rows, cols in (([0, 1], [0]), ([0], [0, 2]), ([], [1]), ([0, 1], None), (None, [0, 1, 2])):
+        with pytest.raises(DimensionMismatch):
+            series_det(mat, rows, cols)
+
+
 # --- the splits -----------------------------------------------------------
+
+
+def zeroed(rows, *cells):
+    """rows with the unknown's cells set to the exact zero."""
+    out = [row[:] for row in rows]
+    for r, c in cells:
+        out[r][c] = PuiseuxSeries.zero()
+    return out
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """matrices(min_n=2) mirrored from its upper triangle."""
+    rows = draw(matrices(min_n=2))
+    return [[rows[min(r, c)][max(r, c)] for c in range(len(rows))] for r in range(len(rows))]
 
 
 @SETTINGS
@@ -313,14 +364,46 @@ def test_radicand_products_fold_to_rationals():
 def test_linear_split_matches(rows, data):
     n = len(rows)
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    for got, want in zip(_split_det_linear(rows, i, j), ref_split_linear(rows, i, j)):
+    got = _split_det_linear(zeroed(rows, (i, j)), i, j)
+    for got, want in zip(got, ref_split_linear(rows, i, j)):
         same(got, want)
 
 
 @SETTINGS
-@given(matrices(min_n=2), st.data())
+@given(symmetric_matrices(), st.data())
 def test_quadratic_split_matches(rows, data):
     n = len(rows)
     i, j = data.draw(st.permutations(range(n)))[:2]
-    for got, want in zip(_split_det_quadratic(rows, i, j), ref_split_quadratic(rows, i, j)):
+    got = _split_det_quadratic(zeroed(rows, (i, j), (j, i)), i, j)
+    for got, want in zip(got, ref_split_quadratic(rows, i, j)):
         same(got, want)
+
+
+def test_splits_take_two_and_three_determinants(monkeypatch):
+    """The linear split reads the cofactor and det m0, the symmetric one
+    the two-sided minor, one cofactor and det m0; and every symmetric
+    singular lift's quadratic comes from one such split."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return series_det(*args)
+
+    monkeypatch.setattr(lifts, "series_det", counted)
+    x = [[mono(k + 1, abs(r - c)) for c, k in enumerate(range(r, r + 4))] for r in range(4)]
+    sym = [[x[min(r, c)][max(r, c)] for c in range(4)] for r in range(4)]
+    _split_det_linear(zeroed(x, (1, 2)), 1, 2)
+    assert len(calls) == 2
+    del calls[:]
+    _split_det_quadratic(zeroed(sym, (1, 2), (2, 1)), 1, 2)
+    assert len(calls) == 3
+    del calls[:]
+    solves = []
+
+    def solve(*args):
+        solves.append(args)
+        return quad_numerators(*args)
+
+    monkeypatch.setattr(lifts, "quad_numerators", solve)
+    assert lifts.lift_sym_corank1(fixture("fig2a"), "R").valid
+    assert solves and len(calls) == 3 * len(solves)
