@@ -2,10 +2,14 @@
 
 The references below are the Leibniz-expansion `series_det` and the two
 split loops that `troplift.lifts` used before the Laplace kernel; terms and
-truncation orders must agree exactly, truncated entries included.  Some
-matrices carry one long row, a many-term quotient with large-prime
-denominators like the solved entry of a singular lift, so the kernel moves
-it last and scales each row by its own denominator.
+truncation orders must agree exactly, truncated entries included.  The
+splits take the matrix with the unknown's cells set to the exact zero
+(symmetric for the quadratic split) and are compared with the loops on the
+matrix as drawn; a minor on chosen rows and columns is compared with the
+expansion of its submatrix.  Some matrices carry one long row, a many-term
+quotient with large-prime denominators like the solved entry of a singular
+lift, so the kernel moves it last and scales each row by its own
+denominator.
 """
 
 from fractions import Fraction
@@ -390,9 +394,8 @@ def test_splits_take_two_and_three_determinants(monkeypatch):
         return series_det(*args)
 
     monkeypatch.setattr(lifts, "series_det", counted)
-    x = [[mono(k + 1, abs(r - c)) for c, k in enumerate(range(r, r + 4))] for r in range(4)]
-    sym = [[x[min(r, c)][max(r, c)] for c in range(4)] for r in range(4)]
-    _split_det_linear(zeroed(x, (1, 2)), 1, 2)
+    sym = [[mono(r + c + 1, abs(r - c)) for c in range(4)] for r in range(4)]
+    _split_det_linear(zeroed(sym, (1, 2)), 1, 2)
     assert len(calls) == 2
     del calls[:]
     _split_det_quadratic(zeroed(sym, (1, 2), (2, 1)), 1, 2)
