@@ -42,6 +42,7 @@ from .membership import _edge_table, _positive_part, adjacent_pair
 from .puiseux import PuiseuxSeries, quad_numerators
 from .tropmat import TropMatrix
 from .tropical import (
+    _witness_grid,
     barvinok_rank2,
     sym_barvinok_rank2,
     sym_tree_barvinok,
@@ -175,25 +176,7 @@ def _caterpillar_lift(asym: TropMatrix, rec, seed: int, bound: int) -> LiftCerti
         method = "mirror_factor_product"
     else:
         assert len(rec.report.fixed_nodes) == rec.tree.nodes, "caterpillar fixed path spans the spine"
-        coord = rec.tree.spine_coordinates()
-        pos = [coord[rec.tree.leaf_node("blue", i + 1)] for i in range(n)]
-        order = sorted(range(n), key=lambda i: (pos[i], i))
-        # labels along the spine run 1, n, n-1, ..., 2
-        label = {order[0]: 0}
-        for k, i in enumerate(order[1:], start=1):
-            label[i] = n - k
-        dstd = [Fraction(0)] * n
-        for i in range(n):
-            dstd[label[i]] = pos[i] - pos[order[0]]
-        mstd_val = [
-            [Fraction(0) if 0 in (i, j) else dstd[max(i, j)] for j in range(n)]
-            for i in range(n)
-        ]
-        shift = [(asym[i, i] - mstd_val[label[i]][label[i]]) / 2 for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                expected = mstd_val[label[i]][label[j]] + shift[i] + shift[j]
-                assert expected == asym[i, j], "spine data does not reproduce the matrix"
+        label, dstd, shift = _spine_data(asym, rec.tree)
         mstd = _spine_recursion_lift(dstd)
         lift = tuple(
             tuple(mstd[label[i]][label[j]].shift(shift[i] + shift[j]) for j in range(n))
@@ -201,6 +184,34 @@ def _caterpillar_lift(asym: TropMatrix, rec, seed: int, bound: int) -> LiftCerti
         )
         method = "spine_recursion"
     return _issue(asym, lift, "symmetric rank<=2", "all-positive", method, seed, bound)
+
+
+def _spine_data(asym: TropMatrix, tree):
+    """(label, dstd, shift) of the spine recursion, with a_ij equal to
+    mstd[label_i][label_j] + shift_i + shift_j, where the standard matrix
+    mstd is 0 on its first row and column and dstd[max(k, l)] elsewhere.
+    Built and checked on the witnesses' int grid; only dstd and shift
+    become Fractions."""
+    n = asym.rows
+    big, ga, spine = _witness_grid(asym, tree)
+    pos = [spine[tree.leaf_node("blue", i + 1)] for i in range(n)]
+    order = sorted(range(n), key=lambda i: (pos[i], i))
+    # labels along the spine run 1, n, n-1, ..., 2
+    label = [0] * n
+    for k, i in enumerate(order[1:], start=1):
+        label[i] = n - k
+    dstd = [0] * n
+    for i in range(n):
+        dstd[label[i]] = pos[i] - pos[order[0]]
+    # dstd[0] = 0, so the diagonal of mstd is dstd itself
+    shift = [(ga[i][i] - dstd[label[i]]) // 2 for i in range(n)]
+    for i in range(n):
+        li, si = label[i], shift[i]
+        for j in range(n):
+            lj = label[j]
+            if (dstd[max(li, lj)] if li and lj else 0) + si + shift[j] != ga[i][j]:
+                raise AssertionError("spine data does not reproduce the matrix")
+    return label, [Fraction(x, big) for x in dstd], [Fraction(x, big) for x in shift]
 
 
 # ---------------------------------------------------------------------------

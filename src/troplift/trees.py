@@ -17,7 +17,10 @@ integer grid doubled, unit = 2 * scale, so every Hilbert distance is even
 and every Gromov product an exact int; a tree given rational lengths is
 put on the lcm of their denominators.  The public readers (adj,
 edge_list, node_distance, spine_coordinates, leaf_distance_table) divide
-by the unit once, on the way out, and return Fractions.  Every traversal
+by the unit once, on the way out, and return Fractions.  One reader stays
+on ints: spine_offsets, a caterpillar's distances over the unit from its
+lowest-numbered spine end, from which the Barvinok witnesses and the
+spine lift build on their own int grid.  Every traversal
 is one breadth-first walk (`_walk`): paths, cut sides, connectivity and
 the node distances, which a tree computes once, at construction, and then
 only reads.
@@ -132,11 +135,16 @@ class BicoloredTree:
     def node_distance(self, u: int, v: int) -> Fraction:
         return Fraction(self._dist[u][v], self.unit)
 
-    def spine_coordinates(self) -> dict:
-        """Arc-length coordinate of every node of a caterpillar spine,
-        measured from its lowest-numbered end (a fresh dict)."""
+    def spine_offsets(self) -> dict:
+        """Int arc length over `unit` of every node of a caterpillar spine,
+        measured from its lowest-numbered end: the tree's own distance row,
+        so read it and never write it."""
         start = min(u for u in range(self.nodes) if len(self._len[u]) <= 1)
-        return {x: Fraction(d, self.unit) for x, d in self._dist[start].items()}
+        return self._dist[start]
+
+    def spine_coordinates(self) -> dict:
+        """spine_offsets divided by the unit (a fresh dict)."""
+        return {x: Fraction(d, self.unit) for x, d in self.spine_offsets().items()}
 
     def path(self, u: int, v: int) -> list[int]:
         """Nodes on the path from u to v."""

@@ -19,6 +19,14 @@ scan, sym_trop_det) has no tie.  The determinant of a transposed minor
 has the same terms, so on a symmetric matrix a scan tests one minor of
 each transposed pair.
 
+The Barvinok witnesses are read off the caterpillar's spine on one int
+grid too (_witness_grid): the matrix and the tree's int spine offsets go
+over U = 2 * lcm(scale, tree.unit), where every offset and every entry is
+even, so the half coordinates, the edge midpoint and a_ii / 2 the
+witnesses need are ints.  Each witness's check that it reproduces the
+matrix compares ints and raises, so python -O keeps it, and the witness's
+entries become Fractions once, as x / U.
+
 The determinants, the ranks and the two Barvinok tests, like
 membership's edge table, are memoised on the frozen TropMatrix (which
 hashes and builds its grid once) and the bound (the rank-2 tree,
@@ -39,12 +47,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import DimensionMismatch, SizeLimit
 from .monomials import plain_class, sym_exponent
-from .tropmat import TropMatrix, trop_mat_mul
+from .tropmat import TropMatrix
 
 _MEMO_SIZE = 32  # matrices remembered per analysis
 
@@ -243,21 +252,49 @@ def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> Barvino
     if not trees.is_caterpillar(tree):
         return BarvinokRecord(False, "tree_not_caterpillar", rank, tree, None)
     b, c = _caterpillar_witness(a, tree)
-    assert trop_mat_mul(b, c).entries == a.entries, "witness must reproduce the matrix"
     return BarvinokRecord(True, "caterpillar", rank, tree, (b, c), caterpillar=True)
 
 
+def _witness_grid(a: TropMatrix, tree):
+    """The matrix and the tree's caterpillar spine on one int grid, over
+    U = 2 * lcm(scale, tree.unit): (U, the entries times U, each node's
+    spine offset times U).  Every offset there is even, and so is every
+    entry, so half an offset, an edge midpoint and half an entry are ints."""
+    scale, grid = a.as_int_grid()
+    big = 2 * lcm(scale, tree.unit)
+    ks, ku = big // scale, big // tree.unit
+    ga = [[x * ks for x in row] for row in grid]
+    spine = {x: d * ku for x, d in tree.spine_offsets().items()}
+    return big, ga, spine
+
+
+def _check_product(b, c, want, message):
+    """Raise AssertionError(message) unless the int factors b (rows of two)
+    and c (two rows) multiply, min-plus, to the int rows `want`.  The raise
+    is explicit, so python -O keeps the check."""
+    c0, c1 = c
+    for (x0, x1), row in zip(b, want):
+        for y0, y1, w in zip(c0, c1, row):
+            if min(x0 + y0, x1 + y1) != w:
+                raise AssertionError(message)
+
+
+def _on_grid(rows, big: int) -> TropMatrix:
+    return TropMatrix(tuple(tuple(Fraction(x, big) for x in row) for row in rows), False)
+
+
 def _caterpillar_witness(a: TropMatrix, tree):
-    coord = tree.spine_coordinates()
-    d, n = a.rows, a.cols
-    p = [coord[tree.leaf_node("red", i + 1)] for i in range(d)]
-    q = [coord[tree.leaf_node("blue", j + 1)] for j in range(n)]
-    # Gauge: a_ij = c_i + c'_j - |p_i - q_j| / 2, with c'_0 = 0.
-    c = [a[i, 0] + abs(p[i] - q[0]) / 2 for i in range(d)]
-    cp = [a[0, j] + abs(p[0] - q[j]) / 2 - c[0] for j in range(n)]
-    b = TropMatrix.make([[c[i] - p[i] / 2, c[i] + p[i] / 2] for i in range(d)])
-    cmat = TropMatrix.make([[cp[j] + q[j] / 2 for j in range(n)], [cp[j] - q[j] / 2 for j in range(n)]])
-    return b, cmat
+    big, ga, spine = _witness_grid(a, tree)
+    # half spine coordinates of the row rays (p) and the columns (q)
+    p = [spine[tree.leaf_node("red", i + 1)] // 2 for i in range(a.rows)]
+    q = [spine[tree.leaf_node("blue", j + 1)] // 2 for j in range(a.cols)]
+    # Gauge: a_ij = c_i + c'_j - |p_i - q_j|, with c'_0 = 0.
+    c = [row[0] + abs(pi - q[0]) for row, pi in zip(ga, p)]
+    cp = [x + abs(p[0] - qj) - c[0] for x, qj in zip(ga[0], q)]
+    b = [(ci - pi, ci + pi) for ci, pi in zip(c, p)]
+    cmat = ([x + qj for x, qj in zip(cp, q)], [x - qj for x, qj in zip(cp, q)])
+    _check_product(b, cmat, ga, "witness must reproduce the matrix")
+    return _on_grid(b, big), _on_grid(cmat, big)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -287,30 +324,22 @@ def sym_tree_barvinok(asym: TropMatrix, rank: int) -> BarvinokRecord:
     if not report.one_fixed_point:
         return BarvinokRecord(False, "fixed_path_not_point", rank, tree, None, report, True)
     b = _sym_caterpillar_witness(asym, tree, report)
-    assert trop_mat_mul(b, b.transpose()).entries == asym.entries
     return BarvinokRecord(True, "one_fixed_point_caterpillar", rank, tree, b, report, True)
 
 
 def _sym_caterpillar_witness(a: TropMatrix, tree, report):
-    coord = tree.spine_coordinates()
-    n = a.rows
+    big, ga, spine = _witness_grid(a, tree)
     if report.fixed_nodes:
-        center = coord[report.fixed_nodes[0]]
+        center = spine[report.fixed_nodes[0]]
     else:
         u, v = report.swapped_edge
-        center = (coord[u] + coord[v]) / 2
-    side = []
-    dist = []
-    for i in range(n):
-        x = coord[tree.leaf_node("blue", i + 1)]
-        dist.append(abs(x - center))
-        side.append(0 if x == center else (1 if x > center else -1))
-    shift = [a[i, i] / 2 for i in range(n)]
-    ref = next((s for s in side if s != 0), 1)
+        center = (spine[u] + spine[v]) // 2
+    x = [spine[tree.leaf_node("blue", i + 1)] - center for i in range(a.rows)]
+    ref = next((xi > 0 for xi in x if xi), True)
     rows = []
-    for i in range(n):
-        if side[i] == 0 or side[i] == ref:
-            rows.append([shift[i], shift[i] + dist[i]])
-        else:
-            rows.append([shift[i] + dist[i], shift[i]])
-    return TropMatrix.make(rows)
+    for i, xi in enumerate(x):
+        near = ga[i][i] // 2
+        far = near + abs(xi)
+        rows.append((near, far) if xi == 0 or (xi > 0) == ref else (far, near))
+    _check_product(rows, tuple(zip(*rows)), ga, "symmetric witness must reproduce the matrix")
+    return _on_grid(rows, big)

@@ -56,9 +56,8 @@ from troplift.tropical import (
     barvinok_rank2,
     sym_barvinok_rank2,
     sym_trop_rank,
-    trop_mat_mul,
 )
-from troplift.tropmat import TropMatrix
+from troplift.tropmat import TropMatrix, trop_mat_mul
 
 F = Fraction
 MODES = ("C", "R", "C+", "R+")
