@@ -118,7 +118,7 @@ def plain_inputs():
 
 def sym_inputs():
     """(symmetric matrix, tree) pairs whose swap fixes one node or reverses
-    one edge, on shared and on different grids."""
+    one edge (as in fig2a), on shared and on different grids."""
     rng = random.Random(3402)
     out = [(fixture(name), None) for name in ("fig2a", "fig3b", "fig3c")]
     for _ in range(40):
@@ -171,27 +171,12 @@ def test_sym_witness_matches_the_fraction_builder():
     assert kinds == {True, False}, "both a fixed node and a reversed edge"
 
 
-def test_fig2a_swap_reverses_an_edge():
-    report = symbic_classify(_rank2_tree(fixture("fig2a")))
-    assert report.fixed_nodes == () and report.swapped_edge is not None
-
-
 def test_spine_data_matches_the_fraction_builder():
     for a, tree in spine_inputs():
         tree = tree or _rank2_tree(a)
         report = symbic_classify(tree)
         assert len(report.fixed_nodes) == tree.nodes
         assert lifts._spine_data(a, tree) == ref_spine_data(a, tree)
-
-
-def test_records_carry_the_int_built_witnesses():
-    for a, _ in plain_inputs()[:12]:
-        rec = tropical.barvinok_rank2(a)
-        if rec.ok:
-            assert rec.witness == ref_caterpillar_witness(a, rec.tree)
-    for a, _ in sym_inputs()[:12]:
-        rec = tropical.sym_barvinok_rank2(a)
-        assert rec.witness == ref_sym_caterpillar_witness(a, rec.tree, rec.report)
 
 
 # ---------------------------------------------------------------------------
