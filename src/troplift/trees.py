@@ -8,7 +8,15 @@ distance max(u - v) - min(u - v).  Blue leaves mark columns, red leaves
 mark rays, leaf edges carry no length.  Reconstruction embeds the marked
 points one at a time by their exact pairwise distances (Gromov products
 locate each projection), which is the same data as the tie pattern and
-slack of the 2x2 tropical minors.
+slack of the 2x2 tropical minors.  The correspondence runs both ways
+(Develin-Santos-Sturmfels 2005, section 6): a matrix has tropical rank
+<= 2 exactly when it is, up to scaling, the matrix of a bicolored tree.
+So the memoised builder _rank2_tree is the rank <= 2 test that trop_rank
+asks: it returns the tree, or None when a Gromov product overruns its
+path, a Hilbert distance is not reproduced, or the tree's matrix is not
+the input up to scaling.  Each outcome is an int comparison, so python
+-O keeps it.  Callers that know the rank is <= 2 read the same memo
+entry through known_rank2_tree, which raises on a None.
 
 Trees are stored as an adjacency map with positive int edge lengths over
 one unit (a length w stands for w / unit) plus leaf markings; several
@@ -211,10 +219,11 @@ class _Builder:
         return s
 
 
-def _embed_points(dist: list) -> tuple[_Builder, list]:
+def _embed_points(dist: list) -> tuple[_Builder, list] | None:
     """Grow a tree containing marked points 0 .. k-1 with the exact int
     metric dist[z][x], every distance even so every Gromov product is an
-    int.  Returns the builder and each point's node."""
+    int.  Returns the builder and each point's node, or None when a Gromov
+    product overruns its path: then dist is no tree metric."""
     b = _Builder()
     node_of = [b.new_node()]
     for z in range(1, len(dist)):
@@ -231,7 +240,8 @@ def _embed_points(dist: list) -> tuple[_Builder, list]:
             # distance >= best_g from point 0, and u the node before it
             reached = _walk(b.adj, attach)
             v = node_of[best_x]
-            assert reached[v][1] >= best_g, "Gromov product exceeded the path length"
+            if reached[v][1] < best_g:
+                return None
             u = reached[v][0]
             while reached[u][1] >= best_g:
                 v, u = u, reached[u][0]
@@ -259,14 +269,28 @@ def tree_from_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> Bicolo
     """
     if trop_rank(a, bound) > 2:
         raise RankTooHigh("matrix has tropical rank above 2")
-    return _rank2_tree(a)
+    return known_rank2_tree(a)
+
+
+def known_rank2_tree(a: TropMatrix) -> BicoloredTree:
+    """_rank2_tree of a matrix whose tropical rank is known to be <= 2 (a
+    caller that knows sym_trop_rank <= 2 knows it: sym_trop_rank is never
+    below trop_rank).  Such a matrix has a tree, so a None there is a
+    fault, and it raises explicitly, under python -O too."""
+    tree = _rank2_tree(a)
+    if tree is None:
+        raise AssertionError("a matrix of tropical rank <= 2 must have a tree")
+    return tree
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _rank2_tree(a: TropMatrix) -> BicoloredTree:
-    """The tree of a matrix whose tropical rank is already known to be <= 2
-    (a caller that knows sym_trop_rank <= 2 knows it: sym_trop_rank is never
-    below trop_rank)."""
+def _rank2_tree(a: TropMatrix) -> BicoloredTree | None:
+    """The tree of a matrix of tropical rank <= 2, or None when its rank is
+    higher: a matrix has rank <= 2 exactly when it is, up to scaling, the
+    matrix of its tree (Develin-Santos-Sturmfels 2005, section 6).  None
+    when a Gromov product overruns its path, when the tree does not
+    reproduce a Hilbert distance, or when the tree's matrix is not the
+    input up to scaling.  Each of these is an int comparison."""
     scale, grid = a.as_int_grid()
     d, n = a.rows, a.cols
     # positions on the doubled grid, normalized to first coordinate 0
@@ -281,16 +305,28 @@ def _rank2_tree(a: TropMatrix) -> BicoloredTree:
     for k, u in enumerate(keys):
         for m in range(k):
             dist[k][m] = dist[m][k] = hilbert_distance(u, keys[m])
-    b, node_of = _embed_points(dist)
+    embedded = _embed_points(dist)
+    if embedded is None:
+        return None
+    b, node_of = embedded
     leaves = [Leaf(BLUE, j + 1, node_of[index[p]]) for j, p in enumerate(blue_pos)]
     leaves += [Leaf(RED, i + 1, node_of[index[p]]) for i, p in enumerate(red_pos)]
     tree = BicoloredTree._on_unit(b.count, b.adj, tuple(leaves), 2 * scale)
     table = tree._dist
     for k, row in enumerate(dist):
         from_k = table[node_of[k]]
-        assert all(from_k[node_of[m]] == dkm for m, dkm in enumerate(row)), (
-            "the tree must reproduce every Hilbert distance"
-        )
+        if any(from_k[node_of[m]] != dkm for m, dkm in enumerate(row)):
+            return None
+    # tree_to_matrix's entries, times 2 * unit = 4 * scale, against the
+    # input's with first row and column zero on the grid
+    blues = [node_of[index[p]] for p in blue_pos]
+    reds = [table[node_of[index[p]]] for p in red_pos]
+    r0, b0, g0 = reds[0], blues[0], grid[0]
+    for ri, gi in zip(reds, grid):
+        base = ri[b0] - r0[b0] - 4 * (g0[0] - gi[0])
+        for bj, gij, g0j in zip(blues, gi, g0):
+            if base + r0[bj] - ri[bj] != 4 * (gij - g0j):
+                return None
     return tree
 
 
@@ -366,7 +402,8 @@ def symbic_classify(tree: BicoloredTree) -> SymbicReport:
         if phi[u] == v and phi[v] == u:
             swapped_edge = (u, v)
     if not fixed:
-        assert swapped_edge is not None, "involution with no fixed point needs an inverted edge"
+        if swapped_edge is None:
+            raise AssertionError("involution with no fixed point needs an inverted edge")
         return SymbicReport(
             "symbic", (), swapped_edge, tuple(sorted(phi.items())), True
         )

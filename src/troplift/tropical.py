@@ -17,7 +17,14 @@ from 4 x 4 on, except for a square matrix's full-size minor: that is the
 matrix itself, nonsingular when its memoised trop_det (for the symmetric
 scan, sym_trop_det) has no tie.  The determinant of a transposed minor
 has the same terms, so on a symmetric matrix a scan tests one minor of
-each transposed pair.
+each transposed pair.  Rank <= 2 is read off the rank-2 tree: at 3 x 3
+trop_rank tests the minors on rows 0, 1 and 2, and when none of them is
+nonsingular and rows are left, the memoised trees._rank2_tree answers (a
+tree, or None above rank 2; without a tree the scan goes on and must find
+a nonsingular 3 x 3).  sym_trop_rank starts from the memoised trop_rank
+and tests only principal minors above it: below it both tests find a
+nonsingular minor of every size, and above it every non-principal minor
+is singular.
 
 The Barvinok witnesses are read off the caterpillar's spine on one int
 grid too (_witness_grid): the matrix and the tree's int spine offsets go
@@ -30,8 +37,9 @@ entries become Fractions once, as x / U.
 The determinants, the ranks and the two Barvinok tests, like
 membership's edge table, are memoised on the frozen TropMatrix (which
 hashes and builds its grid once) and the bound (the rank-2 tree,
-trees._rank2_tree, on the matrix alone), so the sixteen membership
-questions asked of one matrix compute each once.  Callers pass the
+trees._rank2_tree, on the matrix alone: trop_rank builds it and the
+Barvinok tests read it back), so the sixteen membership questions asked
+of one matrix compute each once.  Callers pass the
 bound positionally: f(a), f(a, 8) and f(a, bound=8) are three memo keys.
 Raised errors are not remembered; a Barvinok test's rank_too_high record
 is returned, so it is.  Newton polytope edges have one memo of their
@@ -46,8 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import lcm
+from itertools import combinations, islice, permutations
+from math import comb, lcm
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
@@ -161,38 +169,59 @@ def _grid_sym_nonsingular(grid, idx) -> bool:
     return all(sym_exponent(sigma) == first for sigma in arg[1:])
 
 
-def _rank(a: TropMatrix, bound: int, principal) -> int:
-    """Largest size of a nonsingular square submatrix, by an ascending scan
-    that stops at the first size with none.  `principal`, when given, tests
-    the principal subgrids in place of the plain test.  On a symmetric
+def _minors(a: TropMatrix, k: int):
+    """(rows, cols) of every k x k minor, in scan order: row sets in
+    combinations order, and under each every column set.  On a symmetric
     matrix the minor on (cols, rows) is the transpose of the one on (rows,
-    cols), whose determinant has the same terms, so only cols >= rows is
-    tested.  A square matrix's full-size minor is the matrix itself, so its
-    test reads the memoised determinant that the singular questions share:
-    sym_trop_det with `principal`, else trop_det."""
+    cols), whose determinant has the same terms, so only cols >= rows."""
+    col_sets = list(combinations(range(a.cols), k))
+    # combinations come in tuple order, so cols >= rows is col_sets[i:]
+    for i, rows in enumerate(combinations(range(a.rows), k)):
+        for cols in col_sets[i:] if a.symmetric else col_sets:
+            yield rows, cols
+
+
+def _some_plain_nonsingular(a: TropMatrix, grid, k: int) -> bool:
+    """Whether some k x k minor is tropically nonsingular.  At k = 3 the
+    minors on rows 0, 1 and 2 come first; when none of them is and minors
+    are left, the rank-2 tree answers: a tree means rank <= 2, and without
+    one the rest of the scan must find a nonsingular 3 x 3."""
+    minors = _minors(a, k)
+    if k == 3:
+        if any(_grid_nonsingular(grid, r, c) for r, c in islice(minors, comb(a.cols, 3))):
+            return True
+        if a.rows == 3:
+            return False
+        from . import trees
+
+        if trees._rank2_tree(a) is not None:
+            return False
+        if not any(_grid_nonsingular(grid, r, c) for r, c in minors):
+            raise AssertionError("a matrix without a rank-2 tree needs a nonsingular 3 x 3 minor")
+        return True
+    return any(_grid_nonsingular(grid, r, c) for r, c in minors)
+
+
+def _some_principal_nonsingular(a: TropMatrix, grid, k: int) -> bool:
+    """Whether some principal k x k minor is symmetrically nonsingular."""
+    return any(_grid_sym_nonsingular(grid, idx) for idx in combinations(range(a.rows), k))
+
+
+def _rank(a: TropMatrix, bound: int, rank: int, some_nonsingular, det) -> int:
+    """Ascending scan from size rank + 1, given a nonsingular minor of every
+    size up to rank, that stops at the first size with none and returns
+    the last size with one.  `some_nonsingular(a, grid, k)` tests the k x k
+    minors.  A square matrix's full-size minor is the matrix itself, so
+    its test reads the memoised determinant `det` that the singular
+    questions share."""
     _, grid = a.as_int_grid()
     d, n = a.rows, a.cols
-    rank = 0
-    for k in range(1, min(d, n) + 1):
+    for k in range(rank + 1, min(d, n) + 1):
         if k > bound:
             raise SizeLimit(f"rank certification needs {k} <= bound {bound}")
         if k == d == n:
-            det = trop_det if principal is None else sym_trop_det
             return rank if det(a, bound).tie else k
-        col_sets = list(combinations(range(n), k))
-        found = False
-        # combinations come in tuple order, so cols >= rows is col_sets[i:]
-        for i, rows in enumerate(combinations(range(d), k)):
-            for cols in col_sets[i:] if a.symmetric else col_sets:
-                if principal is not None and rows == cols:
-                    found = principal(grid, rows)
-                else:
-                    found = _grid_nonsingular(grid, rows, cols)
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+        if not some_nonsingular(a, grid, k):
             return rank
         rank = k
     return rank
@@ -204,18 +233,31 @@ def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
 
     Tropically nonsingular matrices contain nonsingular submatrices of
     every smaller size, so the search ascends and stops at the first size
-    with no nonsingular submatrix; sym_trop_rank shares the scan.
+    with no nonsingular submatrix.  Rank <= 2 is read off the memoised
+    rank-2 tree once the 3 x 3 minors on rows 0, 1 and 2 are all singular.
     """
-    return _rank(a, bound, None)
+    return _rank(a, bound, 0, _some_plain_nonsingular, trop_det)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest nonsingular submatrix size, using the symmetric determinant
-    (class ties) on principal submatrices and the plain one elsewhere; the
-    ascending scan is trop_rank's."""
+    (class ties) on principal submatrices and the plain one elsewhere.
+
+    It starts from trop_rank.  Up to the plain rank both tests find a
+    nonsingular minor of every size: a plainly nonsingular principal minor
+    has one minimising permutation, so one class.  Above it every
+    non-principal minor is singular, since a nonsingular one would contain
+    a plainly nonsingular minor of every smaller size, so only principal
+    minors are tested there, in ascending sizes."""
     a = a.as_symmetric()
-    return _rank(a, bound, _grid_sym_nonsingular)
+    rank = trop_rank(a, bound)
+    if rank == a.rows:
+        # sym_trop_det has no tie then; it is read for its refusal above
+        # MAX_ENUMERATION_BOUND, which the full scan reached too
+        sym_trop_det(a, bound)
+        return rank
+    return _rank(a, bound, rank, _some_principal_nonsingular, sym_trop_det)
 
 
 class BarvinokRecord(NamedTuple):
@@ -248,7 +290,7 @@ def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> Barvino
     rank = trop_rank(a, bound)
     if rank > 2:
         return BarvinokRecord(False, "rank_too_high", rank, None, None)
-    tree = trees._rank2_tree(a)
+    tree = trees.known_rank2_tree(a)
     if not trees.is_caterpillar(tree):
         return BarvinokRecord(False, "tree_not_caterpillar", rank, tree, None)
     b, c = _caterpillar_witness(a, tree)
@@ -315,7 +357,7 @@ def sym_tree_barvinok(asym: TropMatrix, rank: int) -> BarvinokRecord:
     fixes a single point, and the two factor columns are its two sides."""
     from . import trees
 
-    tree = trees._rank2_tree(asym)
+    tree = trees.known_rank2_tree(asym)
     report = trees.symbic_classify(tree)
     if report.kind != "symbic":
         return BarvinokRecord(False, report.kind, rank, tree, None, report)

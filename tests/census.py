@@ -14,10 +14,12 @@ truncated and its determinant vanishes exactly.  Anything else is a gap.
 runs the box of N x N matrices with entries 0..K-1.  It prints the verdict
 and outcome counts per (variety, mode), checks input by input that the C
 verdict equals the R verdict for every variety and that the sym_rank2 C+
-verdict equals the R+ one, counts the sym_corank1 inputs with C+ true and
-R+ false (the paper's C+ != R+), lists every corank1 certificate that is
-not exact, and, for a box with a gap file in GAP_FILES, compares its gaps
-with that file.  It exits 1 when a check fails.
+verdict equals the R+ one, checks input by input that trop_rank and
+sym_trop_rank equal the full scans of tests/rank_reference.py, counts the
+sym_corank1 inputs with C+ true and R+ false (the paper's C+ != R+), lists
+every corank1 certificate that is not exact, and, for a box with a gap file
+in GAP_FILES, compares its gaps with that file.  It exits 1 when a check
+fails.
 After a fix closes a gap, write the new gaps(symmetric_orbits(N, range(K)))
 to the file of each box it changes.
 """
@@ -28,7 +30,8 @@ from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
 
-from troplift import cli, membership
+from rank_reference import ref_sym_trop_rank, ref_trop_rank
+from troplift import cli, membership, tropical
 from troplift.config import Config
 from troplift.errors import NegativeResult, TropliftError
 from troplift.tropmat import TropMatrix
@@ -40,6 +43,8 @@ MEMBERS = {
     "sym_corank1": membership.member_sym_corank1,
 }
 MODES = ("C", "R", "C+", "R+")
+# each rank the program computes, by its name in tropical, and its full scan
+RANKS = (("trop_rank", ref_trop_rank), ("sym_trop_rank", ref_sym_trop_rank))
 # the gap rows of a box, in census order, by (N, K): one file per box
 GAP_FILES = {
     (4, 3): Path(__file__).with_name("census_gaps.json"),
@@ -150,6 +155,19 @@ def gaps(box) -> list:
     return [row for a in box for row in _gap_rows(a, answers(a))]
 
 
+def rank_mismatches(a: TropMatrix) -> list:
+    """(name, rank, full scan's rank) of each rank that differs from its
+    full scan, both at the default bound passed positionally, as the
+    membership questions pass it."""
+    bound = Config().enumeration_bound
+    found = []
+    for name, ref in RANKS:
+        got, want = getattr(tropical, name)(a, bound), ref(a, bound)
+        if got != want:
+            found.append((name, got, want))
+    return found
+
+
 def known_gaps(n: int, k: int) -> list:
     return json.loads(GAP_FILES[n, k].read_text())
 
@@ -157,7 +175,7 @@ def known_gaps(n: int, k: int) -> list:
 def main(argv) -> int:
     n, k = (int(x) for x in argv)
     counts = Counter()
-    found, broken, inexact = [], [], []
+    found, broken, inexact, ranks = [], [], [], []
     split = 0
     same = [(variety, "C", "R") for variety in MEMBERS] + [("sym_rank2", "C+", "R+")]
     for a in symmetric_orbits(n, range(k)):
@@ -174,6 +192,7 @@ def main(argv) -> int:
             for mode in MODES
             if answered["corank1", mode][1] == "inexact_certificate"
         ]
+        ranks += [(rows_of(a), *wrong) for wrong in rank_mismatches(a)]
         split += answered["sym_corank1", "C+"][0] and not answered["sym_corank1", "R+"][0]
     for key in ((variety, mode) for variety in MEMBERS for mode in MODES):
         tally = sorted((answer, count) for (at, answer), count in counts.items() if at == key)
@@ -182,9 +201,11 @@ def main(argv) -> int:
         print(f"{variety} {one} and {other} verdicts differ on {rows}")
     for rows, mode in inexact:
         print(f"corank1 {mode} certificate is not exact on {rows}")
+    for rows, name, got, want in ranks:
+        print(f"{name} {got} differs from the full scan's {want} on {rows}")
     print(f"sym_corank1 C+ true and R+ false on {split} inputs")
     print(f"{len(found)} gap rows")
-    ok = not broken and not inexact
+    ok = not broken and not inexact and not ranks
     if (n, k) in GAP_FILES:
         matches = found == known_gaps(n, k)
         print("gaps", "equal" if matches else "differ from", GAP_FILES[n, k].name)

@@ -47,12 +47,14 @@ class TestOneComputationPerMatrix:
             info = fn.cache_info()
             assert (info.misses, info.currsize) == (1, 1), fn.__name__
             assert info.hits >= 1, fn.__name__
-        # only the Barvinok test reads the tree, and it asks once, past
-        # its own rank check rather than through tree_from_rank2's: the rank
-        # is read once per member_rank2 mode and once by the Barvinok test
+        # the plain rank builds the tree, as its rank <= 2 test, and the
+        # Barvinok test reads it back, past its own rank check rather than
+        # through tree_from_rank2's: one tree, one miss and one hit.  The
+        # rank is read once per member_rank2 mode, once by the Barvinok
+        # test and once by sym_trop_rank, which starts from it
         info = trees._rank2_tree.cache_info()
-        assert (info.hits, info.misses) == (0, 1)
-        assert tropical.trop_rank.cache_info().hits == 4
+        assert (info.hits, info.misses) == (1, 1)
+        assert tropical.trop_rank.cache_info().hits == 5
         # the matrix alone: the R+ test reads its deleted minors' signs
         # off the matrix's grid, not through the determinant memo
         info = tropical.trop_det.cache_info()
@@ -109,10 +111,11 @@ class TestOneComputationPerMatrix:
     def test_barvinok_tests_read_the_rank_once(self, monkeypatch):
         """A rank above 2 answers the Barvinok test from one trop_rank
         call; no tree guard asks for it a second time.  The four
-        member_rank2 calls ask once each, and the symmetric C+ and R+
+        member_rank2 calls ask once each, the symmetric C+ and R+
         questions reach the same memoised barvinok_rank2 record, whose
-        rank_too_high payload reads the rank off the record, so the
-        sixteen questions make five calls."""
+        rank_too_high payload reads the rank off the record, and the
+        symmetric rank starts from the plain one under the same memo key,
+        so the sixteen questions make six calls and compute the rank once."""
         a = random_sym_matrix(random.Random(1), 5, 0, 3)
         calls = []
         rank = tropical.trop_rank
@@ -126,7 +129,7 @@ class TestOneComputationPerMatrix:
         monkeypatch.setattr(membership, "trop_rank", counted)
         _decide(a)
         assert rank(a, 8) > 2
-        assert len(calls) == 5
+        assert len(calls) == 6 and set(calls) == {(a, 8)}
         assert rank.cache_info().misses == 1
 
     @pytest.mark.parametrize("name", ["ex52", "sym_rank2_seed3"])

@@ -18,7 +18,7 @@ from census import (
     rows_of,
     symmetric_orbits,
 )
-from troplift import cli
+from troplift import cli, tropical
 from troplift.tropical import sym_trop_rank, trop_rank
 from troplift.tropmat import TropMatrix
 from troplift.verify import verify_lift
@@ -98,6 +98,18 @@ def test_the_script_fails_on_a_truncated_corank1_certificate(monkeypatch, capsys
     out = capsys.readouterr().out
     assert "corank1 R+ certificate is not exact on [['0', '0'], ['0', '0']]" in out
     assert "corank1 R False/refused: 4 True/inexact_certificate: 2" in out.splitlines()
+
+
+def test_the_script_fails_when_a_rank_differs_from_its_full_scan(monkeypatch, capsys):
+    """A plain rank one too high on the matrices with a 1 off the
+    diagonal, and so a symmetric rank that starts from it, fails the
+    census's comparison with the full scans."""
+    real = tropical.trop_rank
+    monkeypatch.setattr(tropical, "trop_rank", lambda a, bound: real(a, bound) + (a[0, 1] == 1))
+    assert main(["2", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "trop_rank 3 differs from the full scan's 2 on [['0', '1'], ['1', '0']]" in out
+    assert "sym_trop_rank 3 differs from the full scan's 2 on [['0', '1'], ['1', '0']]" in out
 
 
 def test_verdicts_are_invariant_under_relabelling():

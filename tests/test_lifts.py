@@ -677,17 +677,23 @@ class TestOneAnalysisPerLift:
     def test_sym_rank2_real_builds_one_tree(self):
         assert lift_sym_rank2_real(fixture("fig2a")).method == "mirror_factor_product"
         assert trees._rank2_tree.cache_info().misses == 1
-        # the symmetric rank scan decides; no plain scan follows it
+        # the symmetric rank decides, from one plain rank read inside it;
+        # no second plain rank follows it
         assert tropical.sym_trop_rank.cache_info().misses == 1
-        assert tropical.trop_rank.cache_info().currsize == 0
+        info = tropical.trop_rank.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
 
     @pytest.mark.parametrize("name", ["fig2a", "fig3b", "fig4a"])
     def test_sym_rank2_real_caterpillar_is_the_caterpillar_lift(self, name):
         """The caterpillar branch answers the symmetric Barvinok test from
-        the tree in hand, without a plain rank scan, and issues the same
-        certificate as lift_sym_caterpillar."""
+        the tree in hand, without a second rank: the plain rank is read
+        once, by the symmetric one, and on the 4 x 4 fixtures it built the
+        tree the Barvinok test reads.  It issues the same certificate as
+        lift_sym_caterpillar."""
         cert = lift_sym_rank2_real(fixture(name))
-        assert tropical.trop_rank.cache_info().currsize == 0
+        info = tropical.trop_rank.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        assert trees._rank2_tree.cache_info().misses == 1
         again = lift_sym_caterpillar(fixture(name))
         assert jsonio.dumps(jsonio.encode_certificate(cert)) == jsonio.dumps(
             jsonio.encode_certificate(again)

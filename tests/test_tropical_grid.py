@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import rank_reference
 import samples
 from troplift import tropical
 from troplift.errors import SizeLimit
@@ -378,14 +379,10 @@ def test_each_principal_test_matches_the_class_reference(a):
             assert _grid_sym_nonsingular(grid, idx) == want, idx
 
 
-def test_rank_scans_count_their_minor_tests(monkeypatch):
-    """On a symmetric 5 x 5 of rank 2 both scans test every 3 x 3 minor
-    and find none nonsingular.  The plain scan tests the 55 with cols >=
-    rows, not all 100; the symmetric scan tests the 10 principal ones by
-    their classes and the other 45 plainly."""
-    a = samples.random_sym_rank2_matrix(random.Random(3), 5)
+def _count_minor_tests(monkeypatch, module):
+    """Count `module`'s plain and principal minor tests by kind and size."""
     counts = Counter()
-    plain, principal = tropical._grid_nonsingular, tropical._grid_sym_nonsingular
+    plain, principal = module._grid_nonsingular, module._grid_sym_nonsingular
 
     def counted_plain(grid, rows, cols):
         counts["plain", len(rows)] += 1
@@ -395,19 +392,54 @@ def test_rank_scans_count_their_minor_tests(monkeypatch):
         counts["principal", len(idx)] += 1
         return principal(grid, idx)
 
-    monkeypatch.setattr(tropical, "_grid_nonsingular", counted_plain)
-    monkeypatch.setattr(tropical, "_grid_sym_nonsingular", counted_principal)
-    assert trop_rank(a) == 2
-    assert counts == {("plain", 1): 1, ("plain", 2): 4, ("plain", 3): 55}
+    monkeypatch.setattr(module, "_grid_nonsingular", counted_plain)
+    monkeypatch.setattr(module, "_grid_sym_nonsingular", counted_principal)
+    return counts
+
+
+def test_rank_scans_count_their_minor_tests(monkeypatch):
+    """On a symmetric 5 x 5 of rank 2 the plain scan tests the 10 3 x 3
+    minors on rows 0, 1 and 2, finds none nonsingular, and reads rank 2
+    off the rank-2 tree, where the full scan tested all 55 with cols >=
+    rows.  The symmetric scan starts from that rank: it tests the 10
+    principal 3 x 3 minors by their classes and no plain minor, where the
+    full scan tested 45 plainly besides.  The bound is passed positionally,
+    as membership passes it, so the symmetric scan's plain rank is a memo
+    hit."""
+    a = samples.random_sym_rank2_matrix(random.Random(3), 5)
+    counts = _count_minor_tests(monkeypatch, tropical)
+    assert trop_rank(a, 8) == 2
+    assert counts == {("plain", 1): 1, ("plain", 2): 4, ("plain", 3): 10}
     counts.clear()
-    assert sym_trop_rank(a) == 2
-    assert counts == {
-        ("principal", 1): 1,
-        ("plain", 2): 3,
-        ("principal", 2): 1,
-        ("plain", 3): 45,
-        ("principal", 3): 10,
-    }
+    assert sym_trop_rank(a, 8) == 2
+    assert counts == {("principal", 3): 10}
+    reference = _count_minor_tests(monkeypatch, rank_reference)
+    assert rank_reference.ref_trop_rank(a) == rank_reference.ref_sym_trop_rank(a) == 2
+    assert (reference["plain", 3], reference["principal", 3]) == (55 + 45, 10)
+
+
+def test_rank_scans_of_a_12x12_rank2_product_stay_on_rows_0_to_2(monkeypatch):
+    """A symmetric 12 x 12 mirror product M ⊙ M^T of tropical rank 2: the
+    plain scan makes C(12, 3) = 220 3 x 3 tests, all on rows 0, 1 and 2,
+    and the symmetric one 220 principal tests, where the full scans made
+    24 310 plain tests and 24 090 plain plus 220 principal ones."""
+    rng = random.Random(12)
+    m = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(12)]
+    a = TropMatrix.make(
+        [[min(x + y for x, y in zip(u, v)) for v in m] for u in m], symmetric=True
+    )
+    counts = _count_minor_tests(monkeypatch, tropical)
+    assert trop_rank(a, 8) == 2
+    assert counts["plain", 3] == 220 and counts["principal", 3] == 0
+    counts.clear()
+    assert sym_trop_rank(a, 8) == 2
+    assert counts == {("principal", 3): 220}
+    reference = _count_minor_tests(monkeypatch, rank_reference)
+    assert rank_reference.ref_trop_rank(a) == 2
+    assert reference["plain", 3] == 24310
+    reference.clear()
+    assert rank_reference.ref_sym_trop_rank(a) == 2
+    assert (reference["plain", 3], reference["principal", 3]) == (24090, 220)
 
 
 # --- minor signs ----------------------------------------------------------
