@@ -148,6 +148,17 @@ def test_named_cases(name):
     _agrees_with_the_full_scans(a)
 
 
+def test_a_nonsingular_symmetric_9x9_keeps_the_class_cap_refusal():
+    """A symmetric 9 x 9 of plain rank 9 at bound 9: the full symmetric
+    scan reached the full-size minor and sym_trop_det refused it, so the
+    symmetric rank, which starts from that plain rank, still refuses."""
+    a = TropMatrix.make([[0 if i == j else 1 for j in range(9)] for i in range(9)], True)
+    assert trop_rank(a, 9) == 9
+    for rank in (sym_trop_rank, ref_sym_trop_rank):
+        with pytest.raises(SizeLimit, match="monomial enumeration capped at n = 8"):
+            rank(a, 9)
+
+
 def test_a_3_row_matrix_is_scanned_without_the_tree():
     """On three rows the minors on rows 0, 1 and 2 are the whole scan, so
     a 3 x 5 of rank 2 is decided without building its tree."""
