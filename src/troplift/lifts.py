@@ -50,7 +50,7 @@ from .tropical import (
     sym_trop_rank,
     trop_det,
 )
-from .verify import LiftCertificate, series_det, verify_lift
+from .verify import LiftCertificate, series_det, series_grid, verify_lift
 
 MAX_RETRIES = 32
 
@@ -500,14 +500,16 @@ def _lift_sym_rank1(asym: TropMatrix, seed: int, bound: int) -> LiftCertificate:
 
 def _split_det_linear(m0, istar, jstar):
     """A, B with det = A x + B when the (istar, jstar) entry of m0, an
-    exact zero there, is x: A is the signed cofactor of x and B = det m0."""
+    exact zero there, is x: A is the signed cofactor of x and B = det m0.
+    Both are read off one series_grid of m0."""
     n = len(m0)
+    grid = series_grid(m0)
     acoef = series_det(
-        m0, [r for r in range(n) if r != istar], [c for c in range(n) if c != jstar]
+        grid, [r for r in range(n) if r != istar], [c for c in range(n) if c != jstar]
     )
     if (istar + jstar) % 2:
         acoef = -acoef
-    return acoef, series_det(m0)
+    return acoef, series_det(grid)
 
 
 def lift_corank1(
@@ -582,12 +584,14 @@ def _split_det_quadratic(m0, i, j):
     on a symmetric m0 they are transposes of each other, so B is twice
     one.  Each coefficient is a determinant over exactly its own
     permutations, so each keeps its own order when entries are truncated.
+    All three are read off one series_grid of m0.
     """
     n = len(m0)
+    grid = series_grid(m0)
     rest = [r for r in range(n) if r not in (i, j)]
-    acoef = -series_det(m0, rest, rest)
-    bcoef = series_det(m0, [r for r in range(n) if r != i], [c for c in range(n) if c != j])
-    return acoef, bcoef.scale(Fraction(-2 if (i + j) % 2 else 2)), series_det(m0)
+    acoef = -series_det(grid, rest, rest)
+    bcoef = series_det(grid, [r for r in range(n) if r != i], [c for c in range(n) if c != j])
+    return acoef, bcoef.scale(Fraction(-2 if (i + j) % 2 else 2)), series_det(grid)
 
 
 def lift_sym_corank1(

@@ -15,8 +15,10 @@ tied classes, so it is exactly the tie when the counts agree.  A lattice
 length 2 record reads its minor pairs off the even cycle its NewtonEdge
 carries.  Its deleted minors' signs, like the 3x3 minors' signs of
 `positive_generators_check`, are read off the matrix's int grid:
-tropical's permutation scan finds the minimizers, and each one's sign is
-that of its plain monomial class.  `_positive_part` decides C+ and R+
+tropical's permutation scan finds the minimizers (looked up on the
+tropical module at each call, so every determinant scan goes through
+that one name), and each one's sign is that of its plain monomial
+class.  `_positive_part` decides C+ and R+
 from the table, for the verdicts here and for lifts.lift_sym_corank1
 alike; the rank-2 positive parts read tropical's Barvinok records, as the
 rank-2 lifts do.  Every payload, Barvinok detail, edge dict and minor
@@ -31,13 +33,14 @@ from functools import cache, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
+from . import tropical
 from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
 from .monomials import plain_class
 from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, edges_among
 from .tropical import (
     _MEMO_SIZE,
-    _perm_argmin,
+    _cells,
     barvinok_rank2,
     sym_trop_det,
     sym_trop_rank,
@@ -214,8 +217,9 @@ def _minor_signs(asym: TropMatrix, k: int) -> tuple:
 
 def _argmin_signs(grid, rows, cols) -> tuple:
     """Sorted signs of the permutations that minimize the plain tropical
-    determinant of the subgrid on rows x cols."""
-    _, arg = _perm_argmin([tuple(grid[r][c] for c in cols) for r in rows])
+    determinant of the subgrid on rows x cols, its cells read straight
+    off the int grid."""
+    _, _, arg = tropical._perm_argmin(_cells(grid, rows, cols), len(rows))
     return tuple(sorted({plain_class(sigma).sign for sigma in arg}))
 
 

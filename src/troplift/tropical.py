@@ -1,10 +1,18 @@
 """Tropical determinants, rank notions, and Barvinok factorizations.
 
 All minima are exhaustive enumerations on an integer grid: entries are
-rescaled by their denominator lcm, so the hot loops add ints, and a
-minimum goes back to a Fraction only once, as best / scale.  Every
-determinant minimum (trop_det, sym_trop_det, the rank scans' minors from
-4 x 4 on, membership's minor signs) is one permutation scan, _perm_argmin.
+rescaled by their denominator lcm, so the scans add ints, and a minimum
+goes back to a Fraction only once, as best / scale.  Every determinant
+minimum (trop_det, sym_trop_det, the rank scans' minors from 4 x 4 on,
+membership's minor signs) is one permutation scan, _perm_argmin, over a
+scan table per size n: the permutations of range(n) in permutations
+order with their flat row-major cell indices, built on first use.  The
+scan sums every permutation of a flat grid in one comprehension (written
+out for n = 4 and 5, an itemgetter gather per row above 5), and the
+minimum, its multiplicity and the minimisers are read off that one list
+of sums, so a uniqueness test builds no argmin list.  Tables go up to
+n = _TABLE_MAX_N and stay built; a larger scan expands along row 0 into
+scans of that size, so no 8 x 8 table (about 7 MB) is ever built.
 On a symmetric matrix every permutation of a symmetric monomial class has
 the class's value, so the symmetric argmin is the plain argmin grouped
 into classes: sym_trop_det reads the memoised trop_det of the same
@@ -12,7 +20,7 @@ matrix, and each minimiser's class built from its exponent.  Enumeration
 refuses inputs above the configured bound rather than risking a wrong
 uniqueness verdict.  The rank scans write out their
 1 x 1, 2 x 2 and 3 x 3 uniqueness tests as int sums (6 permutation sums
-for a plain 3 x 3 minor, 5 class sums for a principal one) and enumerate
+for a plain 3 x 3 minor, 5 class sums for a principal one) and scan
 from 4 x 4 on, except for a square matrix's full-size minor: that is the
 matrix itself, nonsingular when its memoised trop_det (for the symmetric
 scan, sym_trop_det) has no tie.  The determinant of a transposed minor
@@ -39,8 +47,9 @@ membership's edge table, are memoised on the frozen TropMatrix (which
 hashes and builds its grid once) and the bound (the rank-2 tree,
 trees._rank2_tree, on the matrix alone: trop_rank builds it and the
 Barvinok tests read it back), so the sixteen membership questions asked
-of one matrix compute each once.  Callers pass the
-bound positionally: f(a), f(a, 8) and f(a, bound=8) are three memo keys.
+of one matrix compute each once.  The six analyses here key their memo
+on (a, bound) however the bound is passed (_memo): f(a), f(a, 8) and
+f(a, bound=8) are one key.
 Raised errors are not remembered; a Barvinok test's rank_too_high record
 is returned, so it is.  Newton polytope edges have one memo of their
 own, a row of edges per monomial class (newton).  Nothing returned
@@ -53,9 +62,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, islice, permutations
+from functools import lru_cache, wraps
+from itertools import combinations, compress, islice, permutations
 from math import comb, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
@@ -64,6 +74,23 @@ from .monomials import plain_class, sym_exponent
 from .tropmat import TropMatrix
 
 _MEMO_SIZE = 32  # matrices remembered per analysis
+_TABLE_MAX_N = 7  # largest n with a scan table: 5040 permutations, under 1 MB
+_TABLES: dict = {}  # n -> scan table; a constant of n, so it stays warm
+
+
+def _memo(fn):
+    """fn memoised on (a, bound) in a small LRU, the bound passed on
+    positionally whichever way the caller gave it, so f(a), f(a, 8) and
+    f(a, bound=8) share one key.  cache_info and cache_clear are the LRU's."""
+    cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
+
+    @wraps(fn)
+    def memoised(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
+        return cached(a, bound)
+
+    memoised.cache_info = cached.cache_info
+    memoised.cache_clear = cached.cache_clear
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -80,35 +107,74 @@ def _check_square(a: TropMatrix, bound: int):
         raise SizeLimit(f"enumeration bound {bound} exceeded (n = {a.rows})")
 
 
-def _perm_argmin(sub) -> tuple[int, list]:
-    """Least permutation sum of a square int grid (row tuples) and the
-    permutations attaining it, in permutations order: the one scan behind
-    every tropical determinant."""
-    best = None
-    arg: list = []
-    for sigma in permutations(range(len(sub))):
-        v = 0
-        for i, s in enumerate(sigma):
-            v += sub[i][s]
-        if best is None or v < best:
-            best = v
-            arg = [sigma]
-        elif v == best:
-            arg.append(sigma)
-    return best, arg
+def _scan_table(n: int) -> tuple:
+    """(the permutations of range(n) in permutations order, how a scan reads
+    them off a flat row-major n x n grid), for n <= _TABLE_MAX_N, built on
+    first use and kept: up to n = 5 each permutation's cell indices, above
+    that one itemgetter per row that gathers the row's cell of every
+    permutation."""
+    table = _TABLES.get(n)
+    if table is None:
+        perms = tuple(permutations(range(n)))
+        if n <= 5:
+            scan = tuple(tuple(i * n + s for i, s in enumerate(sigma)) for sigma in perms)
+        else:
+            scan = tuple(itemgetter(*[i * n + s for s in col]) for i, col in enumerate(zip(*perms)))
+        table = _TABLES[n] = perms, scan
+    return table
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+def _perm_sums(cells, n: int) -> list:
+    """Every permutation sum of a flat row-major n x n int grid, in
+    permutations order, from one pass over the scan table.  Above
+    _TABLE_MAX_N the sums expand along row 0, and no larger table is
+    built: the permutations with sigma(0) = c come in permutations order
+    as those of the minor without row 0 and column c."""
+    if n > _TABLE_MAX_N:
+        sums: list = []
+        for c in range(n):
+            minor = [cells[i * n + j] for i in range(1, n) for j in range(n) if j != c]
+            sums += map(cells[c].__add__, _perm_sums(minor, n - 1))
+        return sums
+    scan = _scan_table(n)[1]
+    if n == 4:
+        return [cells[i] + cells[j] + cells[k] + cells[m] for i, j, k, m in scan]
+    if n == 5:
+        return [cells[i] + cells[j] + cells[k] + cells[m] + cells[r] for i, j, k, m, r in scan]
+    if n < 4:
+        return [sum([cells[i] for i in sigma]) for sigma in scan]
+    return list(map(sum, zip(*[row(cells) for row in scan])))
+
+
+def _perm_argmin(cells, n: int) -> tuple:
+    """The one scan behind every tropical determinant, on a flat row-major
+    n x n int grid `cells`: (the least permutation sum, how many
+    permutations attain it, an iterator over those in permutations order).
+    The minimum and its count are read off the one list of sums, and the
+    iterator reads the minimisers off it only when it is consumed."""
+    sums = _perm_sums(cells, n)
+    best = min(sums)
+    perms = _scan_table(n)[0] if n <= _TABLE_MAX_N else permutations(range(n))
+    return best, sums.count(best), compress(perms, map(best.__eq__, sums))
+
+
+def _cells(grid, rows, cols) -> list:
+    """The subgrid of an int grid on rows x cols, flat and row-major, as
+    _perm_argmin reads it."""
+    return [row[c] for row in map(grid.__getitem__, rows) for c in cols]
+
+
+@_memo
 def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over all permutation monomials, with the full argmin set."""
     _check_square(a, bound)
     scale, grid = a.as_int_grid()
-    best, arg = _perm_argmin(grid)
-    classes = tuple(plain_class(s) for s in arg)
-    return TropDetResult(Fraction(best, scale), classes, len(arg) >= 2)
+    best, count, arg = _perm_argmin([x for row in grid for x in row], a.rows)
+    classes = tuple(map(plain_class, arg))
+    return TropDetResult(Fraction(best, scale), classes, count >= 2)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over monomial classes of the symmetric determinant: the
     minimisers of trop_det grouped into their classes, in exponent order.
@@ -142,8 +208,7 @@ def _grid_nonsingular(grid, rows, cols) -> bool:
         c0, c1, c2 = r2[j0], r2[j1], r2[j2]
         sums = (a0 + b1 + c2, a0 + b2 + c1, a1 + b0 + c2, a1 + b2 + c0, a2 + b0 + c1, a2 + b1 + c0)
         return sums.count(min(sums)) == 1
-    _, arg = _perm_argmin([tuple(grid[r][c] for c in cols) for r in rows])
-    return len(arg) == 1
+    return _perm_argmin(_cells(grid, rows, cols), k)[1] == 1
 
 
 def _grid_sym_nonsingular(grid, idx) -> bool:
@@ -164,9 +229,9 @@ def _grid_sym_nonsingular(grid, idx) -> bool:
         x, y, z = ri[j], ri[m], rj[m]
         sums = (a + b + c, x + x + c, y + y + b, z + z + a, x + y + z)
         return sums.count(min(sums)) == 1
-    _, arg = _perm_argmin([tuple(grid[i][j] for j in idx) for i in idx])
-    first = sym_exponent(arg[0])
-    return all(sym_exponent(sigma) == first for sigma in arg[1:])
+    _, _, arg = _perm_argmin(_cells(grid, idx, idx), k)
+    first = sym_exponent(next(arg))
+    return all(sym_exponent(sigma) == first for sigma in arg)
 
 
 def _minors(a: TropMatrix, k: int):
@@ -227,7 +292,7 @@ def _rank(a: TropMatrix, bound: int, rank: int, some_nonsingular, det) -> int:
     return rank
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest size of a tropically nonsingular square submatrix.
 
@@ -239,7 +304,7 @@ def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     return _rank(a, bound, 0, _some_plain_nonsingular, trop_det)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest nonsingular submatrix size, using the symmetric determinant
     (class ties) on principal submatrices and the plain one elsewhere.
@@ -276,7 +341,7 @@ class BarvinokRecord(NamedTuple):
     caterpillar: bool = False
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BarvinokRecord:
     """Decide Barvinok rank <= 2 and build a factorization witness.
 
@@ -339,7 +404,7 @@ def _caterpillar_witness(a: TropMatrix, tree):
     return _on_grid(b, big), _on_grid(cmat, big)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BarvinokRecord:
     """Decide symmetric Barvinok rank <= 2 with a witness B, A = B ⊙ B^T:
     barvinok_rank2's rank gate, then sym_tree_barvinok."""

@@ -29,8 +29,8 @@ the minor is known and its tropical value, and partial terms that cannot
 land below that order are dropped as they arise.  _det_vanishes reads
 its verdict off _minor's ints and builds no series; only series_det, a
 matrix's determinant or a minor on chosen rows and columns, which the
-constructions also read their coefficients from, turns the ints back
-into a series.
+constructions also read their coefficients from (several minors of one
+matrix off its series_grid), turns the ints back into a series.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
@@ -282,26 +282,40 @@ def _minor(grid: _Grid, rows, cols) -> tuple[dict, float, float]:
     return {key: sign * c for key, c in partial.get(full, {}).items() if c}, known, value
 
 
+def series_grid(mat) -> _Grid:
+    """A matrix of series on its integer grid (_to_grid), converted once
+    so that series_det can read several minors of it."""
+    return _to_grid(mat)
+
+
 def series_det(mat, rows=None, cols=None) -> PuiseuxSeries:
     """The minor of a matrix of series on rows x cols (all of its rows and
     all of its columns by default), exact below the order to which the
     permutation expansion knows it (see _minor); the order is None when
     no permutation that meets no exact zero has a truncated factor.
 
-    Only the named rows go onto the integer grid (_to_grid), and _minor
-    expands them on the named columns.  quadext.from_lattice divides the
-    result by the product of the row denominators once per term.
+    `mat` is the matrix or its series_grid.  Of a matrix only the named
+    rows go onto the integer grid; a series_grid is read as it is, and
+    gives the same minor, since its exponents and truncations only scale
+    with its one lcm and each row keeps its own denominator.  _minor
+    expands the rows on the named columns, and quadext.from_lattice
+    divides the result by the product of the rows' denominators once per
+    term.
     """
-    width = len(mat[0]) if mat else 0
-    rows = range(len(mat)) if rows is None else rows
+    grid = mat if isinstance(mat, _Grid) else None
+    entries = mat if grid is None else grid.terms
+    width = len(entries[0]) if entries else 0
+    rows = range(len(entries)) if rows is None else rows
     cols = range(width) if cols is None else cols
-    if len(rows) != len(cols) or any(len(row) != width for row in mat):
+    if len(rows) != len(cols) or any(len(row) != width for row in entries):
         raise DimensionMismatch(
             f"determinant needs a square minor, got {len(rows)} rows and {len(cols)} columns"
         )
-    grid = _to_grid([mat[r] for r in rows])
-    terms, known, _ = _minor(grid, range(len(rows)), cols)
-    scale = prod(grid.dens)
+    if grid is None:
+        grid = _to_grid([mat[r] for r in rows])
+        rows = range(len(rows))
+    terms, known, _ = _minor(grid, rows, cols)
+    scale = prod(grid.dens[r] for r in rows)
     parts: dict = {}
     for key, c in terms.items():
         parts.setdefault(key >> 1, [0, 0])[key & 1] = c

@@ -132,6 +132,36 @@ class TestOneComputationPerMatrix:
         assert len(calls) == 6 and set(calls) == {(a, 8)}
         assert rank.cache_info().misses == 1
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            tropical.trop_det,
+            tropical.sym_trop_det,
+            tropical.trop_rank,
+            tropical.sym_trop_rank,
+            tropical.barvinok_rank2,
+            tropical.sym_barvinok_rank2,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_the_bound_is_one_key_however_it_is_passed(self, fn):
+        """f(a), f(a, 8) and f(a, bound=8) are one memo key: one miss and
+        two hits, each answer the first one's."""
+        a = random_sym_rank2_matrix(random.Random(3), 5)
+        first = fn(a)
+        assert fn(a, 8) is first and fn(a, bound=8) is first
+        info = fn.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_default_bound_ranks_compute_the_plain_rank_once(self):
+        """sym_trop_rank starts from the plain rank under the key a caller
+        that passed no bound left in the memo."""
+        a = random_sym_matrix(random.Random(4), 5)
+        tropical.trop_rank(a)
+        tropical.sym_trop_rank(a)
+        info = tropical.trop_rank.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     @pytest.mark.parametrize("name", ["ex52", "sym_rank2_seed3"])
     def test_positive_parts_decide_once(self, name, monkeypatch):
         a = fixture(name) if name == "ex52" else random_sym_rank2_matrix(random.Random(3), 5)

@@ -113,9 +113,9 @@ def test_scanner_sees_every_import_form():
 
 
 def test_no_module_imports_a_private_name_of_verify():
-    """Constructions reach the verifier through verify_lift, series_det and
-    LiftCertificate only, so a check cannot be done beside it with its
-    private kernels."""
+    """Constructions reach the verifier through verify_lift, series_det,
+    series_grid and LiftCertificate only, so a check cannot be done beside
+    it with its private kernels."""
     found = {
         (path.name, name)
         for path in sorted(PACKAGE.glob("*.py"))

@@ -26,7 +26,8 @@ from troplift.fixtures import fixture
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
 from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt, quad_numerators
 from troplift.quadext import QuadExt
-from troplift.verify import _det_vanishes, _min_plus, _to_grid
+from troplift import verify
+from troplift.verify import _det_vanishes, _min_plus, _to_grid, series_grid
 
 F = Fraction
 
@@ -337,6 +338,15 @@ def test_minor_matches_the_determinant_of_its_submatrix(drawn):
     same(series_det(mat, rows, cols), ref_series_det([[mat[r][c] for c in cols] for r in rows]))
 
 
+@SETTINGS
+@given(rectangles())
+def test_minor_off_the_whole_grid_matches(drawn):
+    """A minor read off the series_grid of the whole matrix is the one read
+    off its own rows' grid, terms and order alike."""
+    mat, rows, cols = drawn
+    same(series_det(series_grid(mat), rows, cols), series_det(mat, rows, cols))
+
+
 def test_minor_of_unequal_sides_is_refused():
     one = mono(1, 0)
     mat = [[one, mono(2, 1), one], [one, one, mono(1, 2)]]
@@ -385,21 +395,27 @@ def test_quadratic_split_matches(rows, data):
 
 def test_splits_take_two_and_three_determinants(monkeypatch):
     """The linear split reads the cofactor and det m0, the symmetric one
-    the two-sided minor, one cofactor and det m0; and every symmetric
-    singular lift's quadratic comes from one such split."""
-    calls = []
+    the two-sided minor, one cofactor and det m0, each split off one grid
+    of m0; and every symmetric singular lift's quadratic comes from one
+    such split."""
+    calls, grids = [], []
 
     def counted(*args):
         calls.append(args)
         return series_det(*args)
 
+    def counted_grid(mat):
+        grids.append(len(mat))
+        return _to_grid(mat)
+
     monkeypatch.setattr(lifts, "series_det", counted)
+    monkeypatch.setattr(verify, "_to_grid", counted_grid)
     sym = [[mono(r + c + 1, abs(r - c)) for c in range(4)] for r in range(4)]
     _split_det_linear(zeroed(sym, (1, 2)), 1, 2)
-    assert len(calls) == 2
-    del calls[:]
+    assert len(calls) == 2 and grids == [4]
+    del calls[:], grids[:]
     _split_det_quadratic(zeroed(sym, (1, 2), (2, 1)), 1, 2)
-    assert len(calls) == 3
+    assert len(calls) == 3 and grids == [4]
     del calls[:]
     solves = []
 

@@ -302,7 +302,7 @@ def test_size_limit_comes_before_any_permutation_scan(monkeypatch):
     """Above the class table's cap the symmetric determinant is refused
     with the table's SizeLimit, before an n! scan starts."""
 
-    def no_scan(sub):
+    def no_scan(cells, n):
         raise AssertionError("permutation scan before the size refusal")
 
     monkeypatch.setattr(tropical, "_perm_argmin", no_scan)
@@ -403,9 +403,8 @@ def test_rank_scans_count_their_minor_tests(monkeypatch):
     off the rank-2 tree, where the full scan tested all 55 with cols >=
     rows.  The symmetric scan starts from that rank: it tests the 10
     principal 3 x 3 minors by their classes and no plain minor, where the
-    full scan tested 45 plainly besides.  The bound is passed positionally,
-    as membership passes it, so the symmetric scan's plain rank is a memo
-    hit."""
+    full scan tested 45 plainly besides.  The symmetric scan's plain rank
+    is a memo hit."""
     a = samples.random_sym_rank2_matrix(random.Random(3), 5)
     counts = _count_minor_tests(monkeypatch, tropical)
     assert trop_rank(a, 8) == 2
