@@ -5,14 +5,15 @@ rescaled by their denominator lcm, so the scans add ints, and a minimum
 goes back to a Fraction only once, as best / scale.  Every determinant
 minimum (trop_det, sym_trop_det, the rank scans' minors from 4 x 4 on,
 membership's minor signs) is one permutation scan, _perm_argmin, over a
-scan table per size n: the permutations of range(n) in permutations
-order with their flat row-major cell indices, built on first use.  The
-scan sums every permutation of a flat grid in one comprehension (written
-out for n = 4 and 5, an itemgetter gather per row above 5), and the
+scan table per size n up to 5: the permutations of range(n) in
+permutations order as their flat row-major cell indices, built on first
+use and kept.  The scan sums every permutation of a flat grid in one
+comprehension over that table (written out for n = 4 and 5), and the
 minimum, its multiplicity and the minimisers are read off that one list
-of sums, so a uniqueness test builds no argmin list.  Tables go up to
-n = _TABLE_MAX_N and stay built; a larger scan expands along row 0 into
-scans of that size, so no 8 x 8 table (about 7 MB) is ever built.
+of sums, so a uniqueness test builds no argmin list.  A larger scan
+expands along row 0 down to 5 x 5 scans, which is faster than a
+comprehension over a 6 x 6 or 7 x 7 table and builds none (an 8 x 8
+table would hold about 7 MB).
 On a symmetric matrix every permutation of a symmetric monomial class has
 the class's value, so the symmetric argmin is the plain argmin grouped
 into classes: sym_trop_det reads the memoised trop_det of the same
@@ -65,7 +66,6 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations, compress, islice, permutations
 from math import comb, lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 from .config import MAX_ENUMERATION_BOUND
@@ -74,7 +74,7 @@ from .monomials import plain_class, sym_exponent
 from .tropmat import TropMatrix
 
 _MEMO_SIZE = 32  # matrices remembered per analysis
-_TABLE_MAX_N = 7  # largest n with a scan table: 5040 permutations, under 1 MB
+_TABLE_MAX_N = 5  # largest n with a scan table; larger scans expand along row 0
 _TABLES: dict = {}  # n -> scan table; a constant of n, so it stays warm
 
 
@@ -108,42 +108,34 @@ def _check_square(a: TropMatrix, bound: int):
 
 
 def _scan_table(n: int) -> tuple:
-    """(the permutations of range(n) in permutations order, how a scan reads
-    them off a flat row-major n x n grid), for n <= _TABLE_MAX_N, built on
-    first use and kept: up to n = 5 each permutation's cell indices, above
-    that one itemgetter per row that gathers the row's cell of every
-    permutation."""
+    """The permutations of range(n) in permutations order, each as its
+    flat row-major cell indices on an n x n grid; built on first use and
+    kept."""
     table = _TABLES.get(n)
     if table is None:
-        perms = tuple(permutations(range(n)))
-        if n <= 5:
-            scan = tuple(tuple(i * n + s for i, s in enumerate(sigma)) for sigma in perms)
-        else:
-            scan = tuple(itemgetter(*[i * n + s for s in col]) for i, col in enumerate(zip(*perms)))
-        table = _TABLES[n] = perms, scan
+        perms = permutations(range(n))
+        table = _TABLES[n] = tuple(tuple(i * n + s for i, s in enumerate(p)) for p in perms)
     return table
 
 
 def _perm_sums(cells, n: int) -> list:
     """Every permutation sum of a flat row-major n x n int grid, in
     permutations order, from one pass over the scan table.  Above
-    _TABLE_MAX_N the sums expand along row 0, and no larger table is
-    built: the permutations with sigma(0) = c come in permutations order
-    as those of the minor without row 0 and column c."""
+    _TABLE_MAX_N the sums expand along row 0: the permutations with
+    sigma(0) = c come in permutations order as those of the minor without
+    row 0 and column c."""
     if n > _TABLE_MAX_N:
         sums: list = []
         for c in range(n):
             minor = [cells[i * n + j] for i in range(1, n) for j in range(n) if j != c]
             sums += map(cells[c].__add__, _perm_sums(minor, n - 1))
         return sums
-    scan = _scan_table(n)[1]
+    table = _scan_table(n)
     if n == 4:
-        return [cells[i] + cells[j] + cells[k] + cells[m] for i, j, k, m in scan]
+        return [cells[i] + cells[j] + cells[k] + cells[m] for i, j, k, m in table]
     if n == 5:
-        return [cells[i] + cells[j] + cells[k] + cells[m] + cells[r] for i, j, k, m, r in scan]
-    if n < 4:
-        return [sum([cells[i] for i in sigma]) for sigma in scan]
-    return list(map(sum, zip(*[row(cells) for row in scan])))
+        return [cells[i] + cells[j] + cells[k] + cells[m] + cells[r] for i, j, k, m, r in table]
+    return [sum(map(cells.__getitem__, sigma)) for sigma in table]
 
 
 def _perm_argmin(cells, n: int) -> tuple:
@@ -154,8 +146,7 @@ def _perm_argmin(cells, n: int) -> tuple:
     iterator reads the minimisers off it only when it is consumed."""
     sums = _perm_sums(cells, n)
     best = min(sums)
-    perms = _scan_table(n)[0] if n <= _TABLE_MAX_N else permutations(range(n))
-    return best, sums.count(best), compress(perms, map(best.__eq__, sums))
+    return best, sums.count(best), compress(permutations(range(n)), map(best.__eq__, sums))
 
 
 def _cells(grid, rows, cols) -> list:

@@ -10,10 +10,10 @@ determinant or minor that is known only up to its tropical value (the
 least valuation sum over permutations) has proved nothing, and fails.
 
 Every determinant and minor runs on one integer grid per matrix
-(_to_grid): exponents scaled by one lcm, and each row's coefficients put
-on quadext's coefficient lattice over that row's own common denominator,
-a single radicand sqrt(p/q) written as sqrt(pq)/q, so the arithmetic
-multiplies Python ints only.  verify_lift puts a lift on its grid once,
+(series_grid): exponents scaled by one lcm, and each row's coefficients
+put on quadext's coefficient lattice over that row's own common
+denominator, a single radicand sqrt(p/q) written as sqrt(pq)/q, so the
+arithmetic multiplies Python ints only.  verify_lift puts a lift on its grid once,
 and every check it makes reads that grid.  On the grid, a Laplace
 expansion over column subsets (_expand, n 2^(n-1) products for n x n,
 not n n!) carries the partial determinants of the first k rows from the
@@ -146,8 +146,9 @@ class _Grid(NamedTuple):
         return 0 if r is None else r.numerator * r.denominator
 
 
-def _to_grid(mat) -> _Grid:
-    """The integer grid of a d x n matrix of series (see _Grid)."""
+def series_grid(mat) -> _Grid:
+    """The integer grid of a d x n matrix of series (see _Grid), which
+    verify_lift checks and series_det reads its minors off."""
     exp_den, coeffs = 1, []
     for row in mat:
         group = []
@@ -282,38 +283,25 @@ def _minor(grid: _Grid, rows, cols) -> tuple[dict, float, float]:
     return {key: sign * c for key, c in partial.get(full, {}).items() if c}, known, value
 
 
-def series_grid(mat) -> _Grid:
-    """A matrix of series on its integer grid (_to_grid), converted once
-    so that series_det can read several minors of it."""
-    return _to_grid(mat)
-
-
 def series_det(mat, rows=None, cols=None) -> PuiseuxSeries:
     """The minor of a matrix of series on rows x cols (all of its rows and
     all of its columns by default), exact below the order to which the
     permutation expansion knows it (see _minor); the order is None when
     no permutation that meets no exact zero has a truncated factor.
 
-    `mat` is the matrix or its series_grid.  Of a matrix only the named
-    rows go onto the integer grid; a series_grid is read as it is, and
-    gives the same minor, since its exponents and truncations only scale
-    with its one lcm and each row keeps its own denominator.  _minor
-    expands the rows on the named columns, and quadext.from_lattice
-    divides the result by the product of the rows' denominators once per
-    term.
+    `mat` is the matrix or its series_grid, so several minors of one
+    matrix can be read off one grid.  _minor expands the rows on the named
+    columns, and quadext.from_lattice divides the result by the product of
+    the rows' denominators once per term.
     """
-    grid = mat if isinstance(mat, _Grid) else None
-    entries = mat if grid is None else grid.terms
-    width = len(entries[0]) if entries else 0
-    rows = range(len(entries)) if rows is None else rows
+    grid = mat if isinstance(mat, _Grid) else series_grid(mat)
+    width = len(grid.terms[0]) if grid.terms else 0
+    rows = range(len(grid.terms)) if rows is None else rows
     cols = range(width) if cols is None else cols
-    if len(rows) != len(cols) or any(len(row) != width for row in entries):
+    if len(rows) != len(cols) or any(len(row) != width for row in grid.terms):
         raise DimensionMismatch(
             f"determinant needs a square minor, got {len(rows)} rows and {len(cols)} columns"
         )
-    if grid is None:
-        grid = _to_grid([mat[r] for r in rows])
-        rows = range(len(rows))
     terms, known, _ = _minor(grid, rows, cols)
     scale = prod(grid.dens[r] for r in rows)
     parts: dict = {}
@@ -514,7 +502,7 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
             raise SizeLimit(
                 f"checking {cert.claimed} expands {side}x{side} minors, above bound {bound}"
             )
-        grid = _to_grid(lift)
+        grid = series_grid(lift)
         exact = all(t is None for row in grid.truncs for t in row)
         if exact and _bordered_rank2(grid, d, n):
             ok, detail = True, "all 3x3 minors vanish"
@@ -529,7 +517,7 @@ def verify_lift(cert: LiftCertificate, bound: int = MAX_ENUMERATION_BOUND) -> li
             raise SizeLimit(
                 f"checking {cert.claimed} expands the {n}x{n} determinant, above bound {bound}"
             )
-        z, why = _det_vanishes(_to_grid(lift), range(n), range(n))
+        z, why = _det_vanishes(series_grid(lift), range(n), range(n))
         steps.append({"check": "determinant_vanishes", "ok": z, "detail": why})
 
     cert.transcript = steps

@@ -3,7 +3,8 @@ loop over permutations(range(n)) that adds each permutation's cells of a
 square int grid (row tuples) and keeps the least sum and the list of the
 permutations attaining it, in permutations order.  It is the reference
 that tropical._perm_argmin, its written-out 4 x 4 and 5 x 5 sums and its
-row gathers above 5 are checked against, value and argmin list in order."""
+row-0 expansion above 5 are checked against, value and argmin list in
+order."""
 
 from itertools import permutations
 

@@ -126,11 +126,11 @@ def test_no_module_imports_a_private_name_of_verify():
 
 def test_private_name_scan_sees_every_form():
     source = (
-        "from .verify import LiftCertificate, _to_grid\n"
+        "from .verify import LiftCertificate, _row_step\n"
         "from troplift.verify import _det_vanishes as dv\n"
         "from .puiseux import _fold\n"
         "from . import verify\n"
         "def f():\n"
         "    from .verify import _minor\n"
     )
-    assert _private_from_verify(source) == {"_to_grid", "_det_vanishes", "_minor"}
+    assert _private_from_verify(source) == {"_row_step", "_det_vanishes", "_minor"}

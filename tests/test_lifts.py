@@ -640,7 +640,7 @@ class TestBorderedRankCheck:
             lift, claimed = tuple(map(tuple, rows)), "rank<=2"
             target = TropMatrix.make([[e.val() for e in row] for row in rows])
         grids = []
-        to_grid = verify_mod._to_grid
+        to_grid = verify_mod.series_grid
 
         def counting_grid(mat):
             grids.append(len(mat))
@@ -649,7 +649,7 @@ class TestBorderedRankCheck:
         def no_series_det(mat):
             raise AssertionError("verify_lift called series_det")
 
-        monkeypatch.setattr(verify_mod, "_to_grid", counting_grid)
+        monkeypatch.setattr(verify_mod, "series_grid", counting_grid)
         monkeypatch.setattr(verify_mod, "series_det", no_series_det)
         cert = LiftCertificate(target, lift, claimed, "none")
         verify_lift(cert)

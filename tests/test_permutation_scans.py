@@ -1,12 +1,13 @@
 """One permutation scan for both tropical determinants.
 
 tropical._perm_argmin is the one scan over the permutations of a
-determinant, read off a scan table per size n (the permutations of
-range(n) with their flat cell indices, tropical._scan_table): trop_det,
-the rank scans' larger minors (principal ones included) and
-membership's minor signs all call it, sym_trop_det groups
-trop_det's minimizers into their symmetric classes, and a minimizer's
-sign is its monomial class's (SignedMonomialClass.from_permutation).
+determinant, read off a scan table per size n up to 5 (the permutations
+of range(n) with their flat cell indices, tropical._scan_table; larger
+determinants expand along row 0): trop_det, the rank scans' larger
+minors (principal ones included) and membership's minor signs all call
+it, sym_trop_det groups trop_det's minimizers into their symmetric
+classes, and a minimizer's sign is its monomial class's
+(SignedMonomialClass.from_permutation).
 Each symmetric class is built from its exponent (monomials.sym_class), so
 only tropical (the scan) and monomials (the enumeration commands' list
 of every class) may enumerate permutations; a second module that does

@@ -1,14 +1,14 @@
 """The table-driven permutation scan against the loop it replaced.
 
 tropical._perm_argmin sums every permutation of a flat row-major int grid
-off a scan table per size n up to 7 (written out for n = 4 and 5, a
-gather per row above 5) and reads the minimum, its multiplicity and its
-minimisers off those sums.  The value and the argmin list, order
+off a scan table per size n up to 5 (written out for n = 4 and 5; larger
+grids expand along row 0 down to 5 x 5 scans) and reads the minimum, its
+multiplicity and its minimisers off those sums.  The value and the argmin list, order
 included, must agree with the loop in tests/scan_reference.py, and so
 must the minor tests that read their cells straight off an int grid: the
 plain and principal uniqueness tests and membership's minor signs.
-Every determinant path reaches the one scan, and an 8 x 8 scan, which
-expands along row 0 into 7 x 7 scans, leaves no table behind.
+Every determinant path reaches the one scan, and an 8 x 8 scan leaves no
+table behind.
 """
 
 import random
@@ -113,21 +113,23 @@ def test_every_determinant_path_reaches_the_one_scan(monkeypatch):
     assert sizes == [5, 4, 4, 4]
 
 
-def test_tables_stop_at_7():
-    """The 7 x 7 table is built once and kept; an 8 x 8 scan builds none."""
-    assert tropical._scan_table(7) is tropical._scan_table(7)
-    scan([(0,) * 8] * 8)
-    assert max(tropical._TABLES) == 7
+def test_tables_stop_at_5():
+    """The 5 x 5 table is built once and kept; 6 x 6 to 8 x 8 scans build
+    none."""
+    assert tropical._scan_table(5) is tropical._scan_table(5)
+    for n in (6, 7, 8):
+        scan([(0,) * n] * n)
+    assert max(tropical._TABLES) == 5
 
 
 def test_an_8x8_determinant_retains_no_table():
-    """An 8 x 8 scan expands along row 0 into 7 x 7 scans: what the
+    """An 8 x 8 scan expands along row 0 down to 5 x 5 scans: what the
     determinant leaves behind, its memo entry and classes included, stays
     under 1 MB, where a kept 8 x 8 table would hold about 7 MB."""
     rng = random.Random(8)
     a = TropMatrix.make([[rng.randint(0, 99) for _ in range(8)] for _ in range(8)])
     a.as_int_grid()
-    tropical._scan_table(7)
+    tropical._scan_table(5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -27,7 +27,7 @@ from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
 from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt, quad_numerators
 from troplift.quadext import QuadExt
 from troplift import verify
-from troplift.verify import _det_vanishes, _min_plus, _to_grid, series_grid
+from troplift.verify import _det_vanishes, _min_plus, series_grid
 
 F = Fraction
 
@@ -216,7 +216,7 @@ def ref_det_vanishes(mat):
 
 def det_vanishes(mat):
     """_det_vanishes on the whole of a square matrix's grid."""
-    return _det_vanishes(_to_grid(mat), range(len(mat)), range(len(mat)))
+    return _det_vanishes(series_grid(mat), range(len(mat)), range(len(mat)))
 
 
 @SETTINGS
@@ -338,15 +338,6 @@ def test_minor_matches_the_determinant_of_its_submatrix(drawn):
     same(series_det(mat, rows, cols), ref_series_det([[mat[r][c] for c in cols] for r in rows]))
 
 
-@SETTINGS
-@given(rectangles())
-def test_minor_off_the_whole_grid_matches(drawn):
-    """A minor read off the series_grid of the whole matrix is the one read
-    off its own rows' grid, terms and order alike."""
-    mat, rows, cols = drawn
-    same(series_det(series_grid(mat), rows, cols), series_det(mat, rows, cols))
-
-
 def test_minor_of_unequal_sides_is_refused():
     one = mono(1, 0)
     mat = [[one, mono(2, 1), one], [one, one, mono(1, 2)]]
@@ -406,10 +397,11 @@ def test_splits_take_two_and_three_determinants(monkeypatch):
 
     def counted_grid(mat):
         grids.append(len(mat))
-        return _to_grid(mat)
+        return series_grid(mat)
 
     monkeypatch.setattr(lifts, "series_det", counted)
-    monkeypatch.setattr(verify, "_to_grid", counted_grid)
+    for module in (lifts, verify):
+        monkeypatch.setattr(module, "series_grid", counted_grid)
     sym = [[mono(r + c + 1, abs(r - c)) for c in range(4)] for r in range(4)]
     _split_det_linear(zeroed(sym, (1, 2)), 1, 2)
     assert len(calls) == 2 and grids == [4]
