@@ -6,9 +6,9 @@ structured reason payload; positive-part verdicts on boundary points are
 decided by closure, accepting whenever some edge of the minimizing set
 satisfies the relevant cone criterion.
 
-The analyses behind the verdicts are memoised (see tropical), and so is
-the symmetric edge table that C+ and R+ share: one tuple of immutable
-records per (matrix, bound), holding the memoised NewtonEdges that
+The analyses behind the verdicts are kept in each matrix's record (see
+tropical), and so is the symmetric edge table that C+ and R+ share: a
+tuple of immutable rows holding the memoised NewtonEdges that
 newton.edges_among finds among the tie's vertex classes.  An edge's span
 (its endpoints, and at lattice length 2 its midpoint) is made of distinct
 tied classes, so it is exactly the tie when the counts agree.  A lattice
@@ -29,7 +29,7 @@ it changes no later answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -39,9 +39,9 @@ from .errors import SizeLimit
 from .monomials import plain_class
 from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, edges_among
 from .tropical import (
-    _MEMO_SIZE,
     _cells,
     barvinok_rank2,
+    recorded,
     sym_trop_det,
     sym_trop_rank,
     trop_det,
@@ -179,7 +179,7 @@ def _edge_payload(rec: _EdgeRecord) -> dict:
     }
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@recorded
 def _edge_table(asym: TropMatrix, bound: int) -> tuple:
     """The _EdgeRecords of a symmetric matrix, shared by C+ and R+."""
     res = sym_trop_det(asym, bound)

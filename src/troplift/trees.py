@@ -11,12 +11,12 @@ locate each projection), which is the same data as the tie pattern and
 slack of the 2x2 tropical minors.  The correspondence runs both ways
 (Develin-Santos-Sturmfels 2005, section 6): a matrix has tropical rank
 <= 2 exactly when it is, up to scaling, the matrix of a bicolored tree.
-So the memoised builder _rank2_tree is the rank <= 2 test that trop_rank
-asks: it returns the tree, or None when a Gromov product overruns its
-path, a Hilbert distance is not reproduced, or the tree's matrix is not
-the input up to scaling.  Each outcome is an int comparison, so python
--O keeps it.  Callers that know the rank is <= 2 read the same memo
-entry through known_rank2_tree, which raises on a None.
+So _rank2_tree, kept in tropical's analysis store, is the rank <= 2 test
+that trop_rank asks: it returns the tree, or None when a Gromov product
+overruns its path, a Hilbert distance is not reproduced, or the tree's
+matrix is not the input up to scaling.  Each outcome is an int
+comparison, so python -O keeps it.  Callers that know the rank is <= 2
+read the same entry through known_rank2_tree, which raises on a None.
 
 Trees are stored as an adjacency map with positive int edge lengths over
 one unit (a length w stands for w / unit) plus leaf markings; several
@@ -39,12 +39,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .config import MAX_ENUMERATION_BOUND
 from .errors import InvalidTree, RankTooHigh
-from .tropical import _MEMO_SIZE, trop_rank
+from .tropical import recorded, trop_rank
 from .tropmat import TropMatrix
 
 RED = "red"
@@ -283,7 +282,7 @@ def known_rank2_tree(a: TropMatrix) -> BicoloredTree:
     return tree
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@recorded
 def _rank2_tree(a: TropMatrix) -> BicoloredTree | None:
     """The tree of a matrix of tropical rank <= 2, or None when its rank is
     higher: a matrix has rank <= 2 exactly when it is, up to scaling, the

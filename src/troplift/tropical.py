@@ -43,27 +43,24 @@ witnesses need are ints.  Each witness's check that it reproduces the
 matrix compares ints and raises, so python -O keeps it, and the witness's
 entries become Fractions once, as x / U.
 
-The determinants, the ranks and the two Barvinok tests, like
-membership's edge table, are memoised on the frozen TropMatrix (which
-hashes and builds its grid once) and the bound (the rank-2 tree,
-trees._rank2_tree, on the matrix alone: trop_rank builds it and the
-Barvinok tests read it back), so the sixteen membership questions asked
-of one matrix compute each once.  The six analyses here key their memo
-on (a, bound) however the bound is passed (_memo): f(a), f(a, 8) and
-f(a, bound=8) are one key.
-Raised errors are not remembered; a Barvinok test's rank_too_high record
-is returned, so it is.  Newton polytope edges have one memo of their
-own, a row of edges per monomial class (newton).  Nothing returned
-aliases mutable memo state: results, Barvinok records and edges are
-immutable, trees and witnesses are never written, and the payload dicts
-are membership's, built per call.
+The determinants, the ranks, the two Barvinok tests, membership's edge
+table and the rank-2 tree (trees._rank2_tree) are kept in one store of
+per-matrix records (recorded), each mapping (analysis, bound) to a
+result, for the last STORE_SIZE matrices asked about.  f(a), f(a, 8) and
+f(a, bound=8) read one entry, so the sixteen membership questions asked
+of one matrix compute each analysis once.  Raised errors are not kept; a
+Barvinok test's rank_too_high record is returned, so it is.  Nothing
+returned aliases mutable record state: results, Barvinok records and
+edges are immutable, trees and witnesses are never written, and the
+payload dicts are membership's, built per call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import combinations, compress, islice, permutations
 from math import comb, lcm
 from typing import NamedTuple
@@ -73,24 +70,42 @@ from .errors import DimensionMismatch, SizeLimit
 from .monomials import plain_class, sym_exponent
 from .tropmat import TropMatrix
 
-_MEMO_SIZE = 32  # matrices remembered per analysis
+STORE_SIZE = 32  # matrices whose analysis records the store keeps
+_RECORDS: dict = {}  # matrix -> {(analysis name, bound): result}, oldest first
+FILLS: Counter = Counter()  # analysis name -> results computed since clear()
 _TABLE_MAX_N = 5  # largest n with a scan table; larger scans expand along row 0
 _TABLES: dict = {}  # n -> scan table; a constant of n, so it stays warm
 
 
-def _memo(fn):
-    """fn memoised on (a, bound) in a small LRU, the bound passed on
-    positionally whichever way the caller gave it, so f(a), f(a, 8) and
-    f(a, bound=8) share one key.  cache_info and cache_clear are the LRU's."""
-    cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
+def clear() -> None:
+    """Empty the analysis store and its fill counts."""
+    _RECORDS.clear()
+    FILLS.clear()
+
+
+def recorded(fn):
+    """The analysis fn(a, bound), or fn(a) under bound None, kept in a's
+    record under (fn's name, bound) however the bound is passed; a full
+    store drops its oldest record for a new one.  Errors are not kept."""
+    name = fn.__name__
+    if fn.__code__.co_argcount == 1:
+        bounded = recorded(wraps(fn)(lambda a, bound: fn(a)))
+        return wraps(fn)(lambda a: bounded(a, None))
 
     @wraps(fn)
-    def memoised(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
-        return cached(a, bound)
+    def analysis(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND):
+        try:
+            return _RECORDS[a][name, bound]
+        except KeyError:
+            pass
+        result = fn(a, bound)
+        FILLS[name] += 1
+        if a not in _RECORDS and len(_RECORDS) >= STORE_SIZE:
+            del _RECORDS[next(iter(_RECORDS))]
+        _RECORDS.setdefault(a, {})[name, bound] = result
+        return result
 
-    memoised.cache_info = cached.cache_info
-    memoised.cache_clear = cached.cache_clear
-    return memoised
+    return analysis
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,7 @@ def _cells(grid, rows, cols) -> list:
     return [row[c] for row in map(grid.__getitem__, rows) for c in cols]
 
 
-@_memo
+@recorded
 def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over all permutation monomials, with the full argmin set."""
     _check_square(a, bound)
@@ -165,7 +180,7 @@ def trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult
     return TropDetResult(Fraction(best, scale), classes, count >= 2)
 
 
-@_memo
+@recorded
 def sym_trop_det(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> TropDetResult:
     """Minimum over monomial classes of the symmetric determinant: the
     minimisers of trop_det grouped into their classes, in exponent order.
@@ -283,7 +298,7 @@ def _rank(a: TropMatrix, bound: int, rank: int, some_nonsingular, det) -> int:
     return rank
 
 
-@_memo
+@recorded
 def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest size of a tropically nonsingular square submatrix.
 
@@ -295,7 +310,7 @@ def trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     return _rank(a, bound, 0, _some_plain_nonsingular, trop_det)
 
 
-@_memo
+@recorded
 def sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     """Largest nonsingular submatrix size, using the symmetric determinant
     (class ties) on principal submatrices and the plain one elsewhere.
@@ -332,7 +347,7 @@ class BarvinokRecord(NamedTuple):
     caterpillar: bool = False
 
 
-@_memo
+@recorded
 def barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BarvinokRecord:
     """Decide Barvinok rank <= 2 and build a factorization witness.
 
@@ -395,7 +410,7 @@ def _caterpillar_witness(a: TropMatrix, tree):
     return _on_grid(b, big), _on_grid(cmat, big)
 
 
-@_memo
+@recorded
 def sym_barvinok_rank2(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> BarvinokRecord:
     """Decide symmetric Barvinok rank <= 2 with a witness B, A = B ⊙ B^T:
     barvinok_rank2's rank gate, then sym_tree_barvinok."""

@@ -1,10 +1,10 @@
 """Min-plus matrices with exact rational entries.
 
-A TropMatrix is frozen, and the memoised analyses key on it, so it
-computes two derived values once, on first use, and then only reads
-them: its hash, and its integer grid (the entries rescaled by their
-denominator lcm).  Neither takes part in equality, repr or the wire
-format, which see only the entries and the symmetric flag.
+A TropMatrix is frozen, and the analysis store keys its records on it
+(see tropical), so it computes two derived values once, on first use,
+and then only reads them: its integer grid (the entries rescaled by
+their denominator lcm) and its hash, of that grid and the symmetric
+flag.  Equality, repr and the wire format see the entries and the flag.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TropMatrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.entries, self.symmetric)))
+            object.__setattr__(self, "_hash", hash((self.as_int_grid(), self.symmetric)))
         return self._hash
 
     def as_int_grid(self) -> tuple[int, tuple]:

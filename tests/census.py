@@ -157,8 +157,8 @@ def gaps(box) -> list:
 
 def rank_mismatches(a: TropMatrix) -> list:
     """(name, rank, full scan's rank) of each rank that differs from its
-    full scan, both at the default bound passed positionally, as the
-    membership questions pass it."""
+    full scan, both at the default bound, as the membership questions
+    pass it."""
     bound = Config().enumeration_bound
     found = []
     for name, ref in RANKS:

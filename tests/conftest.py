@@ -1,29 +1,23 @@
-"""Shared test setup: every test starts with empty analysis memos and
+"""Shared test setup: every test starts with an empty analysis store and
 without TROPLIFT_* configuration from the environment.  Also the 7x7
 symmetric inputs that several test files share, and the brute-force hull
 of the 4x4 symmetric determinant's exponent points and the cocircuit
 fixture's tropical rank, each computed once."""
 
+import sys
 import time
 
 import pytest
 
 from oracle import brute_hull
-from troplift import membership, trees, tropical
+from troplift import tropical
 from troplift.fixtures import cocircuit_fixture
 from troplift.monomials import sym_det_monomials
 
-MEMOISED = (
-    tropical.trop_det,
-    tropical.sym_trop_det,
-    tropical.trop_rank,
-    tropical.sym_trop_rank,
-    tropical.barvinok_rank2,
-    tropical.sym_barvinok_rank2,
-    membership._edge_table,
-)
-# memos keyed on the matrix alone, without a bound
-MEMOISED_UNBOUNDED = (trees._rank2_tree,)
+
+def entries(name: str) -> int:
+    """How many entries of the analysis named `name` the store holds."""
+    return sum(key[0] == name for record in tropical._RECORDS.values() for key in record)
 
 
 def _sym7_a():
@@ -52,12 +46,35 @@ SYM7_B = [
 
 
 @pytest.fixture(autouse=True)
-def _empty_analysis_memos():
+def _empty_analysis_store():
     """No test can pass on a result another test computed.  The monomial
     classes (sym_class's memo, plain_class's, the enumeration's lists) are
     inputs, not results, and stay warm."""
-    for fn in MEMOISED + MEMOISED_UNBOUNDED:
-        fn.cache_clear()
+    tropical.clear()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """count(module, name) puts a counter in place of module.name under
+    every troplift module attribute that holds it, as the benchmark's
+    tracer does, and returns the list that each call appends its
+    positional arguments to.  A call that the store answers is a hit, so
+    hits are calls minus tropical.FILLS[name]."""
+
+    def count(module, name):
+        orig, seen = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return orig(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "troplift"]:
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counted)
+        return seen
+
+    return count
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +90,7 @@ def hull4():
     """brute_hull of the 17 exponent points (upper triangles, row by row)
     of sym_det_monomials(4): (vertex ids, edge id pairs) as tuples.  It is
     the reference the fast vertex and edge tests are checked against, and
-    it reads no memo, so the per-test memo reset does not touch it."""
+    it reads no analysis, so the per-test store reset does not touch it."""
     pts = [
         tuple(c.exponent[i][j] for i in range(4) for j in range(i, 4))
         for c in sym_det_monomials(4)
@@ -86,8 +103,8 @@ def hull4():
 def cocircuit_rank():
     """(tropical rank, seconds taken) of the 9x12 cocircuit fixture.  The
     scan takes about a second, and three tests check it.  It runs the
-    unmemoised trop_rank, so it neither reads a rank another test left
-    in the memo nor leaves one behind."""
+    body of trop_rank (__wrapped__), so it neither reads a rank another
+    test left in the store nor leaves one behind."""
     start = time.perf_counter()
     rank = tropical.trop_rank.__wrapped__(cocircuit_fixture())
     return rank, time.perf_counter() - start

@@ -2,8 +2,8 @@
 rank-2 tree: every k x k minor of each size tested in turn, the principal
 ones by their classes in the symmetric scan, from size 1 up.  They are the
 references the tree-backed trop_rank and sym_trop_rank are checked
-against, by the hypothesis tests and by tests/census.py.  They read the
-unmemoised determinants, so they leave nothing in a memo."""
+against, by the hypothesis tests and by tests/census.py.  They call the
+determinants' bodies (__wrapped__) rather than read a stored result."""
 
 from itertools import combinations
 

@@ -671,29 +671,29 @@ class TestBorderedRankCheck:
 
 class TestOneAnalysisPerLift:
     """Each lift computes its deciding analysis once.  Every test starts
-    with empty memos (tests/conftest.py), so a memo's misses count the
-    computations the lift ran."""
+    with an empty analysis store (tests/conftest.py), so an analysis's
+    fills count the computations the lift ran."""
 
-    def test_sym_rank2_real_builds_one_tree(self):
+    def test_sym_rank2_real_builds_one_tree(self, calls):
+        ranks = calls(tropical, "trop_rank")
         assert lift_sym_rank2_real(fixture("fig2a")).method == "mirror_factor_product"
-        assert trees._rank2_tree.cache_info().misses == 1
+        assert tropical.FILLS["_rank2_tree"] == 1
         # the symmetric rank decides, from one plain rank read inside it;
         # no second plain rank follows it
-        assert tropical.sym_trop_rank.cache_info().misses == 1
-        info = tropical.trop_rank.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert tropical.FILLS["sym_trop_rank"] == 1
+        assert (tropical.FILLS["trop_rank"], len(ranks)) == (1, 1)
 
     @pytest.mark.parametrize("name", ["fig2a", "fig3b", "fig4a"])
-    def test_sym_rank2_real_caterpillar_is_the_caterpillar_lift(self, name):
+    def test_sym_rank2_real_caterpillar_is_the_caterpillar_lift(self, name, calls):
         """The caterpillar branch answers the symmetric Barvinok test from
         the tree in hand, without a second rank: the plain rank is read
         once, by the symmetric one, and on the 4 x 4 fixtures it built the
         tree the Barvinok test reads.  It issues the same certificate as
         lift_sym_caterpillar."""
+        ranks = calls(tropical, "trop_rank")
         cert = lift_sym_rank2_real(fixture(name))
-        info = tropical.trop_rank.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
-        assert trees._rank2_tree.cache_info().misses == 1
+        assert (tropical.FILLS["trop_rank"], len(ranks)) == (1, 1)
+        assert tropical.FILLS["_rank2_tree"] == 1
         again = lift_sym_caterpillar(fixture(name))
         assert jsonio.dumps(jsonio.encode_certificate(cert)) == jsonio.dumps(
             jsonio.encode_certificate(again)
@@ -701,7 +701,7 @@ class TestOneAnalysisPerLift:
 
     def test_sym_caterpillar_builds_one_tree(self):
         assert lift_sym_caterpillar(fixture("fig2a")).valid
-        assert trees._rank2_tree.cache_info().misses == 1
+        assert tropical.FILLS["_rank2_tree"] == 1
 
     @pytest.mark.parametrize("lift", [lift_sym_caterpillar, lift_sym_rank2_real], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("name", ["fig2a", "fig3b", "fig3c", "fig4a"])
@@ -724,11 +724,11 @@ class TestOneAnalysisPerLift:
 
     def test_rank2_real_runs_one_rank_scan(self):
         assert lift_rank2_real(fixture("eq1")).method == "frame_completion"
-        assert tropical.trop_rank.cache_info().misses == 1
+        assert tropical.FILLS["trop_rank"] == 1
 
     def test_sym_corank1_real_mode_runs_one_symmetric_determinant(self):
         assert lift_sym_corank1(fixture("ex52"), "R").valid
-        assert tropical.sym_trop_det.cache_info().misses == 1
+        assert tropical.FILLS["sym_trop_det"] == 1
 
 
 class TestLiftBound:

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import samples
+from conftest import entries
 from rank_reference import ref_sym_trop_rank, ref_trop_rank
 from troplift import trees, tropical
 from troplift.errors import RankTooHigh, SizeLimit
@@ -164,7 +165,7 @@ def test_a_3_row_matrix_is_scanned_without_the_tree():
     a 3 x 5 of rank 2 is decided without building its tree."""
     a = TropMatrix.make(CASES["wide_3x5"][0])
     assert trop_rank(a, 8) == 2
-    assert trees._rank2_tree.cache_info().currsize == 0
+    assert (tropical.FILLS["_rank2_tree"], entries("_rank2_tree")) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

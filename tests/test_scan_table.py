@@ -124,7 +124,7 @@ def test_tables_stop_at_5():
 
 def test_an_8x8_determinant_retains_no_table():
     """An 8 x 8 scan expands along row 0 down to 5 x 5 scans: what the
-    determinant leaves behind, its memo entry and classes included, stays
+    determinant leaves behind, its record entry and classes included, stays
     under 1 MB, where a kept 8 x 8 table would hold about 7 MB."""
     rng = random.Random(8)
     a = TropMatrix.make([[rng.randint(0, 99) for _ in range(8)] for _ in range(8)])

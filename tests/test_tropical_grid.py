@@ -404,7 +404,7 @@ def test_rank_scans_count_their_minor_tests(monkeypatch):
     rows.  The symmetric scan starts from that rank: it tests the 10
     principal 3 x 3 minors by their classes and no plain minor, where the
     full scan tested 45 plainly besides.  The symmetric scan's plain rank
-    is a memo hit."""
+    is read from the store."""
     a = samples.random_sym_rank2_matrix(random.Random(3), 5)
     counts = _count_minor_tests(monkeypatch, tropical)
     assert trop_rank(a, 8) == 2
