@@ -108,7 +108,7 @@ class TestOneComputationPerMatrix:
         tropical.sym_trop_det(a, 8)
         assert (len(counted), tropical.FILLS["trop_det"]) == (1, 1)
 
-    def test_barvinok_tests_read_the_rank_once(self, monkeypatch):
+    def test_barvinok_tests_read_the_rank_once(self, calls):
         """A rank above 2 answers the Barvinok test from one trop_rank
         call; no tree guard asks for it a second time.  The four
         member_rank2 calls ask once each, the symmetric C+ and R+
@@ -117,20 +117,11 @@ class TestOneComputationPerMatrix:
         symmetric rank starts from the plain one under the same entry,
         so the sixteen questions make six calls and compute the rank once."""
         a = random_sym_matrix(random.Random(1), 5, 0, 3)
-        calls = []
-        rank = tropical.trop_rank
-
-        def counted(*args):
-            calls.append(args)
-            return rank(*args)
-
-        monkeypatch.setattr(tropical, "trop_rank", counted)
-        monkeypatch.setattr(trees, "trop_rank", counted)
-        monkeypatch.setattr(membership, "trop_rank", counted)
+        counted = calls(tropical, "trop_rank")
         _decide(a)
-        assert rank(a, 8) > 2
-        assert len(calls) == 6 and set(calls) == {(a, 8)}
+        assert len(counted) == 6 and set(counted) == {(a, 8)}
         assert tropical.FILLS["trop_rank"] == 1
+        assert tropical.trop_rank(a, 8) > 2
 
     @pytest.mark.parametrize("fn", TROPICAL, ids=lambda fn: fn.__name__)
     def test_the_bound_is_one_key_however_it_is_passed(self, fn):
