@@ -627,14 +627,12 @@ def lift_sym_corank1(
             )
         if not ok:
             raise SameSigns("no edge of the minimizing set admits a positive solution")
-    usable = [rec for rec in table if mode == "R" or rec.qualifies_r_plus]
+    usable = [edge for edge in table.edges if mode == "R" or table.r_plus(edge)]
     assert usable, "true verdict must come with a usable edge"
     # prefer edges that span the tie exactly: there the constructive
     # statements apply; on a pure boundary tie the verdict is a closure
     # statement and the solve below may be genuinely infeasible
-    usable.sort(
-        key=lambda rec: (not rec.exact_span, rec.edge.lattice_length, rec.edge.u.exponent)
-    )
+    edge = min(usable, key=lambda e: (e.lattice_length != table.size - 1, e.lattice_length, e.u.exponent))
     if boundary:
         exhausted = DegenerateGeneric(
             "the tie strictly contains the qualifying edge; membership is a "
@@ -643,12 +641,10 @@ def lift_sym_corank1(
         )
     else:
         exhausted = DegenerateGeneric("quadratic solve kept failing after retries")
-    chosen = usable[0]
-    edge = chosen.edge
     if edge.lattice_length == 1:
         i, j = _lattice1_entry(edge)
     else:
-        i, j = chosen.minor_reports[0][0]
+        i, j = table.reports[edge.midpoint_cycle][0][0]
     flips = _flip_candidates(asym, edge, i, j, mode)
     return _solve_symmetric_quadratic(asym, i, j, mode, seed, flips, bound, exhausted)
 

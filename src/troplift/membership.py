@@ -7,23 +7,23 @@ decided by closure, accepting whenever some edge of the minimizing set
 satisfies the relevant cone criterion.
 
 The analyses behind the verdicts are kept in each matrix's record (see
-tropical), and so is the symmetric edge table that C+ and R+ share: a
-tuple of immutable rows holding the memoised NewtonEdges that
-newton.edges_among finds among the tie's vertex classes.  An edge's span
-(its endpoints, and at lattice length 2 its midpoint) is made of distinct
-tied classes, so it is exactly the tie when the counts agree.  A lattice
-length 2 record reads its minor pairs off the even cycle its NewtonEdge
-carries.  Its deleted minors' signs, like the 3x3 minors' signs of
+tropical), and so is the symmetric edge table that C+ and R+ share: the
+memoised NewtonEdges that newton.edges_among finds among the tie's
+vertex classes, each carrying its C+ test, with the tie's size and one
+minor report per midpoint cycle.  An edge's span (its endpoints, and at
+lattice length 2 its midpoint) is made of distinct tied classes, so it is
+exactly the tie when the counts agree.  A report's pairs run around the
+even cycle, and its deleted minors' signs, like the 3x3 minors' signs of
 `positive_generators_check`, are read off the matrix's int grid:
 tropical's permutation scan finds the minimizers (looked up on the
 tropical module at each call, so every determinant scan goes through
 that one name), and each one's sign is that of its plain monomial
-class.  `_positive_part` decides C+ and R+
-from the table, for the verdicts here and for lifts.lift_sym_corank1
-alike; the rank-2 positive parts read tropical's Barvinok records, as the
-rank-2 lifts do.  Every payload, Barvinok detail, edge dict and minor
-report a caller gets is built fresh here from those records, so changing
-it changes no later answer.
+class.  `_positive_part` decides C+ and R+ from the table, for the
+verdicts here and for lifts.lift_sym_corank1 alike; the rank-2 positive
+parts read tropical's Barvinok records, as the rank-2 lifts do.  Every
+payload, Barvinok detail, edge dict and minor report a caller gets is
+built fresh here from those records, so changing it changes no later
+answer.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import tropical
 from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
 from .monomials import plain_class
-from .newton import NewtonEdge, birkhoff_edge, edge_positive_ok, edges_among
+from .newton import NewtonEdge, birkhoff_edge, edges_among
 from .tropical import (
     _cells,
     barvinok_rank2,
@@ -142,71 +142,67 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
     adjacent pair decides, and all pairs are reported.  The dicts are
     fresh; the table they are read from is memoised.
     """
-    return [_edge_payload(rec) for rec in _edge_table(a.as_symmetric(), bound)]
+    table = _edge_table(a.as_symmetric(), bound)
+    exact = table.size - 1  # the lattice length of an edge that is the tie
+    out = []
+    for edge in table.edges:
+        reports, r_plus = None, edge.positive
+        if edge.midpoint_cycle is not None:
+            reports = [
+                {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
+                for pair, (si, sj), same in table.reports[edge.midpoint_cycle]
+            ]
+            r_plus = table.r_plus(edge)
+        out.append({
+            "edge": edge,
+            "exact_span": edge.lattice_length == exact,
+            "qualifies_c_plus": edge.positive,
+            "qualifies_r": True,
+            "minor_pair": None if reports is None else reports[0]["pair"],
+            "minor_reports": reports,
+            "qualifies_r_plus": r_plus,
+        })
+    return out
 
 
-class _EdgeRecord(NamedTuple):
-    """One row of a matrix's edge table; it shares the memoised NewtonEdge."""
+class _EdgeTable(NamedTuple):
+    """A tie's edge table, shared by C+, R+ and lifts.lift_sym_corank1: the
+    memoised NewtonEdges among the tie's vertex classes whose span lies in
+    the tie; the tie's size, which an edge spans exactly (the regime of the
+    constructive statements) when it is lattice_length + 1; and per
+    midpoint cycle, ((i, j), (signs of minor i, of minor j), same sign) for
+    each adjacent pair on it, shared by the edges on that cycle."""
 
-    edge: NewtonEdge
-    # the tie is exactly this edge, the regime of the constructive
-    # statements; otherwise the verdict is a closure statement and an
-    # exact lift need not exist
-    exact_span: bool
-    qualifies_c_plus: bool
-    qualifies_r_plus: bool
-    # lattice length 2 only: ((i, j), (signs of minor i, of minor j), same sign)
-    # per adjacent pair on the midpoint's even cycle
-    minor_reports: tuple | None
+    edges: tuple
+    size: int
+    reports: dict
 
-
-def _edge_payload(rec: _EdgeRecord) -> dict:
-    """The payload of one record; the minor entries are None at lattice length 1."""
-    reports = None
-    if rec.minor_reports is not None:
-        reports = [
-            {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
-            for pair, (si, sj), same in rec.minor_reports
-        ]
-    return {
-        "edge": rec.edge,
-        "exact_span": rec.exact_span,
-        "qualifies_c_plus": rec.qualifies_c_plus,
-        "qualifies_r": True,
-        "minor_pair": None if reports is None else reports[0]["pair"],
-        "minor_reports": reports,
-        "qualifies_r_plus": rec.qualifies_r_plus,
-    }
+    def r_plus(self, edge: NewtonEdge) -> bool:
+        """R+ test: C+, and at lattice length 2 the first pair's minors agree."""
+        return edge.positive and (edge.midpoint_cycle is None or self.reports[edge.midpoint_cycle][0][2])
 
 
 @recorded
-def _edge_table(asym: TropMatrix, bound: int) -> tuple:
-    """The _EdgeRecords of a symmetric matrix, shared by C+ and R+."""
+def _edge_table(asym: TropMatrix, bound: int) -> _EdgeTable:
+    """The edge table of a symmetric matrix's tie."""
     res = sym_trop_det(asym, bound)
     argmin = set(res.argmin)
-    # once per deleted index, read off the parent's grid: every cycle vertex
-    # of every edge asks for its minor's signs
+    # the midpoint of a tied edge is forced into the tie
+    edges = tuple(
+        edge
+        for edge in edges_among(cls for cls in res.argmin if cls.is_vertex)
+        if edge.midpoint is None or edge.midpoint in argmin
+    )
+    # once per deleted index, read off the parent's grid: every vertex of
+    # every midpoint cycle asks for its minor's signs
     signs = cache(lambda k: _minor_signs(asym, k))
-
-    out = []
-    for edge in edges_among(cls for cls in res.argmin if cls.is_vertex):
-        if edge.lattice_length == 2 and edge.midpoint not in argmin:
-            continue  # midpoint of a tied edge is forced into the tie
-        # the span (u, v, and at lattice length 2 the midpoint) is made of
-        # distinct members of the argmin, so it is the tie when the sizes agree
-        exact_span = len(argmin) == edge.lattice_length + 1
-        c_plus = edge_positive_ok(edge)
-        if edge.lattice_length == 1:
-            out.append(_EdgeRecord(edge, exact_span, c_plus, c_plus, None))
-            continue
-        cycle = edge.midpoint_cycle
-        reports = []
-        for k in range(len(cycle)):
-            i, j = cycle[k], cycle[(k + 1) % len(cycle)]
-            si, sj = signs(i), signs(j)
-            reports.append(((i, j), (si, sj), any(s in sj for s in si)))
-        out.append(_EdgeRecord(edge, exact_span, c_plus, c_plus and reports[0][2], tuple(reports)))
-    return tuple(out)
+    reports = {}
+    for cycle in dict.fromkeys(edge.midpoint_cycle for edge in edges if edge.midpoint_cycle):
+        pairs = zip(cycle, cycle[1:] + cycle[:1])
+        reports[cycle] = tuple(
+            ((i, j), (signs(i), signs(j)), any(s in signs(j) for s in signs(i))) for i, j in pairs
+        )
+    return _EdgeTable(edges, len(argmin), reports)
 
 
 def _minor_signs(asym: TropMatrix, k: int) -> tuple:
@@ -254,7 +250,7 @@ def member_sym_corank1(a: TropMatrix, mode: str, bound: int = MAX_ENUMERATION_BO
     return MembershipVerdict("sym_corank1", mode, ok, payload)
 
 
-def _positive_part(table: tuple, mode: str) -> tuple:
+def _positive_part(table: _EdgeTable, mode: str) -> tuple:
     """(verdict, boundary, failure) of C+ or R+ on a tie's edge table.
 
     A true verdict is a boundary one when no qualifying edge spans the tie
@@ -262,12 +258,12 @@ def _positive_part(table: tuple, mode: str) -> tuple:
     why: "minor_signs" when an R+ edge fails only on its minors,
     "no_edge" when the tie spans no edge, else "same_signs"."""
     r_plus = mode == "R+"
-    qualifying = [rec for rec in table if (rec.qualifies_r_plus if r_plus else rec.qualifies_c_plus)]
-    if qualifying:
-        return True, not any(rec.exact_span for rec in qualifying), None
-    if r_plus and any(rec.qualifies_c_plus and rec.edge.lattice_length == 2 for rec in table):
+    lengths = [e.lattice_length for e in table.edges if (table.r_plus(e) if r_plus else e.positive)]
+    if lengths:
+        return True, table.size - 1 not in lengths, None
+    if r_plus and any(edge.positive and edge.lattice_length == 2 for edge in table.edges):
         return False, None, "minor_signs"
-    return False, None, "same_signs" if table else "no_edge"
+    return False, None, "same_signs" if table.edges else "no_edge"
 
 
 def positive_generators_check(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> bool:

@@ -24,12 +24,14 @@ remembered edge copied to name it.  `edges_among` owns the pair loop
 over a list of classes, for `polytope_edges`, membership's edge table and
 `newton_edge`, its one-pair case; `is_polytope_edge` and
 `edge_lattice_data` are one-line readers of `newton_edge`.  A NewtonEdge
-is frozen, so callers share it.
+is frozen, so callers share it; it reads `edge_positive_ok` once, when
+made, into `positive`, a derived field that copies keep and that
+equality, hashing, repr and jsonio leave out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .monomials import (
     SignedMonomialClass,
@@ -88,6 +90,12 @@ class NewtonEdge:
     midpoint: SignedMonomialClass | None
     # lattice 2 only: the midpoint's even cycle, from its minimum as in cycles_of
     midpoint_cycle: tuple | None
+    # edge_positive_ok of the edge, read when it is made; replace copies it
+    positive: bool | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.positive is None:
+            object.__setattr__(self, "positive", edge_positive_ok(self))
 
     @property
     def union_cycle_length(self) -> int | None:

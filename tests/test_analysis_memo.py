@@ -16,7 +16,7 @@ from troplift import jsonio, membership, monomials, newton, trees, tropical
 from troplift.cli import main
 from troplift.errors import SizeLimit, TropliftError
 from troplift.fixtures import fixture
-from troplift.lifts import lift_sym_caterpillar, lift_sym_rank2_real
+from troplift.lifts import lift_sym_caterpillar, lift_sym_corank1, lift_sym_rank2_real
 from troplift.membership import (
     member_corank1,
     member_rank2,
@@ -174,6 +174,41 @@ class TestOneComputationPerMatrix:
         # C+ and R+ together computed each exponent pair's edge once
         entries = sum(len(row) for row in newton._EDGES.values())
         assert computed and len(computed) == len(set(computed)) == entries
+
+
+class TestEdgeTable:
+    """The symmetric edge table holds the memoised NewtonEdges themselves,
+    the tie's size and one minor report per midpoint cycle; the payloads
+    built from it are fresh."""
+
+    def test_the_table_shares_its_edges_and_reports(self, calls):
+        # 0 on the 4-cycle 0-1-2-3 and on the block {4, 5}, 9 elsewhere: two
+        # lattice length 2 edges around the one 4-cycle, one for each of the
+        # block's two tied classes
+        rows = [[9] * 6 for _ in range(6)]
+        for i, j in ((0, 1), (1, 2), (2, 3), (0, 3), (4, 4), (5, 5), (4, 5)):
+            rows[i][j] = rows[j][i] = 0
+        a = TropMatrix.make(rows, symmetric=True)
+        signs = calls(membership, "_minor_signs")
+        table = membership._edge_table(a, 8)
+        assert table.edges and all(newton._EDGES[e.u][e.v] is e for e in table.edges)
+        assert table.size == len(tropical.sym_trop_det(a, 8).argmin)
+        lat2 = [e for e in table.edges if e.lattice_length == 2]
+        (cycle,) = {e.midpoint_cycle for e in lat2}
+        assert len(lat2) == 2 and lat2[0].midpoint != lat2[1].midpoint
+        assert list(table.reports) == [cycle] and len(table.reports[cycle]) == 4
+        # one minor per deleted cycle vertex
+        assert sorted(k for _, k in signs) == list(cycle)
+        # the payloads carry equal reports, each one its own
+        first, second = [e["minor_reports"] for e in membership.sym_corank1_edges(a) if e["minor_reports"]]
+        assert first == second and first is not second
+        assert all(x is not y and x["signs"][0] is not y["signs"][0] for x, y in zip(first, second))
+
+    def test_positive_parts_and_the_lift_fill_one_table(self):
+        a = fixture("ex52")
+        assert member_sym_corank1(a, "C+").verdict and not member_sym_corank1(a, "R+").verdict
+        lift_sym_corank1(a, "R", 1)
+        assert tropical.FILLS["_edge_table"] == 1 and entries("_edge_table") == 1
 
 
 class TestStore:

@@ -3,6 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from conftest import SYM7_A, SYM7_B
 from samples import (
     random_matrix,
@@ -19,6 +23,7 @@ from troplift.membership import (
     member_sym_rank2,
     sym_corank1_edges,
 )
+from troplift.newton import edge_positive_ok
 from troplift.tropmat import TropMatrix
 
 F = Fraction
@@ -193,3 +198,78 @@ class TestProperties:
                     member_sym_corank1(s, mode).verdict
                     == member_sym_corank1(s2, mode).verdict
                 )
+
+
+def _positive_rule(edges: list, mode: str) -> tuple:
+    """(verdict, boundary, failure) of C+ or R+ re-derived from the payload's
+    edge dicts: a qualifying edge decides, and the verdict is a boundary one
+    when none of them spans the tie exactly; R+ fails on its minors when a
+    C+ edge of lattice length 2 is there."""
+    qualifying = [e for e in edges if e["qualifies_r_plus" if mode == "R+" else "qualifies_c_plus"]]
+    if qualifying:
+        return True, not any(e["exact_span"] for e in qualifying), None
+    if mode == "R+" and any(e["qualifies_c_plus"] and e["edge"].lattice_length == 2 for e in edges):
+        return False, None, "minor_signs"
+    return False, None, "same_signs" if edges else "no_edge"
+
+
+@st.composite
+def _small_symmetric(draw):
+    """Symmetric 3x3 to 6x6 matrices with entries 0-2, so that ties are common."""
+    n = draw(st.integers(3, 6))
+    upper = {(i, j): draw(st.integers(0, 2)) for i in range(n) for j in range(i, n)}
+    rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    return TropMatrix.make(rows, symmetric=True)
+
+
+class TestPositivePartsReference:
+    """C+ and R+ of the symmetric singular set agree with their rule, read
+    off the payload's edge dicts, whose fields are checked against the
+    edge's own data."""
+
+    @staticmethod
+    def decided(a, mode) -> tuple:
+        r = member_sym_corank1(a, mode)
+        got = (r.verdict, r.reason.get("boundary"), r.reason.get("failure"))
+        if not r.reason["tie"]:
+            assert got == (False, None, "no_tie") and "edges" not in r.reason
+            return got
+        size = len(r.reason["argmin"])
+        for e in r.reason["edges"]:
+            edge, reports = e["edge"], e["minor_reports"]
+            assert e["exact_span"] == (size == edge.lattice_length + 1)
+            assert e["qualifies_c_plus"] == edge_positive_ok(edge) and e["qualifies_r"] is True
+            assert (reports is None) == (edge.lattice_length == 1)
+            agree = reports is None or reports[0]["same_sign_choice"]
+            assert e["qualifies_r_plus"] == (e["qualifies_c_plus"] and agree)
+            assert e["minor_pair"] == (None if reports is None else reports[0]["pair"])
+        assert got == _positive_rule(r.reason["edges"], mode)
+        return got
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_small_symmetric())
+    def test_drawn_matrices(self, a):
+        for mode in ("C+", "R+"):
+            self.decided(a, mode)
+
+    @pytest.mark.parametrize(
+        "rows, c_plus, r_plus",
+        [
+            # a tie of two classes on a lattice length 1 edge: exact
+            ([[0, 0, 5], [0, 0, 5], [5, 5, 0]], (True, False, None), (True, False, None)),
+            # a tie of three on a lattice length 2 edge and its midpoint: exact
+            (
+                [[10, 0, 10, 0], [0, 10, 0, 10], [10, 0, 10, 0], [0, 10, 0, 10]],
+                (True, False, None),
+                (True, False, None),
+            ),
+            # the 4-cycle's minors are sign-forced opposite
+            (EX52, (True, False, None), (False, None, "minor_signs")),
+            # a tie of four that strictly contains its one qualifying edge
+            ([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 3, 2], [0, 1, 2, 3]], (True, True, None), (True, True, None)),
+        ],
+        ids=["tie2", "tie3", "ex52", "boundary4"],
+    )
+    def test_fixed_ties(self, rows, c_plus, r_plus):
+        a = rows if isinstance(rows, TropMatrix) else TropMatrix.make(rows, symmetric=True)
+        assert (self.decided(a, "C+"), self.decided(a, "R+")) == (c_plus, r_plus)

@@ -2,13 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 from conftest import SYM7_A, SYM7_B
 from oracle import brute_hull
 from samples import random_sym_matrix
-from troplift import newton
+from troplift import jsonio, newton
 from troplift.membership import sym_corank1_edges
 from troplift.monomials import SignedMonomialClass, sym_class, sym_det_monomials
 from troplift.newton import (
@@ -137,6 +138,61 @@ class TestTable2:
             got = edges_among(verts)
             assert got == want
             assert [(id(e.u), id(e.v)) for e in got] == [(id(e.u), id(e.v)) for e in want]
+
+
+class TestEdgePositivity:
+    """A NewtonEdge reads edge_positive_ok once, when it is made, and keeps
+    it as `positive`, a field derived from the others and never compared,
+    hashed, shown or written."""
+
+    def test_positive_is_the_rule_on_every_edge(self):
+        seen = set()
+        for n in range(1, 6):
+            for e in polytope_edges(n):
+                assert isinstance(e.positive, bool) and e.positive == edge_positive_ok(e)
+                seen.add((e.lattice_length, e.positive))
+        assert seen == {(1, True), (1, False), (2, True)}
+
+    def test_copies_keep_positive_without_reading_the_rule_again(self, monkeypatch):
+        """Copies naming other representatives get the remembered edge's
+        field, which is right for them: the rule reads signs and the
+        midpoint cycle, which the representative does not change."""
+        read = []
+        rule = newton.edge_positive_ok
+
+        def counted(edge):
+            read.append(edge)
+            return rule(edge)
+
+        monkeypatch.setattr(newton, "_EDGES", {})
+        monkeypatch.setattr(newton, "edge_positive_ok", counted)
+        tri_loop, _, tp1, tp2, _ = table2_rows()
+        reversed_tri = SignedMonomialClass.from_permutation((2, 0, 1, 3), True)
+        pairs = ((tri_loop, tp1), (reversed_tri, tp1), (tp1, tp2))
+        copies = [edge_lattice_data(u, v) for u, v in pairs]
+        built = [edge_lattice_data(sym_class(u.exponent), sym_class(v.exponent)) for u, v in pairs]
+        assert read == [built[0], built[2]] and read[0] is built[0] is built[1]
+        for copy, edge in zip(copies, built):
+            assert copy is not edge and copy.positive is edge.positive is rule(copy)
+        assert [e.positive for e in copies] == [False, False, True]
+
+    def test_positive_is_not_compared_hashed_shown_or_written(self):
+        tri_loop, _, tp1, tp2, _ = table2_rows()
+        for edge in (edge_lattice_data(tri_loop, tp1), edge_lattice_data(tp1, tp2)):
+            flipped = replace(edge, positive=not edge.positive)
+            assert flipped.positive is not edge.positive
+            assert flipped == edge and hash(flipped) == hash(edge)
+            assert repr(flipped) == repr(edge) and "positive" not in repr(edge)
+            assert jsonio.dumps(flipped) == jsonio.dumps(edge)
+        # the encoding of an edge is the one it had before the field
+        assert jsonio.dumps(edge_lattice_data(tp1, tp2)) == (
+            '{\n  "lattice_length": 2,\n  "midpoint": "-2*x12*x14*x23*x34",\n  "u": "x12^2*x34^2",'
+            '\n  "union_cycle_length": 4,\n  "v": "x14^2*x23^2"\n}'
+        )
+        assert jsonio.dumps(edge_lattice_data(tri_loop, tp1)) == (
+            '{\n  "lattice_length": 1,\n  "midpoint": null,\n  "u": "2*x12*x13*x23*x44",'
+            '\n  "union_cycle_length": null,\n  "v": "x12^2*x34^2"\n}'
+        )
 
 
 class TestPolytope:
