@@ -627,7 +627,7 @@ def lift_sym_corank1(
             )
         if not ok:
             raise SameSigns("no edge of the minimizing set admits a positive solution")
-    usable = [edge for edge in table.edges if mode == "R" or table.r_plus(edge)]
+    usable = table.edges if mode == "R" else table.qualifying(mode)
     assert usable, "true verdict must come with a usable edge"
     # prefer edges that span the tie exactly: there the constructive
     # statements apply; on a pure boundary tie the verdict is a closure

@@ -37,7 +37,7 @@ from . import tropical
 from .config import MAX_ENUMERATION_BOUND
 from .errors import SizeLimit
 from .monomials import plain_class
-from .newton import NewtonEdge, birkhoff_edge, edges_among
+from .newton import birkhoff_edge, edges_among
 from .tropical import (
     _cells,
     barvinok_rank2,
@@ -152,7 +152,7 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
                 {"pair": pair, "signs": (list(si), list(sj)), "same_sign_choice": same}
                 for pair, (si, sj), same in table.reports[edge.midpoint_cycle]
             ]
-            r_plus = table.r_plus(edge)
+            r_plus = r_plus and reports[0]["same_sign_choice"]
         out.append({
             "edge": edge,
             "exact_span": edge.lattice_length == exact,
@@ -168,18 +168,21 @@ def sym_corank1_edges(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> list
 class _EdgeTable(NamedTuple):
     """A tie's edge table, shared by C+, R+ and lifts.lift_sym_corank1: the
     memoised NewtonEdges among the tie's vertex classes whose span lies in
-    the tie; the tie's size, which an edge spans exactly (the regime of the
-    constructive statements) when it is lattice_length + 1; and per
-    midpoint cycle, ((i, j), (signs of minor i, of minor j), same sign) for
-    each adjacent pair on it, shared by the edges on that cycle."""
+    the tie; the tie's size, which is lattice_length + 1 when an edge spans
+    it exactly (the regime of the constructive statements); and per midpoint
+    cycle, ((i, j), (signs of minor i, of minor j), same sign) per adjacent pair."""
 
     edges: tuple
     size: int
     reports: dict
 
-    def r_plus(self, edge: NewtonEdge) -> bool:
-        """R+ test: C+, and at lattice length 2 the first pair's minors agree."""
-        return edge.positive and (edge.midpoint_cycle is None or self.reports[edge.midpoint_cycle][0][2])
+    def qualifying(self, mode: str) -> list:
+        """The edges that pass C+ (`positive`), or R+: C+, and at lattice
+        length 2 the first pair's minors share a sign."""
+        edges = [e for e in self.edges if e.positive]
+        if mode == "R+":
+            edges = [e for e in edges if e.midpoint_cycle is None or self.reports[e.midpoint_cycle][0][2]]
+        return edges
 
 
 @recorded
@@ -188,13 +191,9 @@ def _edge_table(asym: TropMatrix, bound: int) -> _EdgeTable:
     res = sym_trop_det(asym, bound)
     argmin = set(res.argmin)
     # the midpoint of a tied edge is forced into the tie
-    edges = tuple(
-        edge
-        for edge in edges_among(cls for cls in res.argmin if cls.is_vertex)
-        if edge.midpoint is None or edge.midpoint in argmin
-    )
-    # once per deleted index, read off the parent's grid: every vertex of
-    # every midpoint cycle asks for its minor's signs
+    edges = edges_among(cls for cls in res.argmin if cls.is_vertex)
+    edges = tuple(edge for edge in edges if edge.midpoint is None or edge.midpoint in argmin)
+    # each deleted index's minor signs, read once off the parent's grid
     signs = cache(lambda k: _minor_signs(asym, k))
     reports = {}
     for cycle in dict.fromkeys(edge.midpoint_cycle for edge in edges if edge.midpoint_cycle):
@@ -257,11 +256,10 @@ def _positive_part(table: _EdgeTable, mode: str) -> tuple:
     exactly, and has failure None; a false one has boundary None and says
     why: "minor_signs" when an R+ edge fails only on its minors,
     "no_edge" when the tie spans no edge, else "same_signs"."""
-    r_plus = mode == "R+"
-    lengths = [e.lattice_length for e in table.edges if (table.r_plus(e) if r_plus else e.positive)]
-    if lengths:
-        return True, table.size - 1 not in lengths, None
-    if r_plus and any(edge.positive and edge.lattice_length == 2 for edge in table.edges):
+    qualifying = table.qualifying(mode)
+    if qualifying:
+        return True, table.size - 1 not in {e.lattice_length for e in qualifying}, None
+    if mode == "R+" and any(edge.positive and edge.lattice_length == 2 for edge in table.edges):
         return False, None, "minor_signs"
     return False, None, "same_signs" if table.edges else "no_edge"
 
