@@ -1,9 +1,10 @@
-"""Golden series calls: every `ps_inv`, `ps_sqrt` and `quad_roots` call the
+"""Golden series calls: every `ps_sqrt` and `quad_numerators` call the
 criterion-5 property suite makes returns the result whose digest is stored
 in tests/golden/series (regenerated by tests/golden/make_golden_series.py).
-quad_roots divides the numerators of quad_numerators by 2A, so each
-quad_roots case is also replayed that way.  The generator itself must
-record what the lifts call, and refuse a name it cannot find."""
+quad_roots is checked on each recorded quad_numerators input against the
+product-form reference of tests/test_series_recurrence.py, which shares no
+division code with it.  The generator itself must record what the lifts
+call, and refuse a name it cannot find."""
 
 import json
 from pathlib import Path
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from golden.make_golden_series import RECORDED, bindings, call, record, result_digest
+from test_series_recurrence import TailPastOrder, outcome, ref_quad_roots
 from troplift import jsonio, lifts
-from troplift.errors import TropliftError
-from troplift.puiseux import ps_div, quad_numerators
+from troplift.puiseux import quad_numerators, quad_roots
 
 CALLS = json.loads((Path(__file__).parent / "golden" / "series" / "calls.json").read_text())
 
@@ -26,28 +27,18 @@ def test_series_call_reproduces_golden_digest(case):
     assert result_digest(got) == case["result_digest"]
 
 
-def _numerators_then_division(A, B, C, trunc):
-    n1, n2, two_a, sign = quad_numerators(A, B, C, trunc)
-    if sign < 0:
-        return None, None, sign
-    x1 = ps_div(n1, two_a, trunc)
-    return x1, x1 if sign == 0 else ps_div(n2, two_a, trunc), sign
-
-
-QUAD_CASES = [(k, c) for k, c in enumerate(CALLS) if c["fn"] == "quad_roots"]
+QUAD_CASES = [(k, c) for k, c in enumerate(CALLS) if c["fn"] == "quad_numerators"]
 
 
 @pytest.mark.parametrize(
-    "case", [c for _, c in QUAD_CASES], ids=[f"quad_roots-{k:03d}" for k, _ in QUAD_CASES]
+    "case", [c for _, c in QUAD_CASES], ids=[f"quad_numerators-{k:03d}" for k, _ in QUAD_CASES]
 )
-def test_numerators_divided_by_2a_reproduce_the_quad_roots_digest(case):
+def test_quad_roots_match_the_product_form_on_the_recorded_calls(case):
     args = [jsonio.decode_series(s) for s in case["series"]]
     trunc = None if case["trunc"] is None else jsonio.frac_from_str(case["trunc"])
-    try:
-        got = _numerators_then_division(*args, trunc)
-    except TropliftError as exc:
-        got = exc
-    assert result_digest(got) == case["result_digest"]
+    want = outcome(ref_quad_roots, *args, trunc)
+    assert want is not TailPastOrder
+    assert outcome(quad_roots, *args, trunc) == want
 
 
 def test_every_recorded_name_is_bound_in_a_home_module():
