@@ -21,7 +21,6 @@ from .membership import (
     member_rank2,
     member_sym_corank1,
     member_sym_rank2,
-    positive_generators_check,
 )
 from .monomials import SignedMonomialClass, sym_det_monomials
 from .newton import (

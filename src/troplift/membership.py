@@ -13,9 +13,8 @@ vertex classes, each carrying its C+ test, with the tie's size and one
 minor report per midpoint cycle.  An edge's span (its endpoints, and at
 lattice length 2 its midpoint) is made of distinct tied classes, so it is
 exactly the tie when the counts agree.  A report's pairs run around the
-even cycle, and its deleted minors' signs, like the 3x3 minors' signs of
-`positive_generators_check`, are read off the matrix's int grid:
-tropical's permutation scan finds the minimizers (looked up on the
+even cycle, and its deleted minors' signs are read off the matrix's int
+grid: tropical's permutation scan finds the minimizers (looked up on the
 tropical module at each call, so every determinant scan goes through
 that one name), and each one's sign is that of its plain monomial
 class.  `_positive_part` decides C+ and R+ from the table, for the
@@ -35,7 +34,6 @@ from typing import NamedTuple
 
 from . import tropical
 from .config import MAX_ENUMERATION_BOUND
-from .errors import SizeLimit
 from .monomials import plain_class
 from .newton import birkhoff_edge, edges_among
 from .tropical import (
@@ -262,17 +260,3 @@ def _positive_part(table: _EdgeTable, mode: str) -> tuple:
     if mode == "R+" and any(edge.positive and edge.lattice_length == 2 for edge in table.edges):
         return False, None, "minor_signs"
     return False, None, "same_signs" if table.edges else "no_edge"
-
-
-def positive_generators_check(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> bool:
-    """Every 3x3 tropical minor attains its minimum on two monomials of
-    opposite signs (the positive-generator property of the 3x3 minors)."""
-    d, n = a.rows, a.cols
-    if min(d, n) >= 3 and bound < 3:
-        raise SizeLimit(f"enumeration bound {bound} exceeded (n = 3)")
-    _, grid = a.as_int_grid()
-    return all(
-        _argmin_signs(grid, ri, cj) == (-1, 1)
-        for ri in combinations(range(d), 3)
-        for cj in combinations(range(n), 3)
-    )

@@ -22,8 +22,8 @@ matrix.  A class that is not its exponent's built class (another
 representative, or a copy) is matched to it once per call and gets the
 remembered edge copied to name it.  `edges_among` owns the pair loop
 over a list of classes, for `polytope_edges`, membership's edge table and
-`newton_edge`, its one-pair case; `is_polytope_edge` and
-`edge_lattice_data` are one-line readers of `newton_edge`.  A NewtonEdge
+`edge_lattice_data`, its one-pair case, which `is_polytope_edge` reads
+as a yes or no.  A NewtonEdge
 is frozen, so callers share it; it reads `edge_positive_ok` once, when
 made, into `positive`, a derived field that copies keep and that
 equality, hashing, repr and jsonio leave out.
@@ -130,12 +130,6 @@ def edges_among(vertices) -> list:
     return out
 
 
-def newton_edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
-    """The Newton-polytope edge spanned by two vertex classes, or None."""
-    edges = edges_among((u, v))
-    return edges[0] if edges else None
-
-
 def _edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
     """Edge criterion: |E_u ∪ E_v| <= n + 1 and at most one even cycle >= 4;
     then the lattice length, and for length 2 the midpoint class."""
@@ -160,14 +154,16 @@ def _edge(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
     return NewtonEdge(u, v, 1, None, None)
 
 
+def edge_lattice_data(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
+    """The Newton-polytope edge spanned by two vertex classes, with its
+    lattice length and midpoint; None when u, v span none."""
+    edges = edges_among((u, v))
+    return edges[0] if edges else None
+
+
 def is_polytope_edge(u: SignedMonomialClass, v: SignedMonomialClass) -> bool:
     """Edge criterion: |E_u ∪ E_v| <= n + 1 and at most one even cycle >= 4."""
-    return newton_edge(u, v) is not None
-
-
-def edge_lattice_data(u: SignedMonomialClass, v: SignedMonomialClass) -> NewtonEdge | None:
-    """Lattice length and midpoint of an edge; None when u, v span none."""
-    return newton_edge(u, v)
+    return edge_lattice_data(u, v) is not None
 
 
 def polytope_edges(n: int) -> tuple:

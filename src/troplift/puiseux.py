@@ -181,9 +181,6 @@ class PuiseuxSeries:
     def scale(self, coeff) -> "PuiseuxSeries":
         return PuiseuxSeries.make(((e, c * coeff) for e, c in self.terms), self.trunc)
 
-    def truncate(self, trunc) -> "PuiseuxSeries":
-        return PuiseuxSeries.make(self.terms, _min_trunc(self.trunc, Fraction(trunc)))
-
     def __repr__(self):
         if not self.terms:
             body = "0"

@@ -77,9 +77,6 @@ class QuadExt:
             return a + b * root
         return QuadExt(a, b, d)
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (product with the conjugate)."""
         return self.a * self.a - self.b * self.b * self.d

@@ -24,8 +24,8 @@ leaves may share a node.  The builder places the points on the matrix's
 integer grid doubled, unit = 2 * scale, so every Hilbert distance is even
 and every Gromov product an exact int; a tree given rational lengths is
 put on the lcm of their denominators.  The public readers (adj,
-edge_list, node_distance, spine_coordinates, leaf_distance_table) divide
-by the unit once, on the way out, and return Fractions.  One reader stays
+edge_list, node_distance) divide by the unit once, on the way out, and
+return Fractions.  One reader stays
 on ints: spine_offsets, a caterpillar's distances over the unit from its
 lowest-numbered spine end, from which the Barvinok witnesses and the
 spine lift build on their own int grid.  Every traversal
@@ -149,10 +149,6 @@ class BicoloredTree:
         start = min(u for u in range(self.nodes) if len(self._len[u]) <= 1)
         return self._dist[start]
 
-    def spine_coordinates(self) -> dict:
-        """spine_offsets divided by the unit (a fresh dict)."""
-        return {x: Fraction(d, self.unit) for x, d in self.spine_offsets().items()}
-
     def path(self, u: int, v: int) -> list[int]:
         """Nodes on the path from u to v."""
         reached = _walk(self._len, u)
@@ -179,14 +175,6 @@ class BicoloredTree:
         for x in range(self.nodes):
             if len(self._len[x]) < 3 and not any(l.node == x for l in self.leaves):
                 raise InvalidTree(f"node {x} is neither branching nor marked")
-
-    def leaf_distance_table(self) -> dict:
-        """All pairwise leaf distances, keyed by (color, index) pairs."""
-        out = {}
-        for a in self.leaves:
-            for b in self.leaves:
-                out[((a.color, a.index), (b.color, b.index))] = self.node_distance(a.node, b.node)
-        return out
 
 
 def hilbert_distance(u, v):

@@ -63,27 +63,6 @@ class TropMatrix:
     def transpose(self) -> "TropMatrix":
         return TropMatrix(tuple(zip(*self.entries)), self.symmetric)
 
-    def submatrix(self, row_idx, col_idx) -> "TropMatrix":
-        return TropMatrix(
-            tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx), False
-        )
-
-    def scale_rows_cols(self, row_shift, col_shift) -> "TropMatrix":
-        """Tropical scaling: add row_shift[i] + col_shift[j] to entry (i, j)."""
-        ent = tuple(
-            tuple(self.entries[i][j] + row_shift[i] + col_shift[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
-        return TropMatrix(ent, False)
-
-    def scale_symmetric(self, shift) -> "TropMatrix":
-        """Simultaneous row k and column k scaling, preserving symmetry."""
-        ent = tuple(
-            tuple(self.entries[i][j] + shift[i] + shift[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
-        return TropMatrix(ent, self.symmetric)
-
     def __hash__(self) -> int:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.as_int_grid(), self.symmetric)))

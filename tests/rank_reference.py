@@ -3,12 +3,20 @@ rank-2 tree: every k x k minor of each size tested in turn, the principal
 ones by their classes in the symmetric scan, from size 1 up.  They are the
 references the tree-backed trop_rank and sym_trop_rank are checked
 against, by the hypothesis tests and by tests/census.py.  They call the
-determinants' bodies (__wrapped__) rather than read a stored result."""
+determinants' bodies (__wrapped__) rather than read a stored result.
 
-from itertools import combinations
+Below them, the plain determinant as the Fraction loop over all n!
+permutations, the argmin signs of a minor read off it, and the
+positive-generator property of the 3 x 3 minors built on those signs,
+which share no code with the grid scans."""
 
+from fractions import Fraction
+from itertools import combinations, permutations
+
+from samples import submatrix
 from troplift.config import MAX_ENUMERATION_BOUND
 from troplift.errors import SizeLimit
+from troplift.monomials import SignedMonomialClass
 from troplift.tropical import _grid_nonsingular, _grid_sym_nonsingular, sym_trop_det, trop_det
 from troplift.tropmat import TropMatrix
 
@@ -52,3 +60,31 @@ def ref_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
 
 def ref_sym_trop_rank(a: TropMatrix, bound: int = MAX_ENUMERATION_BOUND) -> int:
     return ref_scan(a.as_symmetric(), bound, _grid_sym_nonsingular)
+
+
+def ref_trop_det(a: TropMatrix) -> tuple:
+    """(value, argmin classes in permutations order) of a square matrix."""
+    n = a.rows
+    best, arg = None, []
+    for sigma in permutations(range(n)):
+        v = sum((a[i, sigma[i]] for i in range(n)), Fraction(0))
+        if best is None or v < best:
+            best, arg = v, [sigma]
+        elif v == best:
+            arg.append(sigma)
+    return best, tuple(SignedMonomialClass.from_permutation(s, False) for s in arg)
+
+
+def ref_signs(sub: TropMatrix) -> tuple:
+    """The sorted signs of the permutations minimizing a square submatrix."""
+    return tuple(sorted({cls.sign for cls in ref_trop_det(sub)[1]}))
+
+
+def ref_positive_generators_check(a: TropMatrix) -> bool:
+    """Every 3 x 3 tropical minor attains its minimum on two monomials of
+    opposite signs (the positive-generator property of the 3 x 3 minors)."""
+    return all(
+        ref_signs(submatrix(a, ri, cj)) == (-1, 1)
+        for ri in combinations(range(a.rows), 3)
+        for cj in combinations(range(a.cols), 3)
+    )

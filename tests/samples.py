@@ -1,4 +1,5 @@
-"""Seeded random instance generators used by property suites.
+"""Seeded random instance generators used by property suites, and the
+matrix and tree readers the suites build them with.
 
 Trees are generated valid by construction where possible and otherwise by
 rejection against the cut condition.  Matrix generators wrap the tree
@@ -13,6 +14,37 @@ from fractions import Fraction
 from troplift.errors import InvalidTree
 from troplift.tropmat import TropMatrix, trop_mat_mul
 from troplift.trees import RED, BLUE, BicoloredTree, Leaf, tree_to_matrix
+
+
+def submatrix(a: TropMatrix, rows, cols) -> TropMatrix:
+    """The (plain) submatrix of a on the given rows and columns."""
+    return TropMatrix(tuple(tuple(a.entries[i][j] for j in cols) for i in rows), False)
+
+
+def scale_rows_cols(a: TropMatrix, row_shift, col_shift) -> TropMatrix:
+    """Tropical scaling: add row_shift[i] + col_shift[j] to entry (i, j)."""
+    ent = tuple(
+        tuple(x + row_shift[i] + col_shift[j] for j, x in enumerate(row))
+        for i, row in enumerate(a.entries)
+    )
+    return TropMatrix(ent, False)
+
+
+def scale_symmetric(a: TropMatrix, shift) -> TropMatrix:
+    """Simultaneous row k and column k scaling, which keeps symmetry."""
+    ent = tuple(
+        tuple(x + shift[i] + shift[j] for j, x in enumerate(row)) for i, row in enumerate(a.entries)
+    )
+    return TropMatrix(ent, a.symmetric)
+
+
+def leaf_distances(tree: BicoloredTree) -> dict:
+    """All pairwise leaf distances, keyed by (color, index) pairs."""
+    return {
+        ((x.color, x.index), (y.color, y.index)): tree.node_distance(x.node, y.node)
+        for x in tree.leaves
+        for y in tree.leaves
+    }
 
 
 def rational(rng, lo=-4, hi=4, den=2) -> Fraction:
@@ -75,7 +107,7 @@ def random_rank2_matrix(rng, d, n) -> TropMatrix:
     a = tree_to_matrix(tree, d, n)
     rows = [rational(rng) for _ in range(d)]
     cols = [rational(rng) for _ in range(n)]
-    return a.scale_rows_cols(rows, cols)
+    return scale_rows_cols(a, rows, cols)
 
 
 def random_symbic_tree(rng, n, max_tries=400) -> BicoloredTree:
@@ -141,4 +173,4 @@ def random_sym_rank2_matrix(rng, n) -> TropMatrix:
     a = tree_to_matrix(tree, n, n)
     assert a.symmetric, "symbic tree must give a symmetric matrix"
     shift = [rational(rng) for _ in range(n)]
-    return a.scale_symmetric(shift)
+    return scale_symmetric(a, shift)

@@ -13,7 +13,9 @@ import pytest
 
 from mpoly import MPoly, mpoly_det, mpoly_disc, sym_matrix_polys
 from oracle import brute_barvinok2, brute_sym_barvinok2
+from rank_reference import ref_positive_generators_check
 from samples import (
+    leaf_distances,
     random_barvinok2_matrix,
     random_bicolored_tree,
     random_matrix,
@@ -35,7 +37,6 @@ from troplift.membership import (
     member_rank2,
     member_sym_corank1,
     member_sym_rank2,
-    positive_generators_check,
 )
 from troplift.monomials import sym_det_monomials
 from troplift.newton import (
@@ -377,7 +378,7 @@ def test_criterion_7_tree_correspondence():
         t = random_bicolored_tree(rng, *dn)
         a = tree_to_matrix(t, *dn)
         t2 = tree_from_rank2(a)
-        ok = ok and t.leaf_distance_table() == t2.leaf_distance_table()
+        ok = ok and leaf_distances(t) == leaf_distances(t2)
     brute_checked = 0
     for k in range(40):
         d, n = rng.randint(2, 4), rng.randint(2, 4)
@@ -431,7 +432,7 @@ def test_criterion_9_positive_generator_property():
         if cert.target.rows < 3:
             continue
         checked += 1
-        ok = ok and positive_generators_check(cert.target)
+        ok = ok and ref_positive_generators_check(cert.target)
     elapsed = time.time() - t0
     report(
         9,

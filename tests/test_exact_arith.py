@@ -228,7 +228,7 @@ class TestMakeAgainstReference:
         r2 = QuadExt(F(1), F(1), F(2))
         pairs = [
             (0, F(1)), (F(0), -1),  # cancels to zero: dropped
-            (1, r2), (F(2, 2), r2.conjugate()),  # folds to the rational 2
+            (1, r2), (F(2, 2), QuadExt(F(1), F(-1), F(2))),  # folds to the rational 2
             (F(1, 2), 3), (F(1, 2), F(-1, 2)),
             (F(5, 2), r2), (3, 7),  # at or above trunc: dropped
         ]
@@ -358,7 +358,7 @@ def _known_radicand_pairs(draw):
     elif kind == "cancel":
         y = QuadExt(draw(RATIONALS), -x.b, d)
     elif kind == "conjugate":
-        y = x.conjugate()
+        y = QuadExt(x.a, -x.b, d)
     elif kind == "fraction":
         y = draw(RATIONALS)
     else:
@@ -380,10 +380,10 @@ class TestKnownRadicand:
     @given(RADICANDS, RATIONALS, NONZERO, RATIONALS)
     def test_rational_results_are_plain_fractions(self, d, a, b, c):
         x = QuadExt(a, b, d)
-        for v in (x + QuadExt(c, -b, d), x - QuadExt(c, b, d), x * x.conjugate(), x / x):
+        for v in (x + QuadExt(c, -b, d), x - QuadExt(c, b, d), x * QuadExt(a, -b, d), x / x):
             assert type(v) is Fraction
         assert x + QuadExt(c, -b, d) == a + c
-        assert x * x.conjugate() == x.norm()
+        assert x * QuadExt(a, -b, d) == x.norm()
 
     @given(RADICANDS, RADICANDS, NONZERO, NONZERO)
     def test_two_radicands_still_raise(self, d1, d2, b1, b2):

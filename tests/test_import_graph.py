@@ -1,7 +1,9 @@
 """The package's import graph is read off module tops: no function imports
 a troplift module, except where a cycle forces it.  The package holds only
-what the command line loads.  And the verifier is a trusted base that other
-modules use only through its public names."""
+what the command line loads, and each name it defines is reached by
+another module, pinned by the benchmark's tracer or advertised in the
+README.  And the verifier is a trusted base that other modules use only
+through its public names."""
 
 import ast
 import os
@@ -9,9 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_trace_names import load_tracing
 from troplift import verify
 
 PACKAGE = Path(verify.__file__).parent
+# public readers the README advertises that no module of the package calls:
+# the inverse of the tree correspondence, initial forms, and the decoders
+ADVERTISED = {"tree_to_matrix", "initial_form", "decode_tree", "decode_series"}
 # trees imports tropical, so tropical's plain Barvinok test, the
 # symmetric one's tree reader and the rank scan's 3 x 3 step, which asks
 # for the rank-2 tree, read trees at call time; they stay in tropical
@@ -56,6 +62,25 @@ def _local_imports(source: str) -> set:
     return found
 
 
+def _names(sources: dict) -> tuple:
+    """The (module, name) of each function, class and method, dunders
+    aside, that the modules in `sources` define, and the names they read:
+    as a name, an attribute or an imported name."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add((module, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return defined, read
+
+
 def test_the_package_is_what_the_cli_loads():
     """A fresh interpreter's `import troplift.cli` loads every module under
     src/troplift, so code that only tests use (the brute-force references,
@@ -76,6 +101,41 @@ def test_the_package_is_what_the_cli_loads():
     ).stdout.split()
     shipped = sorted(f"troplift.{path.stem}" for path in PACKAGE.glob("*.py"))
     assert loaded == [name for name in shipped if name != "troplift.__init__"]
+
+
+def test_every_name_is_reached_pinned_or_advertised():
+    """A name that only tests or __init__ read is test code: it moves under
+    tests/.  The tracer's names stay until the tracer stops patching by
+    name, and the README's readers are public API."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"}
+    defined, read = _names(sources)
+    tracing = load_tracing()
+    pinned = {attr for names in tracing.SPANNED.values() for attr in names}
+    pinned |= set(tracing.QUADEXT_OPS)
+    assert {(m, n) for m, n in defined if n not in read | pinned | ADVERTISED} == set()
+    assert ADVERTISED <= {n for _, n in defined}
+
+
+def test_name_scan_sees_every_form():
+    sources = {
+        "a": (
+            "from .b import imported\n"
+            "class Kept:\n"
+            "    def __eq__(self, other): ...\n"
+            "    def method(self): ...\n"
+            "    def orphan_method(self): ...\n"
+            "def called(): ...\n"
+            "def orphan(): ...\n"
+            "Kept().method(called())\n"
+        ),
+        "b": "def imported(): ...\nasync def orphan_async(): ...\n",
+    }
+    defined, read = _names(sources)
+    assert {(m, n) for m, n in defined if n not in read} == {
+        ("a", "orphan_method"),
+        ("a", "orphan"),
+        ("b", "orphan_async"),
+    }
 
 
 def test_no_function_imports_a_troplift_module():

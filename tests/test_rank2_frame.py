@@ -138,7 +138,7 @@ def rank2_matrices(draw):
         a = trop_mat_mul(b, c)
     rows = [draw(RATIONALS) for _ in range(d)]
     cols = [draw(RATIONALS) for _ in range(n)]
-    return a.scale_rows_cols(rows, cols)
+    return samples.scale_rows_cols(a, rows, cols)
 
 
 @st.composite

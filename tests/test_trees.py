@@ -8,11 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from samples import (
+    leaf_distances,
     random_bicolored_tree,
     random_rank2_matrix,
     random_sym_rank2_matrix,
     random_symbic_tree,
     rational,
+    scale_rows_cols,
 )
 from troplift import jsonio
 from troplift.errors import InvalidTree, RankTooHigh
@@ -38,7 +40,7 @@ FIG2A = TropMatrix.make([[0, 2, 1], [2, 0, 0], [1, 0, 0]], symmetric=True)
 
 
 def trees_equal(t1, t2) -> bool:
-    return t1.leaf_distance_table() == t2.leaf_distance_table()
+    return leaf_distances(t1) == leaf_distances(t2)
 
 
 class TestFromRank2:
@@ -78,7 +80,7 @@ class TestFromRank2:
             t1 = tree_from_rank2(a)
             rows = [rational(rng) for _ in range(d)]
             cols = [rational(rng) for _ in range(n)]
-            t2 = tree_from_rank2(a.scale_rows_cols(rows, cols))
+            t2 = tree_from_rank2(scale_rows_cols(a, rows, cols))
             assert trees_equal(t1, t2)
 
 
@@ -153,10 +155,10 @@ class TestClassification:
         assert is_caterpillar(t)
 
     @pytest.mark.parametrize("name", ["fig2a", "fig4a"])
-    def test_spine_coordinates_measure_the_spine(self, name):
+    def test_spine_offsets_measure_the_spine(self, name):
         t = tree_from_rank2(fixture(name))
         assert is_caterpillar(t)
-        coord = t.spine_coordinates()
+        coord = {x: F(d, t.unit) for x, d in t.spine_offsets().items()}
         assert sorted(coord) == list(range(t.nodes))
         start = min(u for u in range(t.nodes) if len(t.adj[u]) == 1)
         assert coord[start] == 0
@@ -336,7 +338,7 @@ class TestIntegerMetric:
     @given(scaled_rank2())
     def test_leaf_distances_and_matrix_match_the_reference(self, a):
         t = tree_from_rank2(a)
-        assert t.leaf_distance_table() == ref_leaf_distances(a)
+        assert leaf_distances(t) == ref_leaf_distances(a)
         assert tree_to_matrix(t).entries == ref_canonical_matrix(a)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

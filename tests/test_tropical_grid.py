@@ -8,9 +8,10 @@ entry by entry over every one of those classes, argmin classes built
 with `from_permutation`, principal submatrices rebuilt as
 TropMatrix objects, every minor of a rank scan tested by its permutations
 (both minors of a transposed pair included), and `sym_corank1_edges` and
-`positive_generators_check` taking minor signs from the `trop_det` of a
-submatrix.  Values, argmin tuples (order included), ranks, minor signs
-and edge reports must agree exactly.
+the 3 x 3 minors taking minor signs from the `trop_det` of a submatrix.
+The plain determinant loop and its sign reader live in
+tests/rank_reference.py.  Values, argmin tuples (order included), ranks,
+minor signs and edge reports must agree exactly.
 """
 
 import random
@@ -25,14 +26,11 @@ from hypothesis import strategies as st
 
 import rank_reference
 import samples
+from rank_reference import ref_signs, ref_trop_det
+from samples import submatrix
 from troplift import tropical
 from troplift.errors import SizeLimit
-from troplift.membership import (
-    _argmin_signs,
-    _minor_signs,
-    positive_generators_check,
-    sym_corank1_edges,
-)
+from troplift.membership import _argmin_signs, _minor_signs, sym_corank1_edges
 from troplift.monomials import SignedMonomialClass, _classes, plain_class, sym_class
 from troplift.newton import (
     _even_big_cycles,
@@ -64,18 +62,6 @@ def ref_value(cls, a):
             if cls.exponent[i][j]:
                 total += cls.exponent[i][j] * a[i, j]
     return total
-
-
-def ref_trop_det(a):
-    n = a.rows
-    best, arg = None, []
-    for sigma in permutations(range(n)):
-        v = sum((a[i, sigma[i]] for i in range(n)), F(0))
-        if best is None or v < best:
-            best, arg = v, [sigma]
-        elif v == best:
-            arg.append(sigma)
-    return best, tuple(SignedMonomialClass.from_permutation(s, False) for s in arg)
 
 
 @lru_cache(maxsize=None)
@@ -113,26 +99,13 @@ def ref_rank(a, symmetric=False):
     rank = 0
     for k in range(1, min(a.rows, a.cols) + 1):
         if not any(
-            ref_nonsingular(a.submatrix(rows, cols), symmetric and rows == cols)
+            ref_nonsingular(submatrix(a, rows, cols), symmetric and rows == cols)
             for rows in combinations(range(a.rows), k)
             for cols in combinations(range(a.cols), k)
         ):
             return rank
         rank = k
     return rank
-
-
-def ref_signs(sub):
-    """The sorted signs of the permutations minimizing a square submatrix."""
-    return tuple(sorted({cls.sign for cls in ref_trop_det(sub)[1]}))
-
-
-def ref_positive_generators_check(a):
-    return all(
-        ref_signs(a.submatrix(ri, cj)) == (-1, 1)
-        for ri in combinations(range(a.rows), 3)
-        for cj in combinations(range(a.cols), 3)
-    )
 
 
 def ref_is_polytope_edge(u, v):
@@ -153,7 +126,7 @@ def ref_sym_corank1_edges(a):
 
     def minor_signs(k):
         idx = [r for r in range(a.rows) if r != k]
-        return {cls.sign for cls in ref_trop_det(a.submatrix(idx, idx))[1]}
+        return {cls.sign for cls in ref_trop_det(submatrix(a, idx, idx))[1]}
 
     out = []
     for u, v in combinations(vertices, 2):
@@ -284,7 +257,7 @@ def test_sym_trop_det_matches_fraction_class_values(a):
 def test_trop_det_matches_from_permutation_argmin(a):
     """Value, argmin classes in permutations order, and tie, up to 6 x 6."""
     if not a.is_square():
-        a = a.submatrix(range(min(a.rows, a.cols)), range(min(a.rows, a.cols)))
+        a = submatrix(a, range(min(a.rows, a.cols)), range(min(a.rows, a.cols)))
     res = trop_det(a)
     best, arg = ref_trop_det(a)
     assert (res.min_value, res.argmin, res.tie) == (best, arg, len(arg) >= 2)
@@ -363,7 +336,7 @@ def test_each_minor_test_matches_the_permutation_reference(a):
     for k in range(1, min(a.rows, a.cols, 5) + 1):
         for rows in combinations(range(a.rows), k):
             for cols in combinations(range(a.cols), k):
-                want = ref_nonsingular(a.submatrix(rows, cols), False)
+                want = ref_nonsingular(submatrix(a, rows, cols), False)
                 assert _grid_nonsingular(grid, rows, cols) == want, (rows, cols)
 
 
@@ -375,7 +348,7 @@ def test_each_principal_test_matches_the_class_reference(a):
     _, grid = a.as_int_grid()
     for k in range(1, min(a.rows, 5) + 1):
         for idx in combinations(range(a.rows), k):
-            want = ref_nonsingular(a.submatrix(idx, idx), True)
+            want = ref_nonsingular(submatrix(a, idx, idx), True)
             assert _grid_sym_nonsingular(grid, idx) == want, idx
 
 
@@ -447,13 +420,11 @@ def test_rank_scans_of_a_12x12_rank2_product_stay_on_rows_0_to_2(monkeypatch):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(narrow_matrices(), matrices()))
 def test_minor_signs_match_the_trop_det_of_the_submatrix(a):
-    """Every 3 x 3 minor's argmin signs, read off the grid, and the
-    positive-generator verdict built on them."""
+    """Every 3 x 3 minor's argmin signs, read off the grid."""
     _, grid = a.as_int_grid()
     for ri in combinations(range(a.rows), 3):
         for cj in combinations(range(a.cols), 3):
-            assert _argmin_signs(grid, ri, cj) == ref_signs(a.submatrix(ri, cj))
-    assert positive_generators_check(a) == ref_positive_generators_check(a)
+            assert _argmin_signs(grid, ri, cj) == ref_signs(submatrix(a, ri, cj))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -462,28 +433,7 @@ def test_deleted_minor_signs_match_the_trop_det_of_the_submatrix(a):
     assume(a.rows > 1)
     for k in range(a.rows):
         idx = [r for r in range(a.rows) if r != k]
-        assert _minor_signs(a, k) == ref_signs(a.submatrix(idx, idx))
-
-
-def test_positive_generators_check_agrees_on_both_verdicts():
-    """Barvinok rank 2 matrices have the property and most narrow draws
-    do not; both verdicts occur, and each matches the reference.  The
-    bound still refuses a 3 x 3 minor it does not cover."""
-    rng = random.Random(11)
-    verdicts = Counter()
-    for k in range(40):
-        d, n = rng.randint(3, 5), rng.randint(3, 6)
-        if k % 2:
-            a = samples.random_barvinok2_matrix(rng, d, n)
-        else:
-            a = TropMatrix.make([[rng.randint(0, 1) for _ in range(n)] for _ in range(d)])
-        ok = positive_generators_check(a)
-        assert ok == ref_positive_generators_check(a)
-        verdicts[ok] += 1
-    assert verdicts[True] >= 10 and verdicts[False] >= 10
-    with pytest.raises(SizeLimit):
-        positive_generators_check(a, 2)
-    assert positive_generators_check(TropMatrix.make([[0, 1, 2], [1, 0, 2]]), 2)
+        assert _minor_signs(a, k) == ref_signs(submatrix(a, idx, idx))
 
 
 # --- the classes and the Newton edges ----------------------------------------

@@ -3,7 +3,8 @@ on one integer grid (tropical._witness_grid), and only their results
 become Fractions.
 
 The references below are the Fraction builders they replace, read off
-tree.spine_coordinates(); the int builders must return equal matrices,
+the tree's spine offsets divided by its unit (spine_coordinates below);
+the int builders must return equal matrices,
 dstd and shift.  Inputs put the matrix and the tree on different grids:
 entries with halves and thirds (scale > 1), and trees rebuilt from their
 Fraction lengths, whose unit is then the lcm of those denominators, so
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from samples import random_barvinok2_matrix
+from samples import random_barvinok2_matrix, scale_rows_cols, scale_symmetric
 from troplift import lifts, tropical
 from troplift.fixtures import fixture
 from troplift.membership import member_corank1, member_rank2, member_sym_corank1, member_sym_rank2
@@ -32,8 +33,14 @@ MODES = ("C", "R", "C+", "R+")
 MEMBERS = (member_rank2, member_sym_rank2, member_corank1, member_sym_corank1)
 
 
+def spine_coordinates(tree) -> dict:
+    """A caterpillar's spine offsets as Fractions: distances from its
+    lowest-numbered spine end."""
+    return {x: F(d, tree.unit) for x, d in tree.spine_offsets().items()}
+
+
 def ref_caterpillar_witness(a, tree):
-    coord = tree.spine_coordinates()
+    coord = spine_coordinates(tree)
     d, n = a.rows, a.cols
     p = [coord[tree.leaf_node("red", i + 1)] for i in range(d)]
     q = [coord[tree.leaf_node("blue", j + 1)] for j in range(n)]
@@ -45,7 +52,7 @@ def ref_caterpillar_witness(a, tree):
 
 
 def ref_sym_caterpillar_witness(a, tree, report):
-    coord = tree.spine_coordinates()
+    coord = spine_coordinates(tree)
     n = a.rows
     if report.fixed_nodes:
         center = coord[report.fixed_nodes[0]]
@@ -71,7 +78,7 @@ def ref_sym_caterpillar_witness(a, tree, report):
 
 def ref_spine_data(asym, tree):
     n = asym.rows
-    coord = tree.spine_coordinates()
+    coord = spine_coordinates(tree)
     pos = [coord[tree.leaf_node("blue", i + 1)] for i in range(n)]
     order = sorted(range(n), key=lambda i: (pos[i], i))
     label = {order[0]: 0}
@@ -111,7 +118,7 @@ def plain_inputs():
         c = TropMatrix.make([[frac(rng) for _ in range(n)] for _ in range(2)])
         a = trop_mat_mul(b, c)
         out.append((a, None))
-        scaled = a.scale_rows_cols([frac(rng) for _ in range(d)], [frac(rng) for _ in range(n)])
+        scaled = scale_rows_cols(a, [frac(rng) for _ in range(d)], [frac(rng) for _ in range(n)])
         out.append((scaled, rebased(_rank2_tree(a))))
     return out
 
@@ -125,7 +132,7 @@ def sym_inputs():
         n = rng.randint(2, 5)
         a = mirror([[frac(rng) for _ in range(2)] for _ in range(n)])
         out.append((a, None))
-        scaled = a.scale_symmetric([frac(rng) for _ in range(n)])
+        scaled = scale_symmetric(a, [frac(rng) for _ in range(n)])
         out.append((scaled, rebased(_rank2_tree(a))))
     return out
 
@@ -143,7 +150,7 @@ def spine_inputs():
             [[s[i] + s[j] - abs(x[i] - x[j]) for j in range(n)] for i in range(n)], symmetric=True
         )
         out.append((a, None))
-        out.append((a.scale_symmetric([frac(rng) for _ in range(n)]), rebased(_rank2_tree(a))))
+        out.append((scale_symmetric(a, [frac(rng) for _ in range(n)]), rebased(_rank2_tree(a))))
     return out
 
 
