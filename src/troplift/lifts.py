@@ -521,9 +521,9 @@ def lift_corank1(
     Birkhoff-edge pair of opposite signs, and the solved entry comes out
     positive because the two dominating monomials have opposite signs.
     The root x = -B/A of det = A x + B is written with its denominator
-    cleared: row i* is scaled by +-A, a unit with a positive leading
-    coefficient, so the lift is exact and its determinant vanishes
-    identically.  `bound` caps n for the determinant's scan, as in
+    cleared: row i* is scaled by the unit +-A t^-val(A), which has a
+    positive leading coefficient, and the entry holds -+B t^-val(A), so
+    the lift is exact and its determinant vanishes identically.  `bound` caps n for the determinant's scan, as in
     member_corank1.
     """
     if mode not in ("R", "R+"):
@@ -539,35 +539,29 @@ def lift_corank1(
     # polytope, and a face's graph is connected
     assert pair is not None, "two tied permutations span a Birkhoff edge"
     sigma1, sigma2 = pair
-    col_shift = [None] * n
-    for i in range(n):
-        col_shift[sigma1[i]] = a[i, sigma1[i]]
-    norm = TropMatrix.make(
-        [[a[i, j] - col_shift[j] for j in range(n)] for i in range(n)]
-    )
     istar = next(i for i in range(n) if sigma1[i] != sigma2[i])
     jstar = sigma1[istar]
+    # sigma1 leads A, less its (istar, jstar) entry, and sigma2 leads B
+    aval = res.min_value - a[istar, jstar]
     positivity = "all-positive" if mode == "R+" else "none"
 
     def attempt(rng):
-        rows = [
-            [_monomial_lift(rng, norm[i, j]) for j in range(n)] for i in range(n)
-        ]
+        rows = [[_monomial_lift(rng, a[i, j]) for j in range(n)] for i in range(n)]
         rows[istar][jstar] = ZERO  # x; the drawn value is never read
         acoef, bcoef = _split_det_linear(rows, istar, jstar)
-        if acoef.val() != 0 or bcoef.val() != 0:
+        if acoef.val() != aval or bcoef.val() != res.min_value:
             return  # an exact zero has valuation None
         if acoef.lead_sign() < 0:
             acoef, bcoef = -acoef, -bcoef
-        # row istar times A keeps every valuation and sign; -B, of valuation
-        # 0 = norm[istar, jstar], stands for A x and has the sign of x = -B/A
-        solved = -bcoef
+        # row istar times the unit A t^-aval keeps every valuation and sign;
+        # -B t^-aval, of valuation a[istar, jstar], stands for the unit times
+        # x and has the sign of x = -B/A
+        unit = acoef.shift(-aval)
+        solved = (-bcoef).shift(-aval)
         if mode == "R+" and solved.lead_sign() <= 0:
             return
-        rows[istar] = [solved if j == jstar else x * acoef for j, x in enumerate(rows[istar])]
-        lift = tuple(
-            tuple(rows[i][j].shift(col_shift[j]) for j in range(n)) for i in range(n)
-        )
+        rows[istar] = [solved if j == jstar else x * unit for j, x in enumerate(rows[istar])]
+        lift = tuple(map(tuple, rows))
         yield _issue(a, lift, "singular", positivity, "linear_entry_solve", seed, bound)
 
     exhausted = DegenerateGeneric("generic draws kept failing the linear solve")
