@@ -523,8 +523,8 @@ def lift_corank1(
     The root x = -B/A of det = A x + B is written with its denominator
     cleared: row i* is scaled by the unit +-A t^-val(A), which has a
     positive leading coefficient, and the entry holds -+B t^-val(A), so
-    the lift is exact and its determinant vanishes identically.  `bound` caps n for the determinant's scan, as in
-    member_corank1.
+    the lift is exact and its determinant vanishes identically.  `bound`
+    caps n for the determinant's scan, as in member_corank1.
     """
     if mode not in ("R", "R+"):
         raise ValueError("mode must be R or R+")
