@@ -11,7 +11,8 @@ series/calls.json lists each distinct call once, in the order first made:
 the function name, its series arguments as JSON objects (`series_json`),
 the `trunc` argument, and the sha256 digest of the
 result's encoding (`result_digest`).  tests/test_golden_series.py replays
-every call and compares digests.
+every call and compares digests.  series/pinned_calls.json, fixed inputs
+of ps_inv and quad_roots, is not written here.
 
 Rerun this only for a deliberate change of what these functions return,
 and say so in CHANGES.md.

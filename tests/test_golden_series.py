@@ -3,8 +3,11 @@ criterion-5 property suite makes returns the result whose digest is stored
 in tests/golden/series (regenerated by tests/golden/make_golden_series.py).
 quad_roots is checked on each recorded quad_numerators input against the
 product-form reference of tests/test_series_recurrence.py, which shares no
-division code with it.  The generator itself must record what the lifts
-call, and refuse a name it cannot find."""
+division code with it.  series/pinned_calls.json keeps fixed `ps_inv` and
+`quad_roots` inputs, recorded from the suite when the lifts still made these
+calls; no generator rewrites them.  Each replays to its digest and agrees
+with the power-sum or product-form reference.  The generator itself must
+record what the lifts call, and refuse a name it cannot find."""
 
 import json
 from pathlib import Path
@@ -12,11 +15,14 @@ from pathlib import Path
 import pytest
 
 from golden.make_golden_series import RECORDED, bindings, call, record, result_digest
-from test_series_recurrence import TailPastOrder, outcome, ref_quad_roots
+from test_series_recurrence import TailPastOrder, outcome, ref_ps_inv, ref_quad_roots
 from troplift import jsonio, lifts
-from troplift.puiseux import quad_numerators, quad_roots
+from troplift.puiseux import ps_inv, quad_numerators, quad_roots
 
-CALLS = json.loads((Path(__file__).parent / "golden" / "series" / "calls.json").read_text())
+SERIES = Path(__file__).parent / "golden" / "series"
+CALLS = json.loads((SERIES / "calls.json").read_text())
+PINNED = json.loads((SERIES / "pinned_calls.json").read_text())
+REFERENCES = {"ps_inv": (ps_inv, ref_ps_inv), "quad_roots": (quad_roots, ref_quad_roots)}
 
 
 @pytest.mark.parametrize(
@@ -39,6 +45,20 @@ def test_quad_roots_match_the_product_form_on_the_recorded_calls(case):
     want = outcome(ref_quad_roots, *args, trunc)
     assert want is not TailPastOrder
     assert outcome(quad_roots, *args, trunc) == want
+
+
+@pytest.mark.parametrize(
+    "case", PINNED, ids=[f"{c['fn']}-{k:03d}" for k, c in enumerate(PINNED)]
+)
+def test_pinned_call_reproduces_its_digest_and_the_reference(case):
+    got = call(case["fn"], case["series"], case["trunc"])
+    assert result_digest(got) == case["result_digest"]
+    fn, ref = REFERENCES[case["fn"]]
+    args = [jsonio.decode_series(s) for s in case["series"]]
+    trunc = None if case["trunc"] is None else jsonio.frac_from_str(case["trunc"])
+    want = outcome(ref, *args, trunc)
+    assert want is not TailPastOrder
+    assert outcome(fn, *args, trunc) == want
 
 
 def test_every_recorded_name_is_bound_in_a_home_module():
