@@ -4,12 +4,15 @@ Every lift_* operation returns a LiftCertificate whose transcript is
 produced by verify.verify_lift, which recomputes everything from scratch
 and is given the lift's own bound.  The linear and quadratic entry solves
 set the unknown's cells of the drawn matrix to the exact zero and read
-each coefficient as a minor of that one matrix (verify.series_det on
-chosen rows and columns): two for the linear solve, three for the
-symmetric one.  They divide no series:
+each coefficient as a minor of that one matrix, off its grid: two
+series (verify.series_det) for the linear solve, three minors as grid
+ints (verify.minor_ints) for the symmetric one.  They divide no series:
 scaling the solved entry's row (and column) by a unit of valuation 0 and
 positive leading coefficient clears its denominator and keeps every
 valuation and sign.  Only the symmetric solve's square root truncates.
+That solve stays on ints from the minors to the written root
+(puiseux.quad_ints: the discriminant, its root and both numerators);
+only the unit and the numerator it writes become series.
 
 Every certificate is built and verified by _issue.  The seeded
 constructions run under one driver, _first_valid: attempt k draws from
@@ -39,7 +42,7 @@ from .errors import (
     SameSigns,
 )
 from .membership import _edge_table, _positive_part, adjacent_pair
-from .puiseux import PuiseuxSeries, quad_numerators
+from .puiseux import PuiseuxSeries, lattice_series, pair_sign, quad_ints
 from .tropmat import TropMatrix
 from .tropical import (
     _witness_grid,
@@ -50,7 +53,7 @@ from .tropical import (
     sym_trop_rank,
     trop_det,
 )
-from .verify import LiftCertificate, series_det, series_grid, verify_lift
+from .verify import LiftCertificate, minor_ints, series_det, series_grid, verify_lift
 
 MAX_RETRIES = 32
 
@@ -569,8 +572,8 @@ def lift_corank1(
 
 
 def _split_det_quadratic(m0, i, j):
-    """A, B, C with det = A x^2 + B x + C when entries (i,j) and (j,i),
-    i != j, of the symmetric m0, exact zeros there, are x.
+    """The grid of m0 and A, B, C with det = A x^2 + B x + C when entries
+    (i,j) and (j,i), i != j, of the symmetric m0, exact zeros there, are x.
 
     C = det m0.  The permutations through both x pair them as a
     transposition, so A is minus the minor without rows and columns i and
@@ -578,14 +581,20 @@ def _split_det_quadratic(m0, i, j):
     on a symmetric m0 they are transposes of each other, so B is twice
     one.  Each coefficient is a determinant over exactly its own
     permutations, so each keeps its own order when entries are truncated.
-    All three are read off one series_grid of m0.
+    All three are read off one series_grid of m0 as verify.minor_ints
+    gives them, (ints, known, den), the form quad_ints takes.
     """
     n = len(m0)
     grid = series_grid(m0)
     rest = [r for r in range(n) if r not in (i, j)]
-    acoef = -series_det(grid, rest, rest)
-    bcoef = series_det(grid, [r for r in range(n) if r != i], [c for c in range(n) if c != j])
-    return acoef, bcoef.scale(Fraction(-2 if (i + j) % 2 else 2)), series_det(grid)
+    ints, known, den = minor_ints(grid, rest, rest)
+    acoef = {key: -c for key, c in ints.items()}, known, den
+    ints, known, den = minor_ints(
+        grid, [r for r in range(n) if r != i], [c for c in range(n) if c != j]
+    )
+    factor = -2 if (i + j) % 2 else 2
+    bcoef = {key: factor * c for key, c in ints.items()}, known, den
+    return grid, acoef, bcoef, minor_ints(grid)
 
 
 def lift_sym_corank1(
@@ -688,15 +697,16 @@ def _solve_symmetric_quadratic(
     asym: TropMatrix, i, j, mode, seed, flip_candidates, bound, exhausted
 ) -> LiftCertificate:
     """Each attempt draws the symmetric monomials once, then tries no flip
-    and each flip in turn, and for each the numerators n of quad_numerators,
-    the square root truncated at default_truncation.  A root x = n / 2A is
-    kept only when its leading term has the target valuation and sign.  Row
-    and column i are scaled by the unit u = eps 2A t^-val(2A), eps the sign
-    of 2A's leading coefficient, and (i, j), (j, i) hold u x = eps n
-    t^-val(2A): the determinant becomes u^2 det, and every valuation and
-    sign stays."""
+    and each flip in turn, and for each the numerators n of quad_ints on
+    M0's grid, the square root truncated at default_truncation.  A root
+    x = n / 2A is kept only when its leading term has the target valuation
+    and sign, read off n's ints.  Row and column i are scaled by the unit
+    u = eps 2A t^-val(2A), eps the sign of 2A's leading coefficient, and
+    (i, j), (j, i) hold u x = eps n t^-val(2A): the determinant becomes
+    u^2 det, and every valuation and sign stays.  Only the unit and the
+    written numerator become series; n2 is read only when n1 fails."""
     n = asym.rows
-    target = asym[i, j]
+    tn, td = asym[i, j].as_integer_ratio()
     trunc = default_truncation(asym)
     flips = [None] + list(flip_candidates)
     positivity = "all-positive" if mode == "R+" else "none"
@@ -712,21 +722,27 @@ def _solve_symmetric_quadratic(
             if flip is not None:
                 r, c = flip
                 cur[r][c] = cur[c][r] = -cur[r][c]
-            acoef, bcoef, ccoef = _split_det_quadratic(cur, i, j)
+            grid, acoef, bcoef, ccoef = _split_det_quadratic(cur, i, j)
             try:
-                n1, n2, two_a, disc_sign = quad_numerators(acoef, bcoef, ccoef, trunc)
+                quad = quad_ints(acoef, bcoef, ccoef, grid.exp_den, grid.radicand, trunc)
             except InversionOfZero:
                 continue  # degenerate draw: A = 0
-            if disc_sign < 0:
+            if quad.sign < 0:
                 continue
-            shift, eps = two_a.val(), two_a.lead_sign()
-            unit = (two_a if eps > 0 else -two_a).shift(-shift)
-            for num in (n1, n2):
-                if num.is_known_zero() or num.val() - shift != target:
+            shift, a, b, _, rad = quad.two_a[0]
+            eps = pair_sign(a, b, rad)
+            unit = None
+            for num in (quad.n1, quad.n2):
+                if not num:
                     continue
-                root = (num if eps > 0 else -num).shift(-shift)
-                if mode == "R+" and root.lead_sign() <= 0:
+                lead, a, b, _, rad = num[0]
+                if (lead - shift) * td != tn * quad.exp_den:
                     continue
+                if mode == "R+" and eps * pair_sign(a, b, rad) <= 0:
+                    continue
+                if unit is None:
+                    unit = lattice_series(quad.two_a, quad.exp_den, quad.two_a_trunc, shift, eps)
+                root = lattice_series(num, quad.exp_den, quad.trunc, shift, eps)
                 scaled = [x * unit for x in cur[i]]
                 scaled[i] = scaled[i] * unit
                 scaled[j] = root

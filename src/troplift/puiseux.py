@@ -16,16 +16,33 @@ They return a truncated series unless the divisor or radicand is an exact
 monomial; callers choose the order, with a depth of 20 past the valuation
 as the default, and an order beyond what a truncated input determines is
 clamped to that order.
+
+Two kernels run on ints only: _root_recurrence, the square root's
+recurrence, and quad_ints, the numerators -B +- eps sqrt(B^2 - 4AC) of a
+quadratic's roots.  quad_ints takes A, B and C as the integer grid
+terms that verify.minor_ints reads off a matrix, forms the discriminant
+over one denominator, runs _root_recurrence and returns integer term
+lists, which lattice_series turns into series.  ps_sqrt and quad_ints
+share the recurrence; quad_numerators, and through it quad_roots, puts
+series on the lattice and runs quad_ints, and the symmetric singular
+lift calls quad_ints on its matrix's grid directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
-from .errors import InversionOfZero, NegativeLeading, NestedRadical, ValuationUnknown
+from .errors import (
+    InversionOfZero,
+    NegativeLeading,
+    NestedRadical,
+    RadicandMismatch,
+    ValuationUnknown,
+)
 from .quadext import (
     QuadExt,
     coeff_is_zero,
@@ -305,6 +322,40 @@ def ps_inv(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     return ps_div(PuiseuxSeries.constant(ONE), x, trunc)
 
 
+def _root_recurrence(ua: list, ub: list, q: int, root_sq: int, count: int) -> tuple:
+    """The integer square-root recurrence of ps_sqrt, for count terms.
+
+    u_m = (ua[m] + ub[m] sqrt(pr)) / q for m >= 1 (ua[0] and ub[0] are not
+    read), with pr = root_sq (0 without a radicand).  Returns (sa, sb, 4q')
+    with s_m = (sa[m] + sb[m] sqrt(pr)) / (4q')^m the terms of the root s of
+    1 + u, s_0 = 1, where q' is q over the gcd of q and the u_m numerators.
+    """
+    g = gcd(q, *ua, *ub)
+    if g > 1:
+        q //= g
+        ua = [a // g for a in ua]
+        ub = [b // g for b in ub]
+    four_q = 4 * q
+    sa, sb = [1], [0]  # S_m = sa[m] + sb[m] sqrt(pr)
+    power = 2  # 2^(2m-1) q^(m-1)
+    for m in range(1, count):
+        h = (m + 1) // 2
+        a = power * ua[m] - sum(map(mul, sa[1:h], sa[m - 1 : m - h : -1]))
+        b = power * ub[m]
+        if root_sq:
+            a -= root_sq * sum(map(mul, sb[1:h], sb[m - 1 : m - h : -1]))
+            b -= sum(map(mul, sa[1:h], sb[m - 1 : m - h : -1]))
+            b -= sum(map(mul, sb[1:h], sa[m - 1 : m - h : -1]))
+        if not m & 1:
+            ha, hb = sa[m >> 1], sb[m >> 1]
+            a -= (ha * ha + root_sq * hb * hb) >> 1
+            b -= ha * hb
+        sa.append(a)
+        sb.append(b)
+        power *= four_q
+    return sa, sb, four_q
+
+
 def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     """Square root with a positive leading coefficient.
 
@@ -321,7 +372,8 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     s_m = S_m / (4q)^m, where S_0 = 1 and
     S_m = 2^(2m-1) q^(m-1) U_m - sum_{0<i<m/2} S_i S_{m-i} - S_{m/2}^2 / 2,
     the last term for even m only.  Every S_m with m >= 1 is even, so the
-    halving is exact.  The tail sits on quadext's coefficient lattice, a
+    halving is exact; _root_recurrence runs it.  The tail sits on
+    quadext's coefficient lattice, a
     tail over sqrt(p/r) as integer pairs over sqrt(pr), and
     quadext.from_lattice builds each output coefficient.  The result is
     exact below `trunc`, by default x.trunc - v/2 for a truncated x and v/2 +
@@ -359,30 +411,7 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     for (m, _), (a, b) in zip(tail, pairs):
         ua[m] = a * cd
         ub[m] = b * cd
-    q = coef_den * cn
-    g = gcd(q, *ua, *ub)
-    if g > 1:
-        q //= g
-        ua = [a // g for a in ua]
-        ub = [b // g for b in ub]
-    four_q = 4 * q
-    sa, sb = [1], [0]  # S_m = sa[m] + sb[m] sqrt(pr)
-    power = 2  # 2^(2m-1) q^(m-1)
-    for m in range(1, count):
-        h = (m + 1) // 2
-        a = power * ua[m] - sum(map(mul, sa[1:h], sa[m - 1 : m - h : -1]))
-        b = power * ub[m]
-        if root_sq:
-            a -= root_sq * sum(map(mul, sb[1:h], sb[m - 1 : m - h : -1]))
-            b -= sum(map(mul, sa[1:h], sb[m - 1 : m - h : -1]))
-            b -= sum(map(mul, sb[1:h], sa[m - 1 : m - h : -1]))
-        if not m & 1:
-            ha, hb = sa[m >> 1], sb[m >> 1]
-            a -= (ha * ha + root_sq * hb * hb) >> 1
-            b -= ha * hb
-        sa.append(a)
-        sb.append(b)
-        power *= four_q
+    sa, sb, four_q = _root_recurrence(ua, ub, coef_den * cn, root_sq, count)
     # s_m sqrt(c) is (sa[m] + sb[m] sqrt(pr)) rn / (rd (4q)^m) for a rational
     # root rn / rd; an irrational root sqrt(c) has a rational tail, so it is
     # the lattice pair (0, sa[m]) over c_den (4q)^m with the radicand c
@@ -401,6 +430,182 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     return PuiseuxSeries(tuple(terms), trunc)
 
 
+def pair_sign(a: int, b: int, radicand) -> int:
+    """Sign of a coefficient (a + b sqrt(pr)) / den on quadext's lattice,
+    den > 0, for the radicand p/r; read off a alone when b == 0."""
+    if not b:
+        return (a > 0) - (a < 0)
+    return from_lattice(a, b, 1, radicand).sign()
+
+
+class QuadInts(NamedTuple):
+    """quad_ints' result.  A term list holds (e, a, b, den, radicand) by
+    ascending e: the coefficient (a + b sqrt(pr)) / den, for the radicand
+    p/r (quadext.from_lattice), at t^(e / exp_den); no coefficient is 0."""
+
+    n1: list | None  # -B + eps sqrt(disc)
+    n2: list | None  # -B - eps sqrt(disc)
+    trunc: Fraction | None  # the numerators' order
+    two_a: list
+    two_a_trunc: Fraction | None
+    exp_den: int  # of every term list's exponents, twice the grid's lattice
+    sign: int  # of the discriminant's leading coefficient
+
+
+def lattice_series(terms: list, exp_den: int, trunc, shift: int = 0, sign: int = 1):
+    """The series of a term list (see QuadInts) times sign t^(-shift / exp_den)."""
+    out = tuple(
+        (Fraction(e - shift, exp_den), from_lattice(sign * a, sign * b, den, rad))
+        for e, a, b, den, rad in terms
+    )
+    if trunc is not None and shift:
+        trunc -= Fraction(shift, exp_den)
+    return PuiseuxSeries(out, trunc)
+
+
+def _term_list(ints: dict, den: int, radicand, factor: int) -> list:
+    """The term list (see QuadInts) of factor times grid ints over den,
+    exponents over twice the grid's lattice."""
+    parts: dict = {}
+    for key, c in ints.items():
+        parts.setdefault(key >> 1, [0, 0])[key & 1] = factor * c
+    return [(2 * e, a, b, den, radicand) for e, (a, b) in sorted(parts.items())]
+
+
+def _add_product(out: dict, x: dict, y: dict, factor: int, root_sq: int, cap) -> None:
+    """Add factor x y to the grid ints out, keys at or above cap dropped.
+    A key's exponent key >> 1 only grows along y's sorted keys."""
+    ys = sorted(y.items())
+    for k1, c1 in x.items():
+        c1 *= factor
+        for k2, c2 in ys:
+            key = k1 + k2
+            if k1 & k2 & 1:  # sqrt(pr) * sqrt(pr) = pr
+                key -= 2
+                c2 *= root_sq
+            if key >= cap:
+                break
+            out[key] = out.get(key, 0) + c1 * c2
+
+
+def _merge(x: list, y: list, sign: int, order, exp_den: int) -> list:
+    """The term list of x + sign y, below order.  Two terms at one exponent
+    that carry different radicands raise RadicandMismatch, as their sum in
+    a series does."""
+    out = {t[0]: t for t in x}
+    for e, a, b, den, rad in y:
+        a, b = sign * a, sign * b
+        hit = out.get(e)
+        if hit is None:
+            out[e] = (e, a, b, den, rad)
+            continue
+        _, a1, b1, d1, r1 = hit
+        if b1 and b and r1 != rad:
+            raise RadicandMismatch(f"cannot mix sqrt({rad}) with sqrt({r1})")
+        out[e] = (e, a1 * den + a * d1, b1 * den + b * d1, d1 * den, r1 if b1 else rad)
+    p, q = (0, 0) if order is None else order.as_integer_ratio()
+    return sorted(t for t in out.values() if (t[1] or t[2]) and (not q or t[0] * q < p * exp_den))
+
+
+def quad_ints(A, B, C, exp_den: int, radicand, trunc=None) -> QuadInts:
+    """The arithmetic of quad_numerators on integers, from the coefficients
+    to the numerators.
+
+    A, B and C are each (ints, known, den) as verify.minor_ints returns a
+    minor: ints maps keys 2 e + r to ints, e an exponent over exp_den and
+    r = 1 for a multiple of sqrt(pr) of the one radicand p/r (None when
+    there is none); the series is ints over den, known only below the
+    exponent known over exp_den (None when exact).  The discriminant
+    B^2 - 4AC is formed over one common denominator, with the order and the
+    dropped terms of the series product, and the sign of its leading
+    coefficient is read off its leading int.  Its square root runs the
+    recurrence of ps_sqrt (_root_recurrence) to the same order, clamped
+    the same way, and the numerators -B +- eps sqrt(disc) are put together
+    term by term.  Errors are those of the series arithmetic.
+    """
+    (at, aknown, aden), (bt, bknown, bden), (ct, cknown, cden) = A, B, C
+    if not at:
+        if aknown is None:
+            raise InversionOfZero("leading coefficient is exactly zero")
+        raise ValuationUnknown("leading coefficient has unknown valuation")
+    scale = 2 * exp_den
+    two_a = _term_list(at, aden, radicand, 2)
+    two_a_trunc = None if aknown is None else Fraction(aknown, exp_den)
+    neg_b = _term_list(bt, bden, radicand, -1)
+    b_trunc = None if bknown is None else Fraction(bknown, exp_den)
+    # the order of B * B - (4 A) * C, as _prod_trunc gives it
+    orders = []
+    if bknown is not None:
+        orders.append(bknown + (min(bt) >> 1 if bt else bknown))
+    if aknown is not None and (ct or cknown is not None):
+        orders.append(aknown + (min(ct) >> 1 if ct else cknown))
+    if cknown is not None:
+        orders.append(cknown + (min(at) >> 1))
+    known = min(orders) if orders else None
+    root_sq = 0 if radicand is None else radicand.numerator * radicand.denominator
+    den = lcm(bden * bden, aden * cden)
+    cap = inf if known is None else 2 * known
+    disc: dict = {}
+    _add_product(disc, bt, bt, den // (bden * bden), root_sq, cap)
+    _add_product(disc, at, ct, -4 * (den // (aden * cden)), root_sq, cap)
+    disc = {key: c for key, c in disc.items() if c}
+    if not disc:
+        if known is None:
+            return QuadInts(neg_b, neg_b, b_trunc, two_a, two_a_trunc, scale, 0)
+        raise ValuationUnknown("discriminant vanishes below its truncation order")
+    v = min(disc) >> 1
+    lead, lead_b = disc.get(2 * v, 0), disc.get(2 * v + 1, 0)
+    if pair_sign(lead, lead_b, radicand) < 0:
+        return QuadInts(None, None, None, two_a, two_a_trunc, scale, -1)
+    # the root of disc = c t^v (1 + u), as ps_sqrt takes it, at exponents
+    # v / 2 + m step / exp_den, that is (v + 2 m step) / scale
+    if lead_b:
+        raise NestedRadical("leading coefficient already carries a radicand")
+    g = gcd(lead, den)
+    cn, cd = lead // g, den // g
+    rn, rd = isqrt(cn), isqrt(cd)
+    rational = rn * rn == cn and rd * rd == cd
+    if not rational and any(key & 1 for key in disc):
+        raise NestedRadical("series coefficients already carry a radicand")
+    c = None if rational else Fraction(cn, cd)
+    if known is None and len(disc) == 1:
+        order = None
+        root = [(v, rn, 0, rd, None) if rational else (v, 0, 1, cd, c)]
+    else:
+        if known is not None:
+            bound = Fraction(2 * known - v, scale)
+            order = bound if trunc is None else min(Fraction(trunc), bound)
+        else:
+            order = Fraction(v, scale) + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
+        step = gcd(exp_den, *((key >> 1) - v for key in disc))
+        count = _count_below(order, v, scale, 2 * step)
+        ua, ub = [0] * count, [0] * count
+        for key, x in disc.items():
+            m = ((key >> 1) - v) // step
+            if 0 < m < count:
+                (ub if key & 1 else ua)[m] = x * cd
+        sa, sb, four_q = _root_recurrence(ua, ub, den * cn, root_sq, count)
+        root, below = [], rd if rational else cd
+        for m in range(count):
+            a, b = sa[m], sb[m]
+            if a or b:
+                e = v + 2 * m * step
+                term = (e, a * rn, b * rn, below, radicand) if rational else (e, 0, a, below, c)
+                root.append(term)
+            below *= four_q
+    if not bt:
+        eps = 1
+    else:
+        _, a, b, _, _ = neg_b[0]
+        eps = pair_sign(a, b, radicand)
+        if not root:
+            raise ValuationUnknown("series has no known nonzero term")
+    order = _min_trunc(b_trunc, order)
+    n1 = _merge(neg_b, root, eps, order, scale)
+    n2 = _merge(neg_b, root, -eps, order, scale)
+    return QuadInts(n1, n2, order, two_a, two_a_trunc, scale, 1)
+
+
 def quad_numerators(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):
     """Numerators of the roots of A x^2 + B x + C over real Puiseux series.
 
@@ -410,28 +615,34 @@ def quad_numerators(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=
     it; n2 = -B - eps sqrt(disc) takes the other branch, where any
     cancellation resolves exactly.  disc_sign < 0 means no real roots and
     both numerators are None; disc_sign == 0 (an exactly zero
-    discriminant) gives n1 = n2 = -B.  `trunc` goes to ps_sqrt for the
-    root of the discriminant.
+    discriminant) gives n1 = n2 = -B.  `trunc` is the order of the root of
+    the discriminant, as ps_sqrt takes it.  The coefficients go on one
+    lattice (quadext.to_lattice, which refuses two radicands) and quad_ints
+    does the arithmetic.
     """
-    if A.is_known_zero():
-        if A.trunc is None:
-            raise InversionOfZero("leading coefficient is exactly zero")
-        raise ValuationUnknown("leading coefficient has unknown valuation")
-    disc = B * B - 4 * A * C
-    two_a = A.scale(Fraction(2))
-    if disc.is_known_zero():
-        if disc.trunc is None:
-            return -B, -B, two_a, 0
-        raise ValuationUnknown("discriminant vanishes below its truncation order")
-    if disc.lead_sign() < 0:
+    series = (A, B, C)
+    exp_den = lcm(
+        *(e.denominator for s in series for e, _ in s.terms),
+        *(s.trunc.denominator for s in series if s.trunc is not None),
+    )
+    radicand, groups = to_lattice([[c for _, c in s.terms] for s in series])
+    coeffs = []
+    for s, (den, pairs) in zip(series, groups):
+        ints = {}
+        for (e, _), (a, b) in zip(s.terms, pairs):
+            key = 2 * e.numerator * (exp_den // e.denominator)
+            if a:
+                ints[key] = a
+            if b:
+                ints[key + 1] = b
+        known = None if s.trunc is None else s.trunc.numerator * (exp_den // s.trunc.denominator)
+        coeffs.append((ints, known, den))
+    q = quad_ints(*coeffs, exp_den, radicand, trunc)
+    two_a = lattice_series(q.two_a, q.exp_den, q.two_a_trunc)
+    if q.sign < 0:
         return None, None, two_a, -1
-    sq = ps_sqrt(disc, trunc=trunc)
-    if B.is_known_zero():
-        eps = 1
-    else:
-        eps = (-B).lead_sign() * sq.lead_sign()
-    neg_b, root = -B, sq.scale(Fraction(eps))
-    return neg_b + root, neg_b - root, two_a, 1
+    n1 = lattice_series(q.n1, q.exp_den, q.trunc)
+    return n1, lattice_series(q.n2, q.exp_den, q.trunc), two_a, q.sign
 
 
 def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):

@@ -27,10 +27,13 @@ and applies the sign of that row permutation once to the result.  When
 an entry is truncated, one min-plus pass gives both the order to which
 the minor is known and its tropical value, and partial terms that cannot
 land below that order are dropped as they arise.  _det_vanishes reads
-its verdict off _minor's ints and builds no series; only series_det, a
-matrix's determinant or a minor on chosen rows and columns, which the
-constructions also read their coefficients from (several minors of one
-matrix off its series_grid), turns the ints back into a series.
+its verdict off _minor's ints and builds no series.  The constructions
+read their coefficients through two public readers, several minors of
+one matrix off its series_grid: minor_ints, a minor on chosen rows and
+columns as its grid ints, its order and the rows' denominator, which the
+symmetric solve hands to puiseux.quad_ints as they are; and series_det,
+the same minor turned back into a series (minor_ints plus the one
+conversion), which the linear solve reads.
 
 An exact rank claim is checked on the 3x3 minors that border the first
 nonzero 2x2 minor: by the bordered-minor theorem a nonzero k x k minor
@@ -283,16 +286,16 @@ def _minor(grid: _Grid, rows, cols) -> tuple[dict, float, float]:
     return {key: sign * c for key, c in partial.get(full, {}).items() if c}, known, value
 
 
-def series_det(mat, rows=None, cols=None) -> PuiseuxSeries:
+def minor_ints(mat, rows=None, cols=None) -> tuple[dict, int | None, int]:
     """The minor of a matrix of series on rows x cols (all of its rows and
-    all of its columns by default), exact below the order to which the
-    permutation expansion knows it (see _minor); the order is None when
-    no permutation that meets no exact zero has a truncated factor.
+    all of its columns by default), as ints on the matrix's grid.
 
-    `mat` is the matrix or its series_grid, so several minors of one
-    matrix can be read off one grid.  _minor expands the rows on the named
-    columns, and quadext.from_lattice divides the result by the product of
-    the rows' denominators once per term.
+    Returns (terms, known, den): terms maps grid keys to ints (see _Grid)
+    and is the minor times den, the product of the rows' denominators;
+    known is the order on the grid to which the minor is known (see
+    _minor), None when no permutation that meets no exact zero has a
+    truncated factor.  `mat` is the matrix or its series_grid, so several
+    minors of one matrix can be read off one grid.
     """
     grid = mat if isinstance(mat, _Grid) else series_grid(mat)
     width = len(grid.terms[0]) if grid.terms else 0
@@ -303,7 +306,14 @@ def series_det(mat, rows=None, cols=None) -> PuiseuxSeries:
             f"determinant needs a square minor, got {len(rows)} rows and {len(cols)} columns"
         )
     terms, known, _ = _minor(grid, rows, cols)
-    scale = prod(grid.dens[r] for r in rows)
+    return terms, None if known == inf else known, prod(grid.dens[r] for r in rows)
+
+
+def series_det(mat, rows=None, cols=None) -> PuiseuxSeries:
+    """The minor_ints of a matrix of series on rows x cols as a series:
+    quadext.from_lattice divides each term by the rows' denominator."""
+    grid = mat if isinstance(mat, _Grid) else series_grid(mat)
+    terms, known, scale = minor_ints(grid, rows, cols)
     parts: dict = {}
     for key, c in terms.items():
         parts.setdefault(key >> 1, [0, 0])[key & 1] = c
@@ -311,7 +321,7 @@ def series_det(mat, rows=None, cols=None) -> PuiseuxSeries:
     pairs = [
         (Fraction(e, exp_den), from_lattice(a, b, scale, radicand)) for e, (a, b) in parts.items()
     ]
-    return PuiseuxSeries.make(pairs, None if known == inf else Fraction(known, exp_den))
+    return PuiseuxSeries.make(pairs, None if known is None else Fraction(known, exp_den))
 
 
 def _det_vanishes(grid: _Grid, rows, cols) -> tuple[bool, str]:

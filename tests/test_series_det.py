@@ -24,10 +24,10 @@ from troplift import lifts
 from troplift.errors import DimensionMismatch, RadicandMismatch
 from troplift.fixtures import fixture
 from troplift.lifts import _split_det_linear, _split_det_quadratic, series_det
-from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt, quad_numerators
+from troplift.puiseux import PuiseuxSeries, ps_div, ps_sqrt, quad_ints
 from troplift.quadext import QuadExt
 from troplift import verify
-from troplift.verify import _det_vanishes, _min_plus, series_grid
+from troplift.verify import _det_vanishes, _min_plus, minor_ints, series_grid
 
 F = Fraction
 
@@ -78,6 +78,21 @@ def ref_split_quadratic(rows, i, j):
 
 def same(got, want):
     assert (got.terms, got.trunc) == (want.terms, want.trunc)
+
+
+def as_series(minor, exp_den, radicand):
+    """The series of minor_ints' (ints, known, den) on a grid with the
+    lattice exp_den and the radicand p/r: an odd key is a multiple of
+    sqrt(pr) = r sqrt(p/r)."""
+    ints, known, den = minor
+    pairs = []
+    for key, c in ints.items():
+        if key % 2:
+            coeff = QuadExt.make(0, F(c * radicand.denominator, den), radicand)
+        else:
+            coeff = F(c, den)
+        pairs.append((F(key // 2, exp_den), coeff))
+    return PuiseuxSeries.make(pairs, None if known is None else F(known, exp_den))
 
 
 # --- inputs ---------------------------------------------------------------
@@ -338,6 +353,17 @@ def test_minor_matches_the_determinant_of_its_submatrix(drawn):
     same(series_det(mat, rows, cols), ref_series_det([[mat[r][c] for c in cols] for r in rows]))
 
 
+@SETTINGS
+@given(rectangles())
+def test_minor_ints_are_the_terms_of_series_det(drawn):
+    """The int reader the symmetric solve takes its coefficients from,
+    once converted, is series_det term for term, truncation included."""
+    mat, rows, cols = drawn
+    grid = series_grid(mat)
+    got = as_series(minor_ints(grid, rows, cols), grid.exp_den, grid.radicand)
+    same(got, series_det(mat, rows, cols))
+
+
 def test_minor_of_unequal_sides_is_refused():
     one = mono(1, 0)
     mat = [[one, mono(2, 1), one], [one, one, mono(1, 2)]]
@@ -379,42 +405,47 @@ def test_linear_split_matches(rows, data):
 def test_quadratic_split_matches(rows, data):
     n = len(rows)
     i, j = data.draw(st.permutations(range(n)))[:2]
-    got = _split_det_quadratic(zeroed(rows, (i, j), (j, i)), i, j)
+    grid, *got = _split_det_quadratic(zeroed(rows, (i, j), (j, i)), i, j)
     for got, want in zip(got, ref_split_quadratic(rows, i, j)):
-        same(got, want)
+        same(as_series(got, grid.exp_den, grid.radicand), want)
 
 
 def test_splits_take_two_and_three_determinants(monkeypatch):
-    """The linear split reads the cofactor and det m0, the symmetric one
-    the two-sided minor, one cofactor and det m0, each split off one grid
-    of m0; and every symmetric singular lift's quadratic comes from one
-    such split."""
-    calls, grids = [], []
+    """The linear split reads the cofactor and det m0 as series, the
+    symmetric one the two-sided minor, one cofactor and det m0 as ints,
+    each split off one grid of m0; and every symmetric singular lift's
+    quadratic comes from one such split, solved on its ints."""
+    calls, reads, grids = [], [], []
 
     def counted(*args):
         calls.append(args)
         return series_det(*args)
+
+    def counted_ints(*args):
+        reads.append(args)
+        return minor_ints(*args)
 
     def counted_grid(mat):
         grids.append(len(mat))
         return series_grid(mat)
 
     monkeypatch.setattr(lifts, "series_det", counted)
+    monkeypatch.setattr(lifts, "minor_ints", counted_ints)
     for module in (lifts, verify):
         monkeypatch.setattr(module, "series_grid", counted_grid)
     sym = [[mono(r + c + 1, abs(r - c)) for c in range(4)] for r in range(4)]
     _split_det_linear(zeroed(sym, (1, 2)), 1, 2)
-    assert len(calls) == 2 and grids == [4]
+    assert len(calls) == 2 and not reads and grids == [4]
     del calls[:], grids[:]
     _split_det_quadratic(zeroed(sym, (1, 2), (2, 1)), 1, 2)
-    assert len(calls) == 3 and grids == [4]
-    del calls[:]
+    assert len(reads) == 3 and not calls and grids == [4]
+    del reads[:]
     solves = []
 
     def solve(*args):
         solves.append(args)
-        return quad_numerators(*args)
+        return quad_ints(*args)
 
-    monkeypatch.setattr(lifts, "quad_numerators", solve)
+    monkeypatch.setattr(lifts, "quad_ints", solve)
     assert lifts.lift_sym_corank1(fixture("fig2a"), "R").valid
-    assert solves and len(calls) == 3 * len(solves)
+    assert solves and len(reads) == 3 * len(solves) and not calls

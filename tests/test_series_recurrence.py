@@ -3,9 +3,11 @@ they replace.
 
 The references below are the geometric and binomial power-sum `ps_inv` and
 `ps_sqrt` and the product-form `quad_roots` that `troplift.puiseux` used
-before the coefficient recurrences; terms and truncation orders must agree
-exactly, with a requested order beyond what a truncated input supports
-clamped to that order before it reaches a reference.  One line of
+before the coefficient recurrences, and the series-level
+`quad_numerators` that it used before the integer kernel `quad_ints`;
+terms and truncation orders must agree exactly, with a requested order
+beyond what a truncated input supports clamped to that order before it
+reaches a reference.  One line of
 each power sum is tagged: where today's code asks a tail with no term below
 the order for its valuation, the reference raises `TailPastOrder`, a
 `ValuationUnknown`, where the recurrence answers.
@@ -16,6 +18,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from troplift.config import default_truncation
 from troplift.errors import (
     InversionOfZero,
     NegativeLeading,
@@ -23,8 +26,18 @@ from troplift.errors import (
     TropliftError,
     ValuationUnknown,
 )
-from troplift.puiseux import DEFAULT_DEPTH, PuiseuxSeries, ps_div, ps_inv, ps_sqrt, quad_roots
+from troplift.puiseux import (
+    DEFAULT_DEPTH,
+    PuiseuxSeries,
+    ps_div,
+    ps_inv,
+    ps_sqrt,
+    quad_numerators,
+    quad_roots,
+)
 from troplift.quadext import QuadExt, coeff_sign, sqrt_exact
+from troplift.tropmat import TropMatrix
+from troplift.verify import series_det
 
 F = Fraction
 
@@ -129,6 +142,28 @@ def ref_quad_roots(A, B, C, trunc=None):
     x1 = ((-B) + sq.scale(Fraction(eps))) * inv2a
     x2 = ((-B) - sq.scale(Fraction(eps))) * inv2a
     return x1, x2, 1
+
+
+def ref_quad_numerators(A, B, C, trunc=None):
+    if A.is_known_zero():
+        if A.trunc is None:
+            raise InversionOfZero("leading coefficient is exactly zero")
+        raise ValuationUnknown("leading coefficient has unknown valuation")
+    disc = B * B - 4 * A * C
+    two_a = A.scale(Fraction(2))
+    if disc.is_known_zero():
+        if disc.trunc is None:
+            return -B, -B, two_a, 0
+        raise ValuationUnknown("discriminant vanishes below its truncation order")
+    if disc.lead_sign() < 0:
+        return None, None, two_a, -1
+    sq = ps_sqrt(disc, trunc=trunc)
+    if B.is_known_zero():
+        eps = 1
+    else:
+        eps = (-B).lead_sign() * sq.lead_sign()
+    neg_b, root = -B, sq.scale(Fraction(eps))
+    return neg_b + root, neg_b - root, two_a, 1
 
 
 def outcome(fn, *args, **kwargs):
@@ -270,6 +305,34 @@ def quadratic_cases(draw):
     return A, B, C, trunc
 
 
+@st.composite
+def lift_quadratics(draw):
+    """A, B, C of the symmetric solve: on a symmetric 3 x 3 or 4 x 4 matrix
+    of monomials with entries (i, j) and (j, i) zeroed, minus the minor
+    without rows and columns i and j, twice the signed cofactor of (i, j),
+    and the determinant, all exact and rational; the order is
+    default_truncation of the valuations, or one up to 5 past the root's
+    lead."""
+    n = draw(st.integers(3, 4))
+    vals = [[0] * n for _ in range(n)]
+    mat = [[None] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            vals[r][c] = vals[c][r] = F(draw(st.integers(0, 8)), draw(st.sampled_from([1, 1, 2])))
+            mat[r][c] = mat[c][r] = PuiseuxSeries.monomial(draw(RATIONALS), vals[r][c])
+    i, j = draw(st.permutations(range(n)))[:2]
+    mat[i][j] = mat[j][i] = PuiseuxSeries.zero()
+    rest = [r for r in range(n) if r not in (i, j)]
+    A = -series_det(mat, rest, rest)
+    B = series_det(mat, [r for r in range(n) if r != i], [c for c in range(n) if c != j])
+    B = B.scale(F(-2 if (i + j) % 2 else 2))
+    C = series_det(mat)
+    if draw(st.booleans()):
+        return A, B, C, default_truncation(TropMatrix.make(vals, symmetric=True))
+    disc = B * B - 4 * A * C
+    return A, B, C, (disc.val() or 0) / 2 + draw(ORDERS)
+
+
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -334,3 +397,33 @@ def test_quadratic_roots_match_product_form(case):
     assume(want is not TailPastOrder)
     assert outcome(quad_roots, A, B, C, trunc) == want
 
+
+
+@SETTINGS
+@given(quadratic_cases())
+def test_quadratic_numerators_match_the_series_arithmetic(case):
+    """quad_numerators on quad_ints gives the series arithmetic's numerators,
+    orders and errors: truncated inputs, a radicand tail, an exactly zero or
+    one-term discriminant, B = 0."""
+    A, B, C, trunc = case
+    assert outcome(quad_numerators, A, B, C, trunc) == outcome(ref_quad_numerators, A, B, C, trunc)
+
+
+@SETTINGS
+@given(lift_quadratics())
+def test_lift_quadratic_numerators_match_the_series_arithmetic(case):
+    A, B, C, trunc = case
+    assert outcome(quad_numerators, A, B, C, trunc) == outcome(ref_quad_numerators, A, B, C, trunc)
+
+
+def test_numerators_over_two_radicands_match_the_series_arithmetic():
+    """B over sqrt(2) under a root over sqrt(3): the numerators hold both
+    radicands where no two terms meet, and a meeting raises."""
+    one, sqrt2 = PuiseuxSeries.constant(F(1)), QuadExt.make(0, 1, 2)
+    for B, C in (
+        (PuiseuxSeries.monomial(sqrt2, 3), PuiseuxSeries.constant(F(-3, 4))),
+        (PuiseuxSeries.monomial(sqrt2, 0), PuiseuxSeries.constant(F(-1, 4))),
+    ):
+        for trunc in (None, F(3), F(10)):
+            want = outcome(ref_quad_numerators, one, B, C, trunc)
+            assert outcome(quad_numerators, one, B, C, trunc) == want
