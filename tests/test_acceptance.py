@@ -4,12 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from mpoly import MPoly, mpoly_det, mpoly_disc, sym_matrix_polys
 from oracle import brute_barvinok2, brute_sym_barvinok2
@@ -30,7 +27,6 @@ from troplift.lifts import (
     lift_sym_caterpillar,
     lift_sym_corank1,
     lift_sym_rank2_real,
-    verify_lift,
 )
 from troplift.membership import (
     member_corank1,
@@ -53,11 +49,7 @@ from troplift.trees import (
     tree_from_rank2,
     tree_to_matrix,
 )
-from troplift.tropical import (
-    barvinok_rank2,
-    sym_barvinok_rank2,
-    sym_trop_rank,
-)
+from troplift.tropical import barvinok_rank2, sym_barvinok_rank2
 from troplift.tropmat import TropMatrix, trop_mat_mul
 
 F = Fraction

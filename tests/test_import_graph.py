@@ -3,7 +3,8 @@ a troplift module, except where a cycle forces it.  The package holds only
 what the command line loads, and each name it defines is reached by
 another module, pinned by the benchmark's tracer or advertised in the
 README.  And the verifier is a trusted base that other modules use only
-through its public names."""
+through its public names.  No module of the package or of the tests
+imports a name it never reads."""
 
 import ast
 import os
@@ -15,6 +16,7 @@ from test_trace_names import load_tracing
 from troplift import verify
 
 PACKAGE = Path(verify.__file__).parent
+TESTS = Path(__file__).parent
 # public readers the README advertises that no module of the package calls:
 # the inverse of the tree correspondence, initial forms, and the decoders
 ADVERTISED = {"tree_to_matrix", "initial_form", "decode_tree", "decode_series"}
@@ -49,6 +51,20 @@ def _private_from_verify(source: str) -> set:
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "verify":
             found.update(a.name for a in node.names if a.name.startswith("_"))
     return found
+
+
+def _unused_imports(source: str) -> set:
+    """The names an import statement binds, at any depth, that the module
+    never reads as a name (an attribute's base is such a read)."""
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return imported - read
 
 
 def _local_imports(source: str) -> set:
@@ -138,6 +154,32 @@ def test_name_scan_sees_every_form():
     }
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    """Over src/troplift and tests/, the package's __init__ aside: its
+    imports are the public re-exports.  perfbench/ is the benchmark's."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    paths += sorted(TESTS.rglob("*.py"))
+    root = TESTS.parent
+    found = {(str(p.relative_to(root)), n) for p in paths for n in _unused_imports(p.read_text())}
+    assert found == set()
+
+
+def test_unused_import_scan_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import xml.dom\n"
+        "from . import lifts as kept, trees\n"
+        "from .verify import series_det, minor_ints\n"
+        "def f():\n"
+        "    import json\n"
+        "    from math import lcm\n"
+        "    lcm = 1\n"
+        "    return kept.x, series_det, xml\n"
+    )
+    assert _unused_imports(source) == {"os", "osp", "trees", "minor_ints", "json", "lcm"}
+
+
 def test_no_function_imports_a_troplift_module():
     found = {
         (path.name, fn, module)
@@ -174,8 +216,8 @@ def test_scanner_sees_every_import_form():
 
 def test_no_module_imports_a_private_name_of_verify():
     """Constructions reach the verifier through verify_lift, series_det,
-    series_grid and LiftCertificate only, so a check cannot be done beside
-    it with its private kernels."""
+    minor_ints, series_grid and LiftCertificate only, so a check cannot be
+    done beside it with its private kernels."""
     found = {
         (path.name, name)
         for path in sorted(PACKAGE.glob("*.py"))

@@ -46,7 +46,7 @@ from troplift.lifts import (
 from troplift.membership import member_corank1
 from troplift.puiseux import PuiseuxSeries
 from troplift.quadext import QuadExt
-from troplift.tropical import trop_det, trop_rank
+from troplift.tropical import trop_rank
 from troplift.tropmat import TropMatrix
 
 F = Fraction

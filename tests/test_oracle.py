@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from linprog import INFEASIBLE, OPTIMAL, lp_feasible, lp_maximize
+from linprog import OPTIMAL, lp_feasible, lp_maximize
 from oracle import (
     brute_barvinok2,
     brute_hull,
