@@ -46,10 +46,8 @@ from .errors import (
 from .quadext import (
     QuadExt,
     coeff_is_zero,
-    coeff_radicand,
     coeff_sign,
     from_lattice,
-    sqrt_exact,
     to_lattice,
 )
 
@@ -150,14 +148,6 @@ class PuiseuxSeries:
     def lead_sign(self) -> int:
         return coeff_sign(self.lead_coeff())
 
-    def radicand(self) -> Fraction | None:
-        """The single radicand used by the coefficients, or None."""
-        for _, c in self.terms:
-            d = coeff_radicand(c)
-            if d is not None:
-                return d
-        return None
-
     def __add__(self, other):
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries.constant(other)
@@ -194,9 +184,6 @@ class PuiseuxSeries:
         exp = Fraction(exp)
         trunc = None if self.trunc is None else self.trunc + exp
         return PuiseuxSeries(tuple((e + exp, c) for e, c in self.terms), trunc)
-
-    def scale(self, coeff) -> "PuiseuxSeries":
-        return PuiseuxSeries.make(((e, c * coeff) for e, c in self.terms), self.trunc)
 
     def __repr__(self):
         if not self.terms:
@@ -356,6 +343,88 @@ def _root_recurrence(ua: list, ub: list, q: int, root_sq: int, count: int) -> tu
     return sa, sb, four_q
 
 
+def _root_ints(ints: dict, den: int, known, exp_den: int, radicand, trunc) -> tuple:
+    """The square root of a series on the integer grid (see quad_ints),
+    with a positive leading coefficient: its term list (see QuadInts), with
+    exponents over 2 exp_den, and its order, None for the exact root of an
+    exact monomial.  Checks, order and recurrence are those of ps_sqrt."""
+    v = min(ints) >> 1
+    if ints.get(2 * v + 1):
+        raise NestedRadical("leading coefficient already carries a radicand")
+    g = gcd(ints[2 * v], den)
+    cn, cd = ints[2 * v] // g, den // g
+    rn, rd = isqrt(cn), isqrt(cd)
+    rational = rn * rn == cn and rd * rd == cd
+    if not rational and any(key & 1 for key in ints):
+        raise NestedRadical("series coefficients already carry a radicand")
+    c = None if rational else Fraction(cn, cd)
+    if known is None and len(ints) == 1:
+        return [(v, rn, 0, rd, None) if rational else (v, 0, 1, cd, c)], None
+    scale = 2 * exp_den
+    if known is not None:
+        bound = Fraction(2 * known - v, scale)
+        order = bound if trunc is None else min(Fraction(trunc), bound)
+    else:
+        order = Fraction(v, scale) + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
+    # root exponents v/2 + m step / exp_den, that is (v + 2 m step) / scale
+    step = gcd(exp_den, *((key >> 1) - v for key in ints))
+    count = _count_below(order, v, scale, 2 * step)
+    # u_m = coeff / c = (A + B sqrt(pr)) c_den / (den c_num)
+    ua, ub = [0] * count, [0] * count
+    for key, x in ints.items():
+        m = ((key >> 1) - v) // step
+        if 0 < m < count:
+            (ub if key & 1 else ua)[m] = x * cd
+    root_sq = 0 if radicand is None else radicand.numerator * radicand.denominator
+    sa, sb, four_q = _root_recurrence(ua, ub, den * cn, root_sq, count)
+    # s_m sqrt(c) is (sa[m] + sb[m] sqrt(pr)) rn / (rd (4q)^m) for a rational
+    # root rn / rd; an irrational root sqrt(c) has a rational tail, so it is
+    # the lattice pair (0, sa[m]) over c_den (4q)^m with the radicand c
+    root, below = [], rd if rational else cd
+    for m in range(count):
+        a, b = sa[m], sb[m]
+        if a or b:
+            e = v + 2 * m * step
+            term = (e, a * rn, b * rn, below, radicand) if rational else (e, 0, a, below, c)
+            root.append(term)
+        below *= four_q
+    return root, order
+
+
+def _on_lattice(*series) -> tuple:
+    """(exp_den, radicand, coefficients): the series on one integer grid,
+    each as (ints, known, den), the form quad_ints takes; the coefficients
+    go through quadext.to_lattice, which refuses two radicands."""
+    exp_den = lcm(
+        *(e.denominator for s in series for e, _ in s.terms),
+        *(s.trunc.denominator for s in series if s.trunc is not None),
+    )
+    radicand, groups = to_lattice([[c for _, c in s.terms] for s in series])
+    coeffs = []
+    for s, (den, pairs) in zip(series, groups):
+        ints = {}
+        for (e, _), (a, b) in zip(s.terms, pairs):
+            key = 2 * e.numerator * (exp_den // e.denominator)
+            if a:
+                ints[key] = a
+            if b:
+                ints[key + 1] = b
+        known = None if s.trunc is None else s.trunc.numerator * (exp_den // s.trunc.denominator)
+        coeffs.append((ints, known, den))
+    return exp_den, radicand, coeffs
+
+
+def lattice_series(terms: list, exp_den: int, trunc, shift: int = 0, sign: int = 1):
+    """The series of a term list (see QuadInts) times sign t^(-shift / exp_den)."""
+    out = tuple(
+        (Fraction(e - shift, exp_den), from_lattice(sign * a, sign * b, den, rad))
+        for e, a, b, den, rad in terms
+    )
+    if trunc is not None and shift:
+        trunc -= Fraction(shift, exp_den)
+    return PuiseuxSeries(out, trunc)
+
+
 def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     """Square root with a positive leading coefficient.
 
@@ -363,7 +432,8 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     rational square and otherwise a QuadExt with radicand lead(x); in the
     latter case the input must be rational throughout, since two
     independent radicands are unsupported.  Under a rational square lead
-    the tail may carry one radicand; quadext.to_lattice refuses two.
+    the tail may carry one radicand; quadext.to_lattice refuses a series
+    with two, before the root's own checks.
 
     With x = c t^v (1 + u), the root is sqrt(c) t^(v/2) s, and on the
     lattice t^(1/D) that holds u, s_0 = 1 and
@@ -372,62 +442,24 @@ def ps_sqrt(x: PuiseuxSeries, trunc=None) -> PuiseuxSeries:
     s_m = S_m / (4q)^m, where S_0 = 1 and
     S_m = 2^(2m-1) q^(m-1) U_m - sum_{0<i<m/2} S_i S_{m-i} - S_{m/2}^2 / 2,
     the last term for even m only.  Every S_m with m >= 1 is even, so the
-    halving is exact; _root_recurrence runs it.  The tail sits on
-    quadext's coefficient lattice, a
-    tail over sqrt(p/r) as integer pairs over sqrt(pr), and
-    quadext.from_lattice builds each output coefficient.  The result is
-    exact below `trunc`, by default x.trunc - v/2 for a truncated x and v/2 +
-    DEFAULT_DEPTH for an exact one; a larger `trunc` than x.trunc - v/2 is
-    clamped to it.  The root of an exact monomial is exact.
+    halving is exact.  x goes on the integer grid (_on_lattice), a tail
+    over sqrt(p/r) as integer pairs over sqrt(pr), _root_ints runs the
+    recurrence there (_root_recurrence), and quadext.from_lattice builds
+    each output coefficient.  The result is exact below `trunc`, by
+    default x.trunc - v/2 for a truncated x and v/2 + DEFAULT_DEPTH for an
+    exact one; a larger `trunc` than x.trunc - v/2 is clamped to it.  The
+    root of an exact monomial is exact.
     """
     if x.is_known_zero():
         if x.trunc is None:
             return PuiseuxSeries.zero()
         raise ValuationUnknown("square root of a series with unknown valuation")
-    v, c = x.terms[0]
+    c = x.terms[0][1]
     if coeff_sign(c) < 0:
         raise NegativeLeading(f"leading coefficient {c} is negative")
-    if isinstance(c, QuadExt):
-        raise NestedRadical("leading coefficient already carries a radicand")
-    root = sqrt_exact(c)
-    if root is None:
-        if x.radicand() is not None:
-            raise NestedRadical("series coefficients already carry a radicand")
-        root = QuadExt(ZERO, ONE, c)
-    if x.trunc is None and len(x.terms) == 1:
-        return PuiseuxSeries.monomial(root, v / 2)
-    trunc = _result_order(x, trunc, v / 2, v / 2)
-    den, step, (idx,) = _grid((v, x.terms))
-    # root exponents v/2 + m*step/den, over the denominator 2*den
-    low = _scaled(v, den)
-    count = _count_below(trunc, low, 2 * den, 2 * step)
-    tail = [(m, coeff) for m, (_, coeff) in zip(idx[1:], x.terms[1:]) if m < count]
-    # the tail on the coefficient lattice: coeff = (A + B sqrt(pr)) / D for
-    # a radicand p/r, so that u_m = coeff / c = (A + B sqrt(pr)) c_den / (D c_num)
-    radicand, ((coef_den, pairs),) = to_lattice([[coeff for _, coeff in tail]])
-    root_sq = 0 if radicand is None else radicand.numerator * radicand.denominator
-    cn, cd = c.numerator, c.denominator
-    ua, ub = [0] * count, [0] * count
-    for (m, _), (a, b) in zip(tail, pairs):
-        ua[m] = a * cd
-        ub[m] = b * cd
-    sa, sb, four_q = _root_recurrence(ua, ub, coef_den * cn, root_sq, count)
-    # s_m sqrt(c) is (sa[m] + sb[m] sqrt(pr)) rn / (rd (4q)^m) for a rational
-    # root rn / rd; an irrational root sqrt(c) has a rational tail, so it is
-    # the lattice pair (0, sa[m]) over c_den (4q)^m with the radicand c
-    rational = type(root) is Fraction
-    rn, scale = root.as_integer_ratio() if rational else (1, cd)
-    terms = []
-    for m in range(count):
-        a, b = sa[m], sb[m]
-        if a or b:
-            if rational:
-                coeff = from_lattice(a * rn, b * rn, scale, radicand)
-            else:
-                coeff = from_lattice(0, a, scale, c)
-            terms.append((Fraction(low + 2 * m * step, 2 * den), coeff))
-        scale *= four_q
-    return PuiseuxSeries(tuple(terms), trunc)
+    exp_den, radicand, ((ints, known, den),) = _on_lattice(x)
+    root, order = _root_ints(ints, den, known, exp_den, radicand, trunc)
+    return lattice_series(root, 2 * exp_den, order)
 
 
 def pair_sign(a: int, b: int, radicand) -> int:
@@ -450,17 +482,6 @@ class QuadInts(NamedTuple):
     two_a_trunc: Fraction | None
     exp_den: int  # of every term list's exponents, twice the grid's lattice
     sign: int  # of the discriminant's leading coefficient
-
-
-def lattice_series(terms: list, exp_den: int, trunc, shift: int = 0, sign: int = 1):
-    """The series of a term list (see QuadInts) times sign t^(-shift / exp_den)."""
-    out = tuple(
-        (Fraction(e - shift, exp_den), from_lattice(sign * a, sign * b, den, rad))
-        for e, a, b, den, rad in terms
-    )
-    if trunc is not None and shift:
-        trunc -= Fraction(shift, exp_den)
-    return PuiseuxSeries(out, trunc)
 
 
 def _term_list(ints: dict, den: int, radicand, factor: int) -> list:
@@ -518,10 +539,9 @@ def quad_ints(A, B, C, exp_den: int, radicand, trunc=None) -> QuadInts:
     exponent known over exp_den (None when exact).  The discriminant
     B^2 - 4AC is formed over one common denominator, with the order and the
     dropped terms of the series product, and the sign of its leading
-    coefficient is read off its leading int.  Its square root runs the
-    recurrence of ps_sqrt (_root_recurrence) to the same order, clamped
-    the same way, and the numerators -B +- eps sqrt(disc) are put together
-    term by term.  Errors are those of the series arithmetic.
+    coefficient is read off its leading int.  Its square root is ps_sqrt's
+    on the grid (_root_ints), and the numerators -B +- eps sqrt(disc) are
+    put together term by term.  Errors are those of the series arithmetic.
     """
     (at, aknown, aden), (bt, bknown, bden), (ct, cknown, cden) = A, B, C
     if not at:
@@ -554,45 +574,9 @@ def quad_ints(A, B, C, exp_den: int, radicand, trunc=None) -> QuadInts:
             return QuadInts(neg_b, neg_b, b_trunc, two_a, two_a_trunc, scale, 0)
         raise ValuationUnknown("discriminant vanishes below its truncation order")
     v = min(disc) >> 1
-    lead, lead_b = disc.get(2 * v, 0), disc.get(2 * v + 1, 0)
-    if pair_sign(lead, lead_b, radicand) < 0:
+    if pair_sign(disc.get(2 * v, 0), disc.get(2 * v + 1, 0), radicand) < 0:
         return QuadInts(None, None, None, two_a, two_a_trunc, scale, -1)
-    # the root of disc = c t^v (1 + u), as ps_sqrt takes it, at exponents
-    # v / 2 + m step / exp_den, that is (v + 2 m step) / scale
-    if lead_b:
-        raise NestedRadical("leading coefficient already carries a radicand")
-    g = gcd(lead, den)
-    cn, cd = lead // g, den // g
-    rn, rd = isqrt(cn), isqrt(cd)
-    rational = rn * rn == cn and rd * rd == cd
-    if not rational and any(key & 1 for key in disc):
-        raise NestedRadical("series coefficients already carry a radicand")
-    c = None if rational else Fraction(cn, cd)
-    if known is None and len(disc) == 1:
-        order = None
-        root = [(v, rn, 0, rd, None) if rational else (v, 0, 1, cd, c)]
-    else:
-        if known is not None:
-            bound = Fraction(2 * known - v, scale)
-            order = bound if trunc is None else min(Fraction(trunc), bound)
-        else:
-            order = Fraction(v, scale) + DEFAULT_DEPTH if trunc is None else Fraction(trunc)
-        step = gcd(exp_den, *((key >> 1) - v for key in disc))
-        count = _count_below(order, v, scale, 2 * step)
-        ua, ub = [0] * count, [0] * count
-        for key, x in disc.items():
-            m = ((key >> 1) - v) // step
-            if 0 < m < count:
-                (ub if key & 1 else ua)[m] = x * cd
-        sa, sb, four_q = _root_recurrence(ua, ub, den * cn, root_sq, count)
-        root, below = [], rd if rational else cd
-        for m in range(count):
-            a, b = sa[m], sb[m]
-            if a or b:
-                e = v + 2 * m * step
-                term = (e, a * rn, b * rn, below, radicand) if rational else (e, 0, a, below, c)
-                root.append(term)
-            below *= four_q
+    root, order = _root_ints(disc, den, known, exp_den, radicand, trunc)
     if not bt:
         eps = 1
     else:
@@ -620,23 +604,7 @@ def quad_numerators(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=
     lattice (quadext.to_lattice, which refuses two radicands) and quad_ints
     does the arithmetic.
     """
-    series = (A, B, C)
-    exp_den = lcm(
-        *(e.denominator for s in series for e, _ in s.terms),
-        *(s.trunc.denominator for s in series if s.trunc is not None),
-    )
-    radicand, groups = to_lattice([[c for _, c in s.terms] for s in series])
-    coeffs = []
-    for s, (den, pairs) in zip(series, groups):
-        ints = {}
-        for (e, _), (a, b) in zip(s.terms, pairs):
-            key = 2 * e.numerator * (exp_den // e.denominator)
-            if a:
-                ints[key] = a
-            if b:
-                ints[key + 1] = b
-        known = None if s.trunc is None else s.trunc.numerator * (exp_den // s.trunc.denominator)
-        coeffs.append((ints, known, den))
+    exp_den, radicand, coeffs = _on_lattice(A, B, C)
     q = quad_ints(*coeffs, exp_den, radicand, trunc)
     two_a = lattice_series(q.two_a, q.exp_den, q.two_a_trunc)
     if q.sign < 0:

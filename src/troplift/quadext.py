@@ -174,13 +174,6 @@ def coeff_is_zero(c) -> bool:
     return c == 0
 
 
-def coeff_radicand(c) -> Fraction | None:
-    """Radicand carried by a coefficient, or None for rational values."""
-    if isinstance(c, QuadExt) and c.b != 0:
-        return c.d
-    return None
-
-
 def to_lattice(groups):
     """Integer pairs for groups of Fraction or QuadExt coefficients.
 

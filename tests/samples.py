@@ -12,8 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from troplift.errors import InvalidTree
+from troplift.puiseux import PuiseuxSeries
 from troplift.tropmat import TropMatrix, trop_mat_mul
 from troplift.trees import RED, BLUE, BicoloredTree, Leaf, tree_to_matrix
+
+
+def scale_series(s: PuiseuxSeries, coeff) -> PuiseuxSeries:
+    """Every coefficient of a series times coeff, at the series' order."""
+    return PuiseuxSeries.make(((e, c * coeff) for e, c in s.terms), s.trunc)
 
 
 def submatrix(a: TropMatrix, rows, cols) -> TropMatrix:

@@ -20,6 +20,7 @@ from samples import (
     random_matrix,
     random_rank2_matrix,
     random_sym_rank2_matrix,
+    scale_series,
 )
 from test_series_det import ref_det_vanishes
 from troplift import jsonio, trees, tropical
@@ -513,7 +514,7 @@ class TestBorderedRankCheck:
             # first nonzero 2x2 minor off the top-left corner: rows 0 and 1
             # proportional, column 0 zero
             rows = _rank_k(rng, d, n, 2)
-            rows[1] = [e.scale(F(-2)) for e in rows[0]]
+            rows[1] = [scale_series(e, F(-2)) for e in rows[0]]
             for r in rows:
                 r[0] = PuiseuxSeries.zero()
             yield rows

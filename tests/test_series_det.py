@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpoly import perm_sign
+from samples import scale_series
 from troplift import lifts
 from troplift.errors import DimensionMismatch, RadicandMismatch
 from troplift.fixtures import fixture
@@ -146,7 +147,7 @@ def long_entries(draw, radicand, truncated):
     den += [F(draw(st.integers(-9, 9)), draw(PRIMES)) for _ in range(draw(st.integers(0, 2)))]
     num = F(draw(PRIMES), draw(PRIMES))
     q = long_quotient(num, den, draw(EXPONENTS), draw(st.integers(15, 30)))
-    q = q.scale(draw(coefficients(radicand)))
+    q = scale_series(q, draw(coefficients(radicand)))
     return q if truncated else PuiseuxSeries.make(q.terms)
 
 
