@@ -704,7 +704,7 @@ def _solve_symmetric_quadratic(
     u = eps 2A t^-val(2A), eps the sign of 2A's leading coefficient, and
     (i, j), (j, i) hold u x = eps n t^-val(2A): the determinant becomes
     u^2 det, and every valuation and sign stays.  Only the unit and the
-    written numerator become series; n2 is read only when n1 fails."""
+    written numerator become series; n2 is made only when n1 fails."""
     n = asym.rows
     tn, td = asym[i, j].as_integer_ratio()
     trunc = default_truncation(asym)
@@ -732,7 +732,8 @@ def _solve_symmetric_quadratic(
             shift, a, b, _, rad = quad.two_a[0]
             eps = pair_sign(a, b, rad)
             unit = None
-            for num in (quad.n1, quad.n2):
+            for branch in (1, -1):
+                num = quad.numerator(branch)
                 if not num:
                     continue
                 lead, a, b, _, rad = num[0]

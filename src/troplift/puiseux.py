@@ -475,13 +475,19 @@ class QuadInts(NamedTuple):
     ascending e: the coefficient (a + b sqrt(pr)) / den, for the radicand
     p/r (quadext.from_lattice), at t^(e / exp_den); no coefficient is 0."""
 
-    n1: list | None  # -B + eps sqrt(disc)
-    n2: list | None  # -B - eps sqrt(disc)
+    neg_b: list  # -B
+    root: list  # sqrt(disc); empty unless sign > 0
+    eps: int
     trunc: Fraction | None  # the numerators' order
     two_a: list
     two_a_trunc: Fraction | None
     exp_den: int  # of every term list's exponents, twice the grid's lattice
     sign: int  # of the discriminant's leading coefficient
+
+    def numerator(self, branch: int) -> list:
+        """The term list of -B + branch eps sqrt(disc): n1 for branch 1,
+        n2 for -1, each made when it is asked for."""
+        return _merge(self.neg_b, self.root, branch * self.eps, self.trunc, self.exp_den)
 
 
 def _term_list(ints: dict, den: int, radicand, factor: int) -> list:
@@ -540,8 +546,9 @@ def quad_ints(A, B, C, exp_den: int, radicand, trunc=None) -> QuadInts:
     B^2 - 4AC is formed over one common denominator, with the order and the
     dropped terms of the series product, and the sign of its leading
     coefficient is read off its leading int.  Its square root is ps_sqrt's
-    on the grid (_root_ints), and the numerators -B +- eps sqrt(disc) are
-    put together term by term.  Errors are those of the series arithmetic.
+    on the grid (_root_ints), and QuadInts.numerator puts -B +- eps
+    sqrt(disc) together term by term.  Errors are those of the series
+    arithmetic.
     """
     (at, aknown, aden), (bt, bknown, bden), (ct, cknown, cden) = A, B, C
     if not at:
@@ -571,11 +578,11 @@ def quad_ints(A, B, C, exp_den: int, radicand, trunc=None) -> QuadInts:
     disc = {key: c for key, c in disc.items() if c}
     if not disc:
         if known is None:
-            return QuadInts(neg_b, neg_b, b_trunc, two_a, two_a_trunc, scale, 0)
+            return QuadInts(neg_b, [], 1, b_trunc, two_a, two_a_trunc, scale, 0)
         raise ValuationUnknown("discriminant vanishes below its truncation order")
     v = min(disc) >> 1
     if pair_sign(disc.get(2 * v, 0), disc.get(2 * v + 1, 0), radicand) < 0:
-        return QuadInts(None, None, None, two_a, two_a_trunc, scale, -1)
+        return QuadInts(neg_b, [], 1, None, two_a, two_a_trunc, scale, -1)
     root, order = _root_ints(disc, den, known, exp_den, radicand, trunc)
     if not bt:
         eps = 1
@@ -584,10 +591,7 @@ def quad_ints(A, B, C, exp_den: int, radicand, trunc=None) -> QuadInts:
         eps = pair_sign(a, b, radicand)
         if not root:
             raise ValuationUnknown("series has no known nonzero term")
-    order = _min_trunc(b_trunc, order)
-    n1 = _merge(neg_b, root, eps, order, scale)
-    n2 = _merge(neg_b, root, -eps, order, scale)
-    return QuadInts(n1, n2, order, two_a, two_a_trunc, scale, 1)
+    return QuadInts(neg_b, root, eps, _min_trunc(b_trunc, order), two_a, two_a_trunc, scale, 1)
 
 
 def quad_numerators(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):
@@ -609,8 +613,8 @@ def quad_numerators(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=
     two_a = lattice_series(q.two_a, q.exp_den, q.two_a_trunc)
     if q.sign < 0:
         return None, None, two_a, -1
-    n1 = lattice_series(q.n1, q.exp_den, q.trunc)
-    return n1, lattice_series(q.n2, q.exp_den, q.trunc), two_a, q.sign
+    n1, n2 = (lattice_series(q.numerator(b), q.exp_den, q.trunc) for b in (1, -1))
+    return n1, n2, two_a, q.sign
 
 
 def quad_roots(A: PuiseuxSeries, B: PuiseuxSeries, C: PuiseuxSeries, trunc=None):

@@ -100,7 +100,7 @@ def test_the_solve_kernel_gives_the_numerators_on_the_recorded_calls(case):
     coeffs = [minor_ints(grid, [0], [k]) for k in range(3)]
     quad = quad_ints(*coeffs, grid.exp_den, grid.radicand, trunc)
     assert quad.sign > 0
-    got = [lattice_series(n, quad.exp_den, quad.trunc) for n in (quad.n1, quad.n2)]
+    got = [lattice_series(quad.numerator(b), quad.exp_den, quad.trunc) for b in (1, -1)]
     got.append(lattice_series(quad.two_a, quad.exp_den, quad.two_a_trunc))
     got = tuple((s.terms, s.trunc) for s in got) + (quad.sign,)
     assert got == outcome(quad_numerators, A, B, C, trunc)
