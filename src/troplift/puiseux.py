@@ -477,7 +477,7 @@ class QuadInts(NamedTuple):
 
     neg_b: list  # -B
     root: list  # sqrt(disc); empty unless sign > 0
-    eps: int
+    eps: int  # lead of eps sqrt(disc) has the sign of -B's (1 when B = 0)
     trunc: Fraction | None  # the numerators' order
     two_a: list
     two_a_trunc: Fraction | None
